@@ -1,11 +1,11 @@
 """Multiprime RSA-like public-key scheme on the Pell hyperbola.
 
-Messages are pairs of residues on x^2 - D y^2 = 1 mod N; exponentiation
-runs in the compressed parameter group (Redei rational functions) and
-decryption reduces the private exponent per prime power before CRT
-recombination, which is what makes it fast.  The package also ships the
-matching cryptanalysis (factoring N from the group's totient analog) and a
-benchmark against a two-prime CRT-RSA baseline.
+Messages are pairs of residues on x^2 - D y^2 = 1 mod N; encryption runs
+in the compressed parameter group (Redei rational functions) or on the
+curve, and decryption reduces the private exponent per prime power, runs a
+Lucas ladder there and recombines by CRT, which is what makes it fast.  The
+package also ships the matching cryptanalysis (factoring N from the group's
+totient analog) and a benchmark against a two-prime CRT-RSA baseline.
 """
 
 from .arith import FactoredModulus, crt_combine, gen_prime, jacobi, mod_inv, mod_pow
@@ -42,7 +42,6 @@ from .keyfmt import (
 from .pell import (
     INFINITY,
     HyperbolaPoint,
-    OpCount,
     PellParams,
     RedeiPair,
     enumerate_hyperbola,
@@ -51,6 +50,7 @@ from .pell import (
     param_to_point,
     point_mul,
     point_pow,
+    point_pow_nodiv,
     point_to_param,
     psi,
     redei_eval,

@@ -1,19 +1,24 @@
 """Decryption benchmark against a two-prime CRT-RSA baseline.
 
-The operation-count model: RSA decrypting 2*log2(N) plaintext bits (two
-ciphertexts) via CRT performs 4 exponentiations at half the modulus width,
-while the r-prime scheme performs r exponentiations at 1/r of the width,
-predicting a speedup of 4*(N/2)^3 / (r*(N/r)^3) = r^2/2.  The model counts
-one group operation as one modular multiplication, which undercounts the
-hyperbola ladder (two multiplications per squaring, four per multiply), so
-measured ratios sit below the prediction; both are reported, nothing is
-gated on the model.
+The paper's operation-count model: RSA decrypting 2*log2(N) plaintext bits
+(two ciphertexts) via CRT performs 4 exponentiations at half the modulus
+width, while the r-prime scheme performs r exponentiations at 1/r of the
+width, predicting a speedup of 4*(N/2)^3 / (r*(N/r)^3) = r^2/2.  The model
+counts one exponent bit as one modular multiplication on both sides.  In
+real multiplications the per-prime Lucas ladder costs 2 per exponent bit
+(pell.ladder_cost), plus a few inversions per prime for the y recovery and
+the parameter conversions, while RSA's square-and-multiply costs 1.5 on
+average, so counting multiplications predicts 3/4 of r^2/2.  Measured
+ratios sit lower still: the interpreter's fixed cost per operation does not
+shrink with the operand width, so it weighs more on the narrower per-prime
+products.  The paper's prediction and the measurement are reported side by
+side; nothing is gated on the model.
 
 Fairness: both schemes decrypt the same number of plaintext bits per timed
 call, run single-threaded over plain Python integers, and use this
 package's explicit square-and-multiply loops rather than the C-level pow
 builtin, so each modular multiplication carries the same interpreter
-overhead on both sides.
+overhead on both sides.  The two are timed round-robin.
 """
 
 import csv
@@ -45,13 +50,7 @@ class BenchConfig:
 
 @dataclass(frozen=True)
 class BenchResult:
-    """Median decryption times (ns) and the measured vs predicted speedup.
-
-    pell_decrypt_ns times the default on-curve ladder; the redei and param
-    fields time the same CRT decryption driven by the Redei-pair evaluator
-    (single final division) and by direct parameter products (one modular
-    inversion per step).
-    """
+    """Median decryption times (ns) and the measured vs predicted speedup."""
 
     modulus_bits: int
     r: int
@@ -59,8 +58,6 @@ class BenchResult:
     rsa_decrypt_ns: int
     measured_speedup: float
     predicted_speedup: float
-    pell_redei_decrypt_ns: int = 0
-    pell_param_decrypt_ns: int = 0
 
 
 class RsaBaseline:
@@ -150,10 +147,9 @@ def run_benchmark(cfg):
         for _ in range(runs)
     ]
 
-    pell_ns = _median_time_ns(lambda ct: decrypt(priv, ct), pell_cts)
-    redei_ns = _median_time_ns(lambda ct: decrypt(priv, ct, method="redei"), pell_cts)
-    param_ns = _median_time_ns(lambda ct: decrypt(priv, ct, method="param"), pell_cts)
-    rsa_ns = _median_time_ns(rsa.decrypt_pair, rsa_cts)
+    pell_ns, rsa_ns = _interleaved_medians_ns(
+        [lambda ct: decrypt(priv, ct), rsa.decrypt_pair], [pell_cts, rsa_cts]
+    )
 
     return BenchResult(
         modulus_bits=cfg.modulus_bits,
@@ -162,8 +158,6 @@ def run_benchmark(cfg):
         rsa_decrypt_ns=rsa_ns,
         measured_speedup=rsa_ns / pell_ns,
         predicted_speedup=cfg.r * cfg.r / 2,
-        pell_redei_decrypt_ns=redei_ns,
-        pell_param_decrypt_ns=param_ns,
     )
 
 

@@ -11,7 +11,9 @@ Two views of the same cyclic structure are implemented:
 Over a composite modulus the parameter product is only partial: a denominator
 sharing a factor with the modulus aborts the operation and leaks that factor
 (ImpossibleOperation).  Parameter powers can also be evaluated through Redei
-polynomial pairs, which divide only once at the very end.
+polynomial pairs, which divide only once at the very end.  Point powers run
+a Lucas x-only ladder with one final inversion (point_pow), or a
+division-free square-and-multiply (point_pow_nodiv).
 """
 
 from dataclasses import dataclass
@@ -89,18 +91,6 @@ class PellParams:
         return HyperbolaPoint(1 % self.modulus, 0)
 
 
-@dataclass
-class OpCount:
-    """Mutable group-operation counter for the exponentiation ladders."""
-
-    sq: int = 0
-    mul: int = 0
-
-    @property
-    def total(self):
-        return self.sq + self.mul
-
-
 def point_mul(p, q, pp):
     """Brahmagupta product (xw + D yz, yw + xz); division-free."""
     n, d = pp.modulus, pp.d
@@ -109,12 +99,45 @@ def point_mul(p, q, pp):
     return HyperbolaPoint((x * w + d * y * z) % n, (y * w + x * z) % n)
 
 
-def point_pow(p, k, pp, counter=None):
-    """k-fold Brahmagupta product of an on-curve point, square-and-multiply.
+def point_pow(p, k, pp):
+    """k-th power of an on-curve point by the Lucas x-only ladder.
+
+    On a norm-1 point x_k = V_k(2x)/2, so x_{m+n} = 2 x_m x_n - x_{m-n} and a
+    Montgomery ladder over (x_k, x_{k+1}) costs two multiplications per
+    exponent bit (ladder_cost).  y_k comes back from one inversion at the
+    end: y_k = (x_{k+1} - x x_k)/(D y).  When D y is not a unit mod the
+    modulus (the points (+-1, 0), or y = 0 mod a prime of a prime power),
+    point_pow_nodiv runs instead, so every on-curve point gets its exact
+    power and nothing raises.  Inputs off the curve give undefined results;
+    use PellParams.point to validate.
+    """
+    if k < 0:
+        raise ValueError("exponent must be >= 0")
+    if k == 0:
+        return pp.identity()
+    n = pp.modulus
+    x, y = p.x % n, p.y % n
+    try:
+        dy_inv = mod_inv(pp.d * y, n)
+    except NotInvertible:
+        return point_pow_nodiv(p, k, pp)
+    a, b = x, (2 * x * x - 1) % n
+    for bit in bin(k)[3:]:
+        if bit == "1":
+            a, b = (2 * a * b - x) % n, (2 * b * b - 1) % n
+        else:
+            a, b = (2 * a * a - 1) % n, (2 * a * b - x) % n
+    return HyperbolaPoint(a, (b - x * a) * dy_inv % n)
+
+
+def point_pow_nodiv(p, k, pp):
+    """k-fold Brahmagupta product by square-and-multiply, with no division.
 
     Squaring uses the curve identity x^2 = 1 + D y^2, so it costs two
-    multiplications: (x, y)^2 = (2x^2 - 1, 2xy).  Inputs off the curve
-    therefore give undefined results; use PellParams.point to validate.
+    multiplications, (x, y)^2 = (2x^2 - 1, 2xy), and a multiply step four
+    (product_ladder_cost).  Encryption uses it because it never divides
+    mod the composite N; for short public exponents it is also faster than
+    point_pow, whose final inversion dominates there.
     """
     if k < 0:
         raise ValueError("exponent must be >= 0")
@@ -126,13 +149,26 @@ def point_pow(p, k, pp, counter=None):
     rx, ry = bx, by
     for bit in bin(k)[3:]:
         rx, ry = (2 * rx * rx - 1) % n, 2 * rx * ry % n
-        if counter is not None:
-            counter.sq += 1
         if bit == "1":
             rx, ry = (rx * bx + ry * byd) % n, (ry * bx + rx * by) % n
-            if counter is not None:
-                counter.mul += 1
     return HyperbolaPoint(rx, ry)
+
+
+def ladder_cost(k):
+    """Modular multiplications of point_pow's ladder for an exponent k >= 1.
+
+    One for x_2 = 2x^2 - 1, then two per exponent bit after the leading one.
+    Recovering y adds three multiplications and one inversion.
+    """
+    return 2 * (k.bit_length() - 1) + 1
+
+
+def product_ladder_cost(k):
+    """Modular multiplications of point_pow_nodiv's loop for an exponent k >= 1.
+
+    Two per squaring, four per multiply step; one more computes D y up front.
+    """
+    return 2 * (k.bit_length() - 1) + 4 * (k.bit_count() - 1)
 
 
 def param_mul(a, b, pp):
@@ -156,7 +192,7 @@ def param_mul(a, b, pp):
         raise ImpossibleOperation(err.gcd) from None
 
 
-def param_pow(m, k, pp, counter=None):
+def param_pow(m, k, pp):
     """k-fold parameter product by square-and-multiply; k = 0 gives INFINITY.
 
     Every step divides, so over a composite modulus this can raise
@@ -171,12 +207,8 @@ def param_pow(m, k, pp, counter=None):
     base = r
     for bit in bin(k)[3:]:
         r = param_mul(r, r, pp)
-        if counter is not None:
-            counter.sq += 1
         if bit == "1":
             r = param_mul(r, base, pp)
-            if counter is not None:
-                counter.mul += 1
     return r
 
 
@@ -220,7 +252,7 @@ def param_to_point(m, pp):
     return HyperbolaPoint((m * m + d) * inv % n, 2 * m * inv % n)
 
 
-def redei_eval(d, z, k, modulus, counter=None):
+def redei_eval(d, z, k, modulus):
     """Redei polynomial pair (A_k, B_k) for z, reduced mod the modulus.
 
     Defined by (z + sqrt(D))^k = A_k + B_k sqrt(D), i.e. the entries of the
@@ -236,16 +268,12 @@ def redei_eval(d, z, k, modulus, counter=None):
     a, b = z, 1 % n
     for bit in bin(k)[3:]:
         a, b = (a * a + d * b * b) % n, 2 * a * b % n
-        if counter is not None:
-            counter.sq += 1
         if bit == "1":
             a, b = (a * z + d * b) % n, (a + b * z) % n
-            if counter is not None:
-                counter.mul += 1
     return RedeiPair(a, b)
 
 
-def redei_pow(m, k, pp, counter=None):
+def redei_pow(m, k, pp):
     """k-fold parameter product evaluated through the Redei pair.
 
     Single division at the end: B_k = 0 means the power is INFINITY, a
@@ -256,7 +284,7 @@ def redei_pow(m, k, pp, counter=None):
         raise ValueError("exponent must be >= 0")
     if k == 0 or isinstance(m, _AtInfinity):
         return INFINITY if k == 0 else m
-    a, b = redei_eval(pp.d, m, k, pp.modulus, counter)
+    a, b = redei_eval(pp.d, m, k, pp.modulus)
     if b == 0:
         return INFINITY
     try:

@@ -11,6 +11,10 @@ order is p^(e-1) * (p + 1) or p^(e-1) * (p - 1) depending on whether D is a
 non-residue or a residue mod p, so the private exponent shrinks to roughly
 a 1/r-th of its size per factor, and the results recombine by CRT.  That
 exponent reduction is where the speedup over two-prime moduli comes from.
+Each per-prime power is a Lucas ladder on the curve (pell.point_pow): two
+multiplications per exponent bit and one inversion.  Point encryption keeps
+the division-free square-and-multiply (pell.point_pow_nodiv), which never
+divides mod the composite N.
 
 Two private-exponent modes exist because the sender can only test the
 Jacobi symbol of mx^2 - 1, not the residuosity mod the secret primes:
@@ -36,9 +40,9 @@ from .errors import (
 from .pell import (
     INFINITY,
     PellParams,
-    param_pow,
     param_to_point,
     point_pow,
+    point_pow_nodiv,
     point_to_param,
     redei_pow,
 )
@@ -197,7 +201,7 @@ def encrypt_point(pk, msg, mode=Mode.ROBUST):
     d_coef = validate_message(pk, msg, mode)
     pp = PellParams(pk.n, d_coef)
     pt = pp.point(msg.mx, msg.my)
-    cx, cy = point_pow(pt, pk.e, pp)
+    cx, cy = point_pow_nodiv(pt, pk.e, pp)
     return PointCiphertext(cx, cy, d_coef)
 
 
@@ -219,56 +223,32 @@ def reduced_private_exponents(sk, d_coef):
     return plan
 
 
-def _recover_parameter(sk, ct, method):
-    """Per-prime-power exponentiation of the ciphertext parameter, CRT-combined."""
-    residues, moduli = [], []
-    for m_i, d_i in reduced_private_exponents(sk, ct.d_coef):
-        pp = PellParams(m_i, ct.d_coef % m_i)
-        c_i = ct.c % m_i
-        if method == "ladder":
-            # fastest: hop to the curve, square-and-multiply there (two
-            # multiplications per squaring), compress back; two divisions total
-            pt = point_pow(param_to_point(c_i, pp), d_i, pp)
-            m_val = point_to_param(pt, pp)
-        elif method == "redei":
-            m_val = redei_pow(c_i, d_i, pp)
-        elif method == "param":
-            m_val = param_pow(c_i, d_i, pp)
-        else:
-            raise ValueError(f"unknown method {method!r}")
-        if m_val is INFINITY:
-            raise DecryptionFailure("recovered parameter is the identity mod a factor")
-        residues.append(m_val)
-        moduli.append(m_i)
-    return crt_combine(residues, moduli)
-
-
-def decrypt(sk, ct, crt=True, method="ladder"):
+def decrypt(sk, ct):
     """Recover (mx, my) from a compressed ciphertext.
 
-    crt=True runs the reduced-exponent computation per prime power and
-    recombines; crt=False runs one full-width Redei evaluation mod N (the
-    slow reference path, bit-identical by construction).  `method` selects
-    the per-prime exponentiation strategy: "ladder" (on-curve, default),
-    "redei" (polynomial pair) or "param" (direct parameter products).
+    Per prime power the ciphertext parameter moves to the curve, point_pow
+    raises it to the reduced private exponent and the result compresses
+    back; the parameters recombine by CRT and decompress mod N.
     """
     n = sk.n
     if math.gcd(ct.d_coef % n, n) != 1:
         raise DecryptionFailure("curve coefficient shares a factor with N")
+    residues, moduli = [], []
     try:
-        if crt:
-            m_val = _recover_parameter(sk, ct, method)
-        else:
-            m_val = redei_pow(ct.c % n, sk.d, PellParams(n, ct.d_coef % n))
+        for m_i, d_i in reduced_private_exponents(sk, ct.d_coef):
+            pp = PellParams(m_i, ct.d_coef % m_i)
+            m_val = point_to_param(point_pow(param_to_point(ct.c % m_i, pp), d_i, pp), pp)
             if m_val is INFINITY:
-                raise DecryptionFailure("recovered parameter is the identity")
-        pt = param_to_point(m_val, PellParams(n, ct.d_coef % n))
+                raise DecryptionFailure("recovered parameter is the identity mod a factor")
+            residues.append(m_val)
+            moduli.append(m_i)
+        pt = param_to_point(crt_combine(residues, moduli), PellParams(n, ct.d_coef % n))
     except (ImpossibleOperation, NotInvertible) as err:
         raise DecryptionFailure(f"decryption hit a non-invertible value: {err}") from err
     return MessagePair(pt.x, pt.y)
 
 
-def decrypt_point(sk, ct, crt=True):
+def decrypt_point(sk, ct):
     """Recover (mx, my) from an uncompressed ciphertext.
 
     Same per-prime exponent reduction as decrypt; the ladder runs directly
@@ -280,18 +260,14 @@ def decrypt_point(sk, ct, crt=True):
     pp_n = PellParams(n, ct.d_coef % n)
     if not pp_n.on_curve(ct.cx % n, ct.cy % n):
         raise DecryptionFailure("ciphertext point is not on the curve")
-    if crt:
-        xs, ys, moduli = [], [], []
-        for m_i, d_i in reduced_private_exponents(sk, ct.d_coef):
-            pp = PellParams(m_i, ct.d_coef % m_i)
-            pt = point_pow(pp.point(ct.cx, ct.cy), d_i, pp)
-            xs.append(pt.x)
-            ys.append(pt.y)
-            moduli.append(m_i)
-        mx, my = crt_combine(xs, moduli), crt_combine(ys, moduli)
-    else:
-        pt = point_pow(pp_n.point(ct.cx, ct.cy), sk.d, pp_n)
-        mx, my = pt.x, pt.y
+    xs, ys, moduli = [], [], []
+    for m_i, d_i in reduced_private_exponents(sk, ct.d_coef):
+        pp = PellParams(m_i, ct.d_coef % m_i)
+        pt = point_pow(pp.point(ct.cx, ct.cy), d_i, pp)
+        xs.append(pt.x)
+        ys.append(pt.y)
+        moduli.append(m_i)
+    mx, my = crt_combine(xs, moduli), crt_combine(ys, moduli)
     if not pp_n.on_curve(mx, my):
         raise DecryptionFailure("recovered point is not on the curve")
     return MessagePair(mx, my)

@@ -1,22 +1,28 @@
+import functools
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pellrsa.arith import FactoredModulus, crt_combine, is_probable_prime
+from pellrsa import pell
+from pellrsa.arith import FactoredModulus, crt_combine, gen_prime, is_probable_prime
 from pellrsa.errors import ImpossibleOperation, ModulusTooLarge
 from pellrsa.pell import (
     INFINITY,
     HyperbolaPoint,
-    OpCount,
     PellParams,
     enumerate_hyperbola,
+    ladder_cost,
     param_mul,
     param_pow,
     param_to_point,
     point_mul,
     point_pow,
+    point_pow_nodiv,
     point_to_param,
+    product_ladder_cost,
     psi,
     redei_eval,
     redei_pow,
@@ -65,6 +71,40 @@ def qnr_mod(p, rng):
         d = rng.randrange(2, p)
         if d not in squares:
             return d
+
+
+class Tallied(int):
+    """Residue that counts every product it takes part in, doublings excepted.
+
+    Sums, differences, products and reductions of a Tallied stay Tallied, so
+    the count follows the residues through a whole ladder.  A product with
+    the literal 2 is an addition in disguise and is not counted; a product
+    with the inverse or with D is.
+    """
+
+    products = 0
+
+    def __mul__(self, other):
+        if not (type(other) is int and other == 2):
+            Tallied.products += 1
+        return Tallied(int(self) * int(other))
+
+    __rmul__ = __mul__
+
+    def __add__(self, other):
+        return Tallied(int(self) + int(other))
+
+    def __sub__(self, other):
+        return Tallied(int(self) - int(other))
+
+    def __mod__(self, other):
+        return Tallied(int(self) % int(other))
+
+
+def count_products(fn, *args):
+    Tallied.products = 0
+    result = fn(*args)
+    return Tallied.products, result
 
 
 # ---- point product ----
@@ -302,18 +342,95 @@ def test_three_pow_routes_agree_up_to_200():
             assert redei_pow(z, k, pp) == expected
 
 
-def test_fast_paths_use_logarithmically_many_group_ops():
+def test_ladder_multiplication_counts_are_exact(monkeypatch):
     rng = random.Random(79)
     pp = PellParams(10007, qnr_mod(10007, rng))
+    assert pp.d != 2  # a product with D must not look like a doubling
     pt = param_to_point(123, pp)
+    tallied = HyperbolaPoint(Tallied(pt.x), Tallied(pt.y))
+    param_muls = []
+
+    def counting_param_mul(a, b, pp):
+        param_muls.append((a, b))
+        return param_mul(a, b, pp)
+
+    monkeypatch.setattr(pell, "param_mul", counting_param_mul)
     for k in (2, 3, 10, 100, 999, 4096, 10**9 + 7):
-        bound = 2 * math.ceil(math.log2(k)) + 2
-        c_param, c_redei, c_point = OpCount(), OpCount(), OpCount()
-        param_pow(123, k, pp, counter=c_param)
-        redei_eval(pp.d, 123, k, pp.modulus, counter=c_redei)
-        point_pow(pt, k, pp, counter=c_point)
-        for counter in (c_param, c_redei, c_point):
-            assert counter.total <= bound, (k, counter)
+        squarings, multiplies = k.bit_length() - 1, k.bit_count() - 1
+        assert ladder_cost(k) == 2 * squarings + 1
+        assert product_ladder_cost(k) == 2 * squarings + 4 * multiplies
+        # the Lucas ladder, then D*y, x*x_k and the product with the inverse
+        count, result = count_products(point_pow, tallied, k, pp)
+        assert (count, result) == (ladder_cost(k) + 3, point_pow(pt, k, pp))
+        # the product ladder, plus D*y computed once up front
+        count, result = count_products(point_pow_nodiv, tallied, k, pp)
+        assert (count, result) == (product_ladder_cost(k) + 1, point_pow(pt, k, pp))
+        # Redei pair: four multiplications per squaring, three per multiply
+        count, _ = count_products(redei_eval, Tallied(pp.d), Tallied(123), k, pp.modulus)
+        assert count == 4 * squarings + 3 * multiplies
+        param_muls.clear()
+        param_pow(123, k, pp)
+        assert len(param_muls) == squarings + multiplies
+
+
+# ---- the Lucas ladder against the product ladder ----
+
+def point_pow_cases(p, e):
+    """(params, points, order) for a non-residue D and the residue D = 4 mod p^e."""
+    d_nr = next(d for d in range(2, p) if pow(d, (p - 1) // 2, p) == p - 1)
+    for d in (d_nr, 4):
+        pts = enumerate_hyperbola(p, e, d)
+        yield PellParams(p**e, d % p**e), pts, len(pts)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_point_pow_exhaustive_against_product_oracle(p):
+    rng = random.Random(p)
+    non_unit = 0
+    for e in (1, 2, 3):
+        for pp, pts, order in point_pow_cases(p, e):
+            for pt in pts:
+                non_unit += math.gcd(pp.d * pt.y, pp.modulus) != 1
+                if order <= 200:
+                    # every k in [0, 2 * order] against repeated products
+                    acc = pp.identity()
+                    for k in range(2 * order + 1):
+                        assert point_pow(pt, k, pp) == acc, (pp, pt, k)
+                        acc = point_mul(acc, pt, pp)
+                else:
+                    # the full k range costs minutes at 7^3..13^3: k around
+                    # 0, order and 2 * order plus seeded draws, every point
+                    ks = {0, 1, 2, 3, order - 1, order, order + 1, 2 * order - 1, 2 * order}
+                    ks.update(rng.randrange(2 * order + 1) for _ in range(6))
+                    for k in ks:
+                        assert point_pow(pt, k, pp) == point_pow_nodiv(pt, k, pp), (pp, pt, k)
+    assert non_unit > 0
+
+
+@functools.lru_cache(maxsize=None)
+def crypto_prime(bits):
+    return gen_prime(bits, random.Random(bits))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    bits=st.sampled_from([256, 512, 1024]),
+    power=st.sampled_from([1, 2, 3]),
+    seed=st.integers(0, 2**64),
+    in_kernel=st.booleans(),
+)
+def test_point_pow_bit_identical_to_product_ladder_at_crypto_sizes(bits, power, seed, in_kernel):
+    p = crypto_prime(bits)
+    n = p**power
+    rng = random.Random(seed)
+    pp = PellParams(n, rng.randrange(1, p) + p * rng.randrange(n // p))
+    pt = param_to_point(rng.randrange(n), pp)
+    if in_kernel:
+        # P^(p^2 - 1) reduces to (1, 0) mod p, so D*y is not a unit mod n
+        pt = point_pow_nodiv(pt, p * p - 1, pp)
+        assert math.gcd(pt.y, n) != 1
+    k = rng.getrandbits(rng.choice([1, 17, bits, 2 * bits]))
+    assert point_pow(pt, k, pp) == point_pow_nodiv(pt, k, pp)
 
 
 # ---- orders, psi, enumeration ----

@@ -9,7 +9,16 @@ from pellrsa.errors import (
     ImpossibleOperation,
     MessageNotEncryptable,
 )
-from pellrsa.pell import PellParams, point_to_param
+from pellrsa.arith import crt_combine
+from pellrsa.pell import (
+    INFINITY,
+    PellParams,
+    param_pow,
+    param_to_point,
+    point_pow_nodiv,
+    point_to_param,
+    redei_pow,
+)
 from pellrsa.scheme import (
     Ciphertext,
     MessagePair,
@@ -31,6 +40,34 @@ from pellrsa.scheme import (
 
 def small_keypair(rng, r=2, bits=32, mode=Mode.ROBUST, exponents=None):
     return keygen(r, exponents or [1] * r, bits, rng, mode=mode)
+
+
+# ---- reference decryptions, oracles for the CRT path ----
+
+def full_width_decrypt(sk, ct):
+    """One Redei evaluation mod N with the unreduced private exponent."""
+    pp = PellParams(sk.n, ct.d_coef % sk.n)
+    m_val = redei_pow(ct.c, sk.d, pp)
+    assert m_val is not INFINITY
+    pt = param_to_point(m_val, pp)
+    return MessagePair(pt.x, pt.y)
+
+
+def full_width_decrypt_point(sk, ct):
+    """The division-free product ladder mod N with the unreduced private exponent."""
+    pp = PellParams(sk.n, ct.d_coef % sk.n)
+    pt = point_pow_nodiv(pp.point(ct.cx, ct.cy), sk.d, pp)
+    return MessagePair(pt.x, pt.y)
+
+
+def crt_decrypt_with(param_power, sk, ct):
+    """CRT decryption with each per-prime parameter power taken by param_power."""
+    residues, moduli = [], []
+    for m_i, d_i in reduced_private_exponents(sk, ct.d_coef):
+        residues.append(param_power(ct.c % m_i, d_i, PellParams(m_i, ct.d_coef % m_i)))
+        moduli.append(m_i)
+    pt = param_to_point(crt_combine(residues, moduli), PellParams(sk.n, ct.d_coef % sk.n))
+    return MessagePair(pt.x, pt.y)
 
 
 # ---- key generation ----
@@ -152,9 +189,9 @@ def test_crt_fast_path_bit_identical_to_direct():
         for _ in range(10):
             msg = random_message(pub, rng)
             ct = encrypt(pub, msg)
-            assert decrypt(priv, ct, crt=True) == decrypt(priv, ct, crt=False)
+            assert decrypt(priv, ct) == full_width_decrypt(priv, ct)
             pct = encrypt_point(pub, msg)
-            assert decrypt_point(priv, pct, crt=True) == decrypt_point(priv, pct, crt=False)
+            assert decrypt_point(priv, pct) == full_width_decrypt_point(priv, pct)
 
 
 def test_decrypt_methods_agree():
@@ -163,10 +200,11 @@ def test_decrypt_methods_agree():
     for _ in range(10):
         ct = encrypt(pub, random_message(pub, rng))
         results = {
-            method: decrypt(priv, ct, method=method)
-            for method in ("ladder", "redei", "param")
+            decrypt(priv, ct),
+            crt_decrypt_with(redei_pow, priv, ct),
+            crt_decrypt_with(param_pow, priv, ct),
         }
-        assert len(set(results.values())) == 1
+        assert len(results) == 1
 
 
 def test_ciphertext_parameter_is_a_unit():
