@@ -6,13 +6,13 @@ width, while the r-prime scheme performs r exponentiations at 1/r of the
 width, predicting a speedup of 4*(N/2)^3 / (r*(N/r)^3) = r^2/2.  The model
 counts one exponent bit as one modular multiplication on both sides.  In
 real multiplications the per-prime Lucas ladder costs 2 per exponent bit
-(pell.ladder_cost), plus a few inversions per prime for the y recovery and
-the parameter conversions, while RSA's square-and-multiply costs 1.5 on
-average, so counting multiplications predicts 3/4 of r^2/2.  Measured
-ratios sit lower still: the interpreter's fixed cost per operation does not
-shrink with the operand width, so it weighs more on the narrower per-prime
-products.  The paper's prediction and the measurement are reported side by
-side; nothing is gated on the model.
+(pell.ladder_cost), plus one inversion per prime for the y recovery and,
+for a compressed ciphertext, one full-width decompression, while RSA's
+square-and-multiply costs 1.5 on average, so counting multiplications
+predicts 3/4 of r^2/2.  Measured ratios sit lower still: the interpreter's
+fixed cost per operation does not shrink with the operand width, so it
+weighs more on the narrower per-prime products.  The paper's prediction and
+the measurement are reported side by side; nothing is gated on the model.
 
 Fairness: both schemes decrypt the same number of plaintext bits per timed
 call, run single-threaded over plain Python integers, and use this
@@ -64,7 +64,7 @@ class RsaBaseline:
     """Textbook two-prime RSA with CRT decryption.
 
     decrypt_pair handles 2*log2(n) plaintext bits with exactly four
-    half-width exponentiations, counted in modexp_count.
+    half-width exponentiations.
     """
 
     def __init__(self, p, q, e, d):
@@ -73,7 +73,6 @@ class RsaBaseline:
         self.dp = d % (p - 1)
         self.dq = d % (q - 1)
         self.q_inv = mod_inv(q, p)
-        self.modexp_count = 0
 
     def encrypt(self, m):
         return pow(m, self.e, self.n)
@@ -81,7 +80,6 @@ class RsaBaseline:
     def decrypt(self, c):
         m_p = mod_pow(c % self.p, self.dp, self.p)
         m_q = mod_pow(c % self.q, self.dq, self.q)
-        self.modexp_count += 2
         h = (m_p - m_q) * self.q_inv % self.p
         return m_q + self.q * h
 

@@ -56,7 +56,10 @@ def load_public_key(text):
     e = _hex_int(_take(fields, "e"), "e")
     if fields:
         raise KeyFormatError(f"unexpected trailing fields {fields}")
-    return PublicKey(n, e)
+    try:
+        return PublicKey(n, e)
+    except ValueError as err:
+        raise KeyFormatError(str(err)) from None
 
 
 def dump_private_key(sk):
@@ -67,11 +70,7 @@ def dump_private_key(sk):
 
 def load_private_key(text):
     fields = _parse_lines(text, PRIVATE_MAGIC)
-    mode_value = _take(fields, "mode")
-    try:
-        mode = Mode(mode_value)
-    except ValueError:
-        raise KeyFormatError(f"unknown mode {mode_value!r}") from None
+    mode = _take(fields, "mode")
     d = _hex_int(_take(fields, "d"), "d")
     pairs = []
     for key, value in fields:
@@ -85,10 +84,9 @@ def load_private_key(text):
         except ValueError:
             raise KeyFormatError(f"malformed factor {value!r}") from None
     try:
-        factors = FactoredModulus(pairs)
+        return PrivateKey(FactoredModulus(pairs), d, Mode(mode))
     except ValueError as err:
         raise KeyFormatError(str(err)) from None
-    return PrivateKey(factors, d, mode)
 
 
 def dump_ciphertext(ct):

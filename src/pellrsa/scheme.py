@@ -11,16 +11,17 @@ order is p^(e-1) * (p + 1) or p^(e-1) * (p - 1) depending on whether D is a
 non-residue or a residue mod p, so the private exponent shrinks to roughly
 a 1/r-th of its size per factor, and the results recombine by CRT.  That
 exponent reduction is where the speedup over two-prime moduli comes from.
-Each per-prime power is a Lucas ladder on the curve (pell.point_pow): two
-multiplications per exponent bit and one inversion.  Point encryption keeps
-the division-free square-and-multiply (pell.point_pow_nodiv), which never
-divides mod the composite N.
+A compressed ciphertext decompresses to its point once mod N and then
+decrypts as a point ciphertext.  Each per-prime power is a Lucas ladder on
+the curve (pell.point_pow): two multiplications per exponent bit and one
+inversion.  Point encryption keeps the division-free square-and-multiply
+(pell.point_pow_nodiv), which never divides mod the composite N.
 
 Two private-exponent modes exist because the sender can only test the
 Jacobi symbol of mx^2 - 1, not the residuosity mod the secret primes:
 
 * strict: d inverts e modulo lcm of p^(e-1) * (p + 1) only.  Messages whose
-  D happens to be a residue mod some prime then decrypt wrongly.
+  D is a residue mod some prime raise DecryptionFailure on decryption.
 * robust (default): d inverts e modulo lcm of p^(e-1) * (p^2 - 1), which
   covers both orders, so every encryptable message decrypts.
 """
@@ -36,6 +37,7 @@ from .errors import (
     ImpossibleOperation,
     MessageNotEncryptable,
     NotInvertible,
+    RandomnessExhausted,
 )
 from .pell import (
     INFINITY,
@@ -43,11 +45,11 @@ from .pell import (
     param_to_point,
     point_pow,
     point_pow_nodiv,
-    point_to_param,
     redei_pow,
 )
 
 DEFAULT_PUBLIC_EXPONENT = 65537
+RANDOM_MESSAGE_DRAWS = 1000
 
 
 class Mode(str, Enum):
@@ -60,12 +62,24 @@ class PublicKey:
     n: int
     e: int
 
+    def __post_init__(self):
+        if self.n < 3 or self.n % 2 == 0 or self.e < 1:
+            raise ValueError("public key needs an odd n >= 3 and e >= 1")
+
 
 @dataclass(frozen=True)
 class PrivateKey:
     factors: FactoredModulus
     d: int
     mode: Mode
+
+    def __post_init__(self):
+        if len(self.factors.factors) < 2:
+            raise ValueError("need at least two primes")
+        if any(p % 2 == 0 or k % 2 == 0 for p, k in self.factors.factors):
+            raise ValueError("primes and their exponents must be odd")
+        if math.gcd(self.d, exponent_modulus(self.factors, self.mode)) != 1:
+            raise ValueError("d is not coprime to the exponent modulus")
 
     @property
     def n(self):
@@ -123,14 +137,8 @@ def keypair_from_primes(primes, exponents, e=None, mode=Mode.ROBUST):
     """
     primes = list(primes)
     exponents = list(exponents)
-    if len(primes) < 2:
-        raise ValueError("need at least two primes")
     if len(exponents) != len(primes):
         raise ValueError("one exponent per prime required")
-    if any(p % 2 == 0 for p in primes):
-        raise ValueError("primes must be odd")
-    if any(k % 2 == 0 or k < 1 for k in exponents):
-        raise ValueError("prime-power exponents must be odd and >= 1")
     factors = FactoredModulus(zip(primes, exponents))
     lam = exponent_modulus(factors, mode)
     if e is None:
@@ -149,8 +157,6 @@ def keygen(r, exponents, prime_bits, rng, e=None, mode=Mode.ROBUST):
     The modulus size is roughly prime_bits * sum(exponents).  Colliding
     primes are regenerated so the factor list stays distinct.
     """
-    if r < 2:
-        raise ValueError("need at least two primes")
     primes = []
     while len(primes) < r:
         p = gen_prime(prime_bits, rng)
@@ -211,53 +217,44 @@ def reduced_private_exponents(sk, d_coef):
     Per prime, a Legendre symbol picks the group order p^(e-1) * (p + 1)
     (non-residue D) or p^(e-1) * (p - 1) (residue D) and d is reduced mod
     that order.  These short exponents are the whole point of multi-prime
-    decryption.
+    decryption.  A strict key's d inverts e only under the first order, so
+    a residue D raises DecryptionFailure naming the prime's index.
     """
     plan = []
-    for p, e in sk.factors.factors:
+    for i, (p, e) in enumerate(sk.factors.factors):
         if jacobi(d_coef % p, p) == -1:
             order = p ** (e - 1) * (p + 1)
+        elif sk.mode == Mode.STRICT:
+            raise DecryptionFailure(f"strict key: D is not a non-residue mod prime {i}")
         else:
             order = p ** (e - 1) * (p - 1)
         plan.append((p**e, sk.d % order))
     return plan
 
 
-def decrypt(sk, ct):
-    """Recover (mx, my) from a compressed ciphertext.
-
-    Per prime power the ciphertext parameter moves to the curve, point_pow
-    raises it to the reduced private exponent and the result compresses
-    back; the parameters recombine by CRT and decompress mod N.
-    """
-    n = sk.n
-    if math.gcd(ct.d_coef % n, n) != 1:
+def _curve_mod_n(sk, d_coef):
+    if math.gcd(d_coef, sk.n) != 1:
         raise DecryptionFailure("curve coefficient shares a factor with N")
-    residues, moduli = [], []
+    return PellParams(sk.n, d_coef % sk.n)
+
+
+def decrypt(sk, ct):
+    """Recover (mx, my) from a compressed ciphertext via its point mod N."""
     try:
-        for m_i, d_i in reduced_private_exponents(sk, ct.d_coef):
-            pp = PellParams(m_i, ct.d_coef % m_i)
-            m_val = point_to_param(point_pow(param_to_point(ct.c % m_i, pp), d_i, pp), pp)
-            if m_val is INFINITY:
-                raise DecryptionFailure("recovered parameter is the identity mod a factor")
-            residues.append(m_val)
-            moduli.append(m_i)
-        pt = param_to_point(crt_combine(residues, moduli), PellParams(n, ct.d_coef % n))
-    except (ImpossibleOperation, NotInvertible) as err:
-        raise DecryptionFailure(f"decryption hit a non-invertible value: {err}") from err
-    return MessagePair(pt.x, pt.y)
+        x, y = param_to_point(ct.c, _curve_mod_n(sk, ct.d_coef))
+    except ImpossibleOperation as err:
+        raise DecryptionFailure(f"ciphertext parameter does not decompress: {err}") from err
+    return decrypt_point(sk, PointCiphertext(x, y, ct.d_coef))
 
 
 def decrypt_point(sk, ct):
     """Recover (mx, my) from an uncompressed ciphertext.
 
-    Same per-prime exponent reduction as decrypt; the ladder runs directly
-    on the transmitted point and each coordinate recombines by CRT.
+    Per prime power the Lucas ladder raises the point to the reduced private
+    exponent; the coordinates recombine by CRT and must be units mod N.
     """
     n = sk.n
-    if math.gcd(ct.d_coef % n, n) != 1:
-        raise DecryptionFailure("curve coefficient shares a factor with N")
-    pp_n = PellParams(n, ct.d_coef % n)
+    pp_n = _curve_mod_n(sk, ct.d_coef)
     if not pp_n.on_curve(ct.cx % n, ct.cy % n):
         raise DecryptionFailure("ciphertext point is not on the curve")
     xs, ys, moduli = [], [], []
@@ -270,19 +267,23 @@ def decrypt_point(sk, ct):
     mx, my = crt_combine(xs, moduli), crt_combine(ys, moduli)
     if not pp_n.on_curve(mx, my):
         raise DecryptionFailure("recovered point is not on the curve")
+    if math.gcd(mx * my, n) != 1:
+        raise DecryptionFailure("recovered point is not a message: a coordinate is not a unit")
     return MessagePair(mx, my)
 
 
 def random_message(pk, rng, mode=Mode.ROBUST):
-    """Uniformly drawn encryptable message pair (rejection sampling)."""
+    """Uniformly drawn encryptable message pair, at most RANDOM_MESSAGE_DRAWS tries."""
     n = pk.n
-    while True:
+    for _ in range(RANDOM_MESSAGE_DRAWS):
         msg = MessagePair(rng.randrange(2, n - 1), rng.randrange(2, n - 1))
         try:
             validate_message(pk, msg, mode)
             return msg
         except (MessageNotEncryptable, ImpossibleOperation):
             continue
+    # e.g. mod any multiple of 3 no message is encryptable
+    raise RandomnessExhausted(f"no encryptable message in {RANDOM_MESSAGE_DRAWS} draws")
 
 
 __all__ = [

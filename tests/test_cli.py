@@ -1,0 +1,69 @@
+import random
+
+import pytest
+
+from pellrsa import cli
+from pellrsa.keyfmt import load_private_key, load_public_key
+from pellrsa.pell import psi
+from pellrsa.scheme import random_message
+
+
+@pytest.fixture(scope="module")
+def keys(tmp_path_factory):
+    prefix = tmp_path_factory.mktemp("keys") / "k"
+    argv = ["keygen", "--bits", "512", "--primes", "2", "--exponents", "1,1"]
+    assert cli.dispatch(argv + ["--seed", "1", "--out", str(prefix)]) == 0
+    pub = load_public_key(prefix.with_suffix(".pub").read_text())
+    priv = load_private_key(prefix.with_suffix(".key").read_text())
+    assert pub.n == priv.n and pub.n.bit_length() >= 511
+    return prefix, pub, priv
+
+
+def encrypt_to(tmp_path, prefix, msg, kind):
+    out = tmp_path / f"{kind}.ct"
+    argv = ["encrypt", "--pub", f"{prefix}.pub", "--mx", f"{msg.mx:x}", "--my", f"{msg.my:x}"]
+    assert cli.dispatch(argv + (["--point"] if kind == "point" else []) + ["--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("kind", ["param", "point"])
+def test_encrypt_decrypt_round_trip(keys, tmp_path, capsys, kind):
+    prefix, pub, _ = keys
+    msg = random_message(pub, random.Random(2))
+    ct_file = encrypt_to(tmp_path, prefix, msg, kind)
+    assert f"kind={kind}" in ct_file.read_text()
+    capsys.readouterr()
+    assert cli.dispatch(["decrypt", "--key", f"{prefix}.key", "--in", str(ct_file)]) == 0
+    assert capsys.readouterr().out == f"mx={msg.mx:x} my={msg.my:x}\n"
+
+
+def test_decrypt_tampered_ciphertext_exits_3(keys, tmp_path, capsys):
+    prefix, pub, _ = keys
+    ct_file = encrypt_to(tmp_path, prefix, random_message(pub, random.Random(3)), "point")
+    lines = ct_file.read_text().splitlines()
+    cx = int(lines[3].removeprefix("cx="), 16)
+    lines[3] = f"cx={cx + 1:x}"  # moves the point off the curve
+    ct_file.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli.dispatch(["decrypt", "--key", f"{prefix}.key", "--in", str(ct_file)]) == 3
+    assert capsys.readouterr().err.startswith("DecryptionFailure")
+
+
+def test_decrypt_with_invalid_key_exits_2(keys, tmp_path, capsys):
+    prefix, pub, _ = keys
+    ct_file = encrypt_to(tmp_path, prefix, random_message(pub, random.Random(4)), "param")
+    text = prefix.with_suffix(".key").read_text().splitlines()
+    bad_key = tmp_path / "bad.key"
+    bad_key.write_text("\n".join([text[0], text[1], "d=0", *text[3:]]) + "\n")
+    capsys.readouterr()
+    assert cli.dispatch(["decrypt", "--key", str(bad_key), "--in", str(ct_file)]) == 2
+    assert capsys.readouterr().err.startswith("KeyFormatError")
+
+
+def test_factor_given_psi(keys, capsys):
+    _, pub, priv = keys
+    capsys.readouterr()
+    argv = ["factor", "--n", f"{pub.n:x}", "--psi", f"{psi(priv.factors):x}", "--seed", "5"]
+    assert cli.dispatch(argv) == 0
+    expected = " * ".join(f"{p:x}^{e}" for p, e in priv.factors.factors)
+    assert capsys.readouterr().out == expected + "\n"

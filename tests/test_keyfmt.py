@@ -91,3 +91,24 @@ def test_ciphertext_parse_errors():
         load_ciphertext("pellrsa-ct v1\nkind=other\nd_coef=12\nc=22\n")
     with pytest.raises(KeyFormatError):
         load_ciphertext("pellrsa-ct v1\nkind=point\nd_coef=12\ncx=3\n")
+
+
+@pytest.mark.parametrize(
+    "load, text",
+    [
+        (load_public_key, "pellrsa-pub v1\nn=0\ne=3\n"),
+        (load_public_key, "pellrsa-pub v1\nn=1\ne=3\n"),
+        (load_public_key, "pellrsa-pub v1\nn=24\ne=5\n"),  # even n = 36
+        (load_public_key, "pellrsa-pub v1\nn=23\ne=0\n"),
+        (load_private_key, "pellrsa-priv v1\nmode=robust\nd=0\nfactor=5^1\nfactor=7^1\n"),
+        (load_private_key, "pellrsa-priv v1\nmode=robust\nd=6\nfactor=5^1\nfactor=7^1\n"),
+        (load_private_key, "pellrsa-priv v1\nmode=robust\nd=1d\nfactor=5^2\nfactor=7^1\n"),
+        (load_private_key, "pellrsa-priv v1\nmode=robust\nd=5\nfactor=7^1\n"),
+        (load_private_key, "pellrsa-priv v1\nmode=robust\nd=5\nfactor=2^1\nfactor=7^1\n"),
+    ],
+)
+def test_loaders_reject_keys_breaking_invariants(load, text):
+    # well-formed text whose key breaks an invariant: d = 0 or 6 share a
+    # factor with lcm(24, 48) = 48, an even exponent, one prime, prime 2
+    with pytest.raises(KeyFormatError):
+        load(text)

@@ -8,8 +8,9 @@ from pellrsa.errors import (
     DecryptionFailure,
     ImpossibleOperation,
     MessageNotEncryptable,
+    RandomnessExhausted,
 )
-from pellrsa.arith import crt_combine
+from pellrsa.arith import crt_combine, jacobi
 from pellrsa.pell import (
     INFINITY,
     PellParams,
@@ -40,6 +41,10 @@ from pellrsa.scheme import (
 
 def small_keypair(rng, r=2, bits=32, mode=Mode.ROBUST, exponents=None):
     return keygen(r, exponents or [1] * r, bits, rng, mode=mode)
+
+
+# (r, prime bits, prime-power exponents) covered by the oracle comparisons
+ORACLE_SHAPES = [(2, 40, None), (3, 40, None), (4, 32, None), (2, 32, [3, 1]), (3, 24, [1, 1, 3])]
 
 
 # ---- reference decryptions, oracles for the CRT path ----
@@ -184,8 +189,8 @@ def test_roundtrip_robust_various_shapes():
 
 def test_crt_fast_path_bit_identical_to_direct():
     rng = random.Random(6)
-    for r in (2, 3):
-        pub, priv = small_keypair(rng, r=r, bits=40)
+    for r, bits, exps in ORACLE_SHAPES:
+        pub, priv = small_keypair(rng, r=r, bits=bits, exponents=exps)
         for _ in range(10):
             msg = random_message(pub, rng)
             ct = encrypt(pub, msg)
@@ -196,15 +201,18 @@ def test_crt_fast_path_bit_identical_to_direct():
 
 def test_decrypt_methods_agree():
     rng = random.Random(7)
-    pub, priv = small_keypair(rng, r=3, bits=32)
-    for _ in range(10):
-        ct = encrypt(pub, random_message(pub, rng))
-        results = {
-            decrypt(priv, ct),
-            crt_decrypt_with(redei_pow, priv, ct),
-            crt_decrypt_with(param_pow, priv, ct),
-        }
-        assert len(results) == 1
+    for r, bits, exps in ORACLE_SHAPES:
+        pub, priv = small_keypair(rng, r=r, bits=bits, exponents=exps)
+        for _ in range(10):
+            msg = random_message(pub, rng)
+            ct = encrypt(pub, msg)
+            results = {
+                msg,
+                decrypt(priv, ct),
+                crt_decrypt_with(redei_pow, priv, ct),
+                crt_decrypt_with(param_pow, priv, ct),
+            }
+            assert len(results) == 1
 
 
 def test_ciphertext_parameter_is_a_unit():
@@ -291,6 +299,27 @@ def test_decrypt_rejects_malformed_ciphertexts():
         decrypt_point(priv, PointCiphertext(1, 1, ct.d_coef))  # off the curve
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_decrypt_point_rejects_points_that_are_no_message(sign):
+    # (+-1, 0) lie on every curve and are their own powers; my = 0 is no unit
+    rng = random.Random(15)
+    pub, priv = small_keypair(rng, r=3, bits=32)
+    d_coef = encrypt(pub, random_message(pub, rng)).d_coef
+    with pytest.raises(DecryptionFailure):
+        decrypt_point(priv, PointCiphertext(sign % pub.n, 0, d_coef))
+
+
+def test_decrypt_rejects_parameter_vanishing_mod_one_prime():
+    # c = 0 mod p decompresses to (-1, 0) mod p, which decrypts to itself
+    rng = random.Random(16)
+    pub, priv = small_keypair(rng, r=3, bits=32)
+    ct = encrypt(pub, random_message(pub, rng))
+    p = priv.factors.factors[1][0]
+    c = crt_combine([0, ct.c], [p, pub.n // p])
+    with pytest.raises(DecryptionFailure):
+        decrypt(priv, Ciphertext(c, ct.d_coef))
+
+
 # ---- the strict-mode gap ----
 
 def find_strict_gap_message(pub, priv_strict, priv_robust, rng, attempts=4000):
@@ -325,6 +354,50 @@ def test_strict_mode_gap_exists_and_robust_closes_it():
     assert jacobi(ct.d_coef, pub.n) == -1
     residuosities = [jacobi(ct.d_coef % p, p) for p, _ in priv_strict.factors.factors]
     assert sorted(residuosities) == [-1, 1]
+
+
+def strict_outcomes(pub, priv, msgs):
+    """Decrypt each message both ways under a strict key: it comes back or
+    raises DecryptionFailure naming a prime mod which D is a residue."""
+    outcomes = {"ok": 0, "raised": 0}
+    for msg in msgs:
+        try:
+            cts = [encrypt(pub, msg, Mode.STRICT), encrypt_point(pub, msg, Mode.STRICT)]
+        except (MessageNotEncryptable, ImpossibleOperation):
+            continue
+        residue_primes = [
+            i for i, (p, _) in enumerate(priv.factors.factors) if jacobi(cts[0].d_coef, p) == 1
+        ]
+        for ct, dec in zip(cts, (decrypt, decrypt_point)):
+            try:
+                got = dec(priv, ct)
+            except DecryptionFailure as err:
+                assert residue_primes and f"prime {residue_primes[0]}" in str(err)
+                outcomes["raised"] += 1
+            else:
+                assert got == msg
+                outcomes["ok"] += 1
+    return outcomes
+
+
+def test_strict_key_decrypts_correctly_or_raises():
+    # at r = 2, Jacobi(D, N) = -1 leaves D a residue mod exactly one prime;
+    # 16 values of mx pass that test, 60 of my are units: 960 messages
+    pub, priv = keypair_from_primes([7, 11], [1, 1], mode=Mode.STRICT)
+    every = (MessagePair(mx, my) for mx in range(pub.n) for my in range(pub.n))
+    assert strict_outcomes(pub, priv, every) == {"ok": 0, "raised": 2 * 960}
+    # at r = 3 D is a non-residue mod all three primes for some messages
+    rng = random.Random(18)
+    pub, priv = small_keypair(rng, r=3, bits=24, mode=Mode.STRICT)
+    msgs = (random_message(pub, rng, Mode.STRICT) for _ in range(60))
+    outcomes = strict_outcomes(pub, priv, msgs)
+    assert outcomes["ok"] > 0 and outcomes["raised"] > 0
+
+
+def test_random_message_gives_up_when_nothing_is_encryptable():
+    # every unit mx mod 3 has mx^2 - 1 = 0 mod 3
+    with pytest.raises(RandomnessExhausted):
+        random_message(PublicKey(15, 3), random.Random(17))
 
 
 def test_random_message_respects_mode():
