@@ -5,10 +5,11 @@ in the compressed parameter group (Redei rational functions) or on the
 curve, and decryption reduces the private exponent per prime power, runs a
 Lucas ladder there and recombines by CRT, which is what makes it fast.  The
 package also ships the matching cryptanalysis (factoring N from the group's
-totient analog) and a benchmark against a two-prime CRT-RSA baseline.
+totient analog).  The decryption benchmark against two-prime CRT-RSA is
+pellbench, run as ``python3 pellbench/run.py``.
 """
 
-from .arith import FactoredModulus, crt_combine, gen_prime, jacobi, mod_inv, mod_pow
+from .arith import FactoredModulus, crt_combine, gen_prime, jacobi, mod_inv
 from .attacks import (
     AttackReport,
     find_factor,
@@ -16,10 +17,8 @@ from .attacks import (
     impossible_op_probability,
     monte_carlo_impossible_rate,
 )
-from .bench import BenchConfig, BenchResult, emit_report, rsa_baseline, run_benchmark
 from .errors import (
     BadExponentChoice,
-    ConfigInfeasible,
     DecryptionFailure,
     ImpossibleOperation,
     KeyFormatError,

@@ -21,16 +21,6 @@ SMALL_PRIMES = _sieve(1000)
 _DETERMINISTIC_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-def egcd(a, b):
-    """Extended Euclid: returns (g, x, y) with a*x + b*y = g = gcd(a, b)."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return a, x0, y0
-
-
 def mod_inv(a, n):
     """Inverse of a modulo n, in [0, n).
 
@@ -65,30 +55,6 @@ def jacobi(a, n):
             result = -result
         a %= n
     return result if n == 1 else 0
-
-
-def mod_pow(a, k, n):
-    """a**k mod n by binary square-and-multiply.
-
-    Plain right-to-left loop, O(log k) multiplications.  Kept as an explicit
-    loop (rather than the C-level pow builtin) so timed code paths exercise
-    one multiplication per step of the same interpreter-level shape as the
-    other exponentiation ladders in this package.
-    """
-    if n < 1:
-        raise ValueError("modulus must be >= 1")
-    if n == 1:
-        return 0
-    if k < 0:
-        raise ValueError("exponent must be >= 0")
-    r = 1
-    a %= n
-    while k:
-        if k & 1:
-            r = r * a % n
-        a = a * a % n
-        k >>= 1
-    return r
 
 
 def crt_combine(residues, moduli):

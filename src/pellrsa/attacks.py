@@ -41,8 +41,11 @@ def find_factor(n, psi_n, d, rng):
 
     The squaring chain probes gcd(b, n) -- the order-2 parameter is 0 --
     and gcd(b + 1, n); an impossible operation inside the chain already
-    carries a factor and is harvested directly.
+    carries a factor and is harvested directly.  Raises ValueError for
+    psi_n < 1: a zero psi_n never loses its 2-part.
     """
+    if psi_n < 1:
+        raise ValueError("psi_n must be >= 1")
     h, t = 0, psi_n
     while t % 2 == 0:
         h += 1

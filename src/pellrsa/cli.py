@@ -1,4 +1,4 @@
-"""Command line front end: keygen, encrypt, decrypt, factor, bench.
+"""Command line front end: keygen, encrypt, decrypt, factor.
 
 Residues cross the command line as lowercase hex.  Exit codes: 1 for bad
 flags, 2 for file or parse problems, 3 for domain errors (the error class
@@ -11,7 +11,6 @@ import sys
 from pathlib import Path
 
 from .attacks import full_factorization
-from .bench import BenchConfig, emit_report, run_benchmark
 from .errors import KeyFormatError, PellRsaError
 from .keyfmt import (
     dump_ciphertext,
@@ -77,19 +76,13 @@ def build_parser():
     fa.add_argument("--trials", type=int, default=200, help="trial budget")
     fa.add_argument("--seed", type=int, default=None)
 
-    be = sub.add_parser("bench", help="decryption speedup benchmark")
-    be.add_argument("--bits", type=int, required=True, help="modulus size in bits")
-    be.add_argument("--primes", type=_int_list, required=True, help="r (or r1,r2,...)")
-    be.add_argument("--trials", type=int, default=11)
-    be.add_argument("--format", choices=["table", "csv"], default="table")
-    be.add_argument("--seed", type=int, default=0)
     return parser
 
 
 def _cmd_keygen(args):
     exps = args.exponents
-    if len(exps) != args.primes:
-        print("--exponents must list one odd exponent per prime", file=sys.stderr)
+    if len(exps) != args.primes or not exps or min(exps) < 1:
+        print("--exponents must list one odd exponent >= 1 per prime", file=sys.stderr)
         return 1
     prime_bits = args.bits // sum(exps)
     rng = random.Random(args.seed) if args.seed is not None else random.Random()
@@ -131,21 +124,11 @@ def _cmd_factor(args):
     return 0
 
 
-def _cmd_bench(args):
-    results = [
-        run_benchmark(BenchConfig(args.bits, r, trials=args.trials, seed=args.seed))
-        for r in args.primes
-    ]
-    sys.stdout.write(emit_report(results, format=args.format))
-    return 0
-
-
 _COMMANDS = {
     "keygen": _cmd_keygen,
     "encrypt": _cmd_encrypt,
     "decrypt": _cmd_decrypt,
     "factor": _cmd_factor,
-    "bench": _cmd_bench,
 }
 
 

@@ -58,9 +58,5 @@ class TrialBudgetExhausted(PellRsaError):
     """Factoring gave up after the allowed number of trials."""
 
 
-class ConfigInfeasible(PellRsaError):
-    """Benchmark configuration cannot be realized."""
-
-
 class KeyFormatError(PellRsaError):
     """A key or ciphertext file does not parse."""

@@ -19,7 +19,7 @@ division-free square-and-multiply (point_pow_nodiv).
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 from .arith import FactoredModulus, is_probable_prime, mod_inv
 from .errors import ImpossibleOperation, ModulusTooLarge, NotInvertible
@@ -41,9 +41,6 @@ class _AtInfinity:
 
 
 INFINITY = _AtInfinity()
-
-# A parameter is either a residue or the identity at infinity.
-Param = Union[int, _AtInfinity]
 
 
 class HyperbolaPoint(NamedTuple):

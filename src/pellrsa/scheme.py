@@ -14,7 +14,10 @@ exponent reduction is where the speedup over two-prime moduli comes from.
 A compressed ciphertext decompresses to its point once mod N and then
 decrypts as a point ciphertext.  Each per-prime power is a Lucas ladder on
 the curve (pell.point_pow): two multiplications per exponent bit and one
-inversion.  Point encryption keeps the division-free square-and-multiply
+inversion.  The paper counts one multiplication per exponent bit on both
+sides and predicts a speedup of r^2/2 over two-prime CRT-RSA; counting the
+ladder's 2 per bit against square-and-multiply RSA's 1.5 predicts 3/4 of
+r^2/2.  Point encryption keeps the division-free square-and-multiply
 (pell.point_pow_nodiv), which never divides mod the composite N.
 
 Two private-exponent modes exist because the sender can only test the
@@ -275,6 +278,8 @@ def decrypt_point(sk, ct):
 def random_message(pk, rng, mode=Mode.ROBUST):
     """Uniformly drawn encryptable message pair, at most RANDOM_MESSAGE_DRAWS tries."""
     n = pk.n
+    if n == 3:
+        raise RandomnessExhausted("no residue in [2, n - 2] to draw mod 3")
     for _ in range(RANDOM_MESSAGE_DRAWS):
         msg = MessagePair(rng.randrange(2, n - 1), rng.randrange(2, n - 1))
         try:

@@ -10,7 +10,6 @@ from pellrsa.arith import (
     is_probable_prime,
     jacobi,
     mod_inv,
-    mod_pow,
 )
 from pellrsa.errors import NonCoprimeModuli, NotInvertible
 
@@ -104,26 +103,6 @@ def test_jacobi_multiplicative_in_top_argument():
             continue
         a, b = rng.randrange(0, n), rng.randrange(0, n)
         assert jacobi(a * b, n) == jacobi(a, n) * jacobi(b, n)
-
-
-# ---- mod_pow ----
-
-def test_mod_pow_trivial_values():
-    assert mod_pow(2, 10, 1000) == 24
-    assert mod_pow(12345, 0, 17) == 1
-    assert mod_pow(3, 6, 7) == 1  # Fermat
-
-
-def test_mod_pow_matches_naive():
-    rng = random.Random(17)
-    for _ in range(200):
-        n = rng.randrange(2, 10**6)
-        a = rng.randrange(0, n)
-        k = rng.randrange(0, 65)
-        naive = 1
-        for _ in range(k):
-            naive = naive * a % n
-        assert mod_pow(a, k, n) == naive
 
 
 # ---- crt_combine ----

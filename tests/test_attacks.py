@@ -95,6 +95,12 @@ def test_full_factorization_budget():
         full_factorization(1009 * 1013, 1, random.Random(0), max_trials=3)
 
 
+def test_full_factorization_rejects_psi_below_one():
+    # a zero psi has no odd part for the splitting trial to reach
+    with pytest.raises(ValueError):
+        full_factorization(15, 0, random.Random(0))
+
+
 def test_full_factorization_random_moduli_remultiply():
     rng = random.Random(5)
     for _ in range(10):

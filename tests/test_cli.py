@@ -67,3 +67,20 @@ def test_factor_given_psi(keys, capsys):
     assert cli.dispatch(argv) == 0
     expected = " * ".join(f"{p:x}^{e}" for p, e in priv.factors.factors)
     assert capsys.readouterr().out == expected + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["keygen", "--bits", "512", "--primes", "0", "--exponents", ","],
+        ["keygen", "--bits", "512", "--primes", "2", "--exponents", "1,-1"],
+        ["factor", "--n", "f", "--psi", "0", "--seed", "1"],
+        ["bench", "--bits", "512", "--primes", "2"],
+    ],
+)
+def test_invalid_arguments_exit_1(tmp_path, capsys, argv):
+    if argv[0] == "keygen":
+        argv = argv + ["--out", str(tmp_path / "k")]
+    assert cli.dispatch(argv) == 1
+    assert capsys.readouterr().err
+    assert not list(tmp_path.iterdir())

@@ -394,10 +394,11 @@ def test_strict_key_decrypts_correctly_or_raises():
     assert outcomes["ok"] > 0 and outcomes["raised"] > 0
 
 
-def test_random_message_gives_up_when_nothing_is_encryptable():
-    # every unit mx mod 3 has mx^2 - 1 = 0 mod 3
+@pytest.mark.parametrize("n", [15, 3])
+def test_random_message_gives_up_when_nothing_is_encryptable(n):
+    # every unit mx mod 3 has mx^2 - 1 = 0 mod 3; mod 3 itself nothing is drawable
     with pytest.raises(RandomnessExhausted):
-        random_message(PublicKey(15, 3), random.Random(17))
+        random_message(PublicKey(n, 3), random.Random(17))
 
 
 def test_random_message_respects_mode():
