@@ -19,6 +19,12 @@ SMALL_PRIMES = _sieve(1000)
 
 # First-12-prime Miller-Rabin bases are a proven deterministic set below 2^64.
 _DETERMINISTIC_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Random bases above 2^64: error probability < 4^-40.
+_RANDOM_ROUNDS = 40
+
+# Largest modulus FactoredModulus builds, as sum(e * bitlen(p)); NIST's
+# 15360-bit modulus for 256-bit security fits.
+MAX_MODULUS_BITS = 16384
 
 
 def mod_inv(a, n):
@@ -76,11 +82,11 @@ def crt_combine(residues, moduli):
     return x % m
 
 
-def is_probable_prime(n, rng=None, rounds=40):
+def is_probable_prime(n, rng=None):
     """Miller-Rabin probable-prime test.
 
-    Uses the proven deterministic base set below 2**64, else `rounds`
-    random bases (error probability < 4**-rounds).
+    Uses the proven deterministic base set below 2**64, else _RANDOM_ROUNDS
+    random bases.
     """
     if n < 2:
         return False
@@ -106,7 +112,7 @@ def is_probable_prime(n, rng=None, rounds=40):
         return not any(witness(a) for a in _DETERMINISTIC_BASES)
     if rng is None:
         rng = random.Random()
-    return not any(witness(rng.randrange(2, n - 1)) for _ in range(rounds))
+    return not any(witness(rng.randrange(2, n - 1)) for _ in range(_RANDOM_ROUNDS))
 
 
 def gen_prime(bits, rng):
@@ -130,7 +136,9 @@ class FactoredModulus:
 
     `factors` is a sorted tuple of (prime, exponent) pairs; `value` is the
     product of the prime powers.  Primes must be distinct probable primes,
-    exponents >= 1.
+    exponents >= 1, and sum(e * bitlen(p)) at most MAX_MODULUS_BITS; the
+    size is checked from bit lengths first, so a hostile exponent is
+    refused before any power or primality test runs.
     """
 
     __slots__ = ("factors", "value")
@@ -142,10 +150,12 @@ class FactoredModulus:
         primes = [p for p, _ in pairs]
         if len(set(primes)) != len(primes):
             raise ValueError("prime factors must be distinct")
+        if any(e < 1 for _, e in pairs):
+            raise ValueError("exponents must be >= 1")
+        if sum(e * p.bit_length() for p, e in pairs) > MAX_MODULUS_BITS:
+            raise ValueError(f"modulus exceeds {MAX_MODULUS_BITS} bits")
         value = 1
         for p, e in pairs:
-            if e < 1:
-                raise ValueError("exponents must be >= 1")
             if not is_probable_prime(p):
                 raise ValueError(f"{p} is not prime")
             value *= p**e

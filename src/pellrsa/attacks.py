@@ -10,27 +10,11 @@ succeeds with constant probability, so a handful of trials factor N.
 """
 
 import math
-import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .arith import FactoredModulus, is_probable_prime, jacobi
+from .arith import is_probable_prime, jacobi
 from .errors import ImpossibleOperation, RandomnessExhausted, TrialBudgetExhausted
 from .pell import INFINITY, PellParams, param_mul, param_pow
-
-
-@dataclass
-class AttackReport:
-    """Outcome of a batch of factoring trials."""
-
-    trials: int
-    successes: int
-    factors_found: list = field(default_factory=list)
-    elapsed: float = 0.0
-
-    @property
-    def success_rate(self):
-        return self.successes / self.trials if self.trials else 0.0
 
 
 def find_factor(n, psi_n, d, rng):
@@ -143,19 +127,6 @@ def full_factorization(n, psi_n, rng, max_trials=200):
     return sorted(found.items())
 
 
-def measure_find_factor(n, psi_n, trials, rng):
-    """Run independent find_factor trials and report the success rate."""
-    start = time.perf_counter()
-    successes = 0
-    factors = set()
-    for _ in range(trials):
-        f = find_factor(n, psi_n, _draw_non_residue(n, rng), rng)
-        if f:
-            successes += 1
-            factors.add(f)
-    return AttackReport(trials, successes, sorted(factors), time.perf_counter() - start)
-
-
 def impossible_op_probability(primes):
     """Closed-form chance that a parameter product denominator is not a unit:
     1 - (1 - 1/p1) * ... * (1 - 1/pr).  Negligible for large prime factors.
@@ -168,25 +139,3 @@ def impossible_op_probability(primes):
         unit_share *= Fraction(p - 1, p)
     return float(1 - unit_share)
 
-
-def monte_carlo_impossible_rate(fm, trials, rng):
-    """Empirical counterpart of impossible_op_probability.
-
-    Draws pairs of residues and counts denominators a + b that are not
-    units (a + b = 0, the legitimate identity result, counts too: the
-    closed form tallies every non-unit).  Identity-element draws carry no
-    denominator and are left out so the expectation matches the closed
-    form exactly.
-    """
-    if trials < 1000:
-        raise ValueError("need at least 1000 trials")
-    if not isinstance(fm, FactoredModulus):
-        fm = FactoredModulus(fm)
-    n = fm.value
-    hits = 0
-    for _ in range(trials):
-        a = rng.randrange(n)
-        b = rng.randrange(n)
-        if math.gcd(a + b, n) != 1:
-            hits += 1
-    return hits / trials

@@ -26,10 +26,6 @@ class RandomnessExhausted(PellRsaError):
     """Bounded random search gave up (e.g. prime generation)."""
 
 
-class ModulusTooLarge(PellRsaError):
-    """Exhaustive enumeration refused for an oversized modulus."""
-
-
 class ImpossibleOperation(PellRsaError):
     """A group operation hit a non-invertible denominator.
 

@@ -17,12 +17,11 @@ division-free square-and-multiply (point_pow_nodiv).
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd
 from typing import NamedTuple
 
-from .arith import FactoredModulus, is_probable_prime, mod_inv
-from .errors import ImpossibleOperation, ModulusTooLarge, NotInvertible
+from .arith import FactoredModulus, mod_inv
+from .errors import ImpossibleOperation, NotInvertible
 
 
 class _AtInfinity:
@@ -86,14 +85,6 @@ class PellParams:
 
     def identity(self):
         return HyperbolaPoint(1 % self.modulus, 0)
-
-
-def point_mul(p, q, pp):
-    """Brahmagupta product (xw + D yz, yw + xz); division-free."""
-    n, d = pp.modulus, pp.d
-    x, y = p
-    w, z = q
-    return HyperbolaPoint((x * w + d * y * z) % n, (y * w + x * z) % n)
 
 
 def point_pow(p, k, pp):
@@ -303,32 +294,3 @@ def psi(fm):
         out *= p ** (e - 1) * (p + 1)
     return out
 
-
-@lru_cache(maxsize=4)
-def _square_table(n):
-    table = {}
-    for x in range(n):
-        table.setdefault(x * x % n, []).append(x)
-    return table
-
-
-def enumerate_hyperbola(p, r, d):
-    """All solutions of x^2 - D y^2 = 1 mod p^r by exhaustive scan.
-
-    Testing oracle for the group-order results; refuses p^r > 10^6.
-    """
-    if r < 1:
-        raise ValueError("exponent must be >= 1")
-    if not is_probable_prime(p):
-        raise ValueError(f"{p} is not prime")
-    n = p**r
-    if n > 10**6:
-        raise ModulusTooLarge(f"{p}^{r} exceeds 10^6")
-    table = _square_table(n)
-    points = []
-    d %= n
-    for y in range(n):
-        rhs = (1 + d * y * y) % n
-        for x in table.get(rhs, ()):
-            points.append(HyperbolaPoint(x, y))
-    return points

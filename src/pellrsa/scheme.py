@@ -171,11 +171,15 @@ def keygen(r, exponents, prime_bits, rng, e=None, mode=Mode.ROBUST):
 def validate_message(pk, msg, mode=Mode.ROBUST):
     """Check encryptability and derive the curve coefficient D.
 
-    strict demands Jacobi(mx^2 - 1, N) = -1; robust only demands
-    gcd(mx^2 - 1, N) = 1.  Returns D = (mx^2 - 1)/my^2 mod N.
+    Both coordinates must lie in [0, N): a larger one would decrypt to its
+    residue, not to the message sent.  strict demands Jacobi(mx^2 - 1, N)
+    = -1; robust only demands gcd(mx^2 - 1, N) = 1.  Returns
+    D = (mx^2 - 1)/my^2 mod N.
     """
     n = pk.n
-    mx, my = msg.mx % n, msg.my % n
+    mx, my = msg.mx, msg.my
+    if not (0 <= mx < n and 0 <= my < n):
+        raise MessageNotEncryptable("mx and my must lie in [0, N)")
     if math.gcd(mx, n) != 1:
         raise MessageNotEncryptable("mx is not a unit mod N")
     t = (mx * mx - 1) % n
@@ -290,23 +294,3 @@ def random_message(pk, rng, mode=Mode.ROBUST):
     # e.g. mod any multiple of 3 no message is encryptable
     raise RandomnessExhausted(f"no encryptable message in {RANDOM_MESSAGE_DRAWS} draws")
 
-
-__all__ = [
-    "Mode",
-    "PublicKey",
-    "PrivateKey",
-    "MessagePair",
-    "Ciphertext",
-    "PointCiphertext",
-    "exponent_modulus",
-    "keypair_from_primes",
-    "keygen",
-    "validate_message",
-    "encrypt",
-    "encrypt_point",
-    "decrypt",
-    "decrypt_point",
-    "reduced_private_exponents",
-    "random_message",
-    "DEFAULT_PUBLIC_EXPONENT",
-]

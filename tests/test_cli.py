@@ -49,6 +49,15 @@ def test_decrypt_tampered_ciphertext_exits_3(keys, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("DecryptionFailure")
 
 
+def test_encrypt_out_of_range_message_exits_3(keys, tmp_path, capsys):
+    # mx = N + 5 used to encrypt 5 and exit 0
+    prefix, pub, _ = keys
+    argv = ["encrypt", "--pub", f"{prefix}.pub", "--mx", f"{pub.n + 5:x}", "--my", "3"]
+    assert cli.dispatch(argv + ["--out", str(tmp_path / "ct")]) == 3
+    assert capsys.readouterr().err.startswith("MessageNotEncryptable")
+    assert not list(tmp_path.iterdir())
+
+
 def test_decrypt_with_invalid_key_exits_2(keys, tmp_path, capsys):
     prefix, pub, _ = keys
     ct_file = encrypt_to(tmp_path, prefix, random_message(pub, random.Random(4)), "param")

@@ -105,10 +105,15 @@ def test_ciphertext_parse_errors():
         (load_private_key, "pellrsa-priv v1\nmode=robust\nd=1d\nfactor=5^2\nfactor=7^1\n"),
         (load_private_key, "pellrsa-priv v1\nmode=robust\nd=5\nfactor=7^1\n"),
         (load_private_key, "pellrsa-priv v1\nmode=robust\nd=5\nfactor=2^1\nfactor=7^1\n"),
+        (
+            load_private_key,
+            "pellrsa-priv v1\nmode=robust\nd=3\nfactor=3^1000000000000\nfactor=5^1\n",
+        ),
     ],
 )
 def test_loaders_reject_keys_breaking_invariants(load, text):
     # well-formed text whose key breaks an invariant: d = 0 or 6 share a
-    # factor with lcm(24, 48) = 48, an even exponent, one prime, prime 2
+    # factor with lcm(24, 48) = 48, an even exponent, one prime, prime 2, a
+    # modulus far above the size limit (refused before 3^(10^12) is computed)
     with pytest.raises(KeyFormatError):
         load(text)

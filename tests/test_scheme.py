@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pellrsa.errors import (
     BadExponentChoice,
@@ -149,6 +151,10 @@ def test_validate_message_rejections():
     with pytest.raises(ImpossibleOperation) as info:
         validate_message(pub, MessagePair(3, 7))  # my not a unit
     assert info.value.factor == 7
+    # coordinates outside [0, N) would decrypt to their residues
+    for mx, my in [(35, 4), (35 + 3, 4), (3, -1)]:
+        with pytest.raises(MessageNotEncryptable):
+            validate_message(pub, MessagePair(mx, my))
 
 
 def test_validate_message_strict_vs_robust():
@@ -185,6 +191,32 @@ def test_roundtrip_robust_various_shapes():
             msg = random_message(pub, rng)
             ct = encrypt(pub, msg)
             assert decrypt(priv, ct) == msg
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    exponents=st.lists(st.sampled_from([1, 3]), min_size=2, max_size=4),
+    bits=st.integers(32, 64),
+    mode=st.sampled_from(list(Mode)),
+    point=st.booleans(),
+    seed=st.integers(0, 2**64),
+)
+def test_round_trip_property(exponents, bits, mode, point, seed):
+    # a robust key returns every message; a strict key returns it unless D
+    # is a residue mod some prime, and then it raises naming that prime
+    rng = random.Random(seed)
+    pub, priv = small_keypair(rng, r=len(exponents), bits=bits, mode=mode, exponents=exponents)
+    msg = random_message(pub, rng, mode)
+    enc, dec = (encrypt_point, decrypt_point) if point else (encrypt, decrypt)
+    ct = enc(pub, msg, mode)
+    residue_primes = [
+        i for i, (p, _) in enumerate(priv.factors.factors) if jacobi(ct.d_coef, p) == 1
+    ]
+    if mode == Mode.STRICT and residue_primes:
+        with pytest.raises(DecryptionFailure, match=f"prime {residue_primes[0]}$"):
+            dec(priv, ct)
+    else:
+        assert dec(priv, ct) == msg
 
 
 def test_crt_fast_path_bit_identical_to_direct():
