@@ -1,11 +1,12 @@
 """Multiprime RSA-like public-key scheme on the Pell hyperbola.
 
-Messages are pairs of residues on x^2 - D y^2 = 1 mod N; encryption runs
-in the compressed parameter group (Redei rational functions) or on the
-curve, and decryption reduces the private exponent per prime power, runs a
-Lucas ladder there and recombines by CRT, which is what makes it fast.  The
-package also ships the matching cryptanalysis (factoring N from the group's
-totient analog).  Import from the module that holds each part:
+Messages are pairs of residues on x^2 - D y^2 = 1 mod N; encryption powers
+the message point on the curve, optionally compressed to its parameter (a
+Redei rational function value), and decryption reduces the private exponent
+per prime power, runs a Lucas ladder there and recombines by CRT, which is
+what makes it fast.  The package also ships the matching cryptanalysis
+(factoring N from the group's totient analog).  Import from the module that
+holds each part:
 
 * ``scheme``: keys, keygen, message validation, encryption, decryption;
 * ``pell``: curve and parameter group laws, point and Redei powers, psi;

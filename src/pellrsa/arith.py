@@ -3,7 +3,7 @@
 import math
 import random
 
-from .errors import NonCoprimeModuli, NotInvertible, RandomnessExhausted
+from .errors import ImpossibleOperation, NonCoprimeModuli, RandomnessExhausted
 
 
 def _sieve(limit):
@@ -30,9 +30,9 @@ MAX_MODULUS_BITS = 16384
 def mod_inv(a, n):
     """Inverse of a modulo n, in [0, n).
 
-    Raises NotInvertible (carrying the gcd) when gcd(a, n) > 1 -- against a
-    composite modulus that gcd is often a harvested factor.  The happy path
-    rides the C-level extended gcd inside pow.
+    Raises ImpossibleOperation carrying gcd(a, n) when it exceeds 1 --
+    against a composite modulus that gcd is often a harvested factor.  The
+    happy path rides the C-level extended gcd inside pow.
 
         >>> mod_inv(16, 35)
         11
@@ -42,7 +42,7 @@ def mod_inv(a, n):
     try:
         return pow(a, -1, n)
     except ValueError:
-        raise NotInvertible(math.gcd(a % n, n), n) from None
+        raise ImpossibleOperation(math.gcd(a % n, n)) from None
 
 
 def jacobi(a, n):

@@ -12,7 +12,7 @@ succeeds with constant probability, so a handful of trials factor N.
 import math
 from fractions import Fraction
 
-from .arith import is_probable_prime, jacobi
+from .arith import MAX_MODULUS_BITS, is_probable_prime, jacobi
 from .errors import ImpossibleOperation, RandomnessExhausted, TrialBudgetExhausted
 from .pell import INFINITY, PellParams, param_mul, param_pow
 
@@ -60,7 +60,7 @@ def _draw_non_residue(n, rng):
         d = rng.randrange(2, n)
         if jacobi(d, n) == -1:
             return d
-    raise RandomnessExhausted(f"no Jacobi non-residue found mod {n}")
+    raise RandomnessExhausted(f"no Jacobi non-residue found mod {n:#x}")
 
 
 def _iroot(n, k):
@@ -91,10 +91,11 @@ def full_factorization(n, psi_n, rng, max_trials=200):
     recursion on every cofactor.  Prime powers are peeled off by exact-root
     extraction; composite cofactors are split by find_factor with a fresh
     non-residue coefficient per trial.  Raises TrialBudgetExhausted once
-    max_trials splitting trials were spent.
+    max_trials splitting trials were spent, and ValueError for an n above
+    MAX_MODULUS_BITS before any primality test runs.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if n < 1 or n.bit_length() > MAX_MODULUS_BITS:
+        raise ValueError(f"n must lie in [1, 2^{MAX_MODULUS_BITS})")
     found = {}
     work = []
 
@@ -120,7 +121,7 @@ def full_factorization(n, psi_n, rng, max_trials=200):
         while not divisor:
             trials += 1
             if trials > max_trials:
-                raise TrialBudgetExhausted(f"no factor of {m} within {max_trials} trials")
+                raise TrialBudgetExhausted(f"no factor of {m:#x} within {max_trials} trials")
             divisor = find_factor(m, psi_n, _draw_non_residue(m, rng), rng)
         push(divisor, mult)
         push(m // divisor, mult)

@@ -23,7 +23,6 @@ from .keyfmt import (
 from .scheme import (
     Ciphertext,
     MessagePair,
-    Mode,
     decrypt,
     decrypt_point,
     encrypt,
@@ -54,7 +53,6 @@ def build_parser():
     kg.add_argument("--bits", type=int, required=True, help="modulus size in bits")
     kg.add_argument("--primes", type=int, required=True, help="number of primes r")
     kg.add_argument("--exponents", type=_int_list, required=True, help="e1,..,er (odd)")
-    kg.add_argument("--mode", choices=[m.value for m in Mode], default=Mode.ROBUST.value)
     kg.add_argument("--pub-exp", type=int, default=None, help="public exponent (decimal)")
     kg.add_argument("--seed", type=int, default=None, help="deterministic randomness seed")
     kg.add_argument("--out", required=True, help="prefix for PREFIX.pub / PREFIX.key")
@@ -86,9 +84,7 @@ def _cmd_keygen(args):
         return 1
     prime_bits = args.bits // sum(exps)
     rng = random.Random(args.seed) if args.seed is not None else random.Random()
-    pub, priv = keygen(
-        args.primes, exps, prime_bits, rng, e=args.pub_exp, mode=Mode(args.mode)
-    )
+    pub, priv = keygen(args.primes, exps, prime_bits, rng, e=args.pub_exp)
     Path(args.out + ".pub").write_text(dump_public_key(pub))
     Path(args.out + ".key").write_text(dump_private_key(priv))
     return 0

@@ -5,19 +5,6 @@ class PellRsaError(Exception):
     """Base class for all domain errors raised by this package."""
 
 
-class NotInvertible(PellRsaError):
-    """A modular inverse does not exist; carries the offending gcd.
-
-    The gcd is kept because against a composite modulus it is often a
-    nontrivial factor, which callers may want to harvest.
-    """
-
-    def __init__(self, gcd, modulus=None):
-        self.gcd = gcd
-        self.modulus = modulus
-        super().__init__(f"not invertible (gcd={gcd})")
-
-
 class NonCoprimeModuli(PellRsaError):
     """CRT moduli share a common factor."""
 
@@ -27,10 +14,10 @@ class RandomnessExhausted(PellRsaError):
 
 
 class ImpossibleOperation(PellRsaError):
-    """A group operation hit a non-invertible denominator.
+    """A modular inverse, and so a group operation, hit a non-unit denominator.
 
-    ``factor`` is the gcd that stopped the operation; when it is a proper
-    divisor of the modulus, the operation has leaked a factor.
+    ``factor`` is the gcd of the denominator and the modulus; when it is a
+    proper divisor of the modulus, the operation has leaked a factor.
     """
 
     def __init__(self, factor):

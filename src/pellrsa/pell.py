@@ -10,10 +10,10 @@ Two views of the same cyclic structure are implemented:
 
 Over a composite modulus the parameter product is only partial: a denominator
 sharing a factor with the modulus aborts the operation and leaks that factor
-(ImpossibleOperation).  Parameter powers can also be evaluated through Redei
-polynomial pairs, which divide only once at the very end.  Point powers run
-a Lucas x-only ladder with one final inversion (point_pow), or a
-division-free square-and-multiply (point_pow_nodiv).
+(ImpossibleOperation).  Point powers run a Lucas x-only ladder with one
+final inversion (point_pow), or a division-free square-and-multiply
+(point_pow_nodiv), whose result encryption compresses once.  Redei pairs give
+the paper's parameter power with one division at the end (redei_pow).
 """
 
 from dataclasses import dataclass
@@ -21,7 +21,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .arith import FactoredModulus, mod_inv
-from .errors import ImpossibleOperation, NotInvertible
+from .errors import ImpossibleOperation
 
 
 class _AtInfinity:
@@ -107,7 +107,7 @@ def point_pow(p, k, pp):
     x, y = p.x % n, p.y % n
     try:
         dy_inv = mod_inv(pp.d * y, n)
-    except NotInvertible:
+    except ImpossibleOperation:
         return point_pow_nodiv(p, k, pp)
     a, b = x, (2 * x * x - 1) % n
     for bit in bin(k)[3:]:
@@ -174,10 +174,7 @@ def param_mul(a, b, pp):
     s = (a + b) % n
     if s == 0:
         return INFINITY
-    try:
-        return (pp.d + a * b) * mod_inv(s, n) % n
-    except NotInvertible as err:
-        raise ImpossibleOperation(err.gcd) from None
+    return (pp.d + a * b) * mod_inv(s, n) % n
 
 
 def param_pow(m, k, pp):
@@ -216,10 +213,7 @@ def point_to_param(p, pp):
             return 0
         # x^2 = 1 with x != +-1: gcd(x + 1, n) is a proper factor.
         raise ImpossibleOperation(gcd(x + 1, n))
-    try:
-        return (1 + x) * mod_inv(y, n) % n
-    except NotInvertible as err:
-        raise ImpossibleOperation(err.gcd) from None
+    return (1 + x) * mod_inv(y, n) % n
 
 
 def param_to_point(m, pp):
@@ -233,10 +227,7 @@ def param_to_point(m, pp):
         return pp.identity()
     m %= n
     den = (m * m - d) % n
-    try:
-        inv = mod_inv(den, n)
-    except NotInvertible as err:
-        raise ImpossibleOperation(err.gcd) from None
+    inv = mod_inv(den, n)
     return HyperbolaPoint((m * m + d) * inv % n, 2 * m * inv % n)
 
 
@@ -275,10 +266,7 @@ def redei_pow(m, k, pp):
     a, b = redei_eval(pp.d, m, k, pp.modulus)
     if b == 0:
         return INFINITY
-    try:
-        return a * mod_inv(b, pp.modulus) % pp.modulus
-    except NotInvertible as err:
-        raise ImpossibleOperation(err.gcd) from None
+    return a * mod_inv(b, pp.modulus) % pp.modulus
 
 
 def psi(fm):

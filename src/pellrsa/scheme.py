@@ -2,9 +2,9 @@
 
 A key is built over N = p1^e1 * ... * pr^er.  A message is a pair
 (mx, my) of units mod N; its own curve coefficient D = (mx^2 - 1)/my^2
-puts (mx, my) on the hyperbola x^2 - D y^2 = 1.  Encryption compresses the
-point to the parameter m = (mx + 1)/my and raises it to the public
-exponent; the ciphertext is the pair (C, D).
+puts (mx, my) on the hyperbola x^2 - D y^2 = 1.  Encryption raises the
+point to the public exponent and compresses the power to its parameter C,
+which is m = (mx + 1)/my raised to e; the ciphertext is the pair (C, D).
 
 Decryption exploits the factorization: modulo each prime power the group
 order is p^(e-1) * (p + 1) or p^(e-1) * (p - 1) depending on whether D is a
@@ -17,14 +17,15 @@ the curve (pell.point_pow): two multiplications per exponent bit and one
 inversion.  The paper counts one multiplication per exponent bit on both
 sides and predicts a speedup of r^2/2 over two-prime CRT-RSA; counting the
 ladder's 2 per bit against square-and-multiply RSA's 1.5 predicts 3/4 of
-r^2/2.  Point encryption keeps the division-free square-and-multiply
+r^2/2.  Encryption keeps the division-free square-and-multiply
 (pell.point_pow_nodiv), which never divides mod the composite N.
 
 Two private-exponent modes exist because the sender can only test the
 Jacobi symbol of mx^2 - 1, not the residuosity mod the secret primes:
 
 * strict: d inverts e modulo lcm of p^(e-1) * (p + 1) only.  Messages whose
-  D is a residue mod some prime raise DecryptionFailure on decryption.
+  D is a residue mod some prime p raise DecryptionFailure on decryption;
+  if gcd(e, p - 1) > 1, compressed encryption may raise ImpossibleOperation.
 * robust (default): d inverts e modulo lcm of p^(e-1) * (p^2 - 1), which
   covers both orders, so every encryptable message decrypts.
 """
@@ -39,16 +40,16 @@ from .errors import (
     DecryptionFailure,
     ImpossibleOperation,
     MessageNotEncryptable,
-    NotInvertible,
     RandomnessExhausted,
 )
 from .pell import (
     INFINITY,
+    HyperbolaPoint,
     PellParams,
     param_to_point,
     point_pow,
     point_pow_nodiv,
-    redei_pow,
+    point_to_param,
 )
 
 DEFAULT_PUBLIC_EXPONENT = 65537
@@ -191,22 +192,19 @@ def validate_message(pk, msg, mode=Mode.ROBUST):
             raise MessageNotEncryptable("Jacobi(mx^2 - 1, N) != -1")
     elif j == 0:
         raise MessageNotEncryptable("mx^2 - 1 shares a factor with N")
-    try:
-        return t * mod_inv(my * my % n, n) % n
-    except NotInvertible as err:
-        raise ImpossibleOperation(err.gcd) from None
+    return t * mod_inv(my * my % n, n) % n
 
 
 def encrypt(pk, msg, mode=Mode.ROBUST):
-    """Compressed encryption: C = (m raised to e) with m = (mx + 1)/my."""
-    n = pk.n
-    d_coef = validate_message(pk, msg, mode)
-    m = (msg.mx % n + 1) * mod_inv(msg.my % n, n) % n
-    c = redei_pow(m, pk.e, PellParams(n, d_coef))
+    """Compressed encryption: C = (m raised to e) with m = (mx + 1)/my, as the
+    parameter of the point ciphertext.  Raises ImpossibleOperation when that
+    point's y is no unit, which a robust key's e rules out."""
+    ct = encrypt_point(pk, msg, mode)
+    c = point_to_param(HyperbolaPoint(ct.cx, ct.cy), PellParams(pk.n, ct.d_coef))
     if c is INFINITY:
         # message point order divides e; only conceivable for toy primes
         raise MessageNotEncryptable("message parameter collapses to the identity")
-    return Ciphertext(c, d_coef)
+    return Ciphertext(c, ct.d_coef)
 
 
 def encrypt_point(pk, msg, mode=Mode.ROBUST):

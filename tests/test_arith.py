@@ -11,7 +11,7 @@ from pellrsa.arith import (
     jacobi,
     mod_inv,
 )
-from pellrsa.errors import NonCoprimeModuli, NotInvertible
+from pellrsa.errors import ImpossibleOperation, NonCoprimeModuli
 
 
 # ---- independent oracles ----
@@ -54,9 +54,9 @@ def test_mod_inv_frozen_example():
 
 
 def test_mod_inv_shared_factor_carries_gcd():
-    with pytest.raises(NotInvertible) as info:
+    with pytest.raises(ImpossibleOperation) as info:
         mod_inv(5, 35)
-    assert info.value.gcd == 5
+    assert info.value.factor == 5
 
 
 def test_mod_inv_random_agrees_with_oracle():
@@ -69,9 +69,9 @@ def test_mod_inv_random_agrees_with_oracle():
             b = mod_inv(a, n)
             assert 0 <= b < n and a * b % n == 1
         else:
-            with pytest.raises(NotInvertible) as info:
+            with pytest.raises(ImpossibleOperation) as info:
                 mod_inv(a, n)
-            assert info.value.gcd == g
+            assert info.value.factor == g
 
 
 # ---- jacobi ----

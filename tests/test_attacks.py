@@ -1,9 +1,10 @@
 import math
 import random
+import sys
 
 import pytest
 
-from pellrsa.arith import FactoredModulus, gen_prime, is_probable_prime
+from pellrsa.arith import MAX_MODULUS_BITS, FactoredModulus, gen_prime, is_probable_prime
 from pellrsa.attacks import (
     _draw_non_residue,
     find_factor,
@@ -112,6 +113,25 @@ def test_full_factorization_budget():
     # an odd bogus psi gives the splitting loop nothing to work with
     with pytest.raises(TrialBudgetExhausted):
         full_factorization(1009 * 1013, 1, random.Random(0), max_trials=3)
+
+
+def test_full_factorization_budget_message_survives_the_int_str_limit():
+    # 2330 bits is about 700 decimal digits, past the limit set below
+    n = (2**2203 - 1) * (2**127 - 1)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(TrialBudgetExhausted, match=f"{n:#x}"):
+            full_factorization(n, 1, random.Random(0), max_trials=1)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_full_factorization_refuses_oversized_moduli():
+    n = 3**10400
+    assert n.bit_length() > MAX_MODULUS_BITS
+    with pytest.raises(ValueError, match="must lie in"):
+        full_factorization(n, 4, ExplodingRng())
 
 
 def test_full_factorization_rejects_psi_below_one():

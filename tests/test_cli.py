@@ -85,6 +85,8 @@ def test_factor_given_psi(keys, capsys):
         ["keygen", "--bits", "512", "--primes", "2", "--exponents", "1,-1"],
         ["factor", "--n", "f", "--psi", "0", "--seed", "1"],
         ["bench", "--bits", "512", "--primes", "2"],
+        ["keygen", "--bits", "512", "--primes", "2", "--exponents", "1,1", "--mode", "strict"],
+        ["factor", "--n", f"{3**10400:x}", "--psi", "4", "--seed", "1"],
     ],
 )
 def test_invalid_arguments_exit_1(tmp_path, capsys, argv):

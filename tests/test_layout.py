@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import pellrsa
+from pellrsa import errors
 
 MODULES = sorted(Path(pellrsa.__file__).parent.glob("*.py"))
 
@@ -33,3 +34,31 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_module_imports_only_names_it_uses(path):
     assert unused_imports(path.read_text()) == []
+
+
+def raised_names(source):
+    """Names of the exceptions a module's raise statements construct or re-raise."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                names.add(exc.id)
+            elif isinstance(exc, ast.Attribute):
+                names.add(exc.attr)
+    return names
+
+
+def test_raised_names_are_found():
+    source = "try:\n    raise A('x')\nexcept A:\n    raise\nraise errors.B from None\nraise C\n"
+    assert raised_names(source) == {"A", "B", "C"}
+
+
+def test_every_error_type_is_raised():
+    subclasses = {
+        name
+        for name, value in vars(errors).items()
+        if isinstance(value, type) and issubclass(value, errors.PellRsaError)
+    } - {"PellRsaError"}
+    raised = set().union(*(raised_names(path.read_text()) for path in MODULES))
+    assert sorted(subclasses - raised) == []

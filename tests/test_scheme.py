@@ -19,7 +19,6 @@ from pellrsa.pell import (
     param_pow,
     param_to_point,
     point_pow_nodiv,
-    point_to_param,
     redei_pow,
 )
 from pellrsa.scheme import (
@@ -268,16 +267,62 @@ def test_point_mode_roundtrip_and_consistency():
         assert decrypt_point(priv, pct) == decrypt(priv, encrypt(pub, msg))
 
 
+def redei_ciphertext(pub, msg, d_coef):
+    """The paper's compressed ciphertext: the Redei function of (mx + 1)/my."""
+    m = (msg.mx + 1) * pow(msg.my, -1, pub.n) % pub.n
+    return redei_pow(m, pub.e, PellParams(pub.n, d_coef))
+
+
+def validated_messages(pub, mode=Mode.ROBUST):
+    """Every message (mx, my) mod N that validate_message accepts, with its D."""
+    for mx in range(pub.n):
+        for my in range(pub.n):
+            msg = MessagePair(mx, my)
+            try:
+                yield msg, validate_message(pub, msg, mode)
+            except (MessageNotEncryptable, ImpossibleOperation):
+                continue
+
+
 def test_point_mode_matches_compressed_through_the_morphism():
-    rng = random.Random(10)
-    pub, priv = small_keypair(rng, r=2, bits=32)
-    for _ in range(10):
-        msg = random_message(pub, rng)
-        ct = encrypt(pub, msg)
-        pct = encrypt_point(pub, msg)
-        pp = PellParams(pub.n, ct.d_coef)
-        if math.gcd(pct.cy, pub.n) == 1:
-            assert point_to_param(pp.point(pct.cx, pct.cy), pp) == ct.c
+    # encrypt compresses the point ciphertext; on robust keys that is exactly
+    # the Redei evaluation of the message parameter, for every message
+    count = 0
+    for primes in ([5, 7], [7, 11], [11, 13], [5, 7, 11]):
+        msgs = list(validated_messages(PublicKey(math.prod(primes), 3)))
+        for e in (None, 3, 5, 7, 11, 13):
+            try:
+                pub, _ = keypair_from_primes(primes, [1] * len(primes), e=e)
+            except BadExponentChoice:
+                continue
+            for msg, d_coef in msgs:
+                assert encrypt(pub, msg) == Ciphertext(redei_ciphertext(pub, msg, d_coef), d_coef)
+                count += 1
+    assert count == 98_880
+
+
+def test_strict_encrypt_refuses_only_undecryptable_messages():
+    # e = 5 divides 11 - 1, so a strict key meets powers (+-1, 0) mod 11;
+    # encrypt refuses both, the Redei evaluation only (1, 0), and the Redei
+    # ciphertexts of the others do not decrypt
+    pub, priv = keypair_from_primes([7, 11], [1, 1], e=5, mode=Mode.STRICT)
+    refused = 0
+    for msg, d_coef in validated_messages(pub, Mode.STRICT):
+        try:
+            c = redei_ciphertext(pub, msg, d_coef)
+        except ImpossibleOperation:
+            with pytest.raises(ImpossibleOperation):
+                encrypt(pub, msg, Mode.STRICT)
+            continue
+        try:
+            ct = encrypt(pub, msg, Mode.STRICT)
+        except ImpossibleOperation:
+            refused += 1
+            with pytest.raises(DecryptionFailure):
+                decrypt(priv, Ciphertext(c, d_coef))
+        else:
+            assert ct == Ciphertext(c, d_coef)
+    assert refused == 240
 
 
 def test_point_encryption_never_hits_impossible_operation():
