@@ -66,20 +66,29 @@ def jacobi(a, n):
 def crt_combine(residues, moduli):
     """Unique x mod prod(moduli) with x = residues[i] mod moduli[i].
 
-    Moduli must be pairwise coprime; raises NonCoprimeModuli otherwise.
+    A residue may also be a tuple of coordinates, such as a curve point:
+    tuples combine coordinate-wise under one set of Garner coefficients and
+    a tuple comes back.  Moduli must be pairwise coprime; raises
+    NonCoprimeModuli otherwise.
+
+        >>> crt_combine([(2, 1), (3, 0)], [5, 7])
+        (17, 21)
     """
     if len(residues) != len(moduli) or not moduli:
         raise ValueError("need equally many residues and moduli, at least one")
-    x, m = residues[0] % moduli[0], moduli[0]
-    for r_i, m_i in zip(residues[1:], moduli[1:]):
+    scalar = isinstance(residues[0], int)
+    rows = [(r,) if scalar else r for r in residues]
+    xs, m = [r % moduli[0] for r in rows[0]], moduli[0]
+    for row, m_i in zip(rows[1:], moduli[1:]):
         if m_i == 1:
             continue
         if math.gcd(m, m_i) != 1:
             raise NonCoprimeModuli(f"moduli share factor {math.gcd(m, m_i)}")
-        t = (r_i - x) * mod_inv(m % m_i, m_i) % m_i
-        x += m * t
+        inv = mod_inv(m % m_i, m_i)
+        xs = [x + m * ((r_i - x) * inv % m_i) for x, r_i in zip(xs, row)]
         m *= m_i
-    return x % m
+    xs = tuple(x % m for x in xs)
+    return xs[0] if scalar else xs
 
 
 def is_probable_prime(n, rng=None):

@@ -125,7 +125,8 @@ def point_pow_nodiv(p, k, pp):
     multiplications, (x, y)^2 = (2x^2 - 1, 2xy), and a multiply step four
     (product_ladder_cost).  Encryption uses it because it never divides
     mod the composite N; for short public exponents it is also faster than
-    point_pow, whose final inversion dominates there.
+    point_pow, whose final inversion dominates there, which is why the
+    Hensel lift of prime-power decryption uses it too.
     """
     if k < 0:
         raise ValueError("exponent must be >= 0")

@@ -6,19 +6,28 @@ puts (mx, my) on the hyperbola x^2 - D y^2 = 1.  Encryption raises the
 point to the public exponent and compresses the power to its parameter C,
 which is m = (mx + 1)/my raised to e; the ciphertext is the pair (C, D).
 
-Decryption exploits the factorization: modulo each prime power the group
-order is p^(e-1) * (p + 1) or p^(e-1) * (p - 1) depending on whether D is a
-non-residue or a residue mod p, so the private exponent shrinks to roughly
-a 1/r-th of its size per factor, and the results recombine by CRT.  That
-exponent reduction is where the speedup over two-prime moduli comes from.
-A compressed ciphertext decompresses to its point once mod N and then
-decrypts as a point ciphertext.  Each per-prime power is a Lucas ladder on
-the curve (pell.point_pow): two multiplications per exponent bit and one
-inversion.  The paper counts one multiplication per exponent bit on both
-sides and predicts a speedup of r^2/2 over two-prime CRT-RSA; counting the
-ladder's 2 per bit against square-and-multiply RSA's 1.5 predicts 3/4 of
-r^2/2.  Encryption keeps the division-free square-and-multiply
-(pell.point_pow_nodiv), which never divides mod the composite N.
+Decryption exploits the factorization: modulo each prime p the group
+order is p + 1 or p - 1 depending on whether D is a non-residue or a
+residue mod p, so the private exponent shrinks to the size of one prime
+per factor, and the results recombine by CRT.  That exponent reduction is
+where the speedup over two-prime moduli comes from.  A compressed
+ciphertext decompresses to its point once mod N and then decrypts as a
+point ciphertext.  Each per-prime power is a Lucas ladder on the curve mod
+p (pell.point_pow): two multiplications per exponent bit and one
+inversion.  A prime power p^k (k > 1) runs the same ladder mod p and then
+lifts the root to p^k by ceil(log2 k) Newton steps (Takagi's p^k q
+decryption), each one power to the short public exponent e, so no ladder
+runs wider than a prime.
+
+The paper counts one multiplication per exponent bit on both sides and
+predicts a speedup of r^2/2 over two-prime CRT-RSA; counting the ladder's
+2 per bit against square-and-multiply RSA's 1.5 predicts 3/4 of r^2/2.
+With s = e1 + ... + er primes counted with multiplicity, each of the r
+ladders runs at |N|/s bits instead of |N|/r; a ladder's cost grows as the
+cube of its width, so the same count scales r^2/2 by (s/r)^3 to s^3/(2r)
+(16 for p^3 q), plus the lifts' short powers.  Encryption keeps the
+division-free square-and-multiply (pell.point_pow_nodiv), which never
+divides mod the composite N.
 
 Two private-exponent modes exist because the sender can only test the
 Jacobi symbol of mx^2 - 1, not the residuosity mod the secret primes:
@@ -31,7 +40,7 @@ Jacobi symbol of mx^2 - 1, not the residuosity mod the secret primes:
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .arith import FactoredModulus, crt_combine, gen_prime, jacobi, mod_inv
@@ -73,17 +82,32 @@ class PublicKey:
 
 @dataclass(frozen=True)
 class PrivateKey:
+    """Factored modulus, private exponent d and mode.
+
+    Derived once, when the key is built, for the Hensel lift of prime
+    powers: e = d^-1 mod the exponent modulus, and e^-1 mod p^k for each
+    prime p with k > 1 (lift_inverses).  p divides the exponent modulus
+    there, so e is a unit mod p.  The key file stores neither.
+    """
+
     factors: FactoredModulus
     d: int
     mode: Mode
+    e: int = field(init=False, repr=False, compare=False)
+    lift_inverses: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.factors.factors) < 2:
             raise ValueError("need at least two primes")
         if any(p % 2 == 0 or k % 2 == 0 for p, k in self.factors.factors):
             raise ValueError("primes and their exponents must be odd")
-        if math.gcd(self.d, exponent_modulus(self.factors, self.mode)) != 1:
-            raise ValueError("d is not coprime to the exponent modulus")
+        try:
+            e = mod_inv(self.d, exponent_modulus(self.factors, self.mode))
+        except ImpossibleOperation:
+            raise ValueError("d is not coprime to the exponent modulus") from None
+        inverses = {p: mod_inv(e, p**k) for p, k in self.factors.factors if k > 1}
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "lift_inverses", inverses)
 
     @property
     def n(self):
@@ -217,23 +241,25 @@ def encrypt_point(pk, msg, mode=Mode.ROBUST):
 
 
 def reduced_private_exponents(sk, d_coef):
-    """CRT decryption plan: (prime power, reduced private exponent) pairs.
+    """CRT decryption plan: (prime p, its exponent k, reduced private exponent).
 
-    Per prime, a Legendre symbol picks the group order p^(e-1) * (p + 1)
-    (non-residue D) or p^(e-1) * (p - 1) (residue D) and d is reduced mod
-    that order.  These short exponents are the whole point of multi-prime
-    decryption.  A strict key's d inverts e only under the first order, so
-    a residue D raises DecryptionFailure naming the prime's index.
+    Per prime, a Legendre symbol picks the group order mod p, p + 1
+    (non-residue D) or p - 1 (residue D), and d is reduced mod that order.
+    The ladder runs mod p for every factor, a prime power included, so each
+    exponent is below p + 1; decrypt_point lifts a root mod p to p^k.
+    These short exponents are the whole point of multi-prime decryption.  A
+    strict key's d inverts e only under the first order, so a residue D
+    raises DecryptionFailure naming the prime's index.
     """
     plan = []
-    for i, (p, e) in enumerate(sk.factors.factors):
+    for i, (p, k) in enumerate(sk.factors.factors):
         if jacobi(d_coef % p, p) == -1:
-            order = p ** (e - 1) * (p + 1)
+            order = p + 1
         elif sk.mode == Mode.STRICT:
             raise DecryptionFailure(f"strict key: D is not a non-residue mod prime {i}")
         else:
-            order = p ** (e - 1) * (p - 1)
-        plan.append((p**e, sk.d % order))
+            order = p - 1
+        plan.append((p, k, sk.d % order))
     return plan
 
 
@@ -245,36 +271,70 @@ def _curve_mod_n(sk, d_coef):
 
 def decrypt(sk, ct):
     """Recover (mx, my) from a compressed ciphertext via its point mod N."""
+    pp_n = _curve_mod_n(sk, ct.d_coef)
     try:
-        x, y = param_to_point(ct.c, _curve_mod_n(sk, ct.d_coef))
+        # a decompressed parameter lies on the curve by construction
+        c = param_to_point(ct.c, pp_n)
     except ImpossibleOperation as err:
         raise DecryptionFailure(f"ciphertext parameter does not decompress: {err}") from err
-    return decrypt_point(sk, PointCiphertext(x, y, ct.d_coef))
+    return _decrypt_on_curve(sk, c, pp_n)
 
 
 def decrypt_point(sk, ct):
     """Recover (mx, my) from an uncompressed ciphertext.
 
-    Per prime power the Lucas ladder raises the point to the reduced private
-    exponent; the coordinates recombine by CRT and must be units mod N.
+    Per prime the Lucas ladder raises the point mod p to the reduced private
+    exponent, a prime power lifts that root to p^k, and the coordinates
+    recombine by CRT and must be units mod N.
     """
-    n = sk.n
     pp_n = _curve_mod_n(sk, ct.d_coef)
-    if not pp_n.on_curve(ct.cx % n, ct.cy % n):
+    c = HyperbolaPoint(ct.cx % sk.n, ct.cy % sk.n)
+    if not pp_n.on_curve(*c):
         raise DecryptionFailure("ciphertext point is not on the curve")
-    xs, ys, moduli = [], [], []
-    for m_i, d_i in reduced_private_exponents(sk, ct.d_coef):
-        pp = PellParams(m_i, ct.d_coef % m_i)
-        pt = point_pow(pp.point(ct.cx, ct.cy), d_i, pp)
-        xs.append(pt.x)
-        ys.append(pt.y)
-        moduli.append(m_i)
-    mx, my = crt_combine(xs, moduli), crt_combine(ys, moduli)
+    return _decrypt_on_curve(sk, c, pp_n)
+
+
+def _decrypt_on_curve(sk, c, pp_n):
+    roots, moduli = [], []
+    for i, (p, k, d_i) in enumerate(reduced_private_exponents(sk, pp_n.d)):
+        pp = PellParams(p, pp_n.d % p)
+        root = point_pow(pp.point(c.x, c.y), d_i, pp)
+        if k > 1:
+            if root.y == 0:
+                # (+-1, 0) mod p lifts to a root whose y is no unit: no message
+                raise DecryptionFailure(f"lift: the root has y = 0 mod prime {i}")
+            root = _hensel_lift(root, c, pp, p**k, pp_n.d, sk.e, sk.lift_inverses[p])
+        roots.append(root)
+        moduli.append(p**k)
+    mx, my = crt_combine(roots, moduli)
     if not pp_n.on_curve(mx, my):
         raise DecryptionFailure("recovered point is not on the curve")
-    if math.gcd(mx * my, n) != 1:
+    if math.gcd(mx * my, sk.n) != 1:
         raise DecryptionFailure("recovered point is not a message: a coordinate is not a unit")
     return MessagePair(mx, my)
+
+
+def _hensel_lift(m, c, pp, top, d_coef, e, e_inv):
+    """Lift the e-th root m of c mod pp.modulus to the e-th root mod top.
+
+    Each Newton step goes from a modulus u to q = min(u^2, top).  m's
+    coordinates have norm 1 + U mod q with u | U, so scaling both by
+    1 - U/2 puts m' on the curve mod q, still equal to m mod u.  Then
+    E = c * conj(m'^e) is (1, y_E) with u | y_E; such points form the
+    kernel of reduction mod u, where (1, u b)(1, u b') = (1, u (b + b')),
+    so the root mod q is m' * (1, y_E / e).  No step divides; e_inv is
+    e^-1 mod top.
+    """
+    while pp.modulus < top:
+        q = min(pp.modulus**2, top)
+        pp = PellParams(q, d_coef % q)
+        x, y = m
+        s = 1 - (x * x - pp.d * y * y - 1) * ((q + 1) // 2)
+        x, y = s * x % q, s * y % q
+        ex, ey = point_pow_nodiv(HyperbolaPoint(x, y), e, pp)
+        t = (c.y * ex - c.x * ey) * e_inv % q
+        m = HyperbolaPoint((x + pp.d * y * t) % q, (y + x * t) % q)
+    return m
 
 
 def random_message(pk, rng, mode=Mode.ROBUST):

@@ -110,6 +110,8 @@ def test_jacobi_multiplicative_in_top_argument():
 def test_crt_frozen_example():
     assert crt_by_search([2, 3], [5, 7]) == 17
     assert crt_combine([2, 3], [5, 7]) == 17
+    # tuples combine coordinate-wise: 1 mod 5 and 0 mod 7 is 21
+    assert crt_combine([(2, 1), (3, 0)], [5, 7]) == (17, 21)
 
 
 def test_crt_trivial_cases():
@@ -132,6 +134,9 @@ def test_crt_reproduces_residues():
         x = crt_combine(residues, moduli)
         assert 0 <= x < math.prod(moduli)
         assert all(x % m == r for r, m in zip(residues, moduli))
+        others = [rng.randrange(-m, 2 * m) for m in moduli]
+        pairs = list(zip(residues, others))
+        assert crt_combine(pairs, moduli) == (x, crt_combine(others, moduli))
 
 
 # ---- gen_prime ----

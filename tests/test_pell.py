@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pellrsa import pell
+from pellrsa import pell, scheme
 from pellrsa.arith import FactoredModulus, crt_combine, gen_prime, is_probable_prime
 from pellrsa.errors import ImpossibleOperation
 from pellrsa.pell import (
@@ -402,6 +402,30 @@ def test_ladder_multiplication_counts_are_exact(monkeypatch):
         param_muls.clear()
         param_pow(123, k, pp)
         assert len(param_muls) == squarings + multiplies
+
+
+@pytest.mark.parametrize("exponents", [[3, 1], [1, 1, 3]])
+def test_decryption_ladders_run_mod_each_prime_and_lifts_count_log_k(monkeypatch, exponents):
+    # one ladder per prime, mod the bare prime with an exponent below p + 1;
+    # then ceil(log2 k) lift powers to e, mod p^2 and p^3 for k = 3
+    rng = random.Random(83)
+    pub, priv = scheme.keygen(len(exponents), exponents, 32, rng)
+    msg = scheme.random_message(pub, rng)
+    ct = scheme.encrypt_point(pub, msg)
+    calls = {"point_pow": [], "point_pow_nodiv": []}
+    for name, log in calls.items():
+        def spy(p, k, pp, fn=getattr(scheme, name), log=log):
+            log.append((k, pp.modulus))
+            return fn(p, k, pp)
+
+        monkeypatch.setattr(scheme, name, spy)
+    assert scheme.decrypt_point(priv, ct) == msg
+    primes = [p for p, _ in priv.factors.factors]
+    assert [m for _, m in calls["point_pow"]] == primes
+    assert all(k < m + 1 for k, m in calls["point_pow"])
+    lifts = [(pub.e, p**j) for p, k in priv.factors.factors if k > 1 for j in (2, 3)]
+    assert calls["point_pow_nodiv"] == lifts
+    assert len(lifts) == sum((k - 1).bit_length() for _, k in priv.factors.factors)
 
 
 # ---- the Lucas ladder against the product ladder ----

@@ -13,6 +13,7 @@ from pellrsa.errors import (
     RandomnessExhausted,
 )
 from pellrsa.arith import crt_combine, jacobi
+from pellrsa.keyfmt import dump_private_key, load_private_key
 from pellrsa.pell import (
     INFINITY,
     PellParams,
@@ -45,7 +46,15 @@ def small_keypair(rng, r=2, bits=32, mode=Mode.ROBUST, exponents=None):
 
 
 # (r, prime bits, prime-power exponents) covered by the oracle comparisons
-ORACLE_SHAPES = [(2, 40, None), (3, 40, None), (4, 32, None), (2, 32, [3, 1]), (3, 24, [1, 1, 3])]
+ORACLE_SHAPES = [
+    (2, 40, None),
+    (3, 40, None),
+    (4, 32, None),
+    (2, 32, [3, 1]),
+    (3, 24, [1, 1, 3]),
+    (2, 32, [3, 3]),
+    (2, 32, [5, 1]),
+]
 
 
 # ---- reference decryptions, oracles for the CRT path ----
@@ -67,10 +76,12 @@ def full_width_decrypt_point(sk, ct):
 
 
 def crt_decrypt_with(param_power, sk, ct):
-    """CRT decryption with each per-prime parameter power taken by param_power."""
+    """CRT decryption with each parameter power taken by param_power mod a
+    whole prime power p^k, to d reduced mod that group's order."""
     residues, moduli = [], []
-    for m_i, d_i in reduced_private_exponents(sk, ct.d_coef):
-        residues.append(param_power(ct.c % m_i, d_i, PellParams(m_i, ct.d_coef % m_i)))
+    for p, k in sk.factors.factors:
+        m_i, order = p**k, p ** (k - 1) * (p - jacobi(ct.d_coef, p))
+        residues.append(param_power(ct.c % m_i, sk.d % order, PellParams(m_i, ct.d_coef % m_i)))
         moduli.append(m_i)
     pt = param_to_point(crt_combine(residues, moduli), PellParams(sk.n, ct.d_coef % sk.n))
     return MessagePair(pt.x, pt.y)
@@ -218,6 +229,33 @@ def test_round_trip_property(exponents, bits, mode, point, seed):
         assert dec(priv, ct) == msg
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    exponents=st.sampled_from([[3, 1], [1, 1, 3], [5, 1], [3, 3], [1, 5, 3]]),
+    bits=st.integers(24, 48),
+    mode=st.sampled_from(list(Mode)),
+    point=st.booleans(),
+    seed=st.integers(0, 2**64),
+)
+def test_lifted_decryption_matches_full_width_oracle(exponents, bits, mode, point, seed):
+    # both are the unique e-th root mod each p^k.  A strict key decrypts when
+    # D is a non-residue mod every prime, which its Jacobi test cannot select
+    # at r = 2, so such messages are drawn under the robust test.
+    rng = random.Random(seed)
+    pub, priv = small_keypair(rng, r=len(exponents), bits=bits, mode=mode, exponents=exponents)
+    msg = random_message(pub, rng)
+    while mode == Mode.STRICT and any(
+        jacobi(msg.mx * msg.mx - 1, p) == 1 for p, _ in priv.factors.factors
+    ):
+        msg = random_message(pub, rng)
+    if point:
+        ct = encrypt_point(pub, msg)
+        assert decrypt_point(priv, ct) == full_width_decrypt_point(priv, ct) == msg
+    else:
+        ct = encrypt(pub, msg)
+        assert decrypt(priv, ct) == full_width_decrypt(priv, ct) == msg
+
+
 def test_crt_fast_path_bit_identical_to_direct():
     rng = random.Random(6)
     for r, bits, exps in ORACLE_SHAPES:
@@ -349,19 +387,35 @@ def test_identity_exponent_point_encryption():
     assert (pct.cx, pct.cy) == (3, 4)
 
 
-def test_reduced_exponents_divide_and_invert():
+@pytest.mark.parametrize("exponents", [None, [1, 3, 1]])
+def test_reduced_exponents_divide_and_invert(exponents):
     rng = random.Random(11)
-    pub, priv = small_keypair(rng, r=3, bits=32)
+    pub, priv = small_keypair(rng, r=3, bits=32, exponents=exponents)
     msg = random_message(pub, rng)
     ct = encrypt(pub, msg)
-    for (m_i, d_i), (p, e) in zip(
-        reduced_private_exponents(priv, ct.d_coef), priv.factors.factors
-    ):
-        assert m_i == p**e
-        assert d_i < p ** (e - 1) * (p + 1)
-        # robust d inverts e under both candidate orders
-        for order in (p ** (e - 1) * (p + 1), p ** (e - 1) * (p - 1)):
+    plan = reduced_private_exponents(priv, ct.d_coef)
+    assert [(p, k) for p, k, _ in plan] == list(priv.factors.factors)
+    for p, k, d_i in plan:
+        # the ladder runs mod p, a prime power included: d mod p + 1 or p - 1
+        order = p - jacobi(ct.d_coef, p)
+        assert d_i == priv.d % order < p + 1
+        assert pub.e * d_i % order == 1
+        # robust d inverts e under both candidate orders of the prime power
+        for order in (p ** (k - 1) * (p + 1), p ** (k - 1) * (p - 1)):
             assert pub.e * (priv.d % order) % order == 1 % order
+
+
+def test_private_key_derives_e_and_its_lift_inverses():
+    rng = random.Random(19)
+    pub, priv = small_keypair(rng, r=3, bits=32, exponents=[3, 1, 5])
+    assert priv.e == pub.e
+    assert priv.lift_inverses == {p: pow(pub.e, -1, p**k) for p, k in priv.factors.factors if k > 1}
+    # the key file stores neither; loading derives them again
+    loaded = load_private_key(dump_private_key(priv))
+    assert (loaded.e, loaded.lift_inverses) == (priv.e, priv.lift_inverses)
+    # a public e above the exponent modulus 48 comes back reduced: 53 = 5 mod 48
+    _, small = keypair_from_primes([5, 7], [1, 1], e=53)
+    assert (small.d, small.e, small.lift_inverses) == (29, 5, {})
 
 
 def test_decrypt_rejects_malformed_ciphertexts():
@@ -376,24 +430,29 @@ def test_decrypt_rejects_malformed_ciphertexts():
         decrypt_point(priv, PointCiphertext(1, 1, ct.d_coef))  # off the curve
 
 
+@pytest.mark.parametrize("exponents", [[1, 1, 1], [3, 1]])
 @pytest.mark.parametrize("sign", [1, -1])
-def test_decrypt_point_rejects_points_that_are_no_message(sign):
-    # (+-1, 0) lie on every curve and are their own powers; my = 0 is no unit
+def test_decrypt_point_rejects_points_that_are_no_message(sign, exponents):
+    # (+-1, 0) lie on every curve and are their own powers; my = 0 is no unit,
+    # and mod p^3 the lift refuses them, naming the prime
     rng = random.Random(15)
-    pub, priv = small_keypair(rng, r=3, bits=32)
+    pub, priv = small_keypair(rng, r=len(exponents), bits=32, exponents=exponents)
     d_coef = encrypt(pub, random_message(pub, rng)).d_coef
-    with pytest.raises(DecryptionFailure):
+    with pytest.raises(DecryptionFailure, match="lift: " if 3 in exponents else "not a unit"):
         decrypt_point(priv, PointCiphertext(sign % pub.n, 0, d_coef))
 
 
-def test_decrypt_rejects_parameter_vanishing_mod_one_prime():
-    # c = 0 mod p decompresses to (-1, 0) mod p, which decrypts to itself
+@pytest.mark.parametrize("exponents,zeroed", [([1, 1, 1], 1), ([3, 1], 3), ([3, 1], 1)])
+def test_decrypt_rejects_parameter_vanishing_mod_one_prime(exponents, zeroed):
+    # c = 0 mod p^k decompresses to (-1, 0) mod p^k, which decrypts to itself
     rng = random.Random(16)
-    pub, priv = small_keypair(rng, r=3, bits=32)
+    pub, priv = small_keypair(rng, r=len(exponents), bits=32, exponents=exponents)
     ct = encrypt(pub, random_message(pub, rng))
-    p = priv.factors.factors[1][0]
-    c = crt_combine([0, ct.c], [p, pub.n // p])
-    with pytest.raises(DecryptionFailure):
+    i = [k for _, k in priv.factors.factors].index(zeroed)
+    p, k = priv.factors.factors[i]
+    c = crt_combine([0, ct.c], [p**k, pub.n // p**k])
+    expected = f"lift: .* prime {i}$" if k > 1 else "not a unit"
+    with pytest.raises(DecryptionFailure, match=expected):
         decrypt(priv, Ciphertext(c, ct.d_coef))
 
 
