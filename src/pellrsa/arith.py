@@ -68,8 +68,8 @@ def crt_combine(residues, moduli):
 
     A residue may also be a tuple of coordinates, such as a curve point:
     tuples combine coordinate-wise under one set of Garner coefficients and
-    a tuple comes back.  Moduli must be pairwise coprime; raises
-    NonCoprimeModuli otherwise.
+    a tuple comes back.  Moduli must be pairwise coprime and above 1;
+    raises NonCoprimeModuli when two share a factor.
 
         >>> crt_combine([(2, 1), (3, 0)], [5, 7])
         (17, 21)
@@ -80,8 +80,6 @@ def crt_combine(residues, moduli):
     rows = [(r,) if scalar else r for r in residues]
     xs, m = [r % moduli[0] for r in rows[0]], moduli[0]
     for row, m_i in zip(rows[1:], moduli[1:]):
-        if m_i == 1:
-            continue
         if math.gcd(m, m_i) != 1:
             raise NonCoprimeModuli(f"moduli share factor {math.gcd(m, m_i)}")
         inv = mod_inv(m % m_i, m_i)
@@ -133,8 +131,6 @@ def gen_prime(bits, rng):
         raise ValueError("bits must be >= 8")
     for _ in range(64 * bits):
         candidate = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
-        if any(candidate % p == 0 for p in SMALL_PRIMES if p < candidate):
-            continue
         if is_probable_prime(candidate, rng):
             return candidate
     raise RandomnessExhausted(f"no {bits}-bit prime found")

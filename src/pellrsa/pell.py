@@ -11,16 +11,17 @@ Two views of the same cyclic structure are implemented:
 Over a composite modulus the parameter product is only partial: a denominator
 sharing a factor with the modulus aborts the operation and leaks that factor
 (ImpossibleOperation).  Point powers run a Lucas x-only ladder with one
-final inversion (point_pow), or a division-free square-and-multiply
-(point_pow_nodiv), whose result encryption compresses once.  Redei pairs give
-the paper's parameter power with one division at the end (redei_pow).
+final inversion (point_pow), which raises ImpossibleOperation when D y is not
+a unit, or the total, division-free square-and-multiply (point_pow_nodiv),
+whose result encryption compresses once.  Redei pairs give the paper's
+parameter power with one division at the end (redei_pow).
 """
 
 from dataclasses import dataclass
 from math import gcd
 from typing import NamedTuple
 
-from .arith import FactoredModulus, mod_inv
+from .arith import mod_inv
 from .errors import ImpossibleOperation
 
 
@@ -93,11 +94,11 @@ def point_pow(p, k, pp):
     On a norm-1 point x_k = V_k(2x)/2, so x_{m+n} = 2 x_m x_n - x_{m-n} and a
     Montgomery ladder over (x_k, x_{k+1}) costs two multiplications per
     exponent bit (ladder_cost).  y_k comes back from one inversion at the
-    end: y_k = (x_{k+1} - x x_k)/(D y).  When D y is not a unit mod the
-    modulus (the points (+-1, 0), or y = 0 mod a prime of a prime power),
-    point_pow_nodiv runs instead, so every on-curve point gets its exact
-    power and nothing raises.  Inputs off the curve give undefined results;
-    use PellParams.point to validate.
+    end: y_k = (x_{k+1} - x x_k)/(D y).  For k >= 1 that inversion raises
+    ImpossibleOperation when D y is not a unit mod the modulus (the points
+    (+-1, 0), or y = 0 mod a prime of a prime power); point_pow_nodiv is the
+    total power.  Inputs off the curve give undefined results; use
+    PellParams.point to validate.
     """
     if k < 0:
         raise ValueError("exponent must be >= 0")
@@ -105,10 +106,7 @@ def point_pow(p, k, pp):
         return pp.identity()
     n = pp.modulus
     x, y = p.x % n, p.y % n
-    try:
-        dy_inv = mod_inv(pp.d * y, n)
-    except ImpossibleOperation:
-        return point_pow_nodiv(p, k, pp)
+    dy_inv = mod_inv(pp.d * y, n)
     a, b = x, (2 * x * x - 1) % n
     for bit in bin(k)[3:]:
         if bit == "1":
@@ -276,8 +274,6 @@ def psi(fm):
     Annihilates the parameter group: m ** psi = INFINITY for every unit m
     when the coefficient is a non-residue mod each prime.
     """
-    if not isinstance(fm, FactoredModulus):
-        fm = FactoredModulus(fm)
     out = 1
     for p, e in fm.factors:
         out *= p ** (e - 1) * (p + 1)

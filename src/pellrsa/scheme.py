@@ -43,7 +43,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .arith import FactoredModulus, crt_combine, gen_prime, jacobi, mod_inv
+from .arith import MAX_MODULUS_BITS, FactoredModulus, crt_combine, gen_prime, jacobi, mod_inv
 from .errors import (
     BadExponentChoice,
     DecryptionFailure,
@@ -182,9 +182,12 @@ def keypair_from_primes(primes, exponents, e=None, mode=Mode.ROBUST):
 def keygen(r, exponents, prime_bits, rng, e=None, mode=Mode.ROBUST):
     """Generate a key over r fresh primes of prime_bits bits each.
 
-    The modulus size is roughly prime_bits * sum(exponents).  Colliding
+    The modulus size is roughly prime_bits * sum(exponents); one above
+    MAX_MODULUS_BITS raises ValueError before any prime is drawn.  Colliding
     primes are regenerated so the factor list stays distinct.
     """
+    if prime_bits * sum(exponents) > MAX_MODULUS_BITS:
+        raise ValueError(f"modulus exceeds {MAX_MODULUS_BITS} bits")
     primes = []
     while len(primes) < r:
         p = gen_prime(prime_bits, rng)
@@ -197,9 +200,9 @@ def validate_message(pk, msg, mode=Mode.ROBUST):
     """Check encryptability and derive the curve coefficient D.
 
     Both coordinates must lie in [0, N): a larger one would decrypt to its
-    residue, not to the message sent.  strict demands Jacobi(mx^2 - 1, N)
-    = -1; robust only demands gcd(mx^2 - 1, N) = 1.  Returns
-    D = (mx^2 - 1)/my^2 mod N.
+    residue, not to the message sent.  Both modes demand
+    gcd(mx^2 - 1, N) = 1; strict also demands Jacobi(mx^2 - 1, N) = -1, so
+    only strict computes a Jacobi symbol.  Returns D = (mx^2 - 1)/my^2 mod N.
     """
     n = pk.n
     mx, my = msg.mx, msg.my
@@ -208,14 +211,10 @@ def validate_message(pk, msg, mode=Mode.ROBUST):
     if math.gcd(mx, n) != 1:
         raise MessageNotEncryptable("mx is not a unit mod N")
     t = (mx * mx - 1) % n
-    if t == 0:
-        raise MessageNotEncryptable("mx^2 - 1 vanishes mod N")
-    j = jacobi(t, n)
-    if mode == Mode.STRICT:
-        if j != -1:
-            raise MessageNotEncryptable("Jacobi(mx^2 - 1, N) != -1")
-    elif j == 0:
-        raise MessageNotEncryptable("mx^2 - 1 shares a factor with N")
+    if math.gcd(t, n) != 1:
+        raise MessageNotEncryptable("mx^2 - 1 is not a unit mod N")
+    if mode == Mode.STRICT and jacobi(t, n) != -1:
+        raise MessageNotEncryptable("Jacobi(mx^2 - 1, N) != -1")
     return t * mod_inv(my * my % n, n) % n
 
 
@@ -264,9 +263,10 @@ def reduced_private_exponents(sk, d_coef):
 
 
 def _curve_mod_n(sk, d_coef):
-    if math.gcd(d_coef, sk.n) != 1:
-        raise DecryptionFailure("curve coefficient shares a factor with N")
-    return PellParams(sk.n, d_coef % sk.n)
+    try:
+        return PellParams(sk.n, d_coef % sk.n)
+    except ValueError as err:
+        raise DecryptionFailure(f"curve coefficient mod N: {err}") from None
 
 
 def decrypt(sk, ct):
@@ -283,9 +283,12 @@ def decrypt(sk, ct):
 def decrypt_point(sk, ct):
     """Recover (mx, my) from an uncompressed ciphertext.
 
-    Per prime the Lucas ladder raises the point mod p to the reduced private
-    exponent, a prime power lifts that root to p^k, and the coordinates
-    recombine by CRT and must be units mod N.
+    The point must lie on the curve mod N.  One with y = 0 mod a prime p is
+    (+-1, 0) mod p, a fixed point of the odd reduced exponent, so no
+    message; it is refused before p's ladder.  Otherwise per prime the Lucas
+    ladder raises the point mod p to the reduced private exponent, a prime
+    power lifts that root to p^k, and the coordinates recombine by CRT and
+    must be units mod N.
     """
     pp_n = _curve_mod_n(sk, ct.d_coef)
     c = HyperbolaPoint(ct.cx % sk.n, ct.cy % sk.n)
@@ -297,12 +300,11 @@ def decrypt_point(sk, ct):
 def _decrypt_on_curve(sk, c, pp_n):
     roots, moduli = [], []
     for i, (p, k, d_i) in enumerate(reduced_private_exponents(sk, pp_n.d)):
+        if c.y % p == 0:
+            raise DecryptionFailure(f"ladder: the ciphertext has y = 0 mod prime {i}")
         pp = PellParams(p, pp_n.d % p)
-        root = point_pow(pp.point(c.x, c.y), d_i, pp)
+        root = point_pow(HyperbolaPoint(c.x % p, c.y % p), d_i, pp)
         if k > 1:
-            if root.y == 0:
-                # (+-1, 0) mod p lifts to a root whose y is no unit: no message
-                raise DecryptionFailure(f"lift: the root has y = 0 mod prime {i}")
             root = _hensel_lift(root, c, pp, p**k, pp_n.d, sk.e, sk.lift_inverses[p])
         roots.append(root)
         moduli.append(p**k)

@@ -158,6 +158,10 @@ def test_gen_prime_distinct_across_seeds():
     assert a != b
 
 
+def test_gen_prime_frozen_example():
+    assert gen_prime(64, random.Random(1)) == 17324573639174612641
+
+
 def test_gen_prime_rejects_tiny_request():
     with pytest.raises(ValueError):
         gen_prime(4, random.Random(0))

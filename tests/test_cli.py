@@ -87,6 +87,7 @@ def test_factor_given_psi(keys, capsys):
         ["bench", "--bits", "512", "--primes", "2"],
         ["keygen", "--bits", "512", "--primes", "2", "--exponents", "1,1", "--mode", "strict"],
         ["factor", "--n", f"{3**10400:x}", "--psi", "4", "--seed", "1"],
+        ["keygen", "--bits", "40000", "--primes", "2", "--exponents", "1,1"],
     ],
 )
 def test_invalid_arguments_exit_1(tmp_path, capsys, argv):

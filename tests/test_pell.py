@@ -298,6 +298,18 @@ def test_point_pow_trivial_and_frozen():
     assert point_pow(pt, 7, PP5) == pt
 
 
+def check_point_pow(pt, k, pp, expected):
+    """point_pow(pt, k) is the expected power, except that for k >= 1 a
+    point whose D*y is no unit raises ImpossibleOperation with that gcd."""
+    g = math.gcd(pp.d * pt.y, pp.modulus)
+    if k and g != 1:
+        with pytest.raises(ImpossibleOperation) as info:
+            point_pow(pt, k, pp)
+        assert info.value.factor == g
+    else:
+        assert point_pow(pt, k, pp) == expected, (pp, pt, k)
+
+
 def test_point_pow_matches_naive():
     rng = random.Random(53)
     for p in (13, 101):
@@ -305,7 +317,11 @@ def test_point_pow_matches_naive():
         pts = enumerate_hyperbola(p, 1, pp.d)
         for _ in range(40):
             pt, k = rng.choice(pts), rng.randrange(0, 40)
-            assert point_pow(pt, k, pp) == naive_point_pow(pt, k, pp)
+            check_point_pow(pt, k, pp, naive_point_pow(pt, k, pp))
+    # (+-1, 0) mod 101 raise for every k >= 1; k = 0 still gives the identity
+    for x in (1, pp.modulus - 1):
+        check_point_pow(HyperbolaPoint(x, 0), 3, pp, None)
+        check_point_pow(HyperbolaPoint(x, 0), 0, pp, pp.identity())
 
 
 def test_pow_morphism():
@@ -450,7 +466,7 @@ def test_point_pow_exhaustive_against_product_oracle(p):
                     # every k in [0, 2 * order] against repeated products
                     acc = pp.identity()
                     for k in range(2 * order + 1):
-                        assert point_pow(pt, k, pp) == acc, (pp, pt, k)
+                        check_point_pow(pt, k, pp, acc)
                         acc = point_mul(acc, pt, pp)
                 else:
                     # the full k range costs minutes at 7^3..13^3: k around
@@ -458,7 +474,7 @@ def test_point_pow_exhaustive_against_product_oracle(p):
                     ks = {0, 1, 2, 3, order - 1, order, order + 1, 2 * order - 1, 2 * order}
                     ks.update(rng.randrange(2 * order + 1) for _ in range(6))
                     for k in ks:
-                        assert point_pow(pt, k, pp) == point_pow_nodiv(pt, k, pp), (pp, pt, k)
+                        check_point_pow(pt, k, pp, point_pow_nodiv(pt, k, pp))
     assert non_unit > 0
 
 
@@ -485,7 +501,7 @@ def test_point_pow_bit_identical_to_product_ladder_at_crypto_sizes(bits, power, 
         pt = point_pow_nodiv(pt, p * p - 1, pp)
         assert math.gcd(pt.y, n) != 1
     k = rng.getrandbits(rng.choice([1, 17, bits, 2 * bits]))
-    assert point_pow(pt, k, pp) == point_pow_nodiv(pt, k, pp)
+    check_point_pow(pt, k, pp, point_pow_nodiv(pt, k, pp))
 
 
 # ---- orders, psi, enumeration ----

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pellrsa import scheme
 from pellrsa.errors import (
     BadExponentChoice,
     DecryptionFailure,
@@ -12,7 +13,7 @@ from pellrsa.errors import (
     MessageNotEncryptable,
     RandomnessExhausted,
 )
-from pellrsa.arith import crt_combine, jacobi
+from pellrsa.arith import MAX_MODULUS_BITS, crt_combine, jacobi
 from pellrsa.keyfmt import dump_private_key, load_private_key
 from pellrsa.pell import (
     INFINITY,
@@ -121,6 +122,28 @@ def test_default_public_exponent_is_coprime_and_at_least_65537():
     assert pub.e * priv.d % exponent_modulus(priv.factors, priv.mode) == 1
 
 
+class NoDraws:
+    """An rng that fails the test if anything is drawn from it."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"rng.{name} consulted")
+
+
+def test_keygen_refuses_oversized_moduli_before_drawing():
+    with pytest.raises(ValueError, match=f"exceeds {MAX_MODULUS_BITS} bits"):
+        keygen(2, [1, 1], 20000, NoDraws())
+    with pytest.raises(ValueError, match=f"exceeds {MAX_MODULUS_BITS} bits"):
+        keygen(2, [3, 1], MAX_MODULUS_BITS // 4 + 1, NoDraws())
+
+
+def test_keygen_frozen_modulus():
+    pub, _ = keygen(2, [1, 1], 256, random.Random(2024))
+    assert pub.n == int(
+        "ea8e014c306d35c13156565014e4360aed18a071ce2ba26e7e3054e5546e8c43"
+        "b32c2ece28548f1a06caa17ef33354b68faf43c9956c87558a9bfa5a8641fa13", 16
+    )
+
+
 def test_keygen_distinct_primes_and_size():
     rng = random.Random(3)
     pub, priv = keygen(3, [1, 1, 1], 24, rng)
@@ -165,6 +188,22 @@ def test_validate_message_rejections():
     for mx, my in [(35, 4), (35 + 3, 4), (3, -1)]:
         with pytest.raises(MessageNotEncryptable):
             validate_message(pub, MessagePair(mx, my))
+
+
+def test_validate_message_computes_a_jacobi_symbol_in_strict_mode_only(monkeypatch):
+    # robust needs only gcd(mx^2 - 1, N) = 1; (3, 4) passes both modes
+    pub, _ = keypair_from_primes([5, 7], [1, 1], e=5)
+    calls = []
+
+    def spy(a, n):
+        calls.append((a, n))
+        return jacobi(a, n)
+
+    monkeypatch.setattr(scheme, "jacobi", spy)
+    assert validate_message(pub, MessagePair(3, 4), Mode.ROBUST) == 18
+    assert calls == []
+    assert validate_message(pub, MessagePair(3, 4), Mode.STRICT) == 18
+    assert calls == [(8, 35)]
 
 
 def test_validate_message_strict_vs_robust():
@@ -434,11 +473,11 @@ def test_decrypt_rejects_malformed_ciphertexts():
 @pytest.mark.parametrize("sign", [1, -1])
 def test_decrypt_point_rejects_points_that_are_no_message(sign, exponents):
     # (+-1, 0) lie on every curve and are their own powers; my = 0 is no unit,
-    # and mod p^3 the lift refuses them, naming the prime
+    # so the first prime's ladder refuses them
     rng = random.Random(15)
     pub, priv = small_keypair(rng, r=len(exponents), bits=32, exponents=exponents)
     d_coef = encrypt(pub, random_message(pub, rng)).d_coef
-    with pytest.raises(DecryptionFailure, match="lift: " if 3 in exponents else "not a unit"):
+    with pytest.raises(DecryptionFailure, match="^ladder: the ciphertext has y = 0 mod prime 0$"):
         decrypt_point(priv, PointCiphertext(sign % pub.n, 0, d_coef))
 
 
@@ -451,9 +490,27 @@ def test_decrypt_rejects_parameter_vanishing_mod_one_prime(exponents, zeroed):
     i = [k for _, k in priv.factors.factors].index(zeroed)
     p, k = priv.factors.factors[i]
     c = crt_combine([0, ct.c], [p**k, pub.n // p**k])
-    expected = f"lift: .* prime {i}$" if k > 1 else "not a unit"
-    with pytest.raises(DecryptionFailure, match=expected):
+    with pytest.raises(DecryptionFailure, match=f"^ladder: .* prime {i}$"):
         decrypt(priv, Ciphertext(c, ct.d_coef))
+
+
+@pytest.mark.parametrize("exponents", [[1, 1, 1], [3, 1]])
+def test_decrypt_point_names_the_one_prime_where_y_vanishes(exponents):
+    # c^(p - (D/p)) is (1, 0) mod p, and mod p^3 y is 0 mod p only; combined
+    # with a valid ciphertext mod the rest, the point is on the curve mod N
+    # and no message, and the ladder of that prime alone refuses it
+    rng = random.Random(21)
+    pub, priv = small_keypair(rng, r=len(exponents), bits=32, exponents=exponents)
+    ct = encrypt_point(pub, random_message(pub, rng))
+    for i, (p, k) in enumerate(priv.factors.factors):
+        q = p**k
+        pp = PellParams(q, ct.d_coef % q)
+        z = point_pow_nodiv(pp.point(ct.cx, ct.cy), p - jacobi(ct.d_coef, p), pp)
+        assert z.y % p == 0 and (z.y != 0) == (k > 1)
+        cx, cy = crt_combine([z, (ct.cx, ct.cy)], [q, pub.n // q])
+        assert PellParams(pub.n, ct.d_coef).on_curve(cx, cy)
+        with pytest.raises(DecryptionFailure, match=f"^ladder: .* y = 0 mod prime {i}$"):
+            decrypt_point(priv, PointCiphertext(cx, cy, ct.d_coef))
 
 
 # ---- the strict-mode gap ----
