@@ -6,16 +6,16 @@ import random
 from .errors import ImpossibleOperation, NonCoprimeModuli, RandomnessExhausted
 
 
-def _sieve(limit):
-    flags = bytearray([1]) * (limit + 1)
-    flags[0] = flags[1] = 0
+def primes_up_to(limit):
+    """The primes p <= limit, ascending, by the sieve of Eratosthenes."""
+    flags = bytearray([0, 0]) + bytearray([1]) * (limit - 1)
     for p in range(2, math.isqrt(limit) + 1):
         if flags[p]:
             flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
     return [p for p, f in enumerate(flags) if f]
 
 
-SMALL_PRIMES = _sieve(1000)
+SMALL_PRIMES = primes_up_to(1000)
 
 # First-12-prime Miller-Rabin bases are a proven deterministic set below 2^64.
 _DETERMINISTIC_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

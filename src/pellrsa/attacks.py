@@ -2,31 +2,31 @@
 impossible-operation probability.
 
 Knowing psi(N) = prod p^(e-1) * (p + 1) is as good as knowing the
-factorization: strip the 2-part of psi, raise a random parameter to the odd
-part, and square repeatedly; the chain collapses to an order-1 or order-2
-element at different times modulo different primes, and a gcd probe (or an
-impossible group operation along the way) exposes a factor.  Each trial
-succeeds with constant probability, so a handful of trials factor N.
+factorization (Williams' p + 1 method): a random point raised to the odd
+part of psi, then squared, reaches order 2 and the identity at different
+steps modulo different primes, so a gcd probe (or a failed decompression)
+exposes a factor.  Each trial succeeds with constant probability.
 """
 
 import math
 from fractions import Fraction
 
-from .arith import MAX_MODULUS_BITS, is_probable_prime, jacobi
+from .arith import MAX_MODULUS_BITS, is_probable_prime, jacobi, primes_up_to
 from .errors import ImpossibleOperation, RandomnessExhausted, TrialBudgetExhausted
-from .pell import INFINITY, PellParams, param_mul, param_pow
+from .pell import PellParams, param_to_point, point_pow
 
 
 def find_factor(n, psi_n, d, rng):
     """One splitting trial given a multiple psi_n of the group exponents.
 
-    d is the ambient curve coefficient for the parameter product.  Returns
-    a nontrivial divisor of n, or 0 for a failed trial (caller retries).
+    d is the Pell coefficient of the curve.  Returns a nontrivial divisor
+    of n, or 0 for a failed trial (caller retries).
 
-    The squaring chain probes gcd(b, n) -- the order-2 parameter is 0 --
-    and gcd(b + 1, n); an impossible operation inside the chain already
-    carries a factor and is harvested directly.  Raises ValueError for
-    psi_n < 1: a zero psi_n never loses its 2-part.
+    With psi_n = 2^h t, t odd, point_pow raises the point decompressed from
+    a random parameter to t; x <- 2x^2 - 1 then squares it h times, probing
+    gcd(x - 1, n) (identity) and gcd(x + 1, n) (order 2) modulo some prime
+    before each step, until x = 1.  Only the ladder inverts, twice, and a
+    failed inversion's factor is returned.  Raises ValueError for psi_n < 1.
     """
     if psi_n < 1:
         raise ValueError("psi_n must be >= 1")
@@ -40,17 +40,16 @@ def find_factor(n, psi_n, d, rng):
         return g
     pp = PellParams(n, d % n)
     try:
-        b = param_pow(a, t, pp)
-        for _ in range(h):
-            if b is INFINITY:
-                break
-            for g in (math.gcd(b, n), math.gcd(b + 1, n)):
-                if 1 < g < n:
-                    return g
-            b = param_mul(b, b, pp)
+        x = point_pow(param_to_point(a, pp), t, pp).x
     except ImpossibleOperation as err:
-        if 1 < err.factor < n:
-            return err.factor
+        return err.factor if 1 < err.factor < n else 0
+    for _ in range(h):
+        if x == 1:
+            break
+        for g in (math.gcd(x - 1, n), math.gcd(x + 1, n)):
+            if 1 < g < n:
+                return g
+        x = (2 * x * x - 1) % n
     return 0
 
 
@@ -76,8 +75,8 @@ def _iroot(n, k):
 
 
 def _perfect_power(n):
-    """Largest k with n = root**k, as (root, k); (n, 1) if none."""
-    for k in range(n.bit_length(), 1, -1):
+    """A prime k with n = root**k, as (root, k); (n, 1) if none."""
+    for k in primes_up_to(n.bit_length()):
         root = _iroot(n, k)
         if root**k == n:
             return root, k

@@ -13,8 +13,9 @@ sharing a factor with the modulus aborts the operation and leaks that factor
 (ImpossibleOperation).  Point powers run a Lucas x-only ladder with one
 final inversion (point_pow), which raises ImpossibleOperation when D y is not
 a unit, or the total, division-free square-and-multiply (point_pow_nodiv),
-whose result encryption compresses once.  Redei pairs give the paper's
-parameter power with one division at the end (redei_pow).
+whose result encryption compresses once.  param_mul, param_pow and the
+Redei-pair power redei_pow (one division at the end) have no library caller:
+they serve the tests of the paper's definitions and the benchmark's traces.
 """
 
 from dataclasses import dataclass

@@ -3,16 +3,21 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pellrsa.arith import MAX_MODULUS_BITS, FactoredModulus, gen_prime, is_probable_prime
+from pellrsa import attacks, pell
+from pellrsa.arith import MAX_MODULUS_BITS, FactoredModulus, gen_prime, is_probable_prime, mod_inv
 from pellrsa.attacks import (
     _draw_non_residue,
+    _iroot,
+    _perfect_power,
     find_factor,
     full_factorization,
     impossible_op_probability,
 )
 from pellrsa.errors import TrialBudgetExhausted
-from pellrsa.pell import psi
+from pellrsa.pell import point_pow, psi
 
 
 class FixedRng:
@@ -72,9 +77,48 @@ def test_find_factor_odd_psi_degenerates():
 
 
 def test_find_factor_harvests_impossible_operations():
-    # at a toy modulus the power chain itself trips a zero divisor and the
-    # leaked factor is returned even though the probe loop is degenerate
-    assert find_factor(35, 49, 17, FixedRng([2])) in (5, 7)
+    # D = 2 has Jacobi symbol -1 mod 35 but is a residue mod 7, and a = 3
+    # gives a^2 - D = 7: decompressing the parameter leaks 7 although the
+    # probe loop is degenerate
+    assert find_factor(35, 49, 2, FixedRng([3])) == 7
+
+
+@pytest.mark.parametrize("a", [2, 4])
+def test_find_factor_probes_order_two_and_identity(a):
+    # D = 2 is a residue mod 1009, so psi_n = lcm(1010, 1014) = 2t leaves that
+    # prime's point at large order; mod 1013 the point raised to t has x = -1
+    # for a = 2, which only gcd(x + 1, n) sees, and x = 1 for a = 4, which
+    # only gcd(x - 1, n) sees
+    assert find_factor(1009 * 1013, math.lcm(1010, 1014), 2, FixedRng([a])) == 1013
+
+
+def test_find_factor_runs_one_ladder_and_two_inversions(monkeypatch):
+    # a trial is one decryption ladder to the odd part of psi, with the
+    # decompression's and the ladder's inversions, and no parameter product
+    rng = random.Random(11)
+    fm = FactoredModulus((gen_prime(176, rng), 1) for _ in range(3))
+    n, psi_n = fm.value, psi(fm)
+    assert n.bit_length() >= 512
+    powers, inversions, products = [], [], []
+
+    def spy_point_pow(p, k, pp):
+        powers.append(k)
+        return point_pow(p, k, pp)
+
+    def spy_mod_inv(a, m):
+        inversions.append(m)
+        return mod_inv(a, m)
+
+    monkeypatch.setattr(attacks, "point_pow", spy_point_pow)
+    for module in (pell, attacks):
+        monkeypatch.setattr(module, "mod_inv", spy_mod_inv, raising=False)
+        for name in ("param_pow", "param_mul", "redei_pow"):
+            monkeypatch.setattr(module, name, lambda *a, name=name: products.append(name), raising=False)
+    f = find_factor(n, psi_n, _draw_non_residue(n, rng), rng)
+    assert 1 < f < n and n % f == 0
+    assert powers == [psi_n // (psi_n & -psi_n)]
+    assert len(inversions) <= 2
+    assert products == []
 
 
 def test_find_factor_returns_proper_divisors():
@@ -95,6 +139,37 @@ def test_find_factor_success_rate_on_32_bit_primes():
     factors = [f for f in found if f]
     assert len(factors) >= 0.25 * 200
     assert all(n % f == 0 and 1 < f < n for f in factors)
+
+
+# ---- perfect powers ----
+
+@pytest.mark.parametrize("n", [3**5, 45**6, 15**18, 3**1009])
+def test_perfect_power_returns_a_prime_exponent(n):
+    # 3^1009 needs a prime exponent above the trial-division primes
+    root, k = _perfect_power(n)
+    assert is_probable_prime(k) and root**k == n
+
+
+def test_perfect_power_scan_tries_prime_exponents_only(monkeypatch):
+    rng = random.Random(14)
+    n = gen_prime(512, rng) * gen_prime(512, rng)
+    assert n.bit_length() == 1024
+    roots = []
+
+    def spy_iroot(m, k):
+        roots.append(k)
+        return _iroot(m, k)
+
+    monkeypatch.setattr(attacks, "_iroot", spy_iroot)
+    assert _perfect_power(n) == (n, 1)
+    assert len(roots) <= 172  # pi(1024)
+    assert all(is_probable_prime(k) for k in roots)
+
+
+def test_full_factorization_peels_nested_powers():
+    # 15^18 comes back as (15^9)^2; each root is examined again
+    fm = FactoredModulus([(3, 18), (5, 18), (7, 1)])
+    assert full_factorization(fm.value, psi(fm), random.Random(12)) == list(fm.factors)
 
 
 # ---- full factorization ----
@@ -154,6 +229,35 @@ def test_full_factorization_random_moduli_remultiply():
         assert result == list(fm.factors)
         assert math.prod(p**e for p, e in result) == fm.value
         assert all(is_probable_prime(p) for p, _ in result)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shape=st.lists(st.tuples(st.sampled_from([1, 2, 3]), st.integers(16, 40)), min_size=1, max_size=4),
+    seed=st.integers(0, 2**64),
+)
+def test_full_factorization_property(shape, seed):
+    # every shape with r = 1..4 and exponents 1..3 factors exactly, and each
+    # splitting trial returns 0 or a proper divisor of its cofactor
+    rng = random.Random(seed)
+    primes = []
+    for _, bits in shape:
+        p = gen_prime(bits, rng)
+        while p in primes:
+            p = gen_prime(bits, rng)
+        primes.append(p)
+    fm = FactoredModulus(zip(primes, (e for e, _ in shape)))
+    trials = []
+
+    def spy_find_factor(m, psi_n, d, rng):
+        f = find_factor(m, psi_n, d, rng)
+        trials.append((m, f))
+        return f
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(attacks, "find_factor", spy_find_factor)
+        assert full_factorization(fm.value, psi(fm), rng) == list(fm.factors)
+    assert all(f == 0 or (1 < f < m and m % f == 0) for m, f in trials)
 
 
 def test_psi_of_recovered_factorization_matches():
