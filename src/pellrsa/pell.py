@@ -10,9 +10,9 @@ Two views of the same cyclic structure are implemented:
 
 Over a composite modulus the parameter product is only partial: a denominator
 sharing a factor with the modulus aborts the operation and leaks that factor
-(ImpossibleOperation).  Point powers run a Lucas x-only ladder with one
-final inversion (point_pow), which raises ImpossibleOperation when D y is not
-a unit, or the total, division-free square-and-multiply (point_pow_nodiv),
+(ImpossibleOperation).  Point powers run a Lucas ladder on 2x with one final
+inversion (point_pow), which raises ImpossibleOperation when D y is not a
+unit, or the total, division-free square-and-multiply (point_pow_nodiv),
 whose result encryption compresses once.  param_mul, param_pow and the
 Redei-pair power redei_pow (one division at the end) have no library caller:
 they serve the tests of the paper's definitions and the benchmark's traces.
@@ -90,31 +90,33 @@ class PellParams:
 
 
 def point_pow(p, k, pp):
-    """k-th power of an on-curve point by the Lucas x-only ladder.
+    """k-th power of an on-curve point by the Lucas ladder on V_k = 2 x_k.
 
-    On a norm-1 point x_k = V_k(2x)/2, so x_{m+n} = 2 x_m x_n - x_{m-n} and a
-    Montgomery ladder over (x_k, x_{k+1}) costs two multiplications per
-    exponent bit (ladder_cost).  y_k comes back from one inversion at the
-    end: y_k = (x_{k+1} - x x_k)/(D y).  For k >= 1 that inversion raises
-    ImpossibleOperation when D y is not a unit mod the modulus (the points
-    (+-1, 0), or y = 0 mod a prime of a prime power); point_pow_nodiv is the
-    total power.  Inputs off the curve give undefined results; use
-    PellParams.point to validate.
+    V_{2k} = V_k^2 - 2 and V_{2k+1} = V_k V_{k+1} - V_1, so a Montgomery
+    ladder over (V_k, V_{k+1}) costs two multiplications per exponent bit
+    (ladder_cost).  Mod 2n every V_k is 2 x_k plus a multiple of 2n, so the
+    residues a = 2 x_k and b = 2 x_{k+1} are exact and a shift halves them,
+    for even n too; y_k = (x_{k+1} - x x_k)/(D y) = ((b - x a) >> 1)/(D y)
+    takes one inversion.  For k >= 1 it raises ImpossibleOperation when
+    D y is not a unit mod the modulus (the points (+-1, 0), or y = 0 mod a
+    prime of a prime power); point_pow_nodiv is the total power.  Inputs
+    off the curve give undefined results; use PellParams.point to validate.
     """
     if k < 0:
         raise ValueError("exponent must be >= 0")
     if k == 0:
         return pp.identity()
-    n = pp.modulus
+    n, m = pp.modulus, 2 * pp.modulus
     x, y = p.x % n, p.y % n
     dy_inv = mod_inv(pp.d * y, n)
-    a, b = x, (2 * x * x - 1) % n
+    v = 2 * x
+    a, b = v, (v * v - 2) % m
     for bit in bin(k)[3:]:
         if bit == "1":
-            a, b = (2 * a * b - x) % n, (2 * b * b - 1) % n
+            a, b = (a * b - v) % m, (b * b - 2) % m
         else:
-            a, b = (2 * a * a - 1) % n, (2 * a * b - x) % n
-    return HyperbolaPoint(a, (b - x * a) * dy_inv % n)
+            a, b = (a * a - 2) % m, (a * b - v) % m
+    return HyperbolaPoint(a >> 1, ((b - x * a) >> 1) * dy_inv % n)
 
 
 def point_pow_nodiv(p, k, pp):
@@ -145,7 +147,7 @@ def point_pow_nodiv(p, k, pp):
 def ladder_cost(k):
     """Modular multiplications of point_pow's ladder for an exponent k >= 1.
 
-    One for x_2 = 2x^2 - 1, then two per exponent bit after the leading one.
+    One for V_2 = V_1^2 - 2, then two per exponent bit after the leading one.
     Recovering y adds three multiplications and one inversion.
     """
     return 2 * (k.bit_length() - 1) + 1

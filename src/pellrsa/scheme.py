@@ -11,13 +11,13 @@ order is p + 1 or p - 1 depending on whether D is a non-residue or a
 residue mod p, so the private exponent shrinks to the size of one prime
 per factor, and the results recombine by CRT.  That exponent reduction is
 where the speedup over two-prime moduli comes from.  A compressed
-ciphertext decompresses to its point once mod N and then decrypts as a
-point ciphertext.  Each per-prime power is a Lucas ladder on the curve mod
-p (pell.point_pow): two multiplications per exponent bit and one
-inversion.  A prime power p^k (k > 1) runs the same ladder mod p and then
-lifts the root to p^k by ceil(log2 k) Newton steps (Takagi's p^k q
-decryption), each one power to the short public exponent e, so no ladder
-runs wider than a prime.
+ciphertext decompresses to its point mod each prime power p^k, never mod
+N, and then decrypts as a point ciphertext.  Each per-prime power is a
+Lucas ladder on the curve mod p (pell.point_pow): two multiplications per
+exponent bit and one inversion.  A prime power p^k (k > 1) runs the same
+ladder mod p and then lifts the root to p^k by ceil(log3 k) cubic Newton
+steps (Takagi's p^k q decryption), each one power to the short public
+exponent e, so no ladder runs wider than a prime.
 
 The paper counts one multiplication per exponent bit on both sides and
 predicts a speedup of r^2/2 over two-prime CRT-RSA; counting the ladder's
@@ -270,14 +270,16 @@ def _curve_mod_n(sk, d_coef):
 
 
 def decrypt(sk, ct):
-    """Recover (mx, my) from a compressed ciphertext via its point mod N."""
+    """Recover (mx, my) from c decompressed onto the curve mod each p^k (not
+    mod N); c^2 - D no unit mod p^k raises DecryptionFailure naming p."""
     pp_n = _curve_mod_n(sk, ct.d_coef)
-    try:
-        # a decompressed parameter lies on the curve by construction
-        c = param_to_point(ct.c, pp_n)
-    except ImpossibleOperation as err:
-        raise DecryptionFailure(f"ciphertext parameter does not decompress: {err}") from err
-    return _decrypt_on_curve(sk, c, pp_n)
+    points = []
+    for i, (p, k) in enumerate(sk.factors.factors):
+        try:
+            points.append(param_to_point(ct.c, PellParams(p**k, pp_n.d % p**k)))
+        except ImpossibleOperation:
+            raise DecryptionFailure(f"decompression: c^2 - D is no unit mod prime {i}") from None
+    return _decrypt_on_curve(sk, points, pp_n)
 
 
 def decrypt_point(sk, ct):
@@ -294,12 +296,13 @@ def decrypt_point(sk, ct):
     c = HyperbolaPoint(ct.cx % sk.n, ct.cy % sk.n)
     if not pp_n.on_curve(*c):
         raise DecryptionFailure("ciphertext point is not on the curve")
-    return _decrypt_on_curve(sk, c, pp_n)
+    points = [HyperbolaPoint(c.x % p**k, c.y % p**k) for p, k in sk.factors.factors]
+    return _decrypt_on_curve(sk, points, pp_n)
 
 
-def _decrypt_on_curve(sk, c, pp_n):
+def _decrypt_on_curve(sk, points, pp_n):
     roots, moduli = [], []
-    for i, (p, k, d_i) in enumerate(reduced_private_exponents(sk, pp_n.d)):
+    for i, (c, (p, k, d_i)) in enumerate(zip(points, reduced_private_exponents(sk, pp_n.d))):
         if c.y % p == 0:
             raise DecryptionFailure(f"ladder: the ciphertext has y = 0 mod prime {i}")
         pp = PellParams(p, pp_n.d % p)
@@ -319,23 +322,27 @@ def _decrypt_on_curve(sk, c, pp_n):
 def _hensel_lift(m, c, pp, top, d_coef, e, e_inv):
     """Lift the e-th root m of c mod pp.modulus to the e-th root mod top.
 
-    Each Newton step goes from a modulus u to q = min(u^2, top).  m's
-    coordinates have norm 1 + U mod q with u | U, so scaling both by
-    1 - U/2 puts m' on the curve mod q, still equal to m mod u.  Then
-    E = c * conj(m'^e) is (1, y_E) with u | y_E; such points form the
-    kernel of reduction mod u, where (1, u b)(1, u b') = (1, u (b + b')),
-    so the root mod q is m' * (1, y_E / e).  No step divides; e_inv is
-    e^-1 mod top.
+    Each Newton step goes from a modulus u to q = min(u^3, top), so p^k
+    takes ceil(log3 k) steps.  m's norm is 1 + U mod q with u | U, so
+    U^3 = 0 mod q and scaling m by s = 1 - U/2 + 3U^2/8, the series of
+    (1 + U)^(-1/2), puts m' on the curve mod q, still m mod u.  Then
+    E = c * conj(m'^e) has u | y_E: it lies in the kernel of reduction mod
+    u, where x = 1 + D y^2/2 mod u^3 and a product's y-coordinate
+    y + y' + D y y' (y + y')/2 loses its cubic term, so y-coordinates add
+    and the root mod q is m' * (1 + D t^2/2, t) with t = y_E / e.  No step
+    divides; e_inv is e^-1 mod top.
     """
     while pp.modulus < top:
-        q = min(pp.modulus**2, top)
-        pp = PellParams(q, d_coef % q)
+        q = min(pp.modulus**3, top)
+        pp, half = PellParams(q, d_coef % q), (q + 1) // 2
         x, y = m
-        s = 1 - (x * x - pp.d * y * y - 1) * ((q + 1) // 2)
+        h = (x * x - pp.d * y * y - 1) * half % q  # U/2
+        s = (1 - h + 3 * h * h * half) % q
         x, y = s * x % q, s * y % q
         ex, ey = point_pow_nodiv(HyperbolaPoint(x, y), e, pp)
         t = (c.y * ex - c.x * ey) * e_inv % q
-        m = HyperbolaPoint((x + pp.d * y * t) % q, (y + x * t) % q)
+        w = (1 + pp.d * t * t * half) % q
+        m = HyperbolaPoint((x * w + pp.d * y * t) % q, (y * w + x * t) % q)
     return m
 
 

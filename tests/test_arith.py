@@ -1,7 +1,10 @@
+import functools
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pellrsa.arith import (
     FactoredModulus,
@@ -103,6 +106,60 @@ def test_jacobi_multiplicative_in_top_argument():
             continue
         a, b = rng.randrange(0, n), rng.randrange(0, n)
         assert jacobi(a * b, n) == jacobi(a, n) * jacobi(b, n)
+
+
+@functools.lru_cache(maxsize=None)
+def prime_in_class(bits, residue):
+    """The first probable prime = residue mod 8 above a seeded `bits`-bit start."""
+    p = random.Random(bits).getrandbits(bits) | 1 << bits - 1
+    p += 8 + residue - p % 8
+    while not is_probable_prime(p):
+        p += 8
+    return p
+
+
+def euler_criterion(a, p):
+    """Legendre symbol (a/p) as a^((p - 1)/2) mod p, in {-1, 0, 1}."""
+    r = pow(a, (p - 1) // 2, p)
+    return -1 if r == p - 1 else r
+
+
+# (2/p) = 1 for p = 1, 7 mod 8 and -1 for p = 3, 5 mod 8; p = 3 mod 4 for 3, 7
+RESIDUES_MOD_8 = [1, 3, 5, 7]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    bits=st.sampled_from([512, 683, 1024]),
+    residue=st.sampled_from(RESIDUES_MOD_8),
+    parity=st.integers(0, 1),
+    data=st.data(),
+)
+def test_jacobi_matches_euler_criterion_at_crypto_sizes(bits, residue, parity, data):
+    # a = 2^j u with u odd and a < p, so the first strip removes all j twos
+    p = prime_in_class(bits, residue)
+    j = 2 * data.draw(st.integers(0, (bits - 2 - parity) // 2)) + parity
+    u = 2 * data.draw(st.integers(0, 2 ** (bits - 2 - j) - 1)) + 1
+    a = u << j
+    assert a < p
+    assert jacobi(a, p) == euler_criterion(a, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2**1023, 2**1024 - 1).map(lambda n: n | 1),
+    a=st.integers(0, 2**1024),
+    b=st.integers(0, 2**1024),
+    twos=st.tuples(st.integers(0, 1100), st.integers(0, 1100)),
+    residues=st.tuples(st.sampled_from(RESIDUES_MOD_8), st.sampled_from(RESIDUES_MOD_8)),
+)
+def test_jacobi_multiplicative_at_crypto_sizes(n, a, b, twos, residues):
+    a, b = a << twos[0], b << twos[1]
+    assert jacobi(a * b, n) == jacobi(a, n) * jacobi(b, n)
+    # a 1024-bit product of two known primes: the product of Euler's criteria
+    p, q = (prime_in_class(512, r) for r in residues)
+    if p != q:
+        assert jacobi(a, p * q) == euler_criterion(a, p) * euler_criterion(a, q)
 
 
 # ---- crt_combine ----

@@ -107,10 +107,10 @@ def qnr_mod(p, rng):
 class Tallied(int):
     """Residue that counts every product it takes part in, doublings excepted.
 
-    Sums, differences, products and reductions of a Tallied stay Tallied, so
-    the count follows the residues through a whole ladder.  A product with
-    the literal 2 is an addition in disguise and is not counted; a product
-    with the inverse or with D is.
+    Sums, differences, products, reductions and shifts of a Tallied stay
+    Tallied, so the count follows the residues through a whole ladder.  A
+    product with the literal 2 is an addition in disguise and a shift is no
+    product, so neither is counted; a product with the inverse or with D is.
     """
 
     products = 0
@@ -127,6 +127,12 @@ class Tallied(int):
 
     def __sub__(self, other):
         return Tallied(int(self) - int(other))
+
+    def __rsub__(self, other):
+        return Tallied(int(other) - int(self))
+
+    def __rshift__(self, other):
+        return Tallied(int(self) >> int(other))
 
     def __mod__(self, other):
         return Tallied(int(self) % int(other))
@@ -420,10 +426,11 @@ def test_ladder_multiplication_counts_are_exact(monkeypatch):
         assert len(param_muls) == squarings + multiplies
 
 
-@pytest.mark.parametrize("exponents", [[3, 1], [1, 1, 3]])
+@pytest.mark.parametrize("exponents", [[3, 1], [1, 1, 3], [5, 1], [9, 1]])
 def test_decryption_ladders_run_mod_each_prime_and_lifts_count_log_k(monkeypatch, exponents):
     # one ladder per prime, mod the bare prime with an exponent below p + 1;
-    # then ceil(log2 k) lift powers to e, mod p^2 and p^3 for k = 3
+    # then ceil(log3 k) cubic lift powers to e: p^3 for k = 3, p^3 and p^5
+    # for k = 5, p^3 and p^9 for k = 9
     rng = random.Random(83)
     pub, priv = scheme.keygen(len(exponents), exponents, 32, rng)
     msg = scheme.random_message(pub, rng)
@@ -439,9 +446,11 @@ def test_decryption_ladders_run_mod_each_prime_and_lifts_count_log_k(monkeypatch
     primes = [p for p, _ in priv.factors.factors]
     assert [m for _, m in calls["point_pow"]] == primes
     assert all(k < m + 1 for k, m in calls["point_pow"])
-    lifts = [(pub.e, p**j) for p, k in priv.factors.factors if k > 1 for j in (2, 3)]
+    schedule = {1: [], 3: [3], 5: [3, 5], 9: [3, 9]}
+    lifts = [(pub.e, p**j) for p, k in priv.factors.factors for j in schedule[k]]
     assert calls["point_pow_nodiv"] == lifts
-    assert len(lifts) == sum((k - 1).bit_length() for _, k in priv.factors.factors)
+    # one step per power of 3: the least j with 3^j >= k
+    assert len(lifts) == sum(min(j for j in range(k) if 3**j >= k) for _, k in priv.factors.factors)
 
 
 # ---- the Lucas ladder against the product ladder ----
@@ -476,6 +485,43 @@ def test_point_pow_exhaustive_against_product_oracle(p):
                     for k in ks:
                         check_point_pow(pt, k, pp, point_pow_nodiv(pt, k, pp))
     assert non_unit > 0
+
+
+EVEN_MODULI = list(range(4, 64, 2)) + [98, 128, 250, 338, 390]
+
+
+@pytest.mark.parametrize("n", EVEN_MODULI)
+def test_point_pow_is_total_on_even_moduli(n):
+    # the ladder runs mod 2n and halves by a shift; halving mod n by
+    # (n + 1)/2, which inverts 2 only for odd n, returns wrong points here
+    # some D leave no point with D y a unit (mod 8 that needs D = 3 or 7 mod
+    # 8), so the first D in a seeded order that has one is taken
+    table = _square_table(n)
+    units = [d for d in range(1, n) if math.gcd(d, n) == 1]
+    random.Random(n).shuffle(units)
+    for d in units:
+        pts = [
+            HyperbolaPoint(x, y)
+            for y in range(n)
+            if math.gcd(d * y, n) == 1
+            for x in table.get((1 + d * y * y) % n, ())
+        ]
+        if pts:
+            break
+    assert pts
+    pp = PellParams(n, d)
+    for pt in pts:
+        for k in range(200):
+            assert point_pow(pt, k, pp) == point_pow_nodiv(pt, k, pp), (pp, pt, k)
+
+
+def test_point_pow_frozen_even_modulus():
+    # (2, 1) on x^2 - 3 y^2 = 1 mod 10: squared, (2 * 4 - 1, 2 * 2 * 1) = (7, 4)
+    pp = PellParams(10, 3)
+    pt = pp.point(2, 1)
+    assert point_pow(pt, 2, pp) == HyperbolaPoint(7, 4)
+    for k in range(200):
+        assert point_pow(pt, k, pp) == point_pow_nodiv(pt, k, pp)
 
 
 @functools.lru_cache(maxsize=None)

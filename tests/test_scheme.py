@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pellrsa import scheme
+from pellrsa import arith, pell, scheme
 from pellrsa.errors import (
     BadExponentChoice,
     DecryptionFailure,
@@ -13,7 +13,7 @@ from pellrsa.errors import (
     MessageNotEncryptable,
     RandomnessExhausted,
 )
-from pellrsa.arith import MAX_MODULUS_BITS, crt_combine, jacobi
+from pellrsa.arith import MAX_MODULUS_BITS, crt_combine, gen_prime, jacobi, mod_inv
 from pellrsa.keyfmt import dump_private_key, load_private_key
 from pellrsa.pell import (
     INFINITY,
@@ -270,7 +270,7 @@ def test_round_trip_property(exponents, bits, mode, point, seed):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    exponents=st.sampled_from([[3, 1], [1, 1, 3], [5, 1], [3, 3], [1, 5, 3]]),
+    exponents=st.sampled_from([[3, 1], [1, 1, 3], [5, 1], [3, 3], [1, 5, 3], [9, 1]]),
     bits=st.integers(24, 48),
     mode=st.sampled_from(list(Mode)),
     point=st.booleans(),
@@ -511,6 +511,99 @@ def test_decrypt_point_names_the_one_prime_where_y_vanishes(exponents):
         assert PellParams(pub.n, ct.d_coef).on_curve(cx, cy)
         with pytest.raises(DecryptionFailure, match=f"^ladder: .* y = 0 mod prime {i}$"):
             decrypt_point(priv, PointCiphertext(cx, cy, ct.d_coef))
+
+
+@pytest.mark.parametrize("exponents", [[1, 1, 1], [3, 1]])
+def test_decryption_inverts_at_prime_power_width(monkeypatch, exponents):
+    # decompression, the ladders' y recovery and CRT all invert mod a p^k
+    # or below, never mod N
+    rng = random.Random(22)
+    pub, priv = small_keypair(rng, r=len(exponents), bits=32, exponents=exponents)
+    msgs = [random_message(pub, rng) for _ in range(5)]
+    cts = [(decrypt, encrypt(pub, m)) for m in msgs]
+    cts += [(decrypt_point, encrypt_point(pub, m)) for m in msgs]
+    moduli = []
+
+    def spy(a, n):
+        moduli.append(n)
+        return mod_inv(a, n)
+
+    for module in (pell, scheme, arith):
+        monkeypatch.setattr(module, "mod_inv", spy)
+    for (dec, ct), msg in zip(cts, msgs + msgs):
+        assert dec(priv, ct) == msg
+    assert moduli and max(moduli) <= max(p**k for p, k in priv.factors.factors)
+
+
+@pytest.mark.parametrize("exponents", [[1, 1, 1], [3, 1]])
+def test_decrypt_names_the_prime_where_the_parameter_does_not_decompress(exponents):
+    # for p = 3 mod 4 and D a residue mod p, s = D^((p + 1)/4) has s^2 = D
+    # mod p; c = s mod p^k and a valid ciphertext mod the rest makes
+    # c^2 - D no unit mod that prime power alone
+    rng = random.Random(23)
+    primes = set()
+    while len(primes) < len(exponents):
+        p = gen_prime(32, rng)
+        if p % 4 == 3:
+            primes.add(p)
+    pub, priv = keypair_from_primes(sorted(primes), exponents)
+    tested = set()
+    for _ in range(40):
+        ct = encrypt(pub, random_message(pub, rng))
+        for i, (p, k) in enumerate(priv.factors.factors):
+            if jacobi(ct.d_coef, p) != 1:
+                continue
+            s = pow(ct.d_coef, (p + 1) // 4, p)
+            assert (s * s - ct.d_coef) % p == 0
+            c = crt_combine([s, ct.c], [p**k, pub.n // p**k])
+            with pytest.raises(DecryptionFailure, match=f"prime {i}$"):
+                decrypt(priv, Ciphertext(c, ct.d_coef))
+            tested.add(i)
+    assert tested == set(range(len(exponents)))
+
+
+def hostile_integers(n, primes):
+    """0, +-1, N and its neighbours, multiples of one prime, negatives,
+    values above N and integers of any size."""
+    return st.one_of(
+        st.sampled_from([0, 1, -1, n, -n, n - 1, n + 1, 2 * n]),
+        st.builds(lambda p, m: p * m, st.sampled_from(primes), st.integers(-2 * n, 2 * n)),
+        st.integers(-3 * n, 3 * n),
+        st.integers(),
+    )
+
+
+def preimage_or_failure(dec, enc, pub, priv, ct, expected):
+    """dec(priv, ct) raises DecryptionFailure or returns a message that enc
+    maps back to the ciphertext reduced mod N."""
+    try:
+        msg = dec(priv, ct)
+    except DecryptionFailure:
+        return
+    assert enc(pub, msg) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    exponents=st.sampled_from([[1, 1], [1, 1, 1], [3, 1]]),
+    bits=st.integers(16, 32),
+    seed=st.integers(0, 2**64),
+    data=st.data(),
+)
+def test_decryption_of_arbitrary_integers_round_trips_or_fails(exponents, bits, seed, data):
+    # no other outcome, and never another exception; a point ciphertext gets
+    # the coefficient that puts it on the curve when its cy is a unit
+    pub, priv = small_keypair(random.Random(seed), r=len(exponents), bits=bits, exponents=exponents)
+    n = pub.n
+    ints = hostile_integers(n, [p for p, _ in priv.factors.factors])
+    for _ in range(10):
+        c, d = data.draw(ints), data.draw(ints)
+        preimage_or_failure(decrypt, encrypt, pub, priv, Ciphertext(c, d), Ciphertext(c % n, d % n))
+        cx, cy, d = data.draw(ints), data.draw(ints), data.draw(ints)
+        if math.gcd(cy, n) == 1 and data.draw(st.booleans()):
+            d += (cx * cx - 1) * pow(cy, -2, n) - d % n
+        ct, expected = PointCiphertext(cx, cy, d), PointCiphertext(cx % n, cy % n, d % n)
+        preimage_or_failure(decrypt_point, encrypt_point, pub, priv, ct, expected)
 
 
 # ---- the strict-mode gap ----
