@@ -3,11 +3,12 @@
 Messages are pairs of residues on x^2 - D y^2 = 1 mod N; encryption powers
 the message point on the curve, optionally compressed to its parameter (a
 Redei rational function value), and decryption decompresses mod each prime
-power, reduces the private exponent per prime, runs a Lucas ladder on 2x
-mod each prime, lifts the root of a prime-power factor p^k from p to p^k by
-cubic Newton steps, and recombines by CRT, which is what makes it fast.  The
-package also ships the matching cryptanalysis (factoring N from the group's
-totient analog).  Import from the module that holds each part:
+power, reduces the private exponent per prime, runs an x-only Lucas ladder
+mod each prime, checks the root by its power to e, which gives its y, lifts
+a prime-power factor's root to p^k by cubic Newton steps, and recombines by
+CRT, which is what makes it fast.  The package also ships the matching
+cryptanalysis (factoring N from the group's totient analog).  Import from
+the module that holds each part:
 
 * ``scheme``: keys, keygen, message validation, encryption, decryption;
 * ``pell``: curve and parameter group laws, point and Redei powers, psi;

@@ -4,45 +4,33 @@ impossible-operation probability.
 Knowing psi(N) = prod p^(e-1) * (p + 1) is as good as knowing the
 factorization (Williams' p + 1 method): a random point raised to the odd
 part of psi, then squared, reaches order 2 and the identity at different
-steps modulo different primes, so a gcd probe (or a failed decompression)
-exposes a factor.  Each trial succeeds with constant probability.
+steps modulo different primes, so a gcd probe exposes a factor.  Only x
+takes part: the point is (x, 1) on the curve with D = x^2 - 1, raised by the
+x-only decryption ladder.  Each trial succeeds with constant probability.
 """
 
 import math
 from fractions import Fraction
 
 from .arith import MAX_MODULUS_BITS, is_probable_prime, jacobi, primes_up_to
-from .errors import ImpossibleOperation, RandomnessExhausted, TrialBudgetExhausted
-from .pell import PellParams, param_to_point, point_pow
+from .errors import RandomnessExhausted, TrialBudgetExhausted
+from .pell import PellParams, point_pow
 
 
-def find_factor(n, psi_n, d, rng):
-    """One splitting trial given a multiple psi_n of the group exponents.
+def find_factor(n, psi_n, x):
+    """One splitting trial from the point (x, 1), given a multiple psi_n of
+    the group exponents: a nontrivial divisor of n, or 0 (retry another x).
 
-    d is the Pell coefficient of the curve.  Returns a nontrivial divisor
-    of n, or 0 for a failed trial (caller retries).
-
-    With psi_n = 2^h t, t odd, point_pow raises the point decompressed from
-    a random parameter to t; x <- 2x^2 - 1 then squares it h times, probing
-    gcd(x - 1, n) (identity) and gcd(x + 1, n) (order 2) modulo some prime
-    before each step, until x = 1.  Only the ladder inverts, twice, and a
-    failed inversion's factor is returned.  Raises ValueError for psi_n < 1.
+    With psi_n = 2^h t, t odd, point_pow raises x to t; x <- 2x^2 - 1 then
+    squares it h times, probing gcd(x - 1, n) (identity) and gcd(x + 1, n)
+    (order 2) modulo some prime before each step, until x = 1.  Nothing
+    divides.  Raises ValueError for psi_n < 1 or x^2 - 1 no unit mod n.
     """
     if psi_n < 1:
         raise ValueError("psi_n must be >= 1")
-    h, t = 0, psi_n
-    while t % 2 == 0:
-        h += 1
-        t //= 2
-    a = rng.randrange(1, n)
-    g = math.gcd(a, n)
-    if g != 1:
-        return g
-    pp = PellParams(n, d % n)
-    try:
-        x = point_pow(param_to_point(a, pp), t, pp).x
-    except ImpossibleOperation as err:
-        return err.factor if 1 < err.factor < n else 0
+    h = (psi_n & -psi_n).bit_length() - 1
+    t = psi_n >> h
+    x = point_pow(x, t, PellParams(n, (x * x - 1) % n))
     for _ in range(h):
         if x == 1:
             break
@@ -54,12 +42,13 @@ def find_factor(n, psi_n, d, rng):
 
 
 def _draw_non_residue(n, rng):
-    """Unit with Jacobi symbol -1 mod n (exists for odd non-square n)."""
+    """An x with Jacobi(x^2 - 1, n) = -1, so x^2 - 1 is a unit and a
+    non-residue mod some prime of n, whose p + 1 then divides psi."""
     for _ in range(10_000):
-        d = rng.randrange(2, n)
-        if jacobi(d, n) == -1:
-            return d
-    raise RandomnessExhausted(f"no Jacobi non-residue found mod {n:#x}")
+        x = rng.randrange(2, n)
+        if jacobi(x * x - 1, n) == -1:
+            return x
+    raise RandomnessExhausted(f"no x with Jacobi(x^2 - 1, n) = -1 found mod {n:#x}")
 
 
 def _iroot(n, k):
@@ -88,20 +77,22 @@ def full_factorization(n, psi_n, rng, max_trials=200):
 
     psi of any divisor divides psi(n), so the same psi_n drives the
     recursion on every cofactor.  Prime powers are peeled off by exact-root
-    extraction; composite cofactors are split by find_factor with a fresh
-    non-residue coefficient per trial.  Raises TrialBudgetExhausted once
-    max_trials splitting trials were spent, and ValueError for an n above
-    MAX_MODULUS_BITS before any primality test runs.
+    extraction; composite cofactors are split by find_factor from a fresh
+    start x per trial.  Raises TrialBudgetExhausted once max_trials
+    splitting trials were spent, and ValueError for an n above
+    MAX_MODULUS_BITS or a psi_n below 1 before any primality test runs.
     """
-    if n < 1 or n.bit_length() > MAX_MODULUS_BITS:
-        raise ValueError(f"n must lie in [1, 2^{MAX_MODULUS_BITS})")
+    if n < 1 or n.bit_length() > MAX_MODULUS_BITS or psi_n < 1:
+        raise ValueError(f"n must lie in [1, 2^{MAX_MODULUS_BITS}) and psi_n must be >= 1")
     found = {}
     work = []
 
     def push(value, multiplicity):
-        while value % 2 == 0:
-            found[2] = found.get(2, 0) + multiplicity
-            value //= 2
+        # mod 3, x^2 - 1 is a unit only for x = 0: 15 has no start x
+        for q in (2, 3):
+            while value % q == 0:
+                found[q] = found.get(q, 0) + multiplicity
+                value //= q
         if value > 1:
             work.append((value, multiplicity))
 
@@ -121,7 +112,7 @@ def full_factorization(n, psi_n, rng, max_trials=200):
             trials += 1
             if trials > max_trials:
                 raise TrialBudgetExhausted(f"no factor of {m:#x} within {max_trials} trials")
-            divisor = find_factor(m, psi_n, _draw_non_residue(m, rng), rng)
+            divisor = find_factor(m, psi_n, _draw_non_residue(m, rng))
         push(divisor, mult)
         push(m // divisor, mult)
     return sorted(found.items())

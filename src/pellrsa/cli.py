@@ -137,10 +137,7 @@ def dispatch(argv):
         return 0 if exc.code in (0, None) else 1
     try:
         return _COMMANDS[args.command](args)
-    except KeyFormatError as err:
-        print(f"{type(err).__name__}: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (KeyFormatError, OSError, UnicodeDecodeError) as err:
         print(f"{type(err).__name__}: {err}", file=sys.stderr)
         return 2
     except PellRsaError as err:

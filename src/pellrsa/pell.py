@@ -10,12 +10,12 @@ Two views of the same cyclic structure are implemented:
 
 Over a composite modulus the parameter product is only partial: a denominator
 sharing a factor with the modulus aborts the operation and leaks that factor
-(ImpossibleOperation).  Point powers run a Lucas ladder on 2x with one final
-inversion (point_pow), which raises ImpossibleOperation when D y is not a
-unit, or the total, division-free square-and-multiply (point_pow_nodiv),
-whose result encryption compresses once.  param_mul, param_pow and the
-Redei-pair power redei_pow (one division at the end) have no library caller:
-they serve the tests of the paper's definitions and the benchmark's traces.
+(ImpossibleOperation).  Point powers never divide: the x-only Lucas ladder
+(point_pow) takes decryption's and factoring's long powers, and the
+square-and-multiply product (point_pow_nodiv) encryption's and decryption's
+short ones to e.  param_mul, param_pow and the Redei-pair power redei_pow
+(one division at the end) have no library caller: they serve the tests of
+the paper's definitions and the benchmark's traces.
 """
 
 from dataclasses import dataclass
@@ -89,34 +89,28 @@ class PellParams:
         return HyperbolaPoint(1 % self.modulus, 0)
 
 
-def point_pow(p, k, pp):
-    """k-th power of an on-curve point by the Lucas ladder on V_k = 2 x_k.
+def point_pow(x, k, pp):
+    """x-coordinate of the k-th power of an on-curve point with x-coordinate x.
 
-    V_{2k} = V_k^2 - 2 and V_{2k+1} = V_k V_{k+1} - V_1, so a Montgomery
-    ladder over (V_k, V_{k+1}) costs two multiplications per exponent bit
-    (ladder_cost).  Mod 2n every V_k is 2 x_k plus a multiple of 2n, so the
-    residues a = 2 x_k and b = 2 x_{k+1} are exact and a shift halves them,
-    for even n too; y_k = (x_{k+1} - x x_k)/(D y) = ((b - x a) >> 1)/(D y)
-    takes one inversion.  For k >= 1 it raises ImpossibleOperation when
-    D y is not a unit mod the modulus (the points (+-1, 0), or y = 0 mod a
-    prime of a prime power); point_pow_nodiv is the total power.  Inputs
-    off the curve give undefined results; use PellParams.point to validate.
+    x_k = T_k(x), the Chebyshev polynomial, whatever the curve's D, so only
+    pp.modulus is read.  A Montgomery ladder over V_k = 2 x_k, with V_{2k} =
+    V_k^2 - 2 and V_{2k+1} = V_k V_{k+1} - V_1, costs two multiplications per
+    exponent bit (ladder_cost) and never divides.  Mod 2n every V_k is 2 x_k
+    plus a multiple of 2n, so a shift halves it exactly, for even n too.
     """
     if k < 0:
         raise ValueError("exponent must be >= 0")
-    if k == 0:
-        return pp.identity()
     n, m = pp.modulus, 2 * pp.modulus
-    x, y = p.x % n, p.y % n
-    dy_inv = mod_inv(pp.d * y, n)
-    v = 2 * x
+    if k == 0:
+        return 1 % n
+    v = 2 * x % m
     a, b = v, (v * v - 2) % m
     for bit in bin(k)[3:]:
         if bit == "1":
             a, b = (a * b - v) % m, (b * b - 2) % m
         else:
             a, b = (a * a - 2) % m, (a * b - v) % m
-    return HyperbolaPoint(a >> 1, ((b - x * a) >> 1) * dy_inv % n)
+    return a >> 1
 
 
 def point_pow_nodiv(p, k, pp):
@@ -124,10 +118,9 @@ def point_pow_nodiv(p, k, pp):
 
     Squaring uses the curve identity x^2 = 1 + D y^2, so it costs two
     multiplications, (x, y)^2 = (2x^2 - 1, 2xy), and a multiply step four
-    (product_ladder_cost).  Encryption uses it because it never divides
-    mod the composite N; for short public exponents it is also faster than
-    point_pow, whose final inversion dominates there, which is why the
-    Hensel lift of prime-power decryption uses it too.
+    (product_ladder_cost).  It never divides, so encryption powers mod the
+    composite N with it; decryption's short powers to e use it too: each
+    prime's root check, which also yields the root's y, and the Hensel lift.
     """
     if k < 0:
         raise ValueError("exponent must be >= 0")
@@ -147,8 +140,8 @@ def point_pow_nodiv(p, k, pp):
 def ladder_cost(k):
     """Modular multiplications of point_pow's ladder for an exponent k >= 1.
 
-    One for V_2 = V_1^2 - 2, then two per exponent bit after the leading one.
-    Recovering y adds three multiplications and one inversion.
+    One for V_2 = V_1^2 - 2, then two per exponent bit after the leading one,
+    and no inversion; decryption's y costs product_ladder_cost(e) and one.
     """
     return 2 * (k.bit_length() - 1) + 1
 

@@ -11,23 +11,23 @@ order is p + 1 or p - 1 depending on whether D is a non-residue or a
 residue mod p, so the private exponent shrinks to the size of one prime
 per factor, and the results recombine by CRT.  That exponent reduction is
 where the speedup over two-prime moduli comes from.  A compressed
-ciphertext decompresses to its point mod each prime power p^k, never mod
-N, and then decrypts as a point ciphertext.  Each per-prime power is a
-Lucas ladder on the curve mod p (pell.point_pow): two multiplications per
-exponent bit and one inversion.  A prime power p^k (k > 1) runs the same
-ladder mod p and then lifts the root to p^k by ceil(log3 k) cubic Newton
-steps (Takagi's p^k q decryption), each one power to the short public
-exponent e, so no ladder runs wider than a prime.
+ciphertext decompresses mod each prime power p^k, never mod N.  Per prime,
+an x-only Lucas ladder mod p (pell.point_pow) yields the root's x; its
+power to e must give back the ciphertext's x and also yields the root's y,
+so a fault in one prime's branch, exponent or ladder raises instead of
+leaking p through a wrong plaintext (the Bellcore attack).  A prime power
+p^k (k > 1) then lifts the root to p^k by ceil(log3 k) cubic Newton steps
+(Takagi's p^k q decryption), each one power to e, so no ladder runs wider
+than a prime.
 
 The paper counts one multiplication per exponent bit on both sides and
 predicts a speedup of r^2/2 over two-prime CRT-RSA; counting the ladder's
-2 per bit against square-and-multiply RSA's 1.5 predicts 3/4 of r^2/2.
-With s = e1 + ... + er primes counted with multiplicity, each of the r
-ladders runs at |N|/s bits instead of |N|/r; a ladder's cost grows as the
-cube of its width, so the same count scales r^2/2 by (s/r)^3 to s^3/(2r)
-(16 for p^3 q), plus the lifts' short powers.  Encryption keeps the
-division-free square-and-multiply (pell.point_pow_nodiv), which never
-divides mod the composite N.
+2 per bit against square-and-multiply RSA's 1.5 predicts 3/4 of r^2/2, and
+the check's product_ladder_cost(e), 36 per prime at e = 65537 or 2.6% of a
+683-bit ladder, lowers that from 3.4 to 3.3 for r = 3.  With s primes
+counted with multiplicity (s = e1 + ... + er), the ladders run at |N|/s
+bits instead of |N|/r, and a ladder's cost grows as the cube of its width,
+so r^2/2 scales by (s/r)^3 to s^3/(2r) (16 for p^3 q), plus the lifts.
 
 Two private-exponent modes exist because the sender can only test the
 Jacobi symbol of mx^2 - 1, not the residuosity mod the secret primes:
@@ -63,6 +63,7 @@ from .pell import (
 
 DEFAULT_PUBLIC_EXPONENT = 65537
 RANDOM_MESSAGE_DRAWS = 1000
+PRIME_REDRAWS = 1000
 
 
 class Mode(str, Enum):
@@ -84,10 +85,10 @@ class PublicKey:
 class PrivateKey:
     """Factored modulus, private exponent d and mode.
 
-    Derived once, when the key is built, for the Hensel lift of prime
-    powers: e = d^-1 mod the exponent modulus, and e^-1 mod p^k for each
-    prime p with k > 1 (lift_inverses).  p divides the exponent modulus
-    there, so e is a unit mod p.  The key file stores neither.
+    Derived once, when the key is built, for the root checks and the Hensel
+    lift of prime powers: e = d^-1 mod the exponent modulus, and e^-1 mod
+    p^k for each prime p with k > 1 (lift_inverses).  p divides the exponent
+    modulus there, so e is a unit mod p.  The key file stores neither.
     """
 
     factors: FactoredModulus
@@ -184,16 +185,18 @@ def keygen(r, exponents, prime_bits, rng, e=None, mode=Mode.ROBUST):
 
     The modulus size is roughly prime_bits * sum(exponents); one above
     MAX_MODULUS_BITS raises ValueError before any prime is drawn.  Colliding
-    primes are regenerated so the factor list stays distinct.
+    primes are redrawn; r + PRIME_REDRAWS draws without r distinct primes
+    (fewer may have prime_bits bits) raise RandomnessExhausted.
     """
     if prime_bits * sum(exponents) > MAX_MODULUS_BITS:
         raise ValueError(f"modulus exceeds {MAX_MODULUS_BITS} bits")
     primes = []
-    while len(primes) < r:
-        p = gen_prime(prime_bits, rng)
-        if p not in primes:
+    for _ in range(r + PRIME_REDRAWS):
+        if (p := gen_prime(prime_bits, rng)) not in primes:
             primes.append(p)
-    return keypair_from_primes(primes, exponents, e=e, mode=mode)
+        if len(primes) >= r:
+            return keypair_from_primes(primes, exponents, e=e, mode=mode)
+    raise RandomnessExhausted(f"fewer than {r} distinct {prime_bits}-bit primes drawn")
 
 
 def validate_message(pk, msg, mode=Mode.ROBUST):
@@ -240,15 +243,14 @@ def encrypt_point(pk, msg, mode=Mode.ROBUST):
 
 
 def reduced_private_exponents(sk, d_coef):
-    """CRT decryption plan: (prime p, its exponent k, reduced private exponent).
+    """CRT decryption plan: (prime p, its exponent k, d and e mod the order).
 
     Per prime, a Legendre symbol picks the group order mod p, p + 1
-    (non-residue D) or p - 1 (residue D), and d is reduced mod that order.
-    The ladder runs mod p for every factor, a prime power included, so each
-    exponent is below p + 1; decrypt_point lifts a root mod p to p^k.
-    These short exponents are the whole point of multi-prime decryption.  A
-    strict key's d inverts e only under the first order, so a residue D
-    raises DecryptionFailure naming the prime's index.
+    (non-residue D) or p - 1 (residue D).  The ladder runs mod p for every
+    factor, a prime power included, so each exponent is below p + 1, even a
+    large public one; decrypt_point lifts a root mod p to p^k.  A strict
+    key's d inverts e only under the first order, so a residue D raises
+    DecryptionFailure naming the prime's index.
     """
     plan = []
     for i, (p, k) in enumerate(sk.factors.factors):
@@ -258,7 +260,7 @@ def reduced_private_exponents(sk, d_coef):
             raise DecryptionFailure(f"strict key: D is not a non-residue mod prime {i}")
         else:
             order = p - 1
-        plan.append((p, k, sk.d % order))
+        plan.append((p, k, sk.d % order, sk.e % order))
     return plan
 
 
@@ -285,12 +287,9 @@ def decrypt(sk, ct):
 def decrypt_point(sk, ct):
     """Recover (mx, my) from an uncompressed ciphertext.
 
-    The point must lie on the curve mod N.  One with y = 0 mod a prime p is
-    (+-1, 0) mod p, a fixed point of the odd reduced exponent, so no
-    message; it is refused before p's ladder.  Otherwise per prime the Lucas
-    ladder raises the point mod p to the reduced private exponent, a prime
-    power lifts that root to p^k, and the coordinates recombine by CRT and
-    must be units mod N.
+    The point must lie on the curve mod N.  Per prime its root mod p is
+    taken and checked (_root_mod_prime), a prime power lifts that root to
+    p^k, and the coordinates recombine by CRT and must be units mod N.
     """
     pp_n = _curve_mod_n(sk, ct.d_coef)
     c = HyperbolaPoint(ct.cx % sk.n, ct.cy % sk.n)
@@ -301,22 +300,40 @@ def decrypt_point(sk, ct):
 
 
 def _decrypt_on_curve(sk, points, pp_n):
-    roots, moduli = [], []
-    for i, (c, (p, k, d_i)) in enumerate(zip(points, reduced_private_exponents(sk, pp_n.d))):
-        if c.y % p == 0:
-            raise DecryptionFailure(f"ladder: the ciphertext has y = 0 mod prime {i}")
+    roots = []
+    for i, (c, (p, k, d_i, e_i)) in enumerate(zip(points, reduced_private_exponents(sk, pp_n.d))):
         pp = PellParams(p, pp_n.d % p)
-        root = point_pow(HyperbolaPoint(c.x % p, c.y % p), d_i, pp)
+        root = _root_mod_prime(c, pp, d_i, e_i, i)
         if k > 1:
             root = _hensel_lift(root, c, pp, p**k, pp_n.d, sk.e, sk.lift_inverses[p])
         roots.append(root)
-        moduli.append(p**k)
-    mx, my = crt_combine(roots, moduli)
+    mx, my = crt_combine(roots, [p**k for p, k in sk.factors.factors])
     if not pp_n.on_curve(mx, my):
         raise DecryptionFailure("recovered point is not on the curve")
     if math.gcd(mx * my, sk.n) != 1:
         raise DecryptionFailure("recovered point is not a message: a coordinate is not a unit")
     return MessagePair(mx, my)
+
+
+def _root_mod_prime(c, pp, d_i, e_i, i):
+    """Root c^(d_i) mod the prime p = pp.modulus, checked by its power to e_i.
+
+    c with y = 0 mod p is (+-1, 0), a fixed point of the odd d_i, so no
+    message; it is refused before the ladder, which yields x.  (x, 1) on the
+    curve with D = x^2 - 1 raised to e is (T_e(x), U_{e-1}(x)), Chebyshev
+    polynomials, and the root (x, y) gives (T_e(x), y U_{e-1}(x)); so
+    T_e(x) = c.x, and y = c.y / U_{e-1}(x) with U a unit as c.y is.
+    """
+    p = pp.modulus
+    if c.y % p == 0:
+        raise DecryptionFailure(f"ladder: the ciphertext has y = 0 mod prime {i}")
+    x = point_pow(c.x, d_i, pp)
+    d_x = (x * x - 1) % p
+    if d_x:
+        t, u = point_pow_nodiv(HyperbolaPoint(x, 1), e_i, PellParams(p, d_x))
+        if t == c.x % p:
+            return HyperbolaPoint(x, c.y * mod_inv(u, p) % p)
+    raise DecryptionFailure(f"verify: the root's e-th power is not the ciphertext mod prime {i}")
 
 
 def _hensel_lift(m, c, pp, top, d_coef, e, e_inv):

@@ -128,7 +128,7 @@ def euler_criterion(a, p):
 RESIDUES_MOD_8 = [1, 3, 5, 7]
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120)
 @given(
     bits=st.sampled_from([512, 683, 1024]),
     residue=st.sampled_from(RESIDUES_MOD_8),
@@ -145,7 +145,7 @@ def test_jacobi_matches_euler_criterion_at_crypto_sizes(bits, residue, parity, d
     assert jacobi(a, p) == euler_criterion(a, p)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     n=st.integers(2**1023, 2**1024 - 1).map(lambda n: n | 1),
     a=st.integers(0, 2**1024),

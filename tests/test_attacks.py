@@ -20,16 +20,6 @@ from pellrsa.errors import TrialBudgetExhausted
 from pellrsa.pell import point_pow, psi
 
 
-class FixedRng:
-    """Hands out a scripted sequence of randrange results."""
-
-    def __init__(self, values):
-        self.values = list(values)
-
-    def randrange(self, *args):
-        return self.values.pop(0)
-
-
 class ExplodingRng:
     def randrange(self, *args):
         raise AssertionError("randomness should not be consulted")
@@ -58,52 +48,36 @@ def monte_carlo_impossible_rate(fm, trials, rng):
 
 def test_find_factor_splits_35():
     rng = random.Random(1)
-    hits = []
-    for _ in range(20):
-        f = find_factor(35, 48, 17, rng)
-        if f:
-            hits.append(f)
-    assert hits and set(hits) <= {5, 7}
-
-
-def test_find_factor_gcd_shortcut():
-    assert find_factor(35, 48, 17, FixedRng([10])) == 5
+    hits = {find_factor(35, 48, _draw_non_residue(35, rng)) for _ in range(20)}
+    assert hits - {0} and hits <= {0, 5, 7}
 
 
 def test_find_factor_odd_psi_degenerates():
-    # odd "psi" strips to h = 0, so the probe loop never runs; the modulus is
-    # large enough that the exponentiation itself leaks nothing
-    assert find_factor(1009 * 1013, 49, 2, FixedRng([2])) == 0
+    # odd "psi" strips to h = 0, so the probe loop never runs
+    assert find_factor(1009 * 1013, 49, 2) == 0
 
 
-def test_find_factor_harvests_impossible_operations():
-    # D = 2 has Jacobi symbol -1 mod 35 but is a residue mod 7, and a = 3
-    # gives a^2 - D = 7: decompressing the parameter leaks 7 although the
-    # probe loop is degenerate
-    assert find_factor(35, 49, 2, FixedRng([3])) == 7
+@pytest.mark.parametrize("x", [2, 3])
+def test_find_factor_probes_order_two_and_identity(x):
+    # x^2 - 1 = 3 and 8 are residues mod 1009, so psi_n = lcm(1010, 1014) = 2t
+    # leaves that prime's point at large order; mod 1013 the point raised to t
+    # has x = 1 for x = 2, which only gcd(x - 1, n) sees, and x = -1 for
+    # x = 3, which only gcd(x + 1, n) sees
+    assert find_factor(1009 * 1013, math.lcm(1010, 1014), x) == 1013
 
 
-@pytest.mark.parametrize("a", [2, 4])
-def test_find_factor_probes_order_two_and_identity(a):
-    # D = 2 is a residue mod 1009, so psi_n = lcm(1010, 1014) = 2t leaves that
-    # prime's point at large order; mod 1013 the point raised to t has x = -1
-    # for a = 2, which only gcd(x + 1, n) sees, and x = 1 for a = 4, which
-    # only gcd(x - 1, n) sees
-    assert find_factor(1009 * 1013, math.lcm(1010, 1014), 2, FixedRng([a])) == 1013
-
-
-def test_find_factor_runs_one_ladder_and_two_inversions(monkeypatch):
-    # a trial is one decryption ladder to the odd part of psi, with the
-    # decompression's and the ladder's inversions, and no parameter product
+def test_find_factor_runs_one_ladder_and_no_inversion(monkeypatch):
+    # a trial is one x-only decryption ladder to the odd part of psi, with no
+    # inversion and no parameter product
     rng = random.Random(11)
     fm = FactoredModulus((gen_prime(176, rng), 1) for _ in range(3))
     n, psi_n = fm.value, psi(fm)
     assert n.bit_length() >= 512
     powers, inversions, products = [], [], []
 
-    def spy_point_pow(p, k, pp):
+    def spy_point_pow(x, k, pp):
         powers.append(k)
-        return point_pow(p, k, pp)
+        return point_pow(x, k, pp)
 
     def spy_mod_inv(a, m):
         inversions.append(m)
@@ -114,10 +88,10 @@ def test_find_factor_runs_one_ladder_and_two_inversions(monkeypatch):
         monkeypatch.setattr(module, "mod_inv", spy_mod_inv, raising=False)
         for name in ("param_pow", "param_mul", "redei_pow"):
             monkeypatch.setattr(module, name, lambda *a, name=name: products.append(name), raising=False)
-    f = find_factor(n, psi_n, _draw_non_residue(n, rng), rng)
+    f = find_factor(n, psi_n, _draw_non_residue(n, rng))
     assert 1 < f < n and n % f == 0
     assert powers == [psi_n // (psi_n & -psi_n)]
-    assert len(inversions) <= 2
+    assert inversions == []
     assert products == []
 
 
@@ -125,7 +99,7 @@ def test_find_factor_returns_proper_divisors():
     rng = random.Random(2)
     n, psi_n = 5 * 7 * 11, 6 * 8 * 12
     for _ in range(100):
-        f = find_factor(n, psi_n, 2 if math.gcd(2, n) == 1 else 3, rng)
+        f = find_factor(n, psi_n, _draw_non_residue(n, rng))
         if f:
             assert 1 < f < n and n % f == 0
 
@@ -134,8 +108,8 @@ def test_find_factor_success_rate_on_32_bit_primes():
     rng = random.Random(3)
     p, q = gen_prime(32, rng), gen_prime(32, rng)
     n, psi_n = p * q, (p + 1) * (q + 1)
-    # each trial as full_factorization runs it, with a fresh non-residue
-    found = [find_factor(n, psi_n, _draw_non_residue(n, rng), rng) for _ in range(200)]
+    # each trial as full_factorization runs it, from a fresh start x
+    found = [find_factor(n, psi_n, _draw_non_residue(n, rng)) for _ in range(200)]
     factors = [f for f in found if f]
     assert len(factors) >= 0.25 * 200
     assert all(n % f == 0 and 1 < f < n for f in factors)
@@ -173,6 +147,14 @@ def test_full_factorization_peels_nested_powers():
 
 
 # ---- full factorization ----
+
+@pytest.mark.parametrize("factors", [[(3, 1), (5, 1)], [(3, 3), (5, 1)], [(3, 1), (5, 3)], [(3, 1), (5, 1), (7, 1)]])
+def test_full_factorization_of_multiples_of_15(factors):
+    # mod 3, x^2 - 1 is a unit only for x = 0, and then Jacobi(x^2 - 1, 15)
+    # = -1 needs x = 0 mod 5 too: 15 has no start x, so 3 is divided out
+    fm = FactoredModulus(factors)
+    assert full_factorization(fm.value, psi(fm), random.Random(15)) == list(fm.factors)
+
 
 def test_full_factorization_frozen_examples():
     rng = random.Random(4)
@@ -231,7 +213,7 @@ def test_full_factorization_random_moduli_remultiply():
         assert all(is_probable_prime(p) for p, _ in result)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(
     shape=st.lists(st.tuples(st.sampled_from([1, 2, 3]), st.integers(16, 40)), min_size=1, max_size=4),
     seed=st.integers(0, 2**64),
@@ -249,8 +231,8 @@ def test_full_factorization_property(shape, seed):
     fm = FactoredModulus(zip(primes, (e for e, _ in shape)))
     trials = []
 
-    def spy_find_factor(m, psi_n, d, rng):
-        f = find_factor(m, psi_n, d, rng)
+    def spy_find_factor(m, psi_n, x):
+        f = find_factor(m, psi_n, x)
         trials.append((m, f))
         return f
 

@@ -58,15 +58,44 @@ def test_encrypt_out_of_range_message_exits_3(keys, tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
-def test_decrypt_with_invalid_key_exits_2(keys, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "flag,bad,error",
+    [
+        ("--key", "d=0", "KeyFormatError"),
+        ("--key", b"\xff\xfe", "UnicodeDecodeError"),
+        ("--in", b"\xff\xfe", "UnicodeDecodeError"),
+        ("--pub", b"\xff\xfe", "UnicodeDecodeError"),
+    ],
+    ids=["key-syntax", "key-not-utf8", "in-not-utf8", "pub-not-utf8"],
+)
+def test_invalid_input_file_exits_2(keys, tmp_path, capsys, flag, bad, error):
+    # a key that does not parse, or an input file that is not UTF-8 text
     prefix, pub, _ = keys
-    ct_file = encrypt_to(tmp_path, prefix, random_message(pub, random.Random(4)), "param")
-    text = prefix.with_suffix(".key").read_text().splitlines()
-    bad_key = tmp_path / "bad.key"
-    bad_key.write_text("\n".join([text[0], text[1], "d=0", *text[3:]]) + "\n")
+    msg = random_message(pub, random.Random(4))
+    files = {"--key": f"{prefix}.key", "--pub": f"{prefix}.pub"}
+    files["--in"] = str(encrypt_to(tmp_path, prefix, msg, "param"))
+    bad_file = tmp_path / "bad"
+    if bad == "d=0":
+        text = prefix.with_suffix(".key").read_text().splitlines()
+        bad_file.write_text("\n".join([text[0], text[1], "d=0", *text[3:]]) + "\n")
+    else:
+        bad_file.write_bytes(bad)
+    files[flag] = str(bad_file)
+    if flag == "--pub":
+        argv = ["encrypt", "--pub", files["--pub"], "--mx", f"{msg.mx:x}", "--my", f"{msg.my:x}"]
+    else:
+        argv = ["decrypt", "--key", files["--key"], "--in", files["--in"]]
     capsys.readouterr()
-    assert cli.dispatch(["decrypt", "--key", str(bad_key), "--in", str(ct_file)]) == 2
-    assert capsys.readouterr().err.startswith("KeyFormatError")
+    assert cli.dispatch(argv) == 2
+    assert capsys.readouterr().err.startswith(error)
+
+
+def test_keygen_with_too_few_primes_of_that_size_exits_3(tmp_path, capsys, alarm):
+    # 192 // 24 = 8-bit primes, and only 23 exist: redrawing never ended
+    argv = ["keygen", "--bits", "192", "--primes", "24", "--exponents", ",".join(["1"] * 24)]
+    assert cli.dispatch(argv + ["--seed", "1", "--out", str(tmp_path / "k")]) == 3
+    assert capsys.readouterr().err.startswith("RandomnessExhausted")
+    assert not list(tmp_path.iterdir())
 
 
 def test_factor_given_psi(keys, capsys):

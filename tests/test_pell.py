@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pellrsa import pell, scheme
-from pellrsa.arith import FactoredModulus, crt_combine, gen_prime, is_probable_prime
+from pellrsa.arith import FactoredModulus, gen_prime, is_probable_prime, jacobi, mod_inv
 from pellrsa.errors import ImpossibleOperation
 from pellrsa.pell import (
     INFINITY,
@@ -297,23 +297,17 @@ def test_param_pow_annihilated_by_psi():
 
 
 def test_point_pow_trivial_and_frozen():
-    assert point_pow(PP5.point(2, 2), 0, PP5) == PP5.identity()
+    assert point_pow(2, 0, PP5) == 1
     # order of the mod-5 curve with a non-residue D is 6, so P^7 = P
     pt = PP5.point(2, 2)
     assert naive_point_pow(pt, 7, PP5) == pt
-    assert point_pow(pt, 7, PP5) == pt
+    assert point_pow(pt.x, 7, PP5) == pt.x
 
 
 def check_point_pow(pt, k, pp, expected):
-    """point_pow(pt, k) is the expected power, except that for k >= 1 a
-    point whose D*y is no unit raises ImpossibleOperation with that gcd."""
-    g = math.gcd(pp.d * pt.y, pp.modulus)
-    if k and g != 1:
-        with pytest.raises(ImpossibleOperation) as info:
-            point_pow(pt, k, pp)
-        assert info.value.factor == g
-    else:
-        assert point_pow(pt, k, pp) == expected, (pp, pt, k)
+    """point_pow(pt.x, k) is the x-coordinate of the expected power, for
+    every point, D*y a unit or not."""
+    assert point_pow(pt.x, k, pp) == expected.x, (pp, pt, k)
 
 
 def test_point_pow_matches_naive():
@@ -324,9 +318,10 @@ def test_point_pow_matches_naive():
         for _ in range(40):
             pt, k = rng.choice(pts), rng.randrange(0, 40)
             check_point_pow(pt, k, pp, naive_point_pow(pt, k, pp))
-    # (+-1, 0) mod 101 raise for every k >= 1; k = 0 still gives the identity
+    # (+-1, 0) mod 101 are their own odd powers, and (-1, 0) squares to (1, 0)
     for x in (1, pp.modulus - 1):
-        check_point_pow(HyperbolaPoint(x, 0), 3, pp, None)
+        check_point_pow(HyperbolaPoint(x, 0), 3, pp, HyperbolaPoint(x, 0))
+        check_point_pow(HyperbolaPoint(x, 0), 2, pp, pp.identity())
         check_point_pow(HyperbolaPoint(x, 0), 0, pp, pp.identity())
 
 
@@ -336,8 +331,8 @@ def test_pow_morphism():
     pts = [pt for pt in enumerate_hyperbola(101, 1, pp.d) if pt.y != 0]
     for _ in range(50):
         pt, k = rng.choice(pts), rng.randrange(0, 200)
-        lhs = point_to_param(point_pow(pt, k, pp), pp)
-        assert lhs == param_pow(point_to_param(pt, pp), k, pp)
+        rhs = param_to_point(param_pow(point_to_param(pt, pp), k, pp), pp)
+        assert point_pow(pt.x, k, pp) == rhs.x
 
 
 # ---- Redei pairs ----
@@ -401,23 +396,31 @@ def test_ladder_multiplication_counts_are_exact(monkeypatch):
     assert pp.d != 2  # a product with D must not look like a doubling
     pt = param_to_point(123, pp)
     tallied = HyperbolaPoint(Tallied(pt.x), Tallied(pt.y))
-    param_muls = []
+    param_muls, inversions = [], []
 
     def counting_param_mul(a, b, pp):
         param_muls.append((a, b))
         return param_mul(a, b, pp)
 
+    def counting_mod_inv(a, n):
+        inversions.append(n)
+        return mod_inv(a, n)
+
     monkeypatch.setattr(pell, "param_mul", counting_param_mul)
+    monkeypatch.setattr(pell, "mod_inv", counting_mod_inv)
     for k in (2, 3, 10, 100, 999, 4096, 10**9 + 7):
         squarings, multiplies = k.bit_length() - 1, k.bit_count() - 1
         assert ladder_cost(k) == 2 * squarings + 1
         assert product_ladder_cost(k) == 2 * squarings + 4 * multiplies
-        # the Lucas ladder, then D*y, x*x_k and the product with the inverse
-        count, result = count_products(point_pow, tallied, k, pp)
-        assert (count, result) == (ladder_cost(k) + 3, point_pow(pt, k, pp))
+        # the x-only Lucas ladder and nothing else: no inversion
+        expected = point_pow_nodiv(pt, k, pp)
+        inversions.clear()
+        assert count_products(point_pow, tallied.x, k, pp) == (ladder_cost(k), expected.x)
+        assert inversions == []
         # the product ladder, plus D*y computed once up front
         count, result = count_products(point_pow_nodiv, tallied, k, pp)
-        assert (count, result) == (product_ladder_cost(k) + 1, point_pow(pt, k, pp))
+        assert (count, result) == (product_ladder_cost(k) + 1, expected)
+        assert result == naive_point_pow(pt, k % (pp.modulus + 1), pp)
         # Redei pair: four multiplications per squaring, three per multiply
         count, _ = count_products(redei_eval, Tallied(pp.d), Tallied(123), k, pp.modulus)
         assert count == 4 * squarings + 3 * multiplies
@@ -428,9 +431,10 @@ def test_ladder_multiplication_counts_are_exact(monkeypatch):
 
 @pytest.mark.parametrize("exponents", [[3, 1], [1, 1, 3], [5, 1], [9, 1]])
 def test_decryption_ladders_run_mod_each_prime_and_lifts_count_log_k(monkeypatch, exponents):
-    # one ladder per prime, mod the bare prime with an exponent below p + 1;
-    # then ceil(log3 k) cubic lift powers to e: p^3 for k = 3, p^3 and p^5
-    # for k = 5, p^3 and p^9 for k = 9
+    # one ladder per prime, mod the bare prime with an exponent below p + 1,
+    # and its check, a power mod p to e reduced mod the same order; then
+    # ceil(log3 k) cubic lift powers to e: p^3 for k = 3, p^3 and p^5 for
+    # k = 5, p^3 and p^9 for k = 9
     rng = random.Random(83)
     pub, priv = scheme.keygen(len(exponents), exponents, 32, rng)
     msg = scheme.random_message(pub, rng)
@@ -448,7 +452,9 @@ def test_decryption_ladders_run_mod_each_prime_and_lifts_count_log_k(monkeypatch
     assert all(k < m + 1 for k, m in calls["point_pow"])
     schedule = {1: [], 3: [3], 5: [3, 5], 9: [3, 9]}
     lifts = [(pub.e, p**j) for p, k in priv.factors.factors for j in schedule[k]]
-    assert calls["point_pow_nodiv"] == lifts
+    checks = [(pub.e % (p - jacobi(ct.d_coef, p)), p) for p in primes]
+    assert [c for c in calls["point_pow_nodiv"] if c not in lifts] == checks
+    assert [c for c in calls["point_pow_nodiv"] if c in lifts] == lifts
     # one step per power of 3: the least j with 3^j >= k
     assert len(lifts) == sum(min(j for j in range(k) if 3**j >= k) for _, k in priv.factors.factors)
 
@@ -487,6 +493,19 @@ def test_point_pow_exhaustive_against_product_oracle(p):
     assert non_unit > 0
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101])
+def test_decryption_root_step_exhaustive_against_product_oracle(p):
+    # the ladder's x with y read off the power to e is the whole point
+    # c^(d_i), for every point with y != 0 mod p and every e invertible mod
+    # the order, so y is still checked on every such point
+    for pp, pts, order in point_pow_cases(p, 1):
+        for e_i in (e for e in range(1, order) if math.gcd(e, order) == 1):
+            d_i = pow(e_i, -1, order)
+            for c in pts:
+                if c.y:
+                    assert scheme._root_mod_prime(c, pp, d_i, e_i, 0) == point_pow_nodiv(c, d_i, pp)
+
+
 EVEN_MODULI = list(range(4, 64, 2)) + [98, 128, 250, 338, 390]
 
 
@@ -512,16 +531,16 @@ def test_point_pow_is_total_on_even_moduli(n):
     pp = PellParams(n, d)
     for pt in pts:
         for k in range(200):
-            assert point_pow(pt, k, pp) == point_pow_nodiv(pt, k, pp), (pp, pt, k)
+            check_point_pow(pt, k, pp, point_pow_nodiv(pt, k, pp))
 
 
 def test_point_pow_frozen_even_modulus():
-    # (2, 1) on x^2 - 3 y^2 = 1 mod 10: squared, (2 * 4 - 1, 2 * 2 * 1) = (7, 4)
+    # (2, 1) on x^2 - 3 y^2 = 1 mod 10: squared, x = 2 * 4 - 1 = 7
     pp = PellParams(10, 3)
     pt = pp.point(2, 1)
-    assert point_pow(pt, 2, pp) == HyperbolaPoint(7, 4)
+    assert point_pow(2, 2, pp) == 7
     for k in range(200):
-        assert point_pow(pt, k, pp) == point_pow_nodiv(pt, k, pp)
+        check_point_pow(pt, k, pp, point_pow_nodiv(pt, k, pp))
 
 
 @functools.lru_cache(maxsize=None)
@@ -529,7 +548,7 @@ def crypto_prime(bits):
     return gen_prime(bits, random.Random(bits))
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(
     bits=st.sampled_from([256, 512, 1024]),
     power=st.sampled_from([1, 2, 3]),
@@ -548,6 +567,43 @@ def test_point_pow_bit_identical_to_product_ladder_at_crypto_sizes(bits, power, 
         assert math.gcd(pt.y, n) != 1
     k = rng.getrandbits(rng.choice([1, 17, bits, 2 * bits]))
     check_point_pow(pt, k, pp, point_pow_nodiv(pt, k, pp))
+
+
+@settings(max_examples=25)
+@given(bits=st.sampled_from([512, 768, 1024]), seed=st.integers(0, 2**64))
+def test_point_group_laws_at_crypto_sizes(bits, seed):
+    # identity, inverse (x, -y), commutativity and associativity of the
+    # product on random points of a random curve; powers add exponents and
+    # the group order p - (D/p) annihilates
+    p = crypto_prime(bits)
+    rng = random.Random(seed)
+    pp = PellParams(p, rng.randrange(1, p))
+    a, b, c = (param_to_point(rng.randrange(p), pp) for _ in range(3))
+    assert all(pp.on_curve(*pt) for pt in (a, b, c))
+    assert point_mul(a, pp.identity(), pp) == a
+    assert point_mul(a, HyperbolaPoint(a.x, -a.y % p), pp) == pp.identity()
+    assert point_mul(a, b, pp) == point_mul(b, a, pp)
+    assert point_mul(point_mul(a, b, pp), c, pp) == point_mul(a, point_mul(b, c, pp), pp)
+    j, k = rng.randrange(p), rng.randrange(p)
+    assert point_mul(point_pow_nodiv(a, j, pp), point_pow_nodiv(a, k, pp), pp) == point_pow_nodiv(a, j + k, pp)
+    assert point_pow_nodiv(a, p - jacobi(pp.d, p), pp) == pp.identity()
+
+
+@settings(max_examples=25)
+@given(bits=st.sampled_from([512, 768, 1024]), seed=st.integers(0, 2**64))
+def test_param_point_bijection_at_crypto_sizes(bits, seed):
+    # with D a non-residue m^2 - D is never 0 mod p: every parameter,
+    # INFINITY included, decompresses to a curve point and compresses back
+    p = crypto_prime(bits)
+    rng = random.Random(seed)
+    d = rng.randrange(1, p)
+    while jacobi(d, p) != -1:
+        d = rng.randrange(1, p)
+    pp = PellParams(p, d)
+    for m in (INFINITY, 0, 1, p - 1, rng.randrange(p)):
+        pt = param_to_point(m, pp)
+        assert pp.on_curve(*pt)
+        assert point_to_param(pt, pp) == m
 
 
 # ---- orders, psi, enumeration ----

@@ -153,6 +153,12 @@ def test_keygen_distinct_primes_and_size():
     assert pub.n == math.prod(primes)
 
 
+def test_keygen_gives_up_when_fewer_than_r_primes_have_that_size(alarm):
+    # only 23 primes have 8 bits; redrawing collisions used to loop forever
+    with pytest.raises(RandomnessExhausted, match="fewer than 24 distinct 8-bit primes"):
+        keygen(24, [1] * 24, 8, random.Random(5))
+
+
 def test_keygen_validates_input():
     rng = random.Random(4)
     with pytest.raises(ValueError):
@@ -242,7 +248,7 @@ def test_roundtrip_robust_various_shapes():
             assert decrypt(priv, ct) == msg
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(
     exponents=st.lists(st.sampled_from([1, 3]), min_size=2, max_size=4),
     bits=st.integers(32, 64),
@@ -268,7 +274,7 @@ def test_round_trip_property(exponents, bits, mode, point, seed):
         assert dec(priv, ct) == msg
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(
     exponents=st.sampled_from([[3, 1], [1, 1, 3], [5, 1], [3, 3], [1, 5, 3], [9, 1]]),
     bits=st.integers(24, 48),
@@ -433,12 +439,13 @@ def test_reduced_exponents_divide_and_invert(exponents):
     msg = random_message(pub, rng)
     ct = encrypt(pub, msg)
     plan = reduced_private_exponents(priv, ct.d_coef)
-    assert [(p, k) for p, k, _ in plan] == list(priv.factors.factors)
-    for p, k, d_i in plan:
+    assert [(p, k) for p, k, _, _ in plan] == list(priv.factors.factors)
+    for p, k, d_i, e_i in plan:
         # the ladder runs mod p, a prime power included: d mod p + 1 or p - 1
         order = p - jacobi(ct.d_coef, p)
         assert d_i == priv.d % order < p + 1
-        assert pub.e * d_i % order == 1
+        assert e_i == pub.e % order
+        assert e_i * d_i % order == 1
         # robust d inverts e under both candidate orders of the prime power
         for order in (p ** (k - 1) * (p + 1), p ** (k - 1) * (p - 1)):
             assert pub.e * (priv.d % order) % order == 1 % order
@@ -562,6 +569,50 @@ def test_decrypt_names_the_prime_where_the_parameter_does_not_decompress(exponen
     assert tested == set(range(len(exponents)))
 
 
+def inject_fault(monkeypatch, fault, p):
+    """Make decryption's root mod the prime p wrong, as a hardware fault would."""
+    if fault == "branch":
+        # the Legendre symbol of D mod p picks the other group order
+        monkeypatch.setattr(scheme, "jacobi", lambda a, n: -jacobi(a, n) if n == p else jacobi(a, n))
+    elif fault == "d_bit":
+        plan = scheme.reduced_private_exponents
+
+        def flipped(sk, d_coef):
+            return [(q, k, d_i ^ (1 << 40) if q == p else d_i, e_i) for q, k, d_i, e_i in plan(sk, d_coef)]
+
+        monkeypatch.setattr(scheme, "reduced_private_exponents", flipped)
+    else:
+        ladder = scheme.point_pow
+        corrupt = {"ladder_x": lambda x: x + 1, "x_is_1": lambda x: 1, "x_is_minus_1": lambda x: -1}[fault]
+
+        def faulty(x, k, pp):
+            out = ladder(x, k, pp)
+            return corrupt(out) % p if pp.modulus == p else out
+
+        monkeypatch.setattr(scheme, "point_pow", faulty)
+
+
+@pytest.mark.parametrize("fault", ["branch", "d_bit", "ladder_x", "x_is_1", "x_is_minus_1"])
+@pytest.mark.parametrize("exponents", [[1, 1, 1], [3, 1]])
+@pytest.mark.parametrize("point", [False, True])
+def test_a_fault_in_one_prime_raises_naming_the_verify_stage(monkeypatch, fault, exponents, point):
+    # a wrong root mod p still lies on the curve mod p, so it used to come
+    # back as a wrong plaintext m' with gcd(m' - m, N) a multiple of the
+    # other primes: the Bellcore attack on CRT decryption
+    rng = random.Random(25)
+    pub, priv = small_keypair(rng, r=len(exponents), bits=64, exponents=exponents)
+    enc, dec = (encrypt_point, decrypt_point) if point else (encrypt, decrypt)
+    msgs = [random_message(pub, rng) for _ in range(4)]
+    cts = [enc(pub, msg) for msg in msgs]
+    assert [dec(priv, ct) for ct in cts] == msgs
+    for i, (p, _) in enumerate(priv.factors.factors):
+        with monkeypatch.context() as mp:
+            inject_fault(mp, fault, p)
+            for ct in cts:
+                with pytest.raises(DecryptionFailure, match=f"^verify: .* prime {i}$"):
+                    dec(priv, ct)
+
+
 def hostile_integers(n, primes):
     """0, +-1, N and its neighbours, multiples of one prime, negatives,
     values above N and integers of any size."""
@@ -583,7 +634,7 @@ def preimage_or_failure(dec, enc, pub, priv, ct, expected):
     assert enc(pub, msg) == expected
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(
     exponents=st.sampled_from([[1, 1], [1, 1, 1], [3, 1]]),
     bits=st.integers(16, 32),
