@@ -163,7 +163,7 @@ class FactoredModulus:
         value = 1
         for p, e in pairs:
             if not is_probable_prime(p):
-                raise ValueError(f"{p} is not prime")
+                raise ValueError(f"{p:#x} is not prime")
             value *= p**e
         self.factors = pairs
         self.value = value
@@ -175,5 +175,5 @@ class FactoredModulus:
         return hash(self.factors)
 
     def __repr__(self):
-        body = " * ".join(f"{p}^{e}" for p, e in self.factors)
+        body = " * ".join(f"{p:#x}^{e}" for p, e in self.factors)
         return f"FactoredModulus({body})"

@@ -22,7 +22,7 @@ class ImpossibleOperation(PellRsaError):
 
     def __init__(self, factor):
         self.factor = factor
-        super().__init__(f"impossible group operation (factor={factor})")
+        super().__init__(f"impossible group operation (factor={factor:#x})")
 
 
 class MessageNotEncryptable(PellRsaError):

@@ -10,12 +10,12 @@ Two views of the same cyclic structure are implemented:
 
 Over a composite modulus the parameter product is only partial: a denominator
 sharing a factor with the modulus aborts the operation and leaks that factor
-(ImpossibleOperation).  Point powers never divide: the x-only Lucas ladder
-(point_pow) takes decryption's and factoring's long powers, and the
-square-and-multiply product (point_pow_nodiv) encryption's and decryption's
-short ones to e.  param_mul, param_pow and the Redei-pair power redei_pow
-(one division at the end) have no library caller: they serve the tests of
-the paper's definitions and the benchmark's traces.
+(ImpossibleOperation).  Point powers never divide and read only x: the
+x-only Lucas ladder (point_pow) takes decryption's and factoring's long
+powers, and the Chebyshev chain (point_pow_nodiv) encryption's and
+decryption's short ones to e.  param_mul, param_pow and the Redei-pair
+power redei_pow (one division at the end) have no library caller: they
+serve the tests of the paper's definitions and the benchmark's traces.
 """
 
 from dataclasses import dataclass
@@ -60,8 +60,8 @@ class RedeiPair(NamedTuple):
 class PellParams:
     """Ambient setting: modulus n and the Pell coefficient D of x^2 - D y^2 = 1.
 
-    D must be a unit mod n; for the cryptographic constructions it is chosen
-    a quadratic non-residue modulo each prime factor.
+    D must be a unit mod n; a message brings its own D, which may be a
+    residue mod some prime factors and a non-residue mod others.
     """
 
     modulus: int
@@ -114,27 +114,27 @@ def point_pow(x, k, pp):
 
 
 def point_pow_nodiv(p, k, pp):
-    """k-fold Brahmagupta product by square-and-multiply, with no division.
+    """k-th power (T_k(x), y U_{k-1}(x)) of an on-curve point; no division.
 
-    Squaring uses the curve identity x^2 = 1 + D y^2, so it costs two
-    multiplications, (x, y)^2 = (2x^2 - 1, 2xy), and a multiply step four
-    (product_ladder_cost).  It never divides, so encryption powers mod the
-    composite N with it; decryption's short powers to e use it too: each
-    prime's root check, which also yields the root's y, and the Hensel lift.
+    A Chebyshev chain reads only x and pp.modulus: a squaring (2T^2 - 1,
+    2TU) costs two multiplications, a multiply step U' = T + xU,
+    T' = xU' - U two (product_ladder_cost).  Encryption powers mod the
+    composite N with it, and decryption to e: each prime's root check on
+    (x, 1), giving (T_e(x), U_{e-1}(x)), and the Hensel lift.
     """
     if k < 0:
         raise ValueError("exponent must be >= 0")
-    n, d = pp.modulus, pp.d
+    n = pp.modulus
     if k == 0:
         return pp.identity()
-    bx, by = p.x % n, p.y % n
-    byd = by * d % n
-    rx, ry = bx, by
+    x = p.x % n
+    t, u = x, 1
     for bit in bin(k)[3:]:
-        rx, ry = (2 * rx * rx - 1) % n, 2 * rx * ry % n
+        t, u = (2 * t * t - 1) % n, 2 * t * u % n
         if bit == "1":
-            rx, ry = (rx * bx + ry * byd) % n, (ry * bx + rx * by) % n
-    return HyperbolaPoint(rx, ry)
+            v = (t + x * u) % n
+            t, u = (x * v - u) % n, v
+    return HyperbolaPoint(t, p.y * u % n)
 
 
 def ladder_cost(k):
@@ -147,11 +147,11 @@ def ladder_cost(k):
 
 
 def product_ladder_cost(k):
-    """Modular multiplications of point_pow_nodiv's loop for an exponent k >= 1.
+    """Modular multiplications of point_pow_nodiv for an exponent k >= 1.
 
-    Two per squaring, four per multiply step; one more computes D y up front.
+    Two per squaring, two per multiply step; one more scales y by U at the end.
     """
-    return 2 * (k.bit_length() - 1) + 4 * (k.bit_count() - 1)
+    return 2 * (k.bit_length() - 1) + 2 * (k.bit_count() - 1) + 1
 
 
 def param_mul(a, b, pp):

@@ -15,15 +15,15 @@ ciphertext decompresses mod each prime power p^k, never mod N.  Per prime,
 an x-only Lucas ladder mod p (pell.point_pow) yields the root's x; its
 power to e must give back the ciphertext's x and also yields the root's y,
 so a fault in one prime's branch, exponent or ladder raises instead of
-leaking p through a wrong plaintext (the Bellcore attack).  A prime power
-p^k (k > 1) then lifts the root to p^k by ceil(log3 k) cubic Newton steps
-(Takagi's p^k q decryption), each one power to e, so no ladder runs wider
-than a prime.
+leaking p through a wrong plaintext (the Bellcore attack).  Every factor
+then lifts its root from p to p^k by ceil(log3 k) cubic Newton steps
+(Takagi's p^k q decryption), none for k = 1, each one power to e that must
+stay on the curve, so no ladder runs wider than a prime.
 
 The paper counts one multiplication per exponent bit on both sides and
 predicts a speedup of r^2/2 over two-prime CRT-RSA; counting the ladder's
 2 per bit against square-and-multiply RSA's 1.5 predicts 3/4 of r^2/2, and
-the check's product_ladder_cost(e), 36 per prime at e = 65537 or 2.6% of a
+the check's product_ladder_cost(e), 35 per prime at e = 65537 or 2.6% of a
 683-bit ladder, lowers that from 3.4 to 3.3 for r = 3.  With s primes
 counted with multiplicity (s = e1 + ... + er), the ladders run at |N|/s
 bits instead of |N|/r, and a ladder's cost grows as the cube of its width,
@@ -85,17 +85,14 @@ class PublicKey:
 class PrivateKey:
     """Factored modulus, private exponent d and mode.
 
-    Derived once, when the key is built, for the root checks and the Hensel
-    lift of prime powers: e = d^-1 mod the exponent modulus, and e^-1 mod
-    p^k for each prime p with k > 1 (lift_inverses).  p divides the exponent
-    modulus there, so e is a unit mod p.  The key file stores neither.
+    Its one derived field, e = d^-1 mod the exponent modulus, serves the
+    root checks and the Hensel lift; the key file does not store it.
     """
 
     factors: FactoredModulus
     d: int
     mode: Mode
     e: int = field(init=False, repr=False, compare=False)
-    lift_inverses: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.factors.factors) < 2:
@@ -106,9 +103,7 @@ class PrivateKey:
             e = mod_inv(self.d, exponent_modulus(self.factors, self.mode))
         except ImpossibleOperation:
             raise ValueError("d is not coprime to the exponent modulus") from None
-        inverses = {p: mod_inv(e, p**k) for p, k in self.factors.factors if k > 1}
         object.__setattr__(self, "e", e)
-        object.__setattr__(self, "lift_inverses", inverses)
 
     @property
     def n(self):
@@ -183,11 +178,14 @@ def keypair_from_primes(primes, exponents, e=None, mode=Mode.ROBUST):
 def keygen(r, exponents, prime_bits, rng, e=None, mode=Mode.ROBUST):
     """Generate a key over r fresh primes of prime_bits bits each.
 
-    The modulus size is roughly prime_bits * sum(exponents); one above
-    MAX_MODULUS_BITS raises ValueError before any prime is drawn.  Colliding
+    The modulus size is roughly prime_bits * sum(exponents).  r < 2, other
+    than r exponents, an exponent that is even or below 1, and a size above
+    MAX_MODULUS_BITS raise ValueError before any prime is drawn.  Colliding
     primes are redrawn; r + PRIME_REDRAWS draws without r distinct primes
     (fewer may have prime_bits bits) raise RandomnessExhausted.
     """
+    if r < 2 or len(exponents) != r or any(k < 1 or k % 2 == 0 for k in exponents):
+        raise ValueError("need r >= 2 primes and one odd exponent >= 1 for each")
     if prime_bits * sum(exponents) > MAX_MODULUS_BITS:
         raise ValueError(f"modulus exceeds {MAX_MODULUS_BITS} bits")
     primes = []
@@ -304,9 +302,7 @@ def _decrypt_on_curve(sk, points, pp_n):
     for i, (c, (p, k, d_i, e_i)) in enumerate(zip(points, reduced_private_exponents(sk, pp_n.d))):
         pp = PellParams(p, pp_n.d % p)
         root = _root_mod_prime(c, pp, d_i, e_i, i)
-        if k > 1:
-            root = _hensel_lift(root, c, pp, p**k, pp_n.d, sk.e, sk.lift_inverses[p])
-        roots.append(root)
+        roots.append(_hensel_lift(root, c, pp, p**k, pp_n.d, sk.e, sk.d, i))
     mx, my = crt_combine(roots, [p**k for p, k in sk.factors.factors])
     if not pp_n.on_curve(mx, my):
         raise DecryptionFailure("recovered point is not on the curve")
@@ -319,35 +315,35 @@ def _root_mod_prime(c, pp, d_i, e_i, i):
     """Root c^(d_i) mod the prime p = pp.modulus, checked by its power to e_i.
 
     c with y = 0 mod p is (+-1, 0), a fixed point of the odd d_i, so no
-    message; it is refused before the ladder, which yields x.  (x, 1) on the
-    curve with D = x^2 - 1 raised to e is (T_e(x), U_{e-1}(x)), Chebyshev
-    polynomials, and the root (x, y) gives (T_e(x), y U_{e-1}(x)); so
-    T_e(x) = c.x, and y = c.y / U_{e-1}(x) with U a unit as c.y is.
+    message; it is refused before the ladder, which yields x.  The root
+    (x, y) raised to e is (T_e(x), y U_{e-1}(x)), and (x, 1) gives (T_e(x),
+    U_{e-1}(x)); so T_e(x) = c.x, and y = c.y / U_{e-1}(x) with U a unit as
+    c.y is.  A root x = +-1 fails the check: T_e(+-1) = +-1, not c.x.
     """
     p = pp.modulus
     if c.y % p == 0:
         raise DecryptionFailure(f"ladder: the ciphertext has y = 0 mod prime {i}")
     x = point_pow(c.x, d_i, pp)
-    d_x = (x * x - 1) % p
-    if d_x:
-        t, u = point_pow_nodiv(HyperbolaPoint(x, 1), e_i, PellParams(p, d_x))
-        if t == c.x % p:
-            return HyperbolaPoint(x, c.y * mod_inv(u, p) % p)
+    t, u = point_pow_nodiv(HyperbolaPoint(x, 1), e_i, pp)
+    if t == c.x % p:
+        return HyperbolaPoint(x, c.y * mod_inv(u, p) % p)
     raise DecryptionFailure(f"verify: the root's e-th power is not the ciphertext mod prime {i}")
 
 
-def _hensel_lift(m, c, pp, top, d_coef, e, e_inv):
-    """Lift the e-th root m of c mod pp.modulus to the e-th root mod top.
+def _hensel_lift(m, c, pp, top, d_coef, e, d, i):
+    """Lift the e-th root m of c mod pp.modulus = p to the e-th root mod top.
 
     Each Newton step goes from a modulus u to q = min(u^3, top), so p^k
-    takes ceil(log3 k) steps.  m's norm is 1 + U mod q with u | U, so
-    U^3 = 0 mod q and scaling m by s = 1 - U/2 + 3U^2/8, the series of
-    (1 + U)^(-1/2), puts m' on the curve mod q, still m mod u.  Then
+    takes ceil(log3 k) steps, and p none.  m's norm is 1 + U mod q with
+    u | U, so U^3 = 0 mod q and scaling m by s = 1 - U/2 + 3U^2/8, the
+    series of (1 + U)^(-1/2), puts m' on the curve mod q, still m mod u; a
+    power m'^e off the curve is a fault and raises, naming prime i.  Then
     E = c * conj(m'^e) has u | y_E: it lies in the kernel of reduction mod
     u, where x = 1 + D y^2/2 mod u^3 and a product's y-coordinate
     y + y' + D y y' (y + y')/2 loses its cubic term, so y-coordinates add
-    and the root mod q is m' * (1 + D t^2/2, t) with t = y_E / e.  No step
-    divides; e_inv is e^-1 mod top.
+    and the root mod q is m' * (1 + D t^2/2, t) with t = y_E / e = y_E d:
+    p^(k-1) divides the exponent modulus, so d = e^-1 mod p^(k-1), and
+    p | y_E.  No step divides.
     """
     while pp.modulus < top:
         q = min(pp.modulus**3, top)
@@ -357,7 +353,9 @@ def _hensel_lift(m, c, pp, top, d_coef, e, e_inv):
         s = (1 - h + 3 * h * h * half) % q
         x, y = s * x % q, s * y % q
         ex, ey = point_pow_nodiv(HyperbolaPoint(x, y), e, pp)
-        t = (c.y * ex - c.x * ey) * e_inv % q
+        if not pp.on_curve(ex, ey):
+            raise DecryptionFailure(f"verify: the lifted root's e-th power is off the curve mod prime {i}")
+        t = (c.y * ex - c.x * ey) * d % q
         w = (1 + pp.d * t * t * half) % q
         m = HyperbolaPoint((x * w + pp.d * y * t) % q, (y * w + x * t) % q)
     return m

@@ -60,6 +60,7 @@ def test_mod_inv_shared_factor_carries_gcd():
     with pytest.raises(ImpossibleOperation) as info:
         mod_inv(5, 35)
     assert info.value.factor == 5
+    assert str(info.value) == "impossible group operation (factor=0x5)"
 
 
 def test_mod_inv_random_agrees_with_oracle():
@@ -246,6 +247,7 @@ def test_factored_modulus_value_and_ordering():
     fm = FactoredModulus([(7, 1), (5, 3)])
     assert fm.value == 5**3 * 7
     assert fm.factors == ((5, 3), (7, 1))
+    assert repr(fm) == "FactoredModulus(0x5^3 * 0x7^1)"
 
 
 def test_factored_modulus_rejects_bad_input():
@@ -255,3 +257,6 @@ def test_factored_modulus_rejects_bad_input():
         FactoredModulus([(5, 1), (5, 2)])  # repeated prime
     with pytest.raises(ValueError):
         FactoredModulus([(5, 0)])  # exponent < 1
+    # 2^16000 has 4817 decimal digits, more than str() converts: hex it is
+    with pytest.raises(ValueError, match=f"^{1 << 16000:#x} is not prime$"):
+        FactoredModulus([(1 << 16000, 1)])

@@ -3,9 +3,9 @@ import random
 import pytest
 
 from pellrsa import cli
-from pellrsa.keyfmt import load_private_key, load_public_key
+from pellrsa.keyfmt import dump_public_key, load_private_key, load_public_key
 from pellrsa.pell import psi
-from pellrsa.scheme import random_message
+from pellrsa.scheme import PublicKey, random_message
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +56,17 @@ def test_encrypt_out_of_range_message_exits_3(keys, tmp_path, capsys):
     assert cli.dispatch(argv + ["--out", str(tmp_path / "ct")]) == 3
     assert capsys.readouterr().err.startswith("MessageNotEncryptable")
     assert not list(tmp_path.iterdir())
+
+
+def test_encrypt_with_a_factor_of_over_4300_digits_exits_3(tmp_path, capsys):
+    # my = 0 is no unit, so the factor is N itself; str() refuses an int of
+    # over 4300 decimal digits, and formatting it raised a bare ValueError
+    pub = tmp_path / "big.pub"
+    pub.write_text(dump_public_key(PublicKey((1 << 14400) + 1, 3)))
+    argv = ["encrypt", "--pub", str(pub), "--mx", "2", "--my", "0", "--out", str(tmp_path / "ct")]
+    assert cli.dispatch(argv) == 3
+    assert capsys.readouterr().err.startswith("ImpossibleOperation: impossible group operation (factor=0x1000")
+    assert list(tmp_path.iterdir()) == [pub]
 
 
 @pytest.mark.parametrize(

@@ -411,15 +411,15 @@ def test_ladder_multiplication_counts_are_exact(monkeypatch):
     for k in (2, 3, 10, 100, 999, 4096, 10**9 + 7):
         squarings, multiplies = k.bit_length() - 1, k.bit_count() - 1
         assert ladder_cost(k) == 2 * squarings + 1
-        assert product_ladder_cost(k) == 2 * squarings + 4 * multiplies
+        assert product_ladder_cost(k) == 2 * squarings + 2 * multiplies + 1
         # the x-only Lucas ladder and nothing else: no inversion
         expected = point_pow_nodiv(pt, k, pp)
         inversions.clear()
         assert count_products(point_pow, tallied.x, k, pp) == (ladder_cost(k), expected.x)
         assert inversions == []
-        # the product ladder, plus D*y computed once up front
+        # the Chebyshev chain, y * U included
         count, result = count_products(point_pow_nodiv, tallied, k, pp)
-        assert (count, result) == (product_ladder_cost(k) + 1, expected)
+        assert (count, result) == (product_ladder_cost(k), expected)
         assert result == naive_point_pow(pt, k % (pp.modulus + 1), pp)
         # Redei pair: four multiplications per squaring, three per multiply
         count, _ = count_products(redei_eval, Tallied(pp.d), Tallied(123), k, pp.modulus)

@@ -17,6 +17,7 @@ from pellrsa.arith import MAX_MODULUS_BITS, crt_combine, gen_prime, jacobi, mod_
 from pellrsa.keyfmt import dump_private_key, load_private_key
 from pellrsa.pell import (
     INFINITY,
+    HyperbolaPoint,
     PellParams,
     param_pow,
     param_to_point,
@@ -134,6 +135,11 @@ def test_keygen_refuses_oversized_moduli_before_drawing():
         keygen(2, [1, 1], 20000, NoDraws())
     with pytest.raises(ValueError, match=f"exceeds {MAX_MODULUS_BITS} bits"):
         keygen(2, [3, 1], MAX_MODULUS_BITS // 4 + 1, NoDraws())
+    # so is a bad shape: r < 2, other than r exponents, an even exponent or
+    # one below 1 used to draw every prime first, for seconds at 1024 bits
+    for r, exponents in [(1, [1]), (2, [1]), (2, [1, 1, 1]), (2, [2, 1]), (2, [0, 1]), (2, [-1, 1])]:
+        with pytest.raises(ValueError, match="one odd exponent >= 1 for each"):
+            keygen(r, exponents, 1024, NoDraws())
 
 
 def test_keygen_frozen_modulus():
@@ -190,6 +196,12 @@ def test_validate_message_rejections():
     with pytest.raises(ImpossibleOperation) as info:
         validate_message(pub, MessagePair(3, 7))  # my not a unit
     assert info.value.factor == 7
+    # a factor of over 4300 decimal digits, which str() refuses, goes into
+    # the message in hex instead of raising a bare ValueError
+    big = PublicKey((1 << 14400) + 1, 3)
+    with pytest.raises(ImpossibleOperation) as info:
+        encrypt(big, MessagePair(2, 0))
+    assert info.value.factor == big.n
     # coordinates outside [0, N) would decrypt to their residues
     for mx, my in [(35, 4), (35 + 3, 4), (3, -1)]:
         with pytest.raises(MessageNotEncryptable):
@@ -451,17 +463,16 @@ def test_reduced_exponents_divide_and_invert(exponents):
             assert pub.e * (priv.d % order) % order == 1 % order
 
 
-def test_private_key_derives_e_and_its_lift_inverses():
+def test_private_key_derives_e():
     rng = random.Random(19)
     pub, priv = small_keypair(rng, r=3, bits=32, exponents=[3, 1, 5])
     assert priv.e == pub.e
-    assert priv.lift_inverses == {p: pow(pub.e, -1, p**k) for p, k in priv.factors.factors if k > 1}
-    # the key file stores neither; loading derives them again
+    # the key file does not store it; loading derives it again
     loaded = load_private_key(dump_private_key(priv))
-    assert (loaded.e, loaded.lift_inverses) == (priv.e, priv.lift_inverses)
+    assert loaded.e == priv.e
     # a public e above the exponent modulus 48 comes back reduced: 53 = 5 mod 48
     _, small = keypair_from_primes([5, 7], [1, 1], e=53)
-    assert (small.d, small.e, small.lift_inverses) == (29, 5, {})
+    assert (small.d, small.e) == (29, 5)
 
 
 def test_decrypt_rejects_malformed_ciphertexts():
@@ -581,6 +592,16 @@ def inject_fault(monkeypatch, fault, p):
             return [(q, k, d_i ^ (1 << 40) if q == p else d_i, e_i) for q, k, d_i, e_i in plan(sk, d_coef)]
 
         monkeypatch.setattr(scheme, "reduced_private_exponents", flipped)
+    elif fault == "lift_x":
+        # x + p in every lift power mod a higher power of p
+        power = scheme.point_pow_nodiv
+
+        def faulty(pt, k, pp):
+            out = power(pt, k, pp)
+            lifted = pp.modulus > p and pp.modulus % p == 0
+            return HyperbolaPoint((out.x + p) % pp.modulus, out.y) if lifted else out
+
+        monkeypatch.setattr(scheme, "point_pow_nodiv", faulty)
     else:
         ladder = scheme.point_pow
         corrupt = {"ladder_x": lambda x: x + 1, "x_is_1": lambda x: 1, "x_is_minus_1": lambda x: -1}[fault]
@@ -592,20 +613,33 @@ def inject_fault(monkeypatch, fault, p):
         monkeypatch.setattr(scheme, "point_pow", faulty)
 
 
-@pytest.mark.parametrize("fault", ["branch", "d_bit", "ladder_x", "x_is_1", "x_is_minus_1"])
-@pytest.mark.parametrize("exponents", [[1, 1, 1], [3, 1]])
+# every root fault on both key shapes; the lift runs only on a prime power,
+# so its fault only on the (3,1) key
+FAULT_SHAPES = [[1, 1, 1], [3, 1]]
+FAULT_CASES = [(f, j) for j in (0, 1) for f in ["branch", "d_bit", "ladder_x", "x_is_1", "x_is_minus_1"]]
+FAULT_CASES.append(("lift_x", 1))
+
+
+@pytest.mark.parametrize(
+    "fault,exponents",
+    [(f, FAULT_SHAPES[j]) for f, j in FAULT_CASES],
+    ids=[f"exponents{j}-{f}" for f, j in FAULT_CASES],
+)
 @pytest.mark.parametrize("point", [False, True])
 def test_a_fault_in_one_prime_raises_naming_the_verify_stage(monkeypatch, fault, exponents, point):
     # a wrong root mod p still lies on the curve mod p, so it used to come
     # back as a wrong plaintext m' with gcd(m' - m, N) a multiple of the
-    # other primes: the Bellcore attack on CRT decryption
+    # other primes: the Bellcore attack on CRT decryption; a wrong lift
+    # power mod p^3 did so too, gcd(m' - m, N) then a multiple of p
     rng = random.Random(25)
     pub, priv = small_keypair(rng, r=len(exponents), bits=64, exponents=exponents)
     enc, dec = (encrypt_point, decrypt_point) if point else (encrypt, decrypt)
     msgs = [random_message(pub, rng) for _ in range(4)]
     cts = [enc(pub, msg) for msg in msgs]
     assert [dec(priv, ct) for ct in cts] == msgs
-    for i, (p, _) in enumerate(priv.factors.factors):
+    for i, (p, k) in enumerate(priv.factors.factors):
+        if fault == "lift_x" and k == 1:
+            continue
         with monkeypatch.context() as mp:
             inject_fault(mp, fault, p)
             for ct in cts:
