@@ -3,7 +3,7 @@
 import math
 import random
 
-from .errors import ImpossibleOperation, NonCoprimeModuli, RandomnessExhausted
+from .errors import ImpossibleOperation, RandomnessExhausted
 
 
 def primes_up_to(limit):
@@ -69,8 +69,9 @@ def crt_combine(residues, moduli):
 
     A residue may also be a tuple of coordinates, such as a curve point:
     tuples combine coordinate-wise under one set of Garner coefficients and
-    a tuple comes back.  Moduli must be pairwise coprime and above 1;
-    raises NonCoprimeModuli when two share a factor.
+    a tuple comes back.  Moduli must be pairwise coprime and above 1; when
+    two share a factor, raises ImpossibleOperation carrying the gcd of a
+    modulus and the product of those before it.
 
         >>> crt_combine([(2, 1), (3, 0)], [5, 7])
         (17, 21)
@@ -81,8 +82,6 @@ def crt_combine(residues, moduli):
     rows = [(r,) if scalar else r for r in residues]
     xs, m = [r % moduli[0] for r in rows[0]], moduli[0]
     for row, m_i in zip(rows[1:], moduli[1:]):
-        if math.gcd(m, m_i) != 1:
-            raise NonCoprimeModuli(f"moduli share factor {math.gcd(m, m_i)}")
         inv = mod_inv(m % m_i, m_i)
         xs = [x + m * ((r_i - x) * inv % m_i) for x, r_i in zip(xs, row)]
         m *= m_i

@@ -1,8 +1,8 @@
 """Command line front end: keygen, encrypt, decrypt, factor.
 
-Residues cross the command line as lowercase hex.  Exit codes: 1 for bad
-flags, 2 for file or parse problems, 3 for domain errors (the error class
-name goes to stderr).
+Numbers cross the command line as keyfmt writes them: residues in hex, the
+rest in decimal.  Exit codes: 1 for bad flags, 2 for file or parse
+problems, 3 for domain errors (the error class name goes to stderr).
 """
 
 import argparse
@@ -19,6 +19,7 @@ from .keyfmt import (
     load_ciphertext,
     load_private_key,
     load_public_key,
+    parse_number,
 )
 from .scheme import (
     Ciphertext,
@@ -31,18 +32,21 @@ from .scheme import (
 )
 
 
-def _hex_arg(value):
-    try:
-        return int(value, 16)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{value!r} is not hex") from None
+def _number(base):
+    def parse(value):
+        try:
+            return parse_number(value, "argument", base)
+        except KeyFormatError:
+            raise argparse.ArgumentTypeError(f"{value!r} is not a base-{base} keyfmt number") from None
+
+    return parse
 
 
-def _int_list(value):
-    try:
-        return [int(part) for part in value.split(",") if part]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{value!r} is not a comma-separated int list") from None
+def _exponent_list(value):
+    exps = [_number(10)(part) for part in value.split(",")]
+    if min(exps) < 1:
+        raise argparse.ArgumentTypeError(f"{value!r} lists an exponent below 1")
+    return exps
 
 
 def build_parser():
@@ -50,17 +54,17 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     kg = sub.add_parser("keygen", help="generate a key pair")
-    kg.add_argument("--bits", type=int, required=True, help="modulus size in bits")
-    kg.add_argument("--primes", type=int, required=True, help="number of primes r")
-    kg.add_argument("--exponents", type=_int_list, required=True, help="e1,..,er (odd)")
-    kg.add_argument("--pub-exp", type=int, default=None, help="public exponent (decimal)")
-    kg.add_argument("--seed", type=int, default=None, help="deterministic randomness seed")
+    kg.add_argument("--bits", type=_number(10), required=True, help="modulus size in bits")
+    kg.add_argument("--primes", type=_number(10), required=True, help="number of primes r")
+    kg.add_argument("--exponents", type=_exponent_list, required=True, help="e1,..,er (odd)")
+    kg.add_argument("--pub-exp", type=_number(10), default=None, help="public exponent (decimal)")
+    kg.add_argument("--seed", type=_number(10), default=None, help="deterministic randomness seed")
     kg.add_argument("--out", required=True, help="prefix for PREFIX.pub / PREFIX.key")
 
     en = sub.add_parser("encrypt", help="encrypt a message pair")
     en.add_argument("--pub", required=True, help="public key file")
-    en.add_argument("--mx", type=_hex_arg, required=True, help="first residue (hex)")
-    en.add_argument("--my", type=_hex_arg, required=True, help="second residue (hex)")
+    en.add_argument("--mx", type=_number(16), required=True, help="first residue (hex)")
+    en.add_argument("--my", type=_number(16), required=True, help="second residue (hex)")
     en.add_argument("--point", action="store_true", help="uncompressed point ciphertext")
     en.add_argument("--out", default=None, help="ciphertext file (default stdout)")
 
@@ -69,22 +73,18 @@ def build_parser():
     de.add_argument("--in", dest="infile", required=True, help="ciphertext file")
 
     fa = sub.add_parser("factor", help="factor n given psi(n)")
-    fa.add_argument("--n", type=_hex_arg, required=True, help="modulus (hex)")
-    fa.add_argument("--psi", type=_hex_arg, required=True, help="totient analog (hex)")
-    fa.add_argument("--trials", type=int, default=200, help="trial budget")
-    fa.add_argument("--seed", type=int, default=None)
+    fa.add_argument("--n", type=_number(16), required=True, help="modulus (hex)")
+    fa.add_argument("--psi", type=_number(16), required=True, help="totient analog (hex)")
+    fa.add_argument("--trials", type=_number(10), default=200, help="trial budget")
+    fa.add_argument("--seed", type=_number(10), default=None)
 
     return parser
 
 
 def _cmd_keygen(args):
-    exps = args.exponents
-    if len(exps) != args.primes or not exps or min(exps) < 1:
-        print("--exponents must list one odd exponent >= 1 per prime", file=sys.stderr)
-        return 1
-    prime_bits = args.bits // sum(exps)
-    rng = random.Random(args.seed) if args.seed is not None else random.Random()
-    pub, priv = keygen(args.primes, exps, prime_bits, rng, e=args.pub_exp)
+    prime_bits = args.bits // sum(args.exponents)
+    rng = random.Random(args.seed)
+    pub, priv = keygen(args.primes, args.exponents, prime_bits, rng, e=args.pub_exp)
     Path(args.out + ".pub").write_text(dump_public_key(pub))
     Path(args.out + ".key").write_text(dump_private_key(priv))
     return 0
@@ -114,8 +114,7 @@ def _cmd_decrypt(args):
 
 
 def _cmd_factor(args):
-    rng = random.Random(args.seed) if args.seed is not None else random.Random()
-    factors = full_factorization(args.n, args.psi, rng, max_trials=args.trials)
+    factors = full_factorization(args.n, args.psi, random.Random(args.seed), max_trials=args.trials)
     print(" * ".join(f"{p:x}^{e}" for p, e in factors))
     return 0
 

@@ -5,10 +5,6 @@ class PellRsaError(Exception):
     """Base class for all domain errors raised by this package."""
 
 
-class NonCoprimeModuli(PellRsaError):
-    """CRT moduli share a common factor."""
-
-
 class RandomnessExhausted(PellRsaError):
     """Bounded random search gave up (e.g. prime generation)."""
 

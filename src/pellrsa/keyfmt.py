@@ -1,13 +1,14 @@
 """Line-oriented text serialization of keys and ciphertexts.
 
-All residues are lowercase hex without a 0x prefix; prime-power exponents
-in factor lines are decimal.  Formats:
+Numbers are read only as written: residues in lowercase hex, factor-line
+exponents in decimal, ASCII with no sign, prefix, separator or leading zero.
+Whitespace around lines and blank lines are ignored.  Formats:
 
     pellrsa-pub v1          pellrsa-priv v1         pellrsa-ct v1
     n=<hex>                 mode=<strict|robust>    kind=<param|point>
     e=<hex>                 d=<hex>                 d_coef=<hex>
                             factor=<p-hex>^<e-dec>  c=<hex>          (param)
-                            ...                     cx=<hex>
+                            ... (ascending p)       cx=<hex>
                                                     cy=<hex>         (point)
 """
 
@@ -39,11 +40,16 @@ def _take(fields, expected):
     return fields.pop(0)[1]
 
 
-def _hex_int(value, field):
+def parse_number(value, field, base=16):
+    """The n >= 0 written as `value`, which must be exactly format(n, "x"),
+    or format(n, "d") for base 10; other text raises KeyFormatError."""
     try:
-        return int(value, 16)
+        n = int(value, base)
+        if n >= 0 and format(n, "x" if base == 16 else "d") == value:
+            return n
     except ValueError:
-        raise KeyFormatError(f"field {field!r} is not hex") from None
+        pass
+    raise KeyFormatError(f"field {field!r} is not a base-{base} number as pellrsa writes it")
 
 
 def dump_public_key(pk):
@@ -52,8 +58,8 @@ def dump_public_key(pk):
 
 def load_public_key(text):
     fields = _parse_lines(text, PUBLIC_MAGIC)
-    n = _hex_int(_take(fields, "n"), "n")
-    e = _hex_int(_take(fields, "e"), "e")
+    n = parse_number(_take(fields, "n"), "n")
+    e = parse_number(_take(fields, "e"), "e")
     if fields:
         raise KeyFormatError(f"unexpected trailing fields {fields}")
     try:
@@ -71,18 +77,15 @@ def dump_private_key(sk):
 def load_private_key(text):
     fields = _parse_lines(text, PRIVATE_MAGIC)
     mode = _take(fields, "mode")
-    d = _hex_int(_take(fields, "d"), "d")
+    d = parse_number(_take(fields, "d"), "d")
     pairs = []
     for key, value in fields:
         if key != "factor":
             raise KeyFormatError(f"unexpected field {key!r}")
-        base, sep, exp = value.partition("^")
-        if not sep:
-            raise KeyFormatError(f"malformed factor {value!r}")
-        try:
-            pairs.append((int(base, 16), int(exp, 10)))
-        except ValueError:
-            raise KeyFormatError(f"malformed factor {value!r}") from None
+        base, _, exp = value.partition("^")
+        pairs.append((parse_number(base, "factor"), parse_number(exp, "factor", 10)))
+    if pairs != sorted(pairs):
+        raise KeyFormatError("factor lines must list the primes in ascending order")
     try:
         return PrivateKey(FactoredModulus(pairs), d, Mode(mode))
     except ValueError as err:
@@ -102,13 +105,13 @@ def dump_ciphertext(ct):
 def load_ciphertext(text):
     fields = _parse_lines(text, CIPHERTEXT_MAGIC)
     kind = _take(fields, "kind")
-    d_coef = _hex_int(_take(fields, "d_coef"), "d_coef")
+    d_coef = parse_number(_take(fields, "d_coef"), "d_coef")
     if kind == "param":
-        c = _hex_int(_take(fields, "c"), "c")
+        c = parse_number(_take(fields, "c"), "c")
         ct = Ciphertext(c, d_coef)
     elif kind == "point":
-        cx = _hex_int(_take(fields, "cx"), "cx")
-        cy = _hex_int(_take(fields, "cy"), "cy")
+        cx = parse_number(_take(fields, "cx"), "cx")
+        cy = parse_number(_take(fields, "cy"), "cy")
         ct = PointCiphertext(cx, cy, d_coef)
     else:
         raise KeyFormatError(f"unknown ciphertext kind {kind!r}")

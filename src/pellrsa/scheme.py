@@ -79,6 +79,8 @@ class PublicKey:
     def __post_init__(self):
         if self.n < 3 or self.n % 2 == 0 or self.e < 1:
             raise ValueError("public key needs an odd n >= 3 and e >= 1")
+        if max(self.n, self.e).bit_length() > MAX_MODULUS_BITS:
+            raise ValueError(f"n and e may have at most {MAX_MODULUS_BITS} bits")
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from pellrsa.arith import (
     jacobi,
     mod_inv,
 )
-from pellrsa.errors import ImpossibleOperation, NonCoprimeModuli
+from pellrsa.errors import ImpossibleOperation
 
 
 # ---- independent oracles ----
@@ -178,8 +178,9 @@ def test_crt_trivial_cases():
 
 
 def test_crt_rejects_common_factor():
-    with pytest.raises(NonCoprimeModuli):
+    with pytest.raises(ImpossibleOperation) as info:
         crt_combine([1, 2], [6, 15])
+    assert info.value.factor == 3
 
 
 def test_crt_reproduces_residues():

@@ -84,6 +84,9 @@ def test_private_key_parse_errors():
     # 6 is not prime: the factored modulus refuses to build
     with pytest.raises(KeyFormatError):
         load_private_key("pellrsa-priv v1\nmode=strict\nd=5\nfactor=6^1\nfactor=7^1\n")
+    # an exponent of more than 4300 decimal digits, which int() refuses
+    with pytest.raises(KeyFormatError):
+        load_private_key(f"pellrsa-priv v1\nmode=strict\nd=5\nfactor=5^{'1' * 4301}\nfactor=7^1\n")
 
 
 def test_ciphertext_parse_errors():
@@ -109,11 +112,18 @@ def test_ciphertext_parse_errors():
             load_private_key,
             "pellrsa-priv v1\nmode=robust\nd=3\nfactor=3^1000000000000\nfactor=5^1\n",
         ),
+        pytest.param(
+            load_public_key, f"pellrsa-pub v1\nn={(1 << 16384) + 1:x}\ne=3\n", id="n-16385-bits"
+        ),
+        pytest.param(
+            load_public_key, f"pellrsa-pub v1\nn=23\ne={(1 << 16384) + 1:x}\n", id="e-16385-bits"
+        ),
     ],
 )
 def test_loaders_reject_keys_breaking_invariants(load, text):
     # well-formed text whose key breaks an invariant: d = 0 or 6 share a
     # factor with lcm(24, 48) = 48, an even exponent, one prime, prime 2, a
-    # modulus far above the size limit (refused before 3^(10^12) is computed)
+    # modulus far above the size limit (refused before 3^(10^12) is computed),
+    # a public n or e above MAX_MODULUS_BITS, which would make encryption slow
     with pytest.raises(KeyFormatError):
         load(text)

@@ -62,3 +62,26 @@ def test_every_error_type_is_raised():
     } - {"PellRsaError"}
     raised = set().union(*(raised_names(path.read_text()) for path in MODULES))
     assert sorted(subclasses - raised) == []
+
+
+def int_calls_with_base(source):
+    """Line numbers of the int() calls in a module that pass a base."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "int"
+        and (len(node.args) > 1 or any(kw.arg == "base" for kw in node.keywords))
+    )
+
+
+def test_int_calls_with_base_are_found():
+    source = "int(x)\nint(x, 16)\nint(x, base=10)\nfloat(x)\nint(\n    y, 2\n)\n"
+    assert int_calls_with_base(source) == [2, 3, 5]
+
+
+def test_only_keyfmt_reads_numbers_from_text():
+    # one grammar for numbers in key files and CLI flags: keyfmt.parse_number
+    readers = [path.name for path in MODULES if int_calls_with_base(path.read_text())]
+    assert readers == ["keyfmt.py"]
