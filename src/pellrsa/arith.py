@@ -1,7 +1,15 @@
-"""Big-integer modular arithmetic, primality testing and CRT utilities."""
+"""Big-integer modular arithmetic, primality testing and CRT utilities.
+
+Above 2^64 is_probable_prime is the Baillie-PSW test (Baillie and Wagstaff,
+"Lucas pseudoprimes", Math. Comp. 35, 1980): a strong test to base 2 and an
+extra strong Lucas test (Grantham, "Frobenius pseudoprimes", Math. Comp. 70,
+2001) on lucas_v, the ladder pell.point_pow also runs.  No composite is known
+to pass both.  "Prime and Prejudice" (Albrecht et al., CCS 2018) builds
+composites that pass Miller-Rabin to fixed bases and recommends Baillie-PSW
+for input an adversary may choose, such as a key file.
+"""
 
 import math
-import random
 
 from .errors import ImpossibleOperation, RandomnessExhausted
 
@@ -19,8 +27,6 @@ SMALL_PRIMES = primes_up_to(1000)
 
 # First-12-prime Miller-Rabin bases are a proven deterministic set below 2^64.
 _DETERMINISTIC_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# Random bases above 2^64: error probability < 4^-40.
-_RANDOM_ROUNDS = 40
 
 # Largest modulus FactoredModulus builds, as sum(e * bitlen(p)); NIST's
 # 15360-bit modulus for 256-bit security fits.
@@ -89,37 +95,78 @@ def crt_combine(residues, moduli):
     return xs[0] if scalar else xs
 
 
-def is_probable_prime(n, rng=None):
-    """Miller-Rabin probable-prime test.
+def lucas_v(v, k, m):
+    """(V_k, V_{k+1}) mod m of the Lucas sequence V_0 = 2, V_1 = v with Q = 1.
 
-    Uses the proven deterministic base set below 2**64, else _RANDOM_ROUNDS
-    random bases.
+    A Montgomery ladder over V_{2j} = V_j^2 - 2 and V_{2j+1} = V_j V_{j+1} - v,
+    one full product for the leading bit of k and two for each later one
+    (pell.ladder_cost), and no division.  With v = 2x it is pell.point_pow's
+    x-only power, since V_k = 2 T_k(x); with v = P it is _lucas_test's.
+    """
+    v %= m
+    a, b = 2, v
+    for bit in bin(k)[2:]:
+        if bit == "1":
+            a, b = (a * b - v) % m, (b * b - 2) % m
+        else:
+            a, b = (a * a - 2) % m, (a * b - v) % m
+    return a, b
+
+
+def _strong_test(n, a):
+    """True when odd n > 2 passes the Miller-Rabin (strong) test to base a."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    x = pow(a, (n - 1) >> s, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _lucas_test(n):
+    """True when odd n passes the extra strong Lucas test (Q = 1).
+
+    P is the least P >= 3 with Jacobi(P^2 - 4, n) = -1; a square n has none,
+    so it is refused first.  With n + 1 = d 2^s, n passes when V_d = +-2 and
+    U_d = 0, or V_{d 2^r} = 0 for some 0 <= r < s - 1.  D = P^2 - 4 is a unit,
+    so U_d = (2 V_{d+1} - P V_d)/D vanishes exactly when 2 V_{d+1} = P V_d.
+    """
+    if math.isqrt(n) ** 2 == n:
+        return False
+    p = 3
+    while (j := jacobi(p * p - 4, n)) == 1:
+        p += 1
+    if j == 0:
+        return False
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    v, w = lucas_v(p, (n + 1) >> s, n)
+    if v in (2, n - 2) and (2 * w - p * v) % n == 0:
+        return True
+    for _ in range(s - 1):
+        if v == 0:
+            return True
+        v = (v * v - 2) % n
+    return False
+
+
+def is_probable_prime(n):
+    """Primality: exact below 2^64, Baillie-PSW above; nothing is random.
+
+    Trial division by SMALL_PRIMES first.  Below 2^64 the twelve
+    _DETERMINISTIC_BASES are a proof, not a conjecture, and cost little at
+    that size.  Above, one strong test to base 2, then _lucas_test.
     """
     if n < 2:
         return False
     for p in SMALL_PRIMES:
         if n % p == 0:
             return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-
-    def witness(a):
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            return False
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                return False
-        return True
-
     if n < 1 << 64:
-        return not any(witness(a) for a in _DETERMINISTIC_BASES)
-    if rng is None:
-        rng = random.Random()
-    return not any(witness(rng.randrange(2, n - 1)) for _ in range(_RANDOM_ROUNDS))
+        return all(_strong_test(n, a) for a in _DETERMINISTIC_BASES)
+    return _strong_test(n, 2) and _lucas_test(n)
 
 
 def gen_prime(bits, rng):
@@ -131,7 +178,7 @@ def gen_prime(bits, rng):
         raise ValueError("bits must be >= 8")
     for _ in range(64 * bits):
         candidate = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
-        if is_probable_prime(candidate, rng):
+        if is_probable_prime(candidate):
             return candidate
     raise RandomnessExhausted(f"no {bits}-bit prime found")
 

@@ -11,18 +11,20 @@ Two views of the same cyclic structure are implemented:
 Over a composite modulus the parameter product is only partial: a denominator
 sharing a factor with the modulus aborts the operation and leaks that factor
 (ImpossibleOperation).  Point powers never divide and read only x: the
-x-only Lucas ladder (point_pow) takes decryption's and factoring's long
-powers, and the Chebyshev chain (point_pow_nodiv) encryption's and
-decryption's short ones to e.  param_mul, param_pow and the Redei-pair
-power redei_pow (one division at the end) have no library caller: they
-serve the tests of the paper's definitions and the benchmark's traces.
+x-only Lucas ladder (point_pow on arith.lucas_v) takes decryption's and
+factoring's long powers, and the Chebyshev chain (point_pow_nodiv)
+encryption's and decryption's short ones to e.  lucas_v also runs the
+Lucas half of arith.is_probable_prime, so one ladder serves decryption,
+factoring and primality.  param_mul, param_pow and the Redei-pair power
+redei_pow (one division at the end) have no library caller: they serve the
+tests of the paper's definitions and the benchmark's traces.
 """
 
 from dataclasses import dataclass
 from math import gcd
 from typing import NamedTuple
 
-from .arith import mod_inv
+from .arith import lucas_v, mod_inv
 from .errors import ImpossibleOperation
 
 
@@ -93,24 +95,14 @@ def point_pow(x, k, pp):
     """x-coordinate of the k-th power of an on-curve point with x-coordinate x.
 
     x_k = T_k(x), the Chebyshev polynomial, whatever the curve's D, so only
-    pp.modulus is read.  A Montgomery ladder over V_k = 2 x_k, with V_{2k} =
-    V_k^2 - 2 and V_{2k+1} = V_k V_{k+1} - V_1, costs two multiplications per
-    exponent bit (ladder_cost) and never divides.  Mod 2n every V_k is 2 x_k
+    pp.modulus is read.  V_k = 2 x_k is a Lucas sequence with V_1 = 2x and
+    Q = 1, and arith.lucas_v's ladder takes it in two multiplications per
+    exponent bit (ladder_cost), never dividing.  Mod 2n every V_k is 2 x_k
     plus a multiple of 2n, so a shift halves it exactly, for even n too.
     """
     if k < 0:
         raise ValueError("exponent must be >= 0")
-    n, m = pp.modulus, 2 * pp.modulus
-    if k == 0:
-        return 1 % n
-    v = 2 * x % m
-    a, b = v, (v * v - 2) % m
-    for bit in bin(k)[3:]:
-        if bit == "1":
-            a, b = (a * b - v) % m, (b * b - 2) % m
-        else:
-            a, b = (a * a - 2) % m, (a * b - v) % m
-    return a >> 1
+    return lucas_v(2 * x, k, 2 * pp.modulus)[0] >> 1
 
 
 def point_pow_nodiv(p, k, pp):

@@ -77,8 +77,9 @@ class PublicKey:
     e: int
 
     def __post_init__(self):
-        if self.n < 3 or self.n % 2 == 0 or self.e < 1:
-            raise ValueError("public key needs an odd n >= 3 and e >= 1")
+        # the exponent modulus is even, so an even e has no private d
+        if self.n < 3 or self.n % 2 == 0 or self.e < 1 or self.e % 2 == 0:
+            raise ValueError("public key needs an odd n >= 3 and an odd e >= 1")
         if max(self.n, self.e).bit_length() > MAX_MODULUS_BITS:
             raise ValueError(f"n and e may have at most {MAX_MODULUS_BITS} bits")
 

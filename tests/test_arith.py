@@ -6,8 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pellrsa import arith
 from pellrsa.arith import (
+    _DETERMINISTIC_BASES,
     FactoredModulus,
+    _lucas_test,
+    _strong_test,
     crt_combine,
     gen_prime,
     is_probable_prime,
@@ -15,6 +19,7 @@ from pellrsa.arith import (
     mod_inv,
 )
 from pellrsa.errors import ImpossibleOperation
+from oracles import miller_rabin
 
 
 # ---- independent oracles ----
@@ -33,6 +38,15 @@ def legendre_by_enumeration(a, p):
         return 0
     squares = {x * x % p for x in range(1, p)}
     return 1 if a in squares else -1
+
+
+def composite_flags(limit):
+    """flags[n] is 1 for each composite n < limit, by the sieve."""
+    flags = bytearray(limit)
+    for p in range(2, math.isqrt(limit) + 1):
+        if not flags[p]:
+            flags[p * p :: p] = b"\x01" * len(flags[p * p :: p])
+    return flags
 
 
 def crt_by_search(residues, moduli):
@@ -240,6 +254,82 @@ def test_is_probable_prime_against_sieve():
 def test_is_probable_prime_large():
     assert is_probable_prime(2**127 - 1)
     assert not is_probable_prime(2**128 - 1)
+
+
+def test_is_probable_prime_agrees_with_miller_rabin_above_2_64():
+    # from each seeded odd start of 65-256 bits, walk to the oracle's next
+    # prime: every composite on the way and the prime agree
+    rng = random.Random(29)
+    for _ in range(150):
+        n = rng.getrandbits(rng.randrange(65, 257)) | 1 << 64 | 1
+        while not miller_rabin(n, rng):
+            assert not is_probable_prime(n), n
+            n += 2
+        assert is_probable_prime(n), n
+
+
+# OEIS A217719: the extra strong Lucas pseudoprimes below 10^5
+EXTRA_STRONG_LUCAS_PSEUDOPRIMES = [
+    989, 3239, 5777, 10877, 27971, 29681, 30739, 31631, 39059, 72389, 73919, 75077,
+]
+
+
+def test_lucas_half_accepts_primes_and_exactly_a217719():
+    composite = composite_flags(10**5)
+    passing = [n for n in range(7, 10**5, 2) if composite[n] and math.isqrt(n) ** 2 != n and _lucas_test(n)]
+    assert passing == EXTRA_STRONG_LUCAS_PSEUDOPRIMES
+    assert all(_lucas_test(n) for n in range(7, 10**5, 2) if not composite[n])
+
+
+def test_base_2_half_pseudoprimes_fail_the_lucas_half():
+    # strong pseudoprimes to base 2; the last, below 2^64, also to every
+    # prime base up to 23, and refused there by the twelve bases
+    for n in (2047, 3277, 4033, 4681, 8321, 3825123056546413051):
+        assert _strong_test(n, 2) and not _lucas_test(n), n
+        assert not is_probable_prime(n)
+
+
+def test_no_odd_composite_below_2e5_passes_both_halves():
+    composite = composite_flags(2 * 10**5)
+    liars = [n for n in range(9, 2 * 10**5, 2) if composite[n] and _strong_test(n, 2) and _lucas_test(n)]
+    assert liars == []
+
+
+@pytest.mark.parametrize("half", ["_strong_test", "_lucas_test"])
+def test_each_half_refuses_a_composite_above_2_64_alone(monkeypatch, half):
+    # with either half made to pass everything, the other still refuses
+    n = gen_prime(40, random.Random(41)) * gen_prime(40, random.Random(43))
+    assert n > 1 << 64
+    monkeypatch.setattr(arith, half, lambda *args: True)
+    assert not is_probable_prime(n)
+
+
+def test_strong_pseudoprime_to_the_first_twelve_prime_bases_is_refused():
+    # 82 bits, a strong pseudoprime to every prime base up to 37: the twelve
+    # bases that are exact below 2^64 all pass it
+    n = 3317044064679887385961981
+    assert n > 1 << 64 and n == 1287836182261 * 2575672364521
+    assert all(_strong_test(n, a) for a in _DETERMINISTIC_BASES)
+    assert not is_probable_prime(n)
+
+
+def test_chernick_carmichael_number_above_2_64_is_refused():
+    # (6k+1)(12k+1)(18k+1) with all three prime is a Carmichael number:
+    # a^(n-1) = 1 for every a coprime to n
+    rng = random.Random(31)
+    k = 1 << 70
+    while not all(miller_rabin(f * k + 1, rng) for f in (6, 12, 18)):
+        k += 1
+    n = (6 * k + 1) * (12 * k + 1) * (18 * k + 1)
+    assert pow(2, n - 1, n) == 1 and pow(3, n - 1, n) == 1
+    assert not is_probable_prime(n)
+
+
+def test_square_of_a_prime_is_refused_and_the_search_for_p_ends(alarm):
+    # no P has Jacobi(P^2 - 4, p^2) = -1, so the square must be caught first
+    p = gen_prime(100, random.Random(37))
+    assert not _lucas_test(p * p)
+    assert not is_probable_prime(p * p)
 
 
 # ---- FactoredModulus ----

@@ -76,11 +76,13 @@ def test_encrypt_with_a_factor_of_over_4300_digits_exits_3(tmp_path, capsys):
         ("--key", b"\xff\xfe", "UnicodeDecodeError"),
         ("--in", b"\xff\xfe", "UnicodeDecodeError"),
         ("--pub", b"\xff\xfe", "UnicodeDecodeError"),
+        ("--pub", "e=2", "KeyFormatError"),
     ],
-    ids=["key-syntax", "key-not-utf8", "in-not-utf8", "pub-not-utf8"],
+    ids=["key-syntax", "key-not-utf8", "in-not-utf8", "pub-not-utf8", "pub-even-e"],
 )
 def test_invalid_input_file_exits_2(keys, tmp_path, capsys, flag, bad, error):
-    # a key that does not parse, or an input file that is not UTF-8 text
+    # a key that does not parse, an even public e that no private key can
+    # match, or an input file that is not UTF-8 text
     prefix, pub, _ = keys
     msg = random_message(pub, random.Random(4))
     files = {"--key": f"{prefix}.key", "--pub": f"{prefix}.pub"}
@@ -89,6 +91,9 @@ def test_invalid_input_file_exits_2(keys, tmp_path, capsys, flag, bad, error):
     if bad == "d=0":
         text = prefix.with_suffix(".key").read_text().splitlines()
         bad_file.write_text("\n".join([text[0], text[1], "d=0", *text[3:]]) + "\n")
+    elif bad == "e=2":
+        text = prefix.with_suffix(".pub").read_text().splitlines()
+        bad_file.write_text("\n".join([text[0], text[1], "e=2"]) + "\n")
     else:
         bad_file.write_bytes(bad)
     files[flag] = str(bad_file)

@@ -118,12 +118,15 @@ def test_ciphertext_parse_errors():
         pytest.param(
             load_public_key, f"pellrsa-pub v1\nn=23\ne={(1 << 16384) + 1:x}\n", id="e-16385-bits"
         ),
+        pytest.param(load_public_key, "pellrsa-pub v1\nn=23\ne=2\n", id="e-2"),
+        pytest.param(load_public_key, "pellrsa-pub v1\nn=23\ne=4\n", id="e-4"),
     ],
 )
 def test_loaders_reject_keys_breaking_invariants(load, text):
     # well-formed text whose key breaks an invariant: d = 0 or 6 share a
     # factor with lcm(24, 48) = 48, an even exponent, one prime, prime 2, a
     # modulus far above the size limit (refused before 3^(10^12) is computed),
-    # a public n or e above MAX_MODULUS_BITS, which would make encryption slow
+    # a public n or e above MAX_MODULUS_BITS, which would make encryption slow,
+    # an even public e, which no d inverts modulo the even exponent modulus
     with pytest.raises(KeyFormatError):
         load(text)

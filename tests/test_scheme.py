@@ -41,6 +41,7 @@ from pellrsa.scheme import (
     reduced_private_exponents,
     validate_message,
 )
+from oracles import miller_rabin
 
 
 def small_keypair(rng, r=2, bits=32, mode=Mode.ROBUST, exponents=None):
@@ -143,11 +144,13 @@ def test_keygen_refuses_oversized_moduli_before_drawing():
 
 
 def test_keygen_frozen_modulus():
-    pub, _ = keygen(2, [1, 1], 256, random.Random(2024))
+    pub, priv = keygen(2, [1, 1], 256, random.Random(2024))
     assert pub.n == int(
-        "ea8e014c306d35c13156565014e4360aed18a071ce2ba26e7e3054e5546e8c43"
-        "b32c2ece28548f1a06caa17ef33354b68faf43c9956c87558a9bfa5a8641fa13", 16
+        "bd3842c3f6cfb92e13d4a893d4c72c621bd8fe886587e1ba1fd95216973b403e"
+        "c588cea07061d518fb72d3060484c6498a408257bffce2c37fd1b7eb938ca4ed", 16
     )
+    # both primes also pass 40 random Miller-Rabin rounds
+    assert all(miller_rabin(p, random.Random(p)) for p, _ in priv.factors.factors)
 
 
 def test_keygen_distinct_primes_and_size():
