@@ -11,7 +11,8 @@ cryptanalysis (factoring N from the group's totient analog).  Import from
 the module that holds each part:
 
 * ``scheme``: keys, keygen, message validation, encryption, decryption;
-* ``pell``: curve and parameter group laws, point and Redei powers, psi;
+* ``pell``: curve and parameter group laws, the x-only ladder, the
+  Chebyshev chain, Redei powers, psi;
 * ``arith``: inverse, Jacobi symbol, CRT, primality, FactoredModulus;
 * ``attacks``: factoring N given psi(N), impossible-operation odds;
 * ``keyfmt``: the text format of keys and ciphertexts;

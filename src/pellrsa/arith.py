@@ -101,7 +101,9 @@ def lucas_v(v, k, m):
     A Montgomery ladder over V_{2j} = V_j^2 - 2 and V_{2j+1} = V_j V_{j+1} - v,
     one full product for the leading bit of k and two for each later one
     (pell.ladder_cost), and no division.  With v = 2x it is pell.point_pow's
-    x-only power, since V_k = 2 T_k(x); with v = P it is _lucas_test's.
+    x-only power, since V_k = 2 T_k(x); with v = P it is _lucas_test's.  A
+    power's y needs U_{k-1} too, which this ladder yields only through an
+    inversion, so pell.chebyshev takes those powers.
     """
     v %= m
     a, b = 2, v
@@ -187,16 +189,20 @@ class FactoredModulus:
     """A modulus known by its prime-power factorization.
 
     `factors` is a sorted tuple of (prime, exponent) pairs; `value` is the
-    product of the prime powers.  Primes must be distinct probable primes,
-    exponents >= 1, and sum(e * bitlen(p)) at most MAX_MODULUS_BITS; the
-    size is checked from bit lengths first, so a hostile exponent is
-    refused before any power or primality test runs.
+    product of the prime powers.  Primes must be distinct probable primes and
+    exponents >= 1, each an int (not a bool, float or str, which int() would
+    coerce), and sum(e * bitlen(p)) at most MAX_MODULUS_BITS; the size is
+    checked from bit lengths first, so a hostile exponent is refused before
+    any power or primality test runs.
     """
 
     __slots__ = ("factors", "value")
 
     def __init__(self, factors):
-        pairs = tuple(sorted((int(p), int(e)) for p, e in factors))
+        pairs = [(p, e) for p, e in factors]
+        if any(type(v) is not int for pair in pairs for v in pair):
+            raise ValueError("primes and exponents must be ints")
+        pairs = tuple(sorted(pairs))
         if not pairs:
             raise ValueError("at least one prime factor required")
         primes = [p for p, _ in pairs]

@@ -12,12 +12,13 @@ Over a composite modulus the parameter product is only partial: a denominator
 sharing a factor with the modulus aborts the operation and leaks that factor
 (ImpossibleOperation).  Point powers never divide and read only x: the
 x-only Lucas ladder (point_pow on arith.lucas_v) takes decryption's and
-factoring's long powers, and the Chebyshev chain (point_pow_nodiv)
-encryption's and decryption's short ones to e.  lucas_v also runs the
-Lucas half of arith.is_probable_prime, so one ladder serves decryption,
-factoring and primality.  param_mul, param_pow and the Redei-pair power
-redei_pow (one division at the end) have no library caller: they serve the
-tests of the paper's definitions and the benchmark's traces.
+factoring's long powers, and chebyshev, on a bare residue and modulus,
+encryption's and decryption's short ones to e with U for the caller's y.
+lucas_v also runs the Lucas half of arith.is_probable_prime, so one ladder
+serves decryption, factoring and primality.  param_mul, param_pow and the
+Redei-pair power redei_pow (one division at the end) have no library
+caller: they serve the tests of the paper's definitions and the
+benchmark's traces.
 """
 
 from dataclasses import dataclass
@@ -80,13 +81,6 @@ class PellParams:
     def on_curve(self, x, y):
         return (x * x - self.d * y * y) % self.modulus == 1 % self.modulus
 
-    def point(self, x, y):
-        """Validated curve point; raises ValueError off the curve."""
-        x, y = x % self.modulus, y % self.modulus
-        if not self.on_curve(x, y):
-            raise ValueError(f"({x}, {y}) is not on the curve")
-        return HyperbolaPoint(x, y)
-
     def identity(self):
         return HyperbolaPoint(1 % self.modulus, 0)
 
@@ -105,43 +99,44 @@ def point_pow(x, k, pp):
     return lucas_v(2 * x, k, 2 * pp.modulus)[0] >> 1
 
 
-def point_pow_nodiv(p, k, pp):
-    """k-th power (T_k(x), y U_{k-1}(x)) of an on-curve point; no division.
+def chebyshev(x, k, n):
+    """(T_k(x), U_{k-1}(x)) mod n for k >= 1, by a chain that never divides.
 
-    A Chebyshev chain reads only x and pp.modulus: a squaring (2T^2 - 1,
-    2TU) costs two multiplications, a multiply step U' = T + xU,
-    T' = xU' - U two (product_ladder_cost).  Encryption powers mod the
-    composite N with it, and decryption to e: each prime's root check on
-    (x, 1), giving (T_e(x), U_{e-1}(x)), and the Hensel lift.
+    The k-th power of an on-curve point (x, y) is (T_k(x), y U_{k-1}(x))
+    whatever the curve's D, so the caller scales y by U.  A squaring
+    (2T^2 - 1, 2TU) costs two multiplications, a multiply step U' = T + xU,
+    T' = xU' - U two.  Encryption powers mod N with it, and decryption to e:
+    each prime's root check and each Hensel lift step.
+
+        >>> chebyshev(2, 3, 1000)
+        (26, 15)
     """
-    if k < 0:
-        raise ValueError("exponent must be >= 0")
-    n = pp.modulus
-    if k == 0:
-        return pp.identity()
-    x = p.x % n
+    if k < 1:
+        raise ValueError("exponent must be >= 1")
+    x %= n
     t, u = x, 1
     for bit in bin(k)[3:]:
         t, u = (2 * t * t - 1) % n, 2 * t * u % n
         if bit == "1":
             v = (t + x * u) % n
             t, u = (x * v - u) % n, v
-    return HyperbolaPoint(t, p.y * u % n)
+    return t, u
 
 
 def ladder_cost(k):
     """Modular multiplications of point_pow's ladder for an exponent k >= 1.
 
     One for V_2 = V_1^2 - 2, then two per exponent bit after the leading one,
-    and no inversion; decryption's y costs product_ladder_cost(e) and one.
+    and no inversion; a root's y adds product_ladder_cost(e) and an inversion.
     """
     return 2 * (k.bit_length() - 1) + 1
 
 
 def product_ladder_cost(k):
-    """Modular multiplications of point_pow_nodiv for an exponent k >= 1.
+    """Modular multiplications of a point's k-th power, for k >= 1.
 
-    Two per squaring, two per multiply step; one more scales y by U at the end.
+    chebyshev takes two per squaring and two per multiply step; one more
+    scales y by U at the end.
     """
     return 2 * (k.bit_length() - 1) + 2 * (k.bit_count() - 1) + 1
 

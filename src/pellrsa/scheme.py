@@ -3,8 +3,9 @@
 A key is built over N = p1^e1 * ... * pr^er.  A message is a pair
 (mx, my) of units mod N; its own curve coefficient D = (mx^2 - 1)/my^2
 puts (mx, my) on the hyperbola x^2 - D y^2 = 1.  Encryption raises the
-point to the public exponent and compresses the power to its parameter C,
-which is m = (mx + 1)/my raised to e; the ciphertext is the pair (C, D).
+point to the public exponent by pell.chebyshev on mx alone, scaling my by
+the U it returns, and compresses the power to its parameter C, which is
+m = (mx + 1)/my raised to e; the ciphertext is the pair (C, D).
 
 Decryption exploits the factorization: modulo each prime p the group
 order is p + 1 or p - 1 depending on whether D is a non-residue or a
@@ -13,12 +14,13 @@ per factor, and the results recombine by CRT.  That exponent reduction is
 where the speedup over two-prime moduli comes from.  A compressed
 ciphertext decompresses mod each prime power p^k, never mod N.  Per prime,
 an x-only Lucas ladder mod p (pell.point_pow) yields the root's x; its
-power to e must give back the ciphertext's x and also yields the root's y,
-so a fault in one prime's branch, exponent or ladder raises instead of
-leaking p through a wrong plaintext (the Bellcore attack).  Every factor
-then lifts its root from p to p^k by ceil(log3 k) cubic Newton steps
-(Takagi's p^k q decryption), none for k = 1, each one power to e that must
-stay on the curve, so no ladder runs wider than a prime.
+power to e (pell.chebyshev) must give back the ciphertext's x, and its U
+yields the root's y, so a fault in one prime's branch, exponent or ladder
+raises instead of leaking p through a wrong plaintext (the Bellcore
+attack).  Every factor then lifts its root from p to p^k by ceil(log3 k)
+cubic Newton steps (Takagi's p^k q decryption), none for k = 1, each one
+power to e that must stay on the curve, so no ladder runs wider than a
+prime.
 
 The paper counts one multiplication per exponent bit on both sides and
 predicts a speedup of r^2/2 over two-prime CRT-RSA; counting the ladder's
@@ -51,15 +53,7 @@ from .errors import (
     MessageNotEncryptable,
     RandomnessExhausted,
 )
-from .pell import (
-    INFINITY,
-    HyperbolaPoint,
-    PellParams,
-    param_to_point,
-    point_pow,
-    point_pow_nodiv,
-    point_to_param,
-)
+from .pell import INFINITY, HyperbolaPoint, PellParams, chebyshev, param_to_point, point_pow, point_to_param
 
 DEFAULT_PUBLIC_EXPONENT = 65537
 RANDOM_MESSAGE_DRAWS = 1000
@@ -88,8 +82,10 @@ class PublicKey:
 class PrivateKey:
     """Factored modulus, private exponent d and mode.
 
-    Its one derived field, e = d^-1 mod the exponent modulus, serves the
-    root checks and the Hensel lift; the key file does not store it.
+    d must lie in [1, exponent modulus): a larger d decrypts alike but
+    makes every Hensel lift step multiply by it.  Its one derived field,
+    e = d^-1 mod the exponent modulus, serves the root checks and the lift;
+    the key file does not store it.
     """
 
     factors: FactoredModulus
@@ -102,8 +98,11 @@ class PrivateKey:
             raise ValueError("need at least two primes")
         if any(p % 2 == 0 or k % 2 == 0 for p, k in self.factors.factors):
             raise ValueError("primes and their exponents must be odd")
+        lam = exponent_modulus(self.factors, self.mode)
+        if not 1 <= self.d < lam:
+            raise ValueError("d must lie in [1, exponent modulus)")
         try:
-            e = mod_inv(self.d, exponent_modulus(self.factors, self.mode))
+            e = mod_inv(self.d, lam)
         except ImpossibleOperation:
             raise ValueError("d is not coprime to the exponent modulus") from None
         object.__setattr__(self, "e", e)
@@ -203,8 +202,8 @@ def keygen(r, exponents, prime_bits, rng, e=None, mode=Mode.ROBUST):
 def validate_message(pk, msg, mode=Mode.ROBUST):
     """Check encryptability and derive the curve coefficient D.
 
-    Both coordinates must lie in [0, N): a larger one would decrypt to its
-    residue, not to the message sent.  Both modes demand
+    Both coordinates must be units in [0, N): a larger one would decrypt
+    to its residue, not to the message sent.  Both modes demand
     gcd(mx^2 - 1, N) = 1; strict also demands Jacobi(mx^2 - 1, N) = -1, so
     only strict computes a Jacobi symbol.  Returns D = (mx^2 - 1)/my^2 mod N.
     """
@@ -212,8 +211,8 @@ def validate_message(pk, msg, mode=Mode.ROBUST):
     mx, my = msg.mx, msg.my
     if not (0 <= mx < n and 0 <= my < n):
         raise MessageNotEncryptable("mx and my must lie in [0, N)")
-    if math.gcd(mx, n) != 1:
-        raise MessageNotEncryptable("mx is not a unit mod N")
+    if math.gcd(mx * my, n) != 1:
+        raise MessageNotEncryptable("mx or my is not a unit mod N")
     t = (mx * mx - 1) % n
     if math.gcd(t, n) != 1:
         raise MessageNotEncryptable("mx^2 - 1 is not a unit mod N")
@@ -237,10 +236,8 @@ def encrypt(pk, msg, mode=Mode.ROBUST):
 def encrypt_point(pk, msg, mode=Mode.ROBUST):
     """Uncompressed encryption: the message point raised to e, no division."""
     d_coef = validate_message(pk, msg, mode)
-    pp = PellParams(pk.n, d_coef)
-    pt = pp.point(msg.mx, msg.my)
-    cx, cy = point_pow_nodiv(pt, pk.e, pp)
-    return PointCiphertext(cx, cy, d_coef)
+    cx, u = chebyshev(msg.mx, pk.e, pk.n)
+    return PointCiphertext(cx, msg.my * u % pk.n, d_coef)
 
 
 def reduced_private_exponents(sk, d_coef):
@@ -303,9 +300,8 @@ def decrypt_point(sk, ct):
 def _decrypt_on_curve(sk, points, pp_n):
     roots = []
     for i, (c, (p, k, d_i, e_i)) in enumerate(zip(points, reduced_private_exponents(sk, pp_n.d))):
-        pp = PellParams(p, pp_n.d % p)
-        root = _root_mod_prime(c, pp, d_i, e_i, i)
-        roots.append(_hensel_lift(root, c, pp, p**k, pp_n.d, sk.e, sk.d, i))
+        root = _root_mod_prime(c, PellParams(p, pp_n.d % p), d_i, e_i, i)
+        roots.append(_hensel_lift(root, c, p, p**k, pp_n.d, sk.e, sk.d, i))
     mx, my = crt_combine(roots, [p**k for p, k in sk.factors.factors])
     if not pp_n.on_curve(mx, my):
         raise DecryptionFailure("recovered point is not on the curve")
@@ -319,22 +315,22 @@ def _root_mod_prime(c, pp, d_i, e_i, i):
 
     c with y = 0 mod p is (+-1, 0), a fixed point of the odd d_i, so no
     message; it is refused before the ladder, which yields x.  The root
-    (x, y) raised to e is (T_e(x), y U_{e-1}(x)), and (x, 1) gives (T_e(x),
-    U_{e-1}(x)); so T_e(x) = c.x, and y = c.y / U_{e-1}(x) with U a unit as
-    c.y is.  A root x = +-1 fails the check: T_e(+-1) = +-1, not c.x.
+    (x, y) raised to e is (T_e(x), y U_{e-1}(x)), so T_e(x) = c.x, and
+    y = c.y / U_{e-1}(x) with U a unit as c.y is.  A root x = +-1 fails the
+    check: T_e(+-1) = +-1, not c.x.
     """
     p = pp.modulus
     if c.y % p == 0:
         raise DecryptionFailure(f"ladder: the ciphertext has y = 0 mod prime {i}")
     x = point_pow(c.x, d_i, pp)
-    t, u = point_pow_nodiv(HyperbolaPoint(x, 1), e_i, pp)
+    t, u = chebyshev(x, e_i, p)
     if t == c.x % p:
         return HyperbolaPoint(x, c.y * mod_inv(u, p) % p)
     raise DecryptionFailure(f"verify: the root's e-th power is not the ciphertext mod prime {i}")
 
 
-def _hensel_lift(m, c, pp, top, d_coef, e, d, i):
-    """Lift the e-th root m of c mod pp.modulus = p to the e-th root mod top.
+def _hensel_lift(m, c, q, top, d_coef, e, d, i):
+    """Lift the e-th root m of c mod the prime q = p to the e-th root mod top.
 
     Each Newton step goes from a modulus u to q = min(u^3, top), so p^k
     takes ceil(log3 k) steps, and p none.  m's norm is 1 + U mod q with
@@ -348,19 +344,20 @@ def _hensel_lift(m, c, pp, top, d_coef, e, d, i):
     p^(k-1) divides the exponent modulus, so d = e^-1 mod p^(k-1), and
     p | y_E.  No step divides.
     """
-    while pp.modulus < top:
-        q = min(pp.modulus**3, top)
-        pp, half = PellParams(q, d_coef % q), (q + 1) // 2
+    while q < top:
+        q = min(q**3, top)
+        dq, half = d_coef % q, (q + 1) // 2
         x, y = m
-        h = (x * x - pp.d * y * y - 1) * half % q  # U/2
+        h = (x * x - dq * y * y - 1) * half % q  # U/2
         s = (1 - h + 3 * h * h * half) % q
         x, y = s * x % q, s * y % q
-        ex, ey = point_pow_nodiv(HyperbolaPoint(x, y), e, pp)
-        if not pp.on_curve(ex, ey):
+        ex, v = chebyshev(x, e, q)
+        ey = y * v % q
+        if (ex * ex - dq * ey * ey) % q != 1:
             raise DecryptionFailure(f"verify: the lifted root's e-th power is off the curve mod prime {i}")
         t = (c.y * ex - c.x * ey) * d % q
-        w = (1 + pp.d * t * t * half) % q
-        m = HyperbolaPoint((x * w + pp.d * y * t) % q, (y * w + x * t) % q)
+        w = (1 + dq * t * t * half) % q
+        m = HyperbolaPoint((x * w + dq * y * t) % q, (y * w + x * t) % q)
     return m
 
 
@@ -374,7 +371,7 @@ def random_message(pk, rng, mode=Mode.ROBUST):
         try:
             validate_message(pk, msg, mode)
             return msg
-        except (MessageNotEncryptable, ImpossibleOperation):
+        except MessageNotEncryptable:
             continue
     # e.g. mod any multiple of 3 no message is encryptable
     raise RandomnessExhausted(f"no encryptable message in {RANDOM_MESSAGE_DRAWS} draws")

@@ -75,6 +75,12 @@ def test_mod_inv_shared_factor_carries_gcd():
         mod_inv(5, 35)
     assert info.value.factor == 5
     assert str(info.value) == "impossible group operation (factor=0x5)"
+    # a factor of over 4300 decimal digits, which str() refuses, goes into
+    # the message in hex instead of raising a bare ValueError
+    n = (1 << 14400) + 1
+    with pytest.raises(ImpossibleOperation) as info:
+        mod_inv(0, n)
+    assert str(info.value) == f"impossible group operation (factor={n:#x})"
 
 
 def test_mod_inv_random_agrees_with_oracle():
@@ -351,3 +357,30 @@ def test_factored_modulus_rejects_bad_input():
     # 2^16000 has 4817 decimal digits, more than str() converts: hex it is
     with pytest.raises(ValueError, match=f"^{1 << 16000:#x} is not prime$"):
         FactoredModulus([(1 << 16000, 1)])
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [
+        [(7.9, 1), (11.2, 1)],
+        [(7.0, 1), (11, 1)],
+        [(7, 1.0), (11, 1)],
+        [("7", 1), ("11", 1)],
+        [(7, "1"), (11, 1)],
+        [(7, True), (11, 1)],
+        [(True, 1), (7, 1)],
+    ],
+    ids=[
+        "float-primes",
+        "integral-float-prime",
+        "float-exponent",
+        "str-primes",
+        "str-exponent",
+        "bool-exponent",
+        "bool-prime",
+    ],
+)
+def test_factored_modulus_refuses_what_is_not_an_int(factors):
+    # int() used to coerce these: 7.9 and 11.2 built a modulus of 77
+    with pytest.raises(ValueError, match="^primes and exponents must be ints$"):
+        FactoredModulus(factors)

@@ -3,9 +3,9 @@ import random
 import pytest
 
 from pellrsa import cli
-from pellrsa.keyfmt import dump_public_key, load_private_key, load_public_key
+from pellrsa.keyfmt import load_private_key, load_public_key
 from pellrsa.pell import psi
-from pellrsa.scheme import PublicKey, random_message
+from pellrsa.scheme import exponent_modulus, random_message
 
 
 @pytest.fixture(scope="module")
@@ -58,15 +58,17 @@ def test_encrypt_out_of_range_message_exits_3(keys, tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
-def test_encrypt_with_a_factor_of_over_4300_digits_exits_3(tmp_path, capsys):
-    # my = 0 is no unit, so the factor is N itself; str() refuses an int of
-    # over 4300 decimal digits, and formatting it raised a bare ValueError
-    pub = tmp_path / "big.pub"
-    pub.write_text(dump_public_key(PublicKey((1 << 14400) + 1, 3)))
-    argv = ["encrypt", "--pub", str(pub), "--mx", "2", "--my", "0", "--out", str(tmp_path / "ct")]
-    assert cli.dispatch(argv) == 3
-    assert capsys.readouterr().err.startswith("ImpossibleOperation: impossible group operation (factor=0x1000")
-    assert list(tmp_path.iterdir()) == [pub]
+@pytest.mark.parametrize("kind", ["param", "point"])
+@pytest.mark.parametrize("j", [0, 3])
+def test_encrypt_with_a_non_unit_my_exits_3(keys, tmp_path, capsys, kind, j):
+    # my = 0 or my = p * j: it used to raise ImpossibleOperation from
+    # inverting my^2, whose factor for my = 0 was N itself
+    prefix, _, priv = keys
+    p = priv.factors.factors[0][0]
+    argv = ["encrypt", "--pub", f"{prefix}.pub", "--mx", "2", "--my", f"{p * j:x}", "--out", str(tmp_path / "ct")]
+    assert cli.dispatch(argv + (["--point"] if kind == "point" else [])) == 3
+    assert capsys.readouterr().err == "MessageNotEncryptable: mx or my is not a unit mod N\n"
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize(
@@ -77,20 +79,23 @@ def test_encrypt_with_a_factor_of_over_4300_digits_exits_3(tmp_path, capsys):
         ("--in", b"\xff\xfe", "UnicodeDecodeError"),
         ("--pub", b"\xff\xfe", "UnicodeDecodeError"),
         ("--pub", "e=2", "KeyFormatError"),
+        ("--key", "d+lambda", "KeyFormatError"),
     ],
-    ids=["key-syntax", "key-not-utf8", "in-not-utf8", "pub-not-utf8", "pub-even-e"],
+    ids=["key-syntax", "key-not-utf8", "in-not-utf8", "pub-not-utf8", "pub-even-e", "key-d-above-lambda"],
 )
 def test_invalid_input_file_exits_2(keys, tmp_path, capsys, flag, bad, error):
     # a key that does not parse, an even public e that no private key can
-    # match, or an input file that is not UTF-8 text
-    prefix, pub, _ = keys
+    # match, a d not reduced mod the exponent modulus, or an input file that
+    # is not UTF-8 text
+    prefix, pub, priv = keys
     msg = random_message(pub, random.Random(4))
     files = {"--key": f"{prefix}.key", "--pub": f"{prefix}.pub"}
     files["--in"] = str(encrypt_to(tmp_path, prefix, msg, "param"))
     bad_file = tmp_path / "bad"
-    if bad == "d=0":
+    if bad in ("d=0", "d+lambda"):
+        d = 0 if bad == "d=0" else priv.d + exponent_modulus(priv.factors, priv.mode)
         text = prefix.with_suffix(".key").read_text().splitlines()
-        bad_file.write_text("\n".join([text[0], text[1], "d=0", *text[3:]]) + "\n")
+        bad_file.write_text("\n".join([text[0], text[1], f"d={d:x}", *text[3:]]) + "\n")
     elif bad == "e=2":
         text = prefix.with_suffix(".pub").read_text().splitlines()
         bad_file.write_text("\n".join([text[0], text[1], "e=2"]) + "\n")

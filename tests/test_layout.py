@@ -85,3 +85,47 @@ def test_only_keyfmt_reads_numbers_from_text():
     # one grammar for numbers in key files and CLI flags: keyfmt.parse_number
     readers = [path.name for path in MODULES if int_calls_with_base(path.read_text())]
     assert readers == ["keyfmt.py"]
+
+
+def uncalled_functions(sources):
+    """Public module-level functions of the sources that no call in them names."""
+    trees = [ast.parse(source) for source in sources]
+    defined = {
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+    called = {
+        node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
+    }
+    return sorted(defined - called)
+
+
+def test_uncalled_functions_are_found():
+    sources = [
+        "def a():\n    b()\n    m.c()\ndef b():\n    pass\n",
+        "def c():\n    pass\ndef d():\n    pass\ndef _e():\n    pass\n",
+    ]
+    assert uncalled_functions(sources) == ["a", "d"]
+
+
+# Entry points for callers outside the library: the tests' paper-definition
+# oracles, the benchmark and the paper's closed forms.  A new public function
+# that nothing in the package calls must be listed here, or called.
+UNCALLED = [
+    "impossible_op_probability",
+    "ladder_cost",
+    "param_pow",
+    "product_ladder_cost",
+    "psi",
+    "random_message",
+    "redei_pow",
+]
+
+
+def test_public_functions_the_package_never_calls_are_listed():
+    assert uncalled_functions([path.read_text() for path in MODULES]) == UNCALLED

@@ -13,12 +13,12 @@ from pellrsa.pell import (
     INFINITY,
     HyperbolaPoint,
     PellParams,
+    chebyshev,
     ladder_cost,
     param_mul,
     param_pow,
     param_to_point,
     point_pow,
-    point_pow_nodiv,
     point_to_param,
     product_ladder_cost,
     psi,
@@ -71,6 +71,14 @@ def naive_point_pow(p, k, pp):
     for _ in range(k):
         acc = point_mul(acc, p, pp)
     return acc
+
+
+def chain_pow(pt, k, pp):
+    """pt^k by chebyshev, y scaled by U_{k-1}; the identity for k = 0."""
+    if k == 0:
+        return pp.identity()
+    t, u = chebyshev(pt.x, k, pp.modulus)
+    return HyperbolaPoint(t, pt.y * u % pp.modulus)
 
 
 def naive_param_pow(m, k, pp):
@@ -147,14 +155,14 @@ def count_products(fn, *args):
 # ---- point product ----
 
 def test_point_identity_and_inverse():
-    pt = PP5.point(2, 2)
+    pt = HyperbolaPoint(2, 2)
     assert point_mul(pt, PP5.identity(), PP5) == pt
     assert point_mul(pt, HyperbolaPoint(2, 3), PP5) == PP5.identity()  # (2,-2) = (2,3)
 
 
 def test_point_mul_frozen_example():
     # (2,2)x(2,2) mod 5, D=2: (2*2 + 2*2*2, 2*2 + 2*2) = (12, 8) = (2, 3)
-    assert point_mul(PP5.point(2, 2), PP5.point(2, 2), PP5) == HyperbolaPoint(2, 3)
+    assert point_mul(HyperbolaPoint(2, 2), HyperbolaPoint(2, 2), PP5) == HyperbolaPoint(2, 3)
 
 
 def test_point_mul_closure_and_commutativity():
@@ -172,8 +180,8 @@ def test_point_mul_closure_and_commutativity():
 
 
 def test_point_validation():
-    with pytest.raises(ValueError):
-        PP5.point(1, 1)
+    assert PP5.on_curve(2, 2)  # 4 - 2 * 4 = -4 = 1 mod 5
+    assert not PP5.on_curve(1, 1)
 
 
 # ---- parameter product ----
@@ -222,7 +230,8 @@ def test_compress_special_points():
 
 def test_compress_frozen_example():
     # (1 + 3) * inverse(4) = 4 * 9 = 36 = 1 mod 35
-    assert point_to_param(PP35.point(3, 4), PP35) == 1
+    assert PP35.on_curve(3, 4)
+    assert point_to_param(HyperbolaPoint(3, 4), PP35) == 1
 
 
 def test_compress_leaks_factor_for_exotic_square_roots():
@@ -299,9 +308,12 @@ def test_param_pow_annihilated_by_psi():
 def test_point_pow_trivial_and_frozen():
     assert point_pow(2, 0, PP5) == 1
     # order of the mod-5 curve with a non-residue D is 6, so P^7 = P
-    pt = PP5.point(2, 2)
+    pt = HyperbolaPoint(2, 2)
     assert naive_point_pow(pt, 7, PP5) == pt
     assert point_pow(pt.x, 7, PP5) == pt.x
+    assert chebyshev(pt.x, 7, 5) == (2, 1)  # (T_7(2), U_6(2)) = (5042, 2911)
+    with pytest.raises(ValueError):
+        chebyshev(pt.x, 0, 5)
 
 
 def check_point_pow(pt, k, pp, expected):
@@ -413,14 +425,13 @@ def test_ladder_multiplication_counts_are_exact(monkeypatch):
         assert ladder_cost(k) == 2 * squarings + 1
         assert product_ladder_cost(k) == 2 * squarings + 2 * multiplies + 1
         # the x-only Lucas ladder and nothing else: no inversion
-        expected = point_pow_nodiv(pt, k, pp)
+        expected = naive_point_pow(pt, k % (pp.modulus + 1), pp)
         inversions.clear()
         assert count_products(point_pow, tallied.x, k, pp) == (ladder_cost(k), expected.x)
+        # the Chebyshev chain: all but the final y * U, and no inversion
+        count, (t, u) = count_products(chebyshev, tallied.x, k, pp.modulus)
+        assert (count, t, pt.y * u % pp.modulus) == (product_ladder_cost(k) - 1, expected.x, expected.y)
         assert inversions == []
-        # the Chebyshev chain, y * U included
-        count, result = count_products(point_pow_nodiv, tallied, k, pp)
-        assert (count, result) == (product_ladder_cost(k), expected)
-        assert result == naive_point_pow(pt, k % (pp.modulus + 1), pp)
         # Redei pair: four multiplications per squaring, three per multiply
         count, _ = count_products(redei_eval, Tallied(pp.d), Tallied(123), k, pp.modulus)
         assert count == 4 * squarings + 3 * multiplies
@@ -439,22 +450,19 @@ def test_decryption_ladders_run_mod_each_prime_and_lifts_count_log_k(monkeypatch
     pub, priv = scheme.keygen(len(exponents), exponents, 32, rng)
     msg = scheme.random_message(pub, rng)
     ct = scheme.encrypt_point(pub, msg)
-    calls = {"point_pow": [], "point_pow_nodiv": []}
-    for name, log in calls.items():
-        def spy(p, k, pp, fn=getattr(scheme, name), log=log):
-            log.append((k, pp.modulus))
-            return fn(p, k, pp)
-
-        monkeypatch.setattr(scheme, name, spy)
+    ladders, chains = [], []
+    ladder, chain = scheme.point_pow, scheme.chebyshev
+    monkeypatch.setattr(scheme, "point_pow", lambda x, k, pp: ladders.append((k, pp.modulus)) or ladder(x, k, pp))
+    monkeypatch.setattr(scheme, "chebyshev", lambda x, k, n: chains.append((k, n)) or chain(x, k, n))
     assert scheme.decrypt_point(priv, ct) == msg
     primes = [p for p, _ in priv.factors.factors]
-    assert [m for _, m in calls["point_pow"]] == primes
-    assert all(k < m + 1 for k, m in calls["point_pow"])
+    assert [m for _, m in ladders] == primes
+    assert all(k < m + 1 for k, m in ladders)
     schedule = {1: [], 3: [3], 5: [3, 5], 9: [3, 9]}
     lifts = [(pub.e, p**j) for p, k in priv.factors.factors for j in schedule[k]]
     checks = [(pub.e % (p - jacobi(ct.d_coef, p)), p) for p in primes]
-    assert [c for c in calls["point_pow_nodiv"] if c not in lifts] == checks
-    assert [c for c in calls["point_pow_nodiv"] if c in lifts] == lifts
+    assert [c for c in chains if c not in lifts] == checks
+    assert [c for c in chains if c in lifts] == lifts
     # one step per power of 3: the least j with 3^j >= k
     assert len(lifts) == sum(min(j for j in range(k) if 3**j >= k) for _, k in priv.factors.factors)
 
@@ -489,7 +497,7 @@ def test_point_pow_exhaustive_against_product_oracle(p):
                     ks = {0, 1, 2, 3, order - 1, order, order + 1, 2 * order - 1, 2 * order}
                     ks.update(rng.randrange(2 * order + 1) for _ in range(6))
                     for k in ks:
-                        check_point_pow(pt, k, pp, point_pow_nodiv(pt, k, pp))
+                        check_point_pow(pt, k, pp, chain_pow(pt, k, pp))
     assert non_unit > 0
 
 
@@ -503,7 +511,7 @@ def test_decryption_root_step_exhaustive_against_product_oracle(p):
             d_i = pow(e_i, -1, order)
             for c in pts:
                 if c.y:
-                    assert scheme._root_mod_prime(c, pp, d_i, e_i, 0) == point_pow_nodiv(c, d_i, pp)
+                    assert scheme._root_mod_prime(c, pp, d_i, e_i, 0) == chain_pow(c, d_i, pp)
 
 
 EVEN_MODULI = list(range(4, 64, 2)) + [98, 128, 250, 338, 390]
@@ -531,16 +539,17 @@ def test_point_pow_is_total_on_even_moduli(n):
     pp = PellParams(n, d)
     for pt in pts:
         for k in range(200):
-            check_point_pow(pt, k, pp, point_pow_nodiv(pt, k, pp))
+            check_point_pow(pt, k, pp, chain_pow(pt, k, pp))
 
 
 def test_point_pow_frozen_even_modulus():
     # (2, 1) on x^2 - 3 y^2 = 1 mod 10: squared, x = 2 * 4 - 1 = 7
     pp = PellParams(10, 3)
-    pt = pp.point(2, 1)
+    pt = HyperbolaPoint(2, 1)
+    assert pp.on_curve(*pt)
     assert point_pow(2, 2, pp) == 7
     for k in range(200):
-        check_point_pow(pt, k, pp, point_pow_nodiv(pt, k, pp))
+        check_point_pow(pt, k, pp, chain_pow(pt, k, pp))
 
 
 @functools.lru_cache(maxsize=None)
@@ -563,10 +572,10 @@ def test_point_pow_bit_identical_to_product_ladder_at_crypto_sizes(bits, power, 
     pt = param_to_point(rng.randrange(n), pp)
     if in_kernel:
         # P^(p^2 - 1) reduces to (1, 0) mod p, so D*y is not a unit mod n
-        pt = point_pow_nodiv(pt, p * p - 1, pp)
+        pt = chain_pow(pt, p * p - 1, pp)
         assert math.gcd(pt.y, n) != 1
     k = rng.getrandbits(rng.choice([1, 17, bits, 2 * bits]))
-    check_point_pow(pt, k, pp, point_pow_nodiv(pt, k, pp))
+    check_point_pow(pt, k, pp, chain_pow(pt, k, pp))
 
 
 @settings(max_examples=25)
@@ -585,8 +594,8 @@ def test_point_group_laws_at_crypto_sizes(bits, seed):
     assert point_mul(a, b, pp) == point_mul(b, a, pp)
     assert point_mul(point_mul(a, b, pp), c, pp) == point_mul(a, point_mul(b, c, pp), pp)
     j, k = rng.randrange(p), rng.randrange(p)
-    assert point_mul(point_pow_nodiv(a, j, pp), point_pow_nodiv(a, k, pp), pp) == point_pow_nodiv(a, j + k, pp)
-    assert point_pow_nodiv(a, p - jacobi(pp.d, p), pp) == pp.identity()
+    assert point_mul(chain_pow(a, j, pp), chain_pow(a, k, pp), pp) == chain_pow(a, j + k, pp)
+    assert chain_pow(a, p - jacobi(pp.d, p), pp) == pp.identity()
 
 
 @settings(max_examples=25)

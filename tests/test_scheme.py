@@ -19,9 +19,9 @@ from pellrsa.pell import (
     INFINITY,
     HyperbolaPoint,
     PellParams,
+    chebyshev,
     param_pow,
     param_to_point,
-    point_pow_nodiv,
     redei_pow,
 )
 from pellrsa.scheme import (
@@ -29,6 +29,7 @@ from pellrsa.scheme import (
     MessagePair,
     Mode,
     PointCiphertext,
+    PrivateKey,
     PublicKey,
     decrypt,
     decrypt_point,
@@ -72,10 +73,9 @@ def full_width_decrypt(sk, ct):
 
 
 def full_width_decrypt_point(sk, ct):
-    """The division-free product ladder mod N with the unreduced private exponent."""
-    pp = PellParams(sk.n, ct.d_coef % sk.n)
-    pt = point_pow_nodiv(pp.point(ct.cx, ct.cy), sk.d, pp)
-    return MessagePair(pt.x, pt.y)
+    """The division-free Chebyshev chain mod N with the unreduced private exponent."""
+    t, u = chebyshev(ct.cx, sk.d, sk.n)
+    return MessagePair(t, ct.cy * u % sk.n)
 
 
 def crt_decrypt_with(param_power, sk, ct):
@@ -196,19 +196,25 @@ def test_validate_message_rejections():
         validate_message(pub, MessagePair(6, 4))  # 6^2 - 1 = 35 = 0 mod 35
     with pytest.raises(MessageNotEncryptable):
         validate_message(pub, MessagePair(5, 4))  # mx not a unit
-    with pytest.raises(ImpossibleOperation) as info:
+    with pytest.raises(MessageNotEncryptable):
         validate_message(pub, MessagePair(3, 7))  # my not a unit
-    assert info.value.factor == 7
-    # a factor of over 4300 decimal digits, which str() refuses, goes into
-    # the message in hex instead of raising a bare ValueError
-    big = PublicKey((1 << 14400) + 1, 3)
-    with pytest.raises(ImpossibleOperation) as info:
-        encrypt(big, MessagePair(2, 0))
-    assert info.value.factor == big.n
     # coordinates outside [0, N) would decrypt to their residues
     for mx, my in [(35, 4), (35 + 3, 4), (3, -1)]:
         with pytest.raises(MessageNotEncryptable):
             validate_message(pub, MessagePair(mx, my))
+
+
+@pytest.mark.parametrize("j", [0, 1, 5])
+@pytest.mark.parametrize("enc", [validate_message, encrypt, encrypt_point])
+def test_a_non_unit_my_is_not_encryptable(enc, j):
+    # my = 0 or my = p * j is refused like a non-unit mx; it used to raise
+    # ImpossibleOperation from inverting my^2, whose factor for my = 0 was N
+    rng = random.Random(26)
+    pub, priv = small_keypair(rng, r=3, bits=32)
+    mx = random_message(pub, rng).mx
+    for p, _ in priv.factors.factors:
+        with pytest.raises(MessageNotEncryptable, match="^mx or my is not a unit mod N$"):
+            enc(pub, MessagePair(mx, p * j))
 
 
 def test_validate_message_computes_a_jacobi_symbol_in_strict_mode_only(monkeypatch):
@@ -378,7 +384,7 @@ def validated_messages(pub, mode=Mode.ROBUST):
             msg = MessagePair(mx, my)
             try:
                 yield msg, validate_message(pub, msg, mode)
-            except (MessageNotEncryptable, ImpossibleOperation):
+            except MessageNotEncryptable:
                 continue
 
 
@@ -432,7 +438,7 @@ def test_point_encryption_never_hits_impossible_operation():
         for my in range(2, 35):
             try:
                 d_coef = validate_message(pub, MessagePair(mx, my))
-            except (MessageNotEncryptable, ImpossibleOperation):
+            except MessageNotEncryptable:
                 continue
             pct = encrypt_point(pub, MessagePair(mx, my))
             count += 1
@@ -476,6 +482,22 @@ def test_private_key_derives_e():
     # a public e above the exponent modulus 48 comes back reduced: 53 = 5 mod 48
     _, small = keypair_from_primes([5, 7], [1, 1], e=53)
     assert (small.d, small.e) == (29, 5)
+
+
+def test_private_key_refuses_d_outside_one_to_the_exponent_modulus():
+    # d = 29 inverts e = 5 modulo 48; so do -19, 77 and 29 + 48 * 2^400000,
+    # which decrypt alike but the last makes every lift step 400000 bits wide
+    _, priv = keypair_from_primes([5, 7], [1, 1], e=5)
+    assert PrivateKey(priv.factors, 29, Mode.ROBUST) == priv
+    for d in (0, -19, 48, 29 + 48, 29 + 48 * 2**400000):
+        with pytest.raises(ValueError, match=r"^d must lie in \[1, exponent modulus\)$"):
+            PrivateKey(priv.factors, d, Mode.ROBUST)
+
+
+def test_keypair_from_primes_refuses_primes_that_are_not_ints():
+    # int() made a key over 77 from these
+    with pytest.raises(ValueError):
+        keypair_from_primes([7.9, 11.2], [1, 1], e=7)
 
 
 def test_decrypt_rejects_malformed_ciphertexts():
@@ -525,8 +547,8 @@ def test_decrypt_point_names_the_one_prime_where_y_vanishes(exponents):
     ct = encrypt_point(pub, random_message(pub, rng))
     for i, (p, k) in enumerate(priv.factors.factors):
         q = p**k
-        pp = PellParams(q, ct.d_coef % q)
-        z = point_pow_nodiv(pp.point(ct.cx, ct.cy), p - jacobi(ct.d_coef, p), pp)
+        t, u = chebyshev(ct.cx, p - jacobi(ct.d_coef, p), q)
+        z = HyperbolaPoint(t, ct.cy * u % q)
         assert z.y % p == 0 and (z.y != 0) == (k > 1)
         cx, cy = crt_combine([z, (ct.cx, ct.cy)], [q, pub.n // q])
         assert PellParams(pub.n, ct.d_coef).on_curve(cx, cy)
@@ -597,14 +619,13 @@ def inject_fault(monkeypatch, fault, p):
         monkeypatch.setattr(scheme, "reduced_private_exponents", flipped)
     elif fault == "lift_x":
         # x + p in every lift power mod a higher power of p
-        power = scheme.point_pow_nodiv
+        chain = scheme.chebyshev
 
-        def faulty(pt, k, pp):
-            out = power(pt, k, pp)
-            lifted = pp.modulus > p and pp.modulus % p == 0
-            return HyperbolaPoint((out.x + p) % pp.modulus, out.y) if lifted else out
+        def faulty(x, k, n):
+            t, u = chain(x, k, n)
+            return ((t + p) % n, u) if n > p and n % p == 0 else (t, u)
 
-        monkeypatch.setattr(scheme, "point_pow_nodiv", faulty)
+        monkeypatch.setattr(scheme, "chebyshev", faulty)
     else:
         ladder = scheme.point_pow
         corrupt = {"ladder_x": lambda x: x + 1, "x_is_1": lambda x: 1, "x_is_minus_1": lambda x: -1}[fault]
