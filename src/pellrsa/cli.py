@@ -55,8 +55,7 @@ def build_parser():
 
     kg = sub.add_parser("keygen", help="generate a key pair")
     kg.add_argument("--bits", type=_number(10), required=True, help="modulus size in bits")
-    kg.add_argument("--primes", type=_number(10), required=True, help="number of primes r")
-    kg.add_argument("--exponents", type=_exponent_list, required=True, help="e1,..,er (odd)")
+    kg.add_argument("--exponents", type=_exponent_list, required=True, help="e1,..,er (odd), one per prime")
     kg.add_argument("--pub-exp", type=_number(10), default=None, help="public exponent (decimal)")
     kg.add_argument("--seed", type=_number(10), default=None, help="deterministic randomness seed")
     kg.add_argument("--out", required=True, help="prefix for PREFIX.pub / PREFIX.key")
@@ -84,7 +83,7 @@ def build_parser():
 def _cmd_keygen(args):
     prime_bits = args.bits // sum(args.exponents)
     rng = random.Random(args.seed)
-    pub, priv = keygen(args.primes, args.exponents, prime_bits, rng, e=args.pub_exp)
+    pub, priv = keygen(len(args.exponents), args.exponents, prime_bits, rng, e=args.pub_exp)
     Path(args.out + ".pub").write_text(dump_public_key(pub))
     Path(args.out + ".key").write_text(dump_private_key(priv))
     return 0

@@ -11,16 +11,18 @@ Decryption exploits the factorization: modulo each prime p the group
 order is p + 1 or p - 1 depending on whether D is a non-residue or a
 residue mod p, so the private exponent shrinks to the size of one prime
 per factor, and the results recombine by CRT.  That exponent reduction is
-where the speedup over two-prime moduli comes from.  A compressed
-ciphertext decompresses mod each prime power p^k, never mod N.  Per prime,
-an x-only Lucas ladder mod p (pell.point_pow) yields the root's x; its
-power to e (pell.chebyshev) must give back the ciphertext's x, and its U
-yields the root's y, so a fault in one prime's branch, exponent or ladder
-raises instead of leaking p through a wrong plaintext (the Bellcore
-attack).  Every factor then lifts its root from p to p^k by ceil(log3 k)
-cubic Newton steps (Takagi's p^k q decryption), none for k = 1, each one
-power to e that must stay on the curve, so no ladder runs wider than a
-prime.
+where the speedup over two-prime moduli comes from.  One loop over the
+primes serves both ciphertext kinds and never works mod N: per prime the
+ciphertext becomes a point on the curve mod p^k, by decompression or
+reduction.  An x-only Lucas ladder mod p (pell.point_pow) yields the
+root's x; its power to e (pell.chebyshev) must give back the ciphertext's
+x, and its U yields the root's y, so a fault in one prime's branch,
+exponent or ladder raises instead of leaking p through a wrong plaintext
+(the Bellcore attack).  Every factor then lifts its root from p to p^k by
+ceil(log3 k) cubic Newton steps (Takagi's p^k q decryption), none for
+k = 1, each one power to e that must stay on the curve, so no ladder runs
+wider than a prime.  A DecryptionFailure names its stage and, before CRT,
+the prime's index.
 
 The paper counts one multiplication per exponent bit on both sides and
 predicts a speedup of r^2/2 over two-prime CRT-RSA; counting the ladder's
@@ -72,8 +74,8 @@ class PublicKey:
 
     def __post_init__(self):
         # the exponent modulus is even, so an even e has no private d
-        if self.n < 3 or self.n % 2 == 0 or self.e < 1 or self.e % 2 == 0:
-            raise ValueError("public key needs an odd n >= 3 and an odd e >= 1")
+        if {type(self.n), type(self.e)} != {int} or self.n < 3 or self.n % 2 == 0 or self.e < 1 or self.e % 2 == 0:
+            raise ValueError("public key needs ints: an odd n >= 3 and an odd e >= 1")
         if max(self.n, self.e).bit_length() > MAX_MODULUS_BITS:
             raise ValueError(f"n and e may have at most {MAX_MODULUS_BITS} bits")
 
@@ -98,6 +100,8 @@ class PrivateKey:
             raise ValueError("need at least two primes")
         if any(p % 2 == 0 or k % 2 == 0 for p, k in self.factors.factors):
             raise ValueError("primes and their exponents must be odd")
+        if type(self.d) is not int:
+            raise ValueError("d must be an int")
         lam = exponent_modulus(self.factors, self.mode)
         if not 1 <= self.d < lam:
             raise ValueError("d must lie in [1, exponent modulus)")
@@ -141,15 +145,17 @@ class PointCiphertext:
     d_coef: int
 
 
+def _group_orders(p, mode):
+    """Group orders mod the prime p that a key's d covers: p + 1 (non-residue
+    D) under strict, p + 1 and p - 1 (residue D) under robust."""
+    return (p + 1,) if mode == Mode.STRICT else (p + 1, p - 1)
+
+
 def exponent_modulus(factors, mode):
     """lcm of the per-prime group orders the private exponent must invert e under."""
     out = 1
-    for p, e in factors.factors:
-        if mode == Mode.STRICT:
-            order = p ** (e - 1) * (p + 1)
-        else:
-            order = p ** (e - 1) * (p * p - 1)
-        out = math.lcm(out, order)
+    for p, k in factors.factors:
+        out = math.lcm(out, p ** (k - 1) * math.prod(_group_orders(p, mode)))
     return out
 
 
@@ -158,8 +164,8 @@ def keypair_from_primes(primes, exponents, e=None, mode=Mode.ROBUST):
 
     Primes must be distinct odd primes, exponents odd and >= 1.  With
     e=None the public exponent is the smallest odd integer >= 65537 coprime
-    to the exponent modulus; an explicit e that is even, < 3, or shares a
-    factor with the exponent modulus raises BadExponentChoice.
+    to the exponent modulus; an explicit e that is no odd int >= 3 coprime to
+    the exponent modulus raises BadExponentChoice.
     """
     primes = list(primes)
     exponents = list(exponents)
@@ -171,7 +177,7 @@ def keypair_from_primes(primes, exponents, e=None, mode=Mode.ROBUST):
         e = DEFAULT_PUBLIC_EXPONENT
         while math.gcd(e, lam) != 1:
             e += 2
-    elif e < 3 or e % 2 == 0 or math.gcd(e, lam) != 1:
+    elif type(e) is not int or e < 3 or e % 2 == 0 or math.gcd(e, lam) != 1:
         raise BadExponentChoice(f"e={e} unusable (gcd with exponent modulus != 1 or e < 3 odd)")
     d = mod_inv(e, lam)
     return PublicKey(factors.value, e), PrivateKey(factors, d, mode)
@@ -209,8 +215,8 @@ def validate_message(pk, msg, mode=Mode.ROBUST):
     """
     n = pk.n
     mx, my = msg.mx, msg.my
-    if not (0 <= mx < n and 0 <= my < n):
-        raise MessageNotEncryptable("mx and my must lie in [0, N)")
+    if {type(mx), type(my)} != {int} or not (0 <= mx < n and 0 <= my < n):
+        raise MessageNotEncryptable("mx and my must be ints in [0, N)")
     if math.gcd(mx * my, n) != 1:
         raise MessageNotEncryptable("mx or my is not a unit mod N")
     t = (mx * mx - 1) % n
@@ -243,70 +249,62 @@ def encrypt_point(pk, msg, mode=Mode.ROBUST):
 def reduced_private_exponents(sk, d_coef):
     """CRT decryption plan: (prime p, its exponent k, d and e mod the order).
 
-    Per prime, a Legendre symbol picks the group order mod p, p + 1
-    (non-residue D) or p - 1 (residue D).  The ladder runs mod p for every
+    Per prime, the group order mod p is p - Jacobi(D, p): p + 1 for a
+    non-residue D, p - 1 for a residue.  The ladder runs mod p for every
     factor, a prime power included, so each exponent is below p + 1, even a
-    large public one; decrypt_point lifts a root mod p to p^k.  A strict
-    key's d inverts e only under the first order, so a residue D raises
-    DecryptionFailure naming the prime's index.
+    large public one; the root mod p lifts to p^k afterwards.  An order the
+    key's d does not cover (_group_orders) raises DecryptionFailure naming
+    the prime's index: a residue D under a strict key, or D = 0 mod p.
     """
     plan = []
     for i, (p, k) in enumerate(sk.factors.factors):
-        if jacobi(d_coef % p, p) == -1:
-            order = p + 1
-        elif sk.mode == Mode.STRICT:
-            raise DecryptionFailure(f"strict key: D is not a non-residue mod prime {i}")
-        else:
-            order = p - 1
+        order = p - jacobi(d_coef % p, p)
+        if order not in _group_orders(p, sk.mode):
+            raise DecryptionFailure(f"plan: the {sk.mode.value} key covers no group order of D mod prime {i}")
         plan.append((p, k, sk.d % order, sk.e % order))
     return plan
 
 
-def _curve_mod_n(sk, d_coef):
-    try:
-        return PellParams(sk.n, d_coef % sk.n)
-    except ValueError as err:
-        raise DecryptionFailure(f"curve coefficient mod N: {err}") from None
-
-
 def decrypt(sk, ct):
-    """Recover (mx, my) from c decompressed onto the curve mod each p^k (not
-    mod N); c^2 - D no unit mod p^k raises DecryptionFailure naming p."""
-    pp_n = _curve_mod_n(sk, ct.d_coef)
-    points = []
-    for i, (p, k) in enumerate(sk.factors.factors):
+    """Recover (mx, my) from c, decompressed onto the curve mod each p^k,
+    never mod N; c^2 - D no unit mod p^k raises naming the prime."""
+
+    def point_mod(pp, i):
         try:
-            points.append(param_to_point(ct.c, PellParams(p**k, pp_n.d % p**k)))
+            return param_to_point(ct.c, pp)
         except ImpossibleOperation:
             raise DecryptionFailure(f"decompression: c^2 - D is no unit mod prime {i}") from None
-    return _decrypt_on_curve(sk, points, pp_n)
+
+    return _decrypt(sk, ct, point_mod)
 
 
 def decrypt_point(sk, ct):
-    """Recover (mx, my) from an uncompressed ciphertext.
-
-    The point must lie on the curve mod N.  Per prime its root mod p is
-    taken and checked (_root_mod_prime), a prime power lifts that root to
-    p^k, and the coordinates recombine by CRT and must be units mod N.
-    """
-    pp_n = _curve_mod_n(sk, ct.d_coef)
-    c = HyperbolaPoint(ct.cx % sk.n, ct.cy % sk.n)
-    if not pp_n.on_curve(*c):
-        raise DecryptionFailure("ciphertext point is not on the curve")
-    points = [HyperbolaPoint(c.x % p**k, c.y % p**k) for p, k in sk.factors.factors]
-    return _decrypt_on_curve(sk, points, pp_n)
+    """Recover (mx, my) from a point ciphertext, reduced mod each p^k; a
+    point off the curve mod p^k raises naming the prime."""
+    return _decrypt(sk, ct, lambda pp, i: HyperbolaPoint(ct.cx % pp.modulus, ct.cy % pp.modulus))
 
 
-def _decrypt_on_curve(sk, points, pp_n):
-    roots = []
-    for i, (c, (p, k, d_i, e_i)) in enumerate(zip(points, reduced_private_exponents(sk, pp_n.d))):
-        root = _root_mod_prime(c, PellParams(p, pp_n.d % p), d_i, e_i, i)
-        roots.append(_hensel_lift(root, c, p, p**k, pp_n.d, sk.e, sk.d, i))
-    mx, my = crt_combine(roots, [p**k for p, k in sk.factors.factors])
-    if not pp_n.on_curve(mx, my):
-        raise DecryptionFailure("recovered point is not on the curve")
+def _decrypt(sk, ct, point_mod):
+    """One loop over the plan: point_mod(pp, i) is the ciphertext mod p^k,
+    which must lie on the curve; its root mod p (_root_mod_prime) lifts to
+    p^k (_hensel_lift), and CRT must give a message on the curve mod N."""
+    if any(type(v) is not int for v in vars(ct).values()):
+        raise DecryptionFailure("plan: ciphertext fields must be ints")
+    d_coef, roots, moduli = ct.d_coef % sk.n, [], []
+    for i, (p, k, d_i, e_i) in enumerate(reduced_private_exponents(sk, d_coef)):
+        q = p**k
+        pp = PellParams(q, d_coef % q)
+        c = point_mod(pp, i)
+        if not pp.on_curve(*c):
+            raise DecryptionFailure(f"curve: the ciphertext point is off the curve mod prime {i}")
+        root = _root_mod_prime(c, PellParams(p, d_coef % p), d_i, e_i, i)
+        roots.append(_hensel_lift(root, c, p, q, d_coef, sk.e, sk.d, i))
+        moduli.append(q)
+    mx, my = crt_combine(roots, moduli)
+    if (mx * mx - d_coef * my * my) % sk.n != 1:
+        raise DecryptionFailure("crt: the recovered point is not on the curve")
     if math.gcd(mx * my, sk.n) != 1:
-        raise DecryptionFailure("recovered point is not a message: a coordinate is not a unit")
+        raise DecryptionFailure("crt: the recovered point is not a message: a coordinate is not a unit")
     return MessagePair(mx, my)
 
 

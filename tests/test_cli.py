@@ -11,7 +11,7 @@ from pellrsa.scheme import exponent_modulus, random_message
 @pytest.fixture(scope="module")
 def keys(tmp_path_factory):
     prefix = tmp_path_factory.mktemp("keys") / "k"
-    argv = ["keygen", "--bits", "512", "--primes", "2", "--exponents", "1,1"]
+    argv = ["keygen", "--bits", "512", "--exponents", "1,1"]
     assert cli.dispatch(argv + ["--seed", "1", "--out", str(prefix)]) == 0
     pub = load_public_key(prefix.with_suffix(".pub").read_text())
     priv = load_private_key(prefix.with_suffix(".key").read_text())
@@ -113,7 +113,7 @@ def test_invalid_input_file_exits_2(keys, tmp_path, capsys, flag, bad, error):
 
 def test_keygen_with_too_few_primes_of_that_size_exits_3(tmp_path, capsys, alarm):
     # 192 // 24 = 8-bit primes, and only 23 exist: redrawing never ended
-    argv = ["keygen", "--bits", "192", "--primes", "24", "--exponents", ",".join(["1"] * 24)]
+    argv = ["keygen", "--bits", "192", "--exponents", ",".join(["1"] * 24)]
     assert cli.dispatch(argv + ["--seed", "1", "--out", str(tmp_path / "k")]) == 3
     assert capsys.readouterr().err.startswith("RandomnessExhausted")
     assert not list(tmp_path.iterdir())
@@ -131,17 +131,18 @@ def test_factor_given_psi(keys, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["keygen", "--bits", "512", "--primes", "0", "--exponents", ","],
-        ["keygen", "--bits", "512", "--primes", "2", "--exponents", "1,-1"],
+        ["keygen", "--bits", "512", "--exponents", ","],
+        ["keygen", "--bits", "512", "--exponents", "1,-1"],
         ["factor", "--n", "f", "--psi", "0", "--seed", "1"],
         ["bench", "--bits", "512", "--primes", "2"],
-        ["keygen", "--bits", "512", "--primes", "2", "--exponents", "1,1", "--mode", "strict"],
+        ["keygen", "--bits", "512", "--exponents", "1,1", "--mode", "strict"],
         ["factor", "--n", f"{3**10400:x}", "--psi", "4", "--seed", "1"],
-        ["keygen", "--bits", "40000", "--primes", "2", "--exponents", "1,1"],
+        ["keygen", "--bits", "40000", "--exponents", "1,1"],
         ["encrypt", "--pub", "absent.pub", "--mx", "0x10", "--my", "3"],
-        ["keygen", "--bits", "512", "--primes", "2", "--exponents", "1,,1"],
-        ["keygen", "--bits", "512", "--primes", "3", "--exponents", "1,1"],
-        ["keygen", "--bits", "512", "--primes", "2", "--exponents", "2,1"],
+        ["keygen", "--bits", "512", "--exponents", "1,,1"],
+        ["keygen", "--bits", "512", "--exponents", "1"],
+        ["keygen", "--bits", "512", "--exponents", "2,1"],
+        ["keygen", "--bits", "512", "--primes", "2", "--exponents", "1,1"],
     ],
 )
 def test_invalid_arguments_exit_1(tmp_path, capsys, argv):

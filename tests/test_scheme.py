@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -510,6 +511,110 @@ def test_decrypt_rejects_malformed_ciphertexts():
         decrypt(priv, Ciphertext(ct.c, p))  # coefficient shares a factor
     with pytest.raises(DecryptionFailure):
         decrypt_point(priv, PointCiphertext(1, 1, ct.d_coef))  # off the curve
+
+
+# (3, 4) under the robust 5 * 7 key with e = 5: D = 18, c = 34, d = 29
+PUB35, PRIV35 = keypair_from_primes([5, 7], [1, 1], e=5)
+PCT35 = encrypt_point(PUB35, MessagePair(3, 4))
+NOT_INTS = {
+    "pub-e-float": (lambda: PublicKey(35, 5.0), ValueError),
+    "pub-e-bool": (lambda: PublicKey(35, True), ValueError),
+    "pub-n-float": (lambda: PublicKey(35.0, 5), ValueError),
+    "priv-d-float": (lambda: PrivateKey(PRIV35.factors, 29.0, Mode.ROBUST), ValueError),
+    "priv-d-bool": (lambda: PrivateKey(PRIV35.factors, True, Mode.ROBUST), ValueError),
+    "keypair-e-float": (lambda: keypair_from_primes([5, 7], [1, 1], e=7.0), BadExponentChoice),
+    "keypair-e-bool": (lambda: keypair_from_primes([5, 7], [1, 1], e=True), BadExponentChoice),
+    "msg-mx-float": (lambda: encrypt_point(PUB35, MessagePair(3.0, 4)), MessageNotEncryptable),
+    "msg-my-float": (lambda: encrypt(PUB35, MessagePair(3, 4.0)), MessageNotEncryptable),
+    "msg-my-bool": (lambda: validate_message(PUB35, MessagePair(3, True)), MessageNotEncryptable),
+    "ct-c-float": (lambda: decrypt(PRIV35, Ciphertext(34.0, 18)), DecryptionFailure),
+    "ct-d-float": (lambda: decrypt(PRIV35, Ciphertext(34, 18.0)), DecryptionFailure),
+    "pct-cx-float": (lambda: decrypt_point(PRIV35, PointCiphertext(float(PCT35.cx), PCT35.cy, 18)), DecryptionFailure),
+    "pct-cy-float": (lambda: decrypt_point(PRIV35, PointCiphertext(PCT35.cx, float(PCT35.cy), 18)), DecryptionFailure),
+    "pct-d-float": (lambda: decrypt_point(PRIV35, PointCiphertext(PCT35.cx, PCT35.cy, 18.0)), DecryptionFailure),
+    "pct-d-bool": (lambda: decrypt_point(PRIV35, PointCiphertext(PCT35.cx, PCT35.cy, True)), DecryptionFailure),
+}
+
+
+@pytest.mark.parametrize("case", NOT_INTS)
+def test_fields_that_are_not_ints_are_refused(case):
+    # these used to build, or to raise a bare TypeError or AttributeError
+    # from deep inside; a bool is refused too, as FactoredModulus refuses it
+    call, error = NOT_INTS[case]
+    with pytest.raises(error):
+        call()
+
+
+def splice(pub, priv, i, value, other):
+    """The integer equal to value mod the i-th prime power and other mod the rest."""
+    p, k = priv.factors.factors[i]
+    return crt_combine([value % p**k, other], [p**k, pub.n // p**k])
+
+
+@pytest.mark.parametrize("exponents", [[1, 1, 1], [3, 1]])
+@pytest.mark.parametrize("point", [False, True])
+def test_a_coefficient_vanishing_mod_one_prime_fails_the_plan_naming_it(exponents, point):
+    # D = 0 mod p_i alone used to fail as "no unit mod N", naming no prime
+    rng = random.Random(28)
+    pub, priv = small_keypair(rng, r=len(exponents), bits=32, exponents=exponents)
+    enc, dec = (encrypt_point, decrypt_point) if point else (encrypt, decrypt)
+    ct = enc(pub, random_message(pub, rng))
+    for i, (p, _) in enumerate(priv.factors.factors):
+        bad = dataclasses.replace(ct, d_coef=splice(pub, priv, i, p, ct.d_coef))
+        with pytest.raises(DecryptionFailure, match=f"^plan: .* prime {i}$"):
+            dec(priv, bad)
+
+
+@pytest.mark.parametrize("exponents", [[1, 1, 1], [3, 1]])
+def test_a_point_off_the_curve_mod_one_prime_fails_naming_it(exponents):
+    # the point was checked on the curve mod N, which named no prime
+    rng = random.Random(29)
+    pub, priv = small_keypair(rng, r=len(exponents), bits=32, exponents=exponents)
+    ct = encrypt_point(pub, random_message(pub, rng))
+    for i, (p, k) in enumerate(priv.factors.factors):
+        cx = splice(pub, priv, i, ct.cx + 1, ct.cx)
+        assert not PellParams(p**k, ct.d_coef % p**k).on_curve(cx, ct.cy)
+        with pytest.raises(DecryptionFailure, match=f"^curve: .* prime {i}$"):
+            decrypt_point(priv, PointCiphertext(cx, ct.cy, ct.d_coef))
+
+
+def test_the_plan_refuses_a_coefficient_vanishing_mod_a_prime():
+    # Jacobi(D, p) = 0 gives the order p, which no key covers; a robust key
+    # used to plan it as p - 1
+    rng = random.Random(30)
+    pub, priv = small_keypair(rng, r=3, bits=32)
+    d_coef = encrypt(pub, random_message(pub, rng)).d_coef
+    assert len(reduced_private_exponents(priv, d_coef)) == 3
+    for i in range(3):
+        with pytest.raises(DecryptionFailure, match=f"^plan: the robust key .* prime {i}$"):
+            reduced_private_exponents(priv, splice(pub, priv, i, 0, d_coef))
+
+
+@pytest.mark.parametrize("exponents,inversions", [([1, 1, 1], [8, 5]), ([3, 1], [5, 3])])
+def test_work_per_decryption_is_pinned(monkeypatch, exponents, inversions):
+    # inversions per compressed and per point request: one decompression and
+    # one root y per prime, r - 1 Garner coefficients; no curve mod N is built
+    rng = random.Random(31)
+    pub, priv = small_keypair(rng, r=len(exponents), bits=32, exponents=exponents)
+    msg = random_message(pub, rng)
+    requests = [(decrypt, encrypt(pub, msg)), (decrypt_point, encrypt_point(pub, msg))]
+    inverted, curves = [], []
+
+    def spy(a, n):
+        inverted.append(n)
+        return mod_inv(a, n)
+
+    for module in (pell, scheme, arith):
+        monkeypatch.setattr(module, "mod_inv", spy)
+    built = PellParams.__post_init__
+    monkeypatch.setattr(PellParams, "__post_init__", lambda pp: curves.append(pp.modulus) or built(pp))
+    counts = []
+    for dec, ct in requests:
+        inverted.clear()
+        assert dec(priv, ct) == msg
+        counts.append(len(inverted))
+    assert counts == inversions
+    assert curves and pub.n not in curves
 
 
 @pytest.mark.parametrize("exponents", [[1, 1, 1], [3, 1]])
