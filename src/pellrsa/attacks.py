@@ -79,11 +79,13 @@ def full_factorization(n, psi_n, rng, max_trials=200):
     recursion on every cofactor.  Prime powers are peeled off by exact-root
     extraction; composite cofactors are split by find_factor from a fresh
     start x per trial.  Raises TrialBudgetExhausted once max_trials
-    splitting trials were spent, and ValueError for an n above
-    MAX_MODULUS_BITS or a psi_n below 1 before any primality test runs.
+    splitting trials were spent, and ValueError before any primality test
+    for an n or psi_n that is no int, an n above MAX_MODULUS_BITS, or a psi_n
+    below 1 or wider than 2|n| bits, as psi(n) < 2^r n <= n^2 is.
     """
-    if n < 1 or n.bit_length() > MAX_MODULUS_BITS or psi_n < 1:
-        raise ValueError(f"n must lie in [1, 2^{MAX_MODULUS_BITS}) and psi_n must be >= 1")
+    ints = type(n) is int and type(psi_n) is int
+    if not (ints and 1 <= n < 1 << MAX_MODULUS_BITS and 1 <= psi_n < 1 << 2 * n.bit_length()):
+        raise ValueError(f"n must lie in [1, 2^{MAX_MODULUS_BITS}) and psi_n in [1, 2^(2|n|))")
     found = {}
     work = []
 
@@ -121,10 +123,11 @@ def full_factorization(n, psi_n, rng, max_trials=200):
 def impossible_op_probability(primes):
     """Closed-form chance that a parameter product denominator is not a unit:
     1 - (1 - 1/p1) * ... * (1 - 1/pr).  Negligible for large prime factors.
+    Entries that are no int primes, or repeat, raise ValueError.
     """
     primes = list(primes)
-    if len(set(primes)) != len(primes):
-        raise ValueError("primes must be distinct")
+    if not all(type(p) is int and is_probable_prime(p) for p in primes) or len(set(primes)) != len(primes):
+        raise ValueError("primes must be distinct int primes")
     unit_share = Fraction(1)
     for p in primes:
         unit_share *= Fraction(p - 1, p)

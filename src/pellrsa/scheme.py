@@ -11,18 +11,19 @@ Decryption exploits the factorization: modulo each prime p the group
 order is p + 1 or p - 1 depending on whether D is a non-residue or a
 residue mod p, so the private exponent shrinks to the size of one prime
 per factor, and the results recombine by CRT.  That exponent reduction is
-where the speedup over two-prime moduli comes from.  One loop over the
-primes serves both ciphertext kinds and never works mod N: per prime the
-ciphertext becomes a point on the curve mod p^k, by decompression or
-reduction.  An x-only Lucas ladder mod p (pell.point_pow) yields the
-root's x; its power to e (pell.chebyshev) must give back the ciphertext's
+where the speedup over two-prime moduli comes from; the plan
+(reduced_private_exponents) names each prime's order and reduced exponent.
+One loop over the primes serves both ciphertext kinds, told apart by class,
+and never works mod N: per prime the ciphertext becomes a point on the
+curve mod p^k, by decompression or reduction, and _root takes its verified
+root.  An x-only Lucas ladder mod p (pell.point_pow) yields the root's x;
+its power to the key's e (pell.chebyshev) must give back the ciphertext's
 x, and its U yields the root's y, so a fault in one prime's branch,
 exponent or ladder raises instead of leaking p through a wrong plaintext
-(the Bellcore attack).  Every factor then lifts its root from p to p^k by
-ceil(log3 k) cubic Newton steps (Takagi's p^k q decryption), none for
-k = 1, each one power to e that must stay on the curve, so no ladder runs
-wider than a prime.  A DecryptionFailure names its stage and, before CRT,
-the prime's index.
+(the Bellcore attack).  The root then lifts to p^k by ceil(log3 k) cubic
+Newton steps (Takagi's p^k q decryption), each one power to e that must
+stay on the curve, so no ladder runs wider than a prime.  A
+DecryptionFailure names its stage and, before CRT, the prime's index.
 
 The paper counts one multiplication per exponent bit on both sides and
 predicts a speedup of r^2/2 over two-prime CRT-RSA; counting the ladder's
@@ -208,13 +209,14 @@ def keygen(r, exponents, prime_bits, rng, e=None, mode=Mode.ROBUST):
 def validate_message(pk, msg, mode=Mode.ROBUST):
     """Check encryptability and derive the curve coefficient D.
 
-    Both coordinates must be units in [0, N): a larger one would decrypt
-    to its residue, not to the message sent.  Both modes demand
-    gcd(mx^2 - 1, N) = 1; strict also demands Jacobi(mx^2 - 1, N) = -1, so
-    only strict computes a Jacobi symbol.  Returns D = (mx^2 - 1)/my^2 mod N.
+    msg must be a MessagePair whose coordinates are units in [0, N): a
+    larger one would decrypt to its residue, not to the message sent.  Both
+    modes demand gcd(mx^2 - 1, N) = 1; strict also demands
+    Jacobi(mx^2 - 1, N) = -1, so only strict computes a Jacobi symbol.
+    Returns D = (mx^2 - 1)/my^2 mod N.
     """
     n = pk.n
-    mx, my = msg.mx, msg.my
+    mx, my = (msg.mx, msg.my) if type(msg) is MessagePair else (None, None)
     if {type(mx), type(my)} != {int} or not (0 <= mx < n and 0 <= my < n):
         raise MessageNotEncryptable("mx and my must be ints in [0, N)")
     if math.gcd(mx * my, n) != 1:
@@ -247,58 +249,56 @@ def encrypt_point(pk, msg, mode=Mode.ROBUST):
 
 
 def reduced_private_exponents(sk, d_coef):
-    """CRT decryption plan: (prime p, its exponent k, d and e mod the order).
+    """CRT decryption plan: (prime p, its exponent k, d mod the order, the order).
 
     Per prime, the group order mod p is p - Jacobi(D, p): p + 1 for a
     non-residue D, p - 1 for a residue.  The ladder runs mod p for every
-    factor, a prime power included, so each exponent is below p + 1, even a
-    large public one; the root mod p lifts to p^k afterwards.  An order the
-    key's d does not cover (_group_orders) raises DecryptionFailure naming
-    the prime's index: a residue D under a strict key, or D = 0 mod p.
+    factor, a prime power included, so each reduced exponent is below p + 1;
+    the root mod p lifts to p^k afterwards.  An order the key's d does not
+    cover (_group_orders) raises DecryptionFailure naming the prime's index:
+    a residue D under a strict key, or D = 0 mod p.
     """
     plan = []
     for i, (p, k) in enumerate(sk.factors.factors):
         order = p - jacobi(d_coef % p, p)
         if order not in _group_orders(p, sk.mode):
             raise DecryptionFailure(f"plan: the {sk.mode.value} key covers no group order of D mod prime {i}")
-        plan.append((p, k, sk.d % order, sk.e % order))
+        plan.append((p, k, sk.d % order, order))
     return plan
 
 
 def decrypt(sk, ct):
     """Recover (mx, my) from c, decompressed onto the curve mod each p^k,
     never mod N; c^2 - D no unit mod p^k raises naming the prime."""
-
-    def point_mod(pp, i):
-        try:
-            return param_to_point(ct.c, pp)
-        except ImpossibleOperation:
-            raise DecryptionFailure(f"decompression: c^2 - D is no unit mod prime {i}") from None
-
-    return _decrypt(sk, ct, point_mod)
+    return _decrypt(sk, ct, Ciphertext)
 
 
 def decrypt_point(sk, ct):
     """Recover (mx, my) from a point ciphertext, reduced mod each p^k; a
     point off the curve mod p^k raises naming the prime."""
-    return _decrypt(sk, ct, lambda pp, i: HyperbolaPoint(ct.cx % pp.modulus, ct.cy % pp.modulus))
+    return _decrypt(sk, ct, PointCiphertext)
 
 
-def _decrypt(sk, ct, point_mod):
-    """One loop over the plan: point_mod(pp, i) is the ciphertext mod p^k,
-    which must lie on the curve; its root mod p (_root_mod_prime) lifts to
-    p^k (_hensel_lift), and CRT must give a message on the curve mod N."""
+def _decrypt(sk, ct, kind):
+    """One loop over the plan for a ciphertext of the class kind, refusing any
+    other object: per prime it becomes a point mod p^k, which must lie on the
+    curve, _root takes its verified root mod p^k, and CRT must give a message
+    on the curve mod N."""
+    if type(ct) is not kind:
+        raise DecryptionFailure(f"plan: expected a {kind.__name__}, got a {type(ct).__name__}")
     if any(type(v) is not int for v in vars(ct).values()):
         raise DecryptionFailure("plan: ciphertext fields must be ints")
     d_coef, roots, moduli = ct.d_coef % sk.n, [], []
-    for i, (p, k, d_i, e_i) in enumerate(reduced_private_exponents(sk, d_coef)):
+    for i, (p, k, d_i, _) in enumerate(reduced_private_exponents(sk, d_coef)):
         q = p**k
         pp = PellParams(q, d_coef % q)
-        c = point_mod(pp, i)
+        try:
+            c = param_to_point(ct.c, pp) if kind is Ciphertext else HyperbolaPoint(ct.cx % q, ct.cy % q)
+        except ImpossibleOperation:
+            raise DecryptionFailure(f"decompression: c^2 - D is no unit mod prime {i}") from None
         if not pp.on_curve(*c):
             raise DecryptionFailure(f"curve: the ciphertext point is off the curve mod prime {i}")
-        root = _root_mod_prime(c, PellParams(p, d_coef % p), d_i, e_i, i)
-        roots.append(_hensel_lift(root, c, p, q, d_coef, sk.e, sk.d, i))
+        roots.append(_root(c, p, pp, d_i, sk.e, sk.d, i))
         moduli.append(q)
     mx, my = crt_combine(roots, moduli)
     if (mx * mx - d_coef * my * my) % sk.n != 1:
@@ -308,30 +308,19 @@ def _decrypt(sk, ct, point_mod):
     return MessagePair(mx, my)
 
 
-def _root_mod_prime(c, pp, d_i, e_i, i):
-    """Root c^(d_i) mod the prime p = pp.modulus, checked by its power to e_i.
+def _root(c, p, pp, d_i, e, d, i):
+    """The e-th root c^(d_i) of the point c on the curve pp mod p^k, checked
+    mod the prime p by its power to e, then lifted to pp.modulus = p^k.
 
     c with y = 0 mod p is (+-1, 0), a fixed point of the odd d_i, so no
-    message; it is refused before the ladder, which yields x.  The root
-    (x, y) raised to e is (T_e(x), y U_{e-1}(x)), so T_e(x) = c.x, and
-    y = c.y / U_{e-1}(x) with U a unit as c.y is.  A root x = +-1 fails the
-    check: T_e(+-1) = +-1, not c.x.
-    """
-    p = pp.modulus
-    if c.y % p == 0:
-        raise DecryptionFailure(f"ladder: the ciphertext has y = 0 mod prime {i}")
-    x = point_pow(c.x, d_i, pp)
-    t, u = chebyshev(x, e_i, p)
-    if t == c.x % p:
-        return HyperbolaPoint(x, c.y * mod_inv(u, p) % p)
-    raise DecryptionFailure(f"verify: the root's e-th power is not the ciphertext mod prime {i}")
+    message; it is refused before the ladder mod p, which yields x.  The
+    root (x, y) raised to e is (T_e(x), y U_{e-1}(x)), so T_e(x) = c.x, and
+    y = c.y / U_{e-1}(x) with U a unit as c.y is.  T_k of a point is periodic
+    in k mod its order, so the key's e checks as e mod the order would.  A
+    root x = +-1 fails the check: T_e(+-1) = +-1, not c.x.
 
-
-def _hensel_lift(m, c, q, top, d_coef, e, d, i):
-    """Lift the e-th root m of c mod the prime q = p to the e-th root mod top.
-
-    Each Newton step goes from a modulus u to q = min(u^3, top), so p^k
-    takes ceil(log3 k) steps, and p none.  m's norm is 1 + U mod q with
+    Each Newton step then lifts the root m mod u to q = min(u^3, p^k), so
+    p^k takes ceil(log3 k) steps, and p none.  m's norm is 1 + U mod q with
     u | U, so U^3 = 0 mod q and scaling m by s = 1 - U/2 + 3U^2/8, the
     series of (1 + U)^(-1/2), puts m' on the curve mod q, still m mod u; a
     power m'^e off the curve is a fault and raises, naming prime i.  Then
@@ -342,9 +331,16 @@ def _hensel_lift(m, c, q, top, d_coef, e, d, i):
     p^(k-1) divides the exponent modulus, so d = e^-1 mod p^(k-1), and
     p | y_E.  No step divides.
     """
-    while q < top:
-        q = min(q**3, top)
-        dq, half = d_coef % q, (q + 1) // 2
+    if c.y % p == 0:
+        raise DecryptionFailure(f"ladder: the ciphertext has y = 0 mod prime {i}")
+    x = point_pow(c.x, d_i, PellParams(p, pp.d % p))
+    t, u = chebyshev(x, e, p)
+    if t != c.x % p:
+        raise DecryptionFailure(f"verify: the root's e-th power is not the ciphertext mod prime {i}")
+    m, q = HyperbolaPoint(x, c.y * mod_inv(u, p) % p), p
+    while q < pp.modulus:
+        q = min(q**3, pp.modulus)
+        dq, half = pp.d % q, (q + 1) // 2
         x, y = m
         h = (x * x - dq * y * y - 1) * half % q  # U/2
         s = (1 - h + 3 * h * h * half) % q

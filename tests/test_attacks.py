@@ -191,6 +191,29 @@ def test_full_factorization_refuses_oversized_moduli():
         full_factorization(n, 4, ExplodingRng())
 
 
+# an odd 200,000-bit psi used to cost seconds per splitting trial
+OVERSIZED_PSI = {
+    "psi-wider-than-n-squared": (7, 1 << 6),
+    "psi-far-too-wide": ((2**521 - 1) * (2**607 - 1), (1 << 200_000) | 1),
+    "psi-float": (35, 48.0),
+    "psi-bool": (7, True),
+    "n-float": (35.0, 48),
+    "n-bool": (True, 1),
+}
+
+
+@pytest.mark.parametrize("case", OVERSIZED_PSI)
+def test_full_factorization_refuses_a_non_int_or_oversized_input_before_any_work(case):
+    n, psi_n = OVERSIZED_PSI[case]
+    with pytest.raises(ValueError, match="must lie in"):
+        full_factorization(n, psi_n, ExplodingRng())
+
+
+def test_full_factorization_accepts_psi_up_to_twice_the_bits_of_n():
+    # 7 has 3 bits, so psi_n may have 6; the prime n short-circuits
+    assert full_factorization(7, (1 << 6) - 1, ExplodingRng()) == [(7, 1)]
+
+
 def test_full_factorization_rejects_psi_below_one():
     # a zero psi has no odd part for the splitting trial to reach
     with pytest.raises(ValueError):
@@ -263,9 +286,25 @@ def test_probability_negligible_for_large_primes():
     assert impossible_op_probability([p, q]) < 2**-500
 
 
-def test_probability_rejects_repeated_primes():
+NOT_DISTINCT_PRIMES = {
+    "repeated": [5, 5],
+    "zero": [0],
+    "one": [1],
+    "square": [4],
+    "composite-beside-a-prime": [5, 9],
+    "negative": [-5],
+    "float": [5.0],
+    "bool": [True],
+    "str": [5, "7"],
+}
+
+
+@pytest.mark.parametrize("case", NOT_DISTINCT_PRIMES)
+def test_probability_rejects_repeated_primes(case):
+    # entries that are no int primes used to divide by zero, or to return a
+    # probability for a non-prime: 1.0 for [1], 0.25 for [4]
     with pytest.raises(ValueError):
-        impossible_op_probability([5, 5])
+        impossible_op_probability(NOT_DISTINCT_PRIMES[case])
 
 
 def test_monte_carlo_rate_close_to_closed_form():

@@ -128,6 +128,14 @@ def test_factor_given_psi(keys, capsys):
     assert capsys.readouterr().out == expected + "\n"
 
 
+def test_factor_refuses_an_oversized_psi_at_once(capsys, alarm):
+    # an odd 200,000-bit psi used to spend minutes on 200 splitting trials
+    n = (2**521 - 1) * (2**607 - 1)
+    argv = ["factor", "--n", f"{n:x}", "--psi", f"{(1 << 200_000) | 1:x}", "--seed", "1"]
+    assert cli.dispatch(argv) == 1
+    assert "must lie in" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -505,13 +505,14 @@ def test_point_pow_exhaustive_against_product_oracle(p):
 def test_decryption_root_step_exhaustive_against_product_oracle(p):
     # the ladder's x with y read off the power to e is the whole point
     # c^(d_i), for every point with y != 0 mod p and every e invertible mod
-    # the order, so y is still checked on every such point
+    # the order, so y is still checked on every such point; at k = 1 the
+    # step lifts nothing, so it never reads d
     for pp, pts, order in point_pow_cases(p, 1):
         for e_i in (e for e in range(1, order) if math.gcd(e, order) == 1):
             d_i = pow(e_i, -1, order)
             for c in pts:
                 if c.y:
-                    assert scheme._root_mod_prime(c, pp, d_i, e_i, 0) == chain_pow(c, d_i, pp)
+                    assert scheme._root(c, p, pp, d_i, e_i, None, 0) == chain_pow(c, d_i, pp)
 
 
 EVEN_MODULI = list(range(4, 64, 2)) + [98, 128, 250, 338, 390]

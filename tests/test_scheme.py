@@ -462,15 +462,32 @@ def test_reduced_exponents_divide_and_invert(exponents):
     ct = encrypt(pub, msg)
     plan = reduced_private_exponents(priv, ct.d_coef)
     assert [(p, k) for p, k, _, _ in plan] == list(priv.factors.factors)
-    for p, k, d_i, e_i in plan:
+    for p, k, d_i, order in plan:
         # the ladder runs mod p, a prime power included: d mod p + 1 or p - 1
-        order = p - jacobi(ct.d_coef, p)
+        assert order == p - jacobi(ct.d_coef, p)
         assert d_i == priv.d % order < p + 1
-        assert e_i == pub.e % order
-        assert e_i * d_i % order == 1
+        assert pub.e * d_i % order == 1
         # robust d inverts e under both candidate orders of the prime power
         for order in (p ** (k - 1) * (p + 1), p ** (k - 1) * (p - 1)):
             assert pub.e * (priv.d % order) % order == 1 % order
+
+
+def test_a_public_exponent_above_p_plus_1_checks_roots_of_both_orders():
+    # the root check raises to the key's e, not to e mod the order: 16-bit
+    # primes with e = 65537 and a D that is a residue mod one prime only
+    rng = random.Random(32)
+    pub, priv = small_keypair(rng, r=2, bits=16)
+    (p, _), (q, _) = priv.factors.factors
+    assert priv.e == pub.e == 65537 > max(p, q) + 1
+    while True:
+        msg = random_message(pub, rng)
+        d_coef = validate_message(pub, msg)
+        if jacobi(d_coef, p) != jacobi(d_coef, q):
+            break
+    orders = [order for _, _, _, order in reduced_private_exponents(priv, d_coef)]
+    assert orders == [p - jacobi(d_coef, p), q - jacobi(d_coef, q)]
+    assert sorted(order - prime for order, prime in zip(orders, (p, q))) == [-1, 1]
+    assert decrypt(priv, encrypt(pub, msg)) == decrypt_point(priv, encrypt_point(pub, msg)) == msg
 
 
 def test_private_key_derives_e():
@@ -533,6 +550,13 @@ NOT_INTS = {
     "pct-cy-float": (lambda: decrypt_point(PRIV35, PointCiphertext(PCT35.cx, float(PCT35.cy), 18)), DecryptionFailure),
     "pct-d-float": (lambda: decrypt_point(PRIV35, PointCiphertext(PCT35.cx, PCT35.cy, 18.0)), DecryptionFailure),
     "pct-d-bool": (lambda: decrypt_point(PRIV35, PointCiphertext(PCT35.cx, PCT35.cy, True)), DecryptionFailure),
+    # objects of another class: a bare AttributeError, or a TypeError from vars()
+    "msg-tuple-encrypt": (lambda: encrypt(PUB35, (3, 4)), MessageNotEncryptable),
+    "msg-tuple-encrypt-point": (lambda: encrypt_point(PUB35, (3, 4)), MessageNotEncryptable),
+    "msg-tuple-validate": (lambda: validate_message(PUB35, (3, 4)), MessageNotEncryptable),
+    "ct-point-to-decrypt": (lambda: decrypt(PRIV35, PCT35), DecryptionFailure),
+    "ct-compressed-to-decrypt-point": (lambda: decrypt_point(PRIV35, Ciphertext(34, 18)), DecryptionFailure),
+    "ct-tuple": (lambda: decrypt(PRIV35, (1, 2)), DecryptionFailure),
 }
 
 
@@ -719,7 +743,7 @@ def inject_fault(monkeypatch, fault, p):
         plan = scheme.reduced_private_exponents
 
         def flipped(sk, d_coef):
-            return [(q, k, d_i ^ (1 << 40) if q == p else d_i, e_i) for q, k, d_i, e_i in plan(sk, d_coef)]
+            return [(q, k, d_i ^ (1 << 40) if q == p else d_i, order) for q, k, d_i, order in plan(sk, d_coef)]
 
         monkeypatch.setattr(scheme, "reduced_private_exponents", flipped)
     elif fault == "lift_x":
