@@ -19,7 +19,8 @@ from .pell import PellParams, point_pow
 
 def find_factor(n, psi_n, x):
     """One splitting trial from the point (x, 1), given a multiple psi_n of
-    the group exponents: a nontrivial divisor of n, or 0 (retry another x).
+    the group exponents of any width (full_factorization bounds it to
+    2|n| bits): a nontrivial divisor of n, or 0 (retry another x).
 
     With psi_n = 2^h t, t odd, point_pow raises x to t; x <- 2x^2 - 1 then
     squares it h times, probing gcd(x - 1, n) (identity) and gcd(x + 1, n)
@@ -73,18 +74,17 @@ def _perfect_power(n):
 
 
 def full_factorization(n, psi_n, rng, max_trials=200):
-    """Complete prime-power factorization of n given psi(n).
-
-    psi of any divisor divides psi(n), so the same psi_n drives the
+    """Complete prime-power factorization of n given psi(n), or a multiple
+    psi_n of it below 2^(2|n|): psi(n) < 2^r n <= n^2 is, a key's e d - 1
+    mostly is not.  psi of any divisor divides psi_n, so it drives the
     recursion on every cofactor.  Prime powers are peeled off by exact-root
     extraction; composite cofactors are split by find_factor from a fresh
     start x per trial.  Raises TrialBudgetExhausted once max_trials
     splitting trials were spent, and ValueError before any primality test
     for an n or psi_n that is no int, an n above MAX_MODULUS_BITS, or a psi_n
-    below 1 or wider than 2|n| bits, as psi(n) < 2^r n <= n^2 is.
+    below 1 or wider than 2|n| bits, which bounds each trial's ladder.
     """
-    ints = type(n) is int and type(psi_n) is int
-    if not (ints and 1 <= n < 1 << MAX_MODULUS_BITS and 1 <= psi_n < 1 << 2 * n.bit_length()):
+    if {type(n), type(psi_n)} != {int} or not 1 <= n < 1 << MAX_MODULUS_BITS or not 1 <= psi_n < 4 ** n.bit_length():
         raise ValueError(f"n must lie in [1, 2^{MAX_MODULUS_BITS}) and psi_n in [1, 2^(2|n|))")
     found = {}
     work = []

@@ -73,7 +73,7 @@ def build_parser():
 
     fa = sub.add_parser("factor", help="factor n given psi(n)")
     fa.add_argument("--n", type=_number(16), required=True, help="modulus (hex)")
-    fa.add_argument("--psi", type=_number(16), required=True, help="totient analog (hex)")
+    fa.add_argument("--psi", type=_number(16), required=True, help="psi(n) or a multiple below 2^(2|n|) (hex)")
     fa.add_argument("--trials", type=_number(10), default=200, help="trial budget")
     fa.add_argument("--seed", type=_number(10), default=None)
 

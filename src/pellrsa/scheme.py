@@ -17,12 +17,12 @@ One loop over the primes serves both ciphertext kinds, told apart by class,
 and never works mod N: per prime the ciphertext becomes a point on the
 curve mod p^k, by decompression or reduction, and _root takes its verified
 root.  An x-only Lucas ladder mod p (pell.point_pow) yields the root's x;
-its power to the key's e (pell.chebyshev) must give back the ciphertext's
-x, and its U yields the root's y, so a fault in one prime's branch,
-exponent or ladder raises instead of leaking p through a wrong plaintext
-(the Bellcore attack).  The root then lifts to p^k by ceil(log3 k) cubic
-Newton steps (Takagi's p^k q decryption), each one power to e that must
-stay on the curve, so no ladder runs wider than a prime.  A
+its power to e mod the prime's order (pell.chebyshev) must give back the
+ciphertext's x, and its U yields the root's y, so a fault in one prime's
+branch, exponent or ladder raises instead of leaking p through a wrong
+plaintext (the Bellcore attack).  The root then lifts to p^k by
+ceil(log3 k) cubic Newton steps (Takagi's p^k q decryption), each one power
+to e that must stay on the curve, so no ladder runs wider than a prime.  A
 DecryptionFailure names its stage and, before CRT, the prime's index.
 
 The paper counts one multiplication per exponent bit on both sides and
@@ -289,7 +289,7 @@ def _decrypt(sk, ct, kind):
     if any(type(v) is not int for v in vars(ct).values()):
         raise DecryptionFailure("plan: ciphertext fields must be ints")
     d_coef, roots, moduli = ct.d_coef % sk.n, [], []
-    for i, (p, k, d_i, _) in enumerate(reduced_private_exponents(sk, d_coef)):
+    for i, (p, k, d_i, order) in enumerate(reduced_private_exponents(sk, d_coef)):
         q = p**k
         pp = PellParams(q, d_coef % q)
         try:
@@ -298,7 +298,7 @@ def _decrypt(sk, ct, kind):
             raise DecryptionFailure(f"decompression: c^2 - D is no unit mod prime {i}") from None
         if not pp.on_curve(*c):
             raise DecryptionFailure(f"curve: the ciphertext point is off the curve mod prime {i}")
-        roots.append(_root(c, p, pp, d_i, sk.e, sk.d, i))
+        roots.append(_root(c, pp, (p, k, d_i, order), sk.e, sk.d, i))
         moduli.append(q)
     mx, my = crt_combine(roots, moduli)
     if (mx * mx - d_coef * my * my) % sk.n != 1:
@@ -308,16 +308,16 @@ def _decrypt(sk, ct, kind):
     return MessagePair(mx, my)
 
 
-def _root(c, p, pp, d_i, e, d, i):
-    """The e-th root c^(d_i) of the point c on the curve pp mod p^k, checked
-    mod the prime p by its power to e, then lifted to pp.modulus = p^k.
+def _root(c, pp, row, e, d, i):
+    """For the plan row (p, k, d_i, order), the e-th root c^(d_i) of c on the
+    curve pp, checked mod p by its power to e, lifted to pp.modulus = p^k.
 
     c with y = 0 mod p is (+-1, 0), a fixed point of the odd d_i, so no
     message; it is refused before the ladder mod p, which yields x.  The
     root (x, y) raised to e is (T_e(x), y U_{e-1}(x)), so T_e(x) = c.x, and
     y = c.y / U_{e-1}(x) with U a unit as c.y is.  T_k of a point is periodic
-    in k mod its order, so the key's e checks as e mod the order would.  A
-    root x = +-1 fails the check: T_e(+-1) = +-1, not c.x.
+    in k mod its order, so the check raises to e mod the order, below p + 2
+    for any e.  A root x = +-1 fails the check: T_e(+-1) = +-1, not c.x.
 
     Each Newton step then lifts the root m mod u to q = min(u^3, p^k), so
     p^k takes ceil(log3 k) steps, and p none.  m's norm is 1 + U mod q with
@@ -331,10 +331,11 @@ def _root(c, p, pp, d_i, e, d, i):
     p^(k-1) divides the exponent modulus, so d = e^-1 mod p^(k-1), and
     p | y_E.  No step divides.
     """
+    p, _, d_i, order = row
     if c.y % p == 0:
         raise DecryptionFailure(f"ladder: the ciphertext has y = 0 mod prime {i}")
     x = point_pow(c.x, d_i, PellParams(p, pp.d % p))
-    t, u = chebyshev(x, e, p)
+    t, u = chebyshev(x, e % order, p)
     if t != c.x % p:
         raise DecryptionFailure(f"verify: the root's e-th power is not the ciphertext mod prime {i}")
     m, q = HyperbolaPoint(x, c.y * mod_inv(u, p) % p), p

@@ -18,6 +18,7 @@ from pellrsa.attacks import (
 )
 from pellrsa.errors import TrialBudgetExhausted
 from pellrsa.pell import point_pow, psi
+from pellrsa.scheme import exponent_modulus, keypair_from_primes
 
 
 class ExplodingRng:
@@ -212,6 +213,22 @@ def test_full_factorization_refuses_a_non_int_or_oversized_input_before_any_work
 def test_full_factorization_accepts_psi_up_to_twice_the_bits_of_n():
     # 7 has 3 bits, so psi_n may have 6; the prime n short-circuits
     assert full_factorization(7, (1 << 6) - 1, ExplodingRng()) == [(7, 1)]
+
+
+def test_full_factorization_takes_multiples_of_psi_below_n_squared_only():
+    # the splitting trials need only a multiple of the group exponents, so
+    # the exponent modulus and 3 psi(n) factor n; a robust key's e d - 1 is a
+    # multiple too, but wider than 2|n| bits, so it is refused before any work
+    rng = random.Random(23)
+    pub, priv = keypair_from_primes([gen_prime(64, rng) for _ in range(2)], [1, 1])
+    n, lam = pub.n, exponent_modulus(priv.factors, priv.mode)
+    for multiple in (lam, 3 * psi(priv.factors)):
+        assert multiple.bit_length() <= 2 * n.bit_length()
+        assert full_factorization(n, multiple, random.Random(1)) == list(priv.factors.factors)
+    wide = pub.e * priv.d - 1
+    assert wide % lam == 0 and wide.bit_length() > 2 * n.bit_length()
+    with pytest.raises(ValueError, match="must lie in"):
+        full_factorization(n, wide, ExplodingRng())
 
 
 def test_full_factorization_rejects_psi_below_one():

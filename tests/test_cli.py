@@ -128,6 +128,21 @@ def test_factor_given_psi(keys, capsys):
     assert capsys.readouterr().out == expected + "\n"
 
 
+def test_factor_takes_a_multiple_of_psi_below_n_squared_only(keys, capsys, alarm):
+    # the exponent modulus factors n; the key's e d - 1, a multiple of it
+    # wider than 2|n| bits, exits 1 before any splitting trial
+    _, pub, priv = keys
+    capsys.readouterr()
+
+    def factor(multiple):
+        return cli.dispatch(["factor", "--n", f"{pub.n:x}", "--psi", f"{multiple:x}", "--seed", "5"])
+
+    assert factor(exponent_modulus(priv.factors, priv.mode)) == 0
+    assert capsys.readouterr().out == " * ".join(f"{p:x}^{e}" for p, e in priv.factors.factors) + "\n"
+    assert factor(pub.e * priv.d - 1) == 1
+    assert "must lie in" in capsys.readouterr().err
+
+
 def test_factor_refuses_an_oversized_psi_at_once(capsys, alarm):
     # an odd 200,000-bit psi used to spend minutes on 200 splitting trials
     n = (2**521 - 1) * (2**607 - 1)

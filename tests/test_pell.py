@@ -512,7 +512,7 @@ def test_decryption_root_step_exhaustive_against_product_oracle(p):
             d_i = pow(e_i, -1, order)
             for c in pts:
                 if c.y:
-                    assert scheme._root(c, p, pp, d_i, e_i, None, 0) == chain_pow(c, d_i, pp)
+                    assert scheme._root(c, pp, (p, 1, d_i, order), e_i, None, 0) == chain_pow(c, d_i, pp)
 
 
 EVEN_MODULI = list(range(4, 64, 2)) + [98, 128, 250, 338, 390]

@@ -472,9 +472,10 @@ def test_reduced_exponents_divide_and_invert(exponents):
             assert pub.e * (priv.d % order) % order == 1 % order
 
 
-def test_a_public_exponent_above_p_plus_1_checks_roots_of_both_orders():
-    # the root check raises to the key's e, not to e mod the order: 16-bit
-    # primes with e = 65537 and a D that is a residue mod one prime only
+def test_a_public_exponent_above_p_plus_1_checks_roots_of_both_orders(monkeypatch):
+    # 16-bit primes with e = 65537 and a D that is a residue mod one prime
+    # only; the root check mod p raises to e mod the order, so its chain
+    # stays below p + 2 for an e of any width
     rng = random.Random(32)
     pub, priv = small_keypair(rng, r=2, bits=16)
     (p, _), (q, _) = priv.factors.factors
@@ -487,7 +488,11 @@ def test_a_public_exponent_above_p_plus_1_checks_roots_of_both_orders():
     orders = [order for _, _, _, order in reduced_private_exponents(priv, d_coef)]
     assert orders == [p - jacobi(d_coef, p), q - jacobi(d_coef, q)]
     assert sorted(order - prime for order, prime in zip(orders, (p, q))) == [-1, 1]
-    assert decrypt(priv, encrypt(pub, msg)) == decrypt_point(priv, encrypt_point(pub, msg)) == msg
+    cts = encrypt(pub, msg), encrypt_point(pub, msg)
+    checks, chain = [], scheme.chebyshev
+    monkeypatch.setattr(scheme, "chebyshev", lambda x, k, n: checks.append((k, n)) or chain(x, k, n))
+    assert decrypt(priv, cts[0]) == decrypt_point(priv, cts[1]) == msg
+    assert checks == 2 * [(pub.e % order, prime) for order, prime in zip(orders, (p, q))]
 
 
 def test_private_key_derives_e():
