@@ -10,6 +10,7 @@ for input an adversary may choose, such as a key file.
 """
 
 import math
+from dataclasses import dataclass, field
 
 from .errors import ImpossibleOperation, RandomnessExhausted
 
@@ -185,6 +186,7 @@ def gen_prime(bits, rng):
     raise RandomnessExhausted(f"no {bits}-bit prime found")
 
 
+@dataclass(frozen=True)
 class FactoredModulus:
     """A modulus known by its prime-power factorization.
 
@@ -193,13 +195,15 @@ class FactoredModulus:
     exponents >= 1, each an int (not a bool, float or str, which int() would
     coerce), and sum(e * bitlen(p)) at most MAX_MODULUS_BITS; the size is
     checked from bit lengths first, so a hostile exponent is refused before
-    any power or primality test runs.
+    any power or primality test runs.  The value is immutable: assigning
+    either field raises, so a validated key's factorization cannot change.
     """
 
-    __slots__ = ("factors", "value")
+    factors: tuple
+    value: int = field(init=False, compare=False)
 
-    def __init__(self, factors):
-        pairs = [(p, e) for p, e in factors]
+    def __post_init__(self):
+        pairs = [(p, e) for p, e in self.factors]
         if any(type(v) is not int for pair in pairs for v in pair):
             raise ValueError("primes and exponents must be ints")
         pairs = tuple(sorted(pairs))
@@ -217,14 +221,8 @@ class FactoredModulus:
             if not is_probable_prime(p):
                 raise ValueError(f"{p:#x} is not prime")
             value *= p**e
-        self.factors = pairs
-        self.value = value
-
-    def __eq__(self, other):
-        return isinstance(other, FactoredModulus) and self.factors == other.factors
-
-    def __hash__(self):
-        return hash(self.factors)
+        object.__setattr__(self, "factors", pairs)
+        object.__setattr__(self, "value", value)
 
     def __repr__(self):
         body = " * ".join(f"{p:#x}^{e}" for p, e in self.factors)

@@ -10,6 +10,7 @@ x-only decryption ladder.  Each trial succeeds with constant probability.
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 from .arith import MAX_MODULUS_BITS, is_probable_prime, jacobi, primes_up_to
@@ -86,28 +87,22 @@ def full_factorization(n, psi_n, rng, max_trials=200):
     """
     if {type(n), type(psi_n)} != {int} or not 1 <= n < 1 << MAX_MODULUS_BITS or not 1 <= psi_n < 4 ** n.bit_length():
         raise ValueError(f"n must lie in [1, 2^{MAX_MODULUS_BITS}) and psi_n in [1, 2^(2|n|))")
-    found = {}
-    work = []
-
-    def push(value, multiplicity):
-        # mod 3, x^2 - 1 is a unit only for x = 0: 15 has no start x
-        for q in (2, 3):
-            while value % q == 0:
-                found[q] = found.get(q, 0) + multiplicity
-                value //= q
-        if value > 1:
-            work.append((value, multiplicity))
-
-    push(n, 1)
+    found = Counter()
+    # mod 3, x^2 - 1 is a unit only for x = 0: 15 has no start x
+    for q in (2, 3):
+        while n % q == 0:
+            found[q] += 1
+            n //= q
+    work = [(n, 1)] if n > 1 else []
     trials = 0
     while work:
         m, mult = work.pop()
         if is_probable_prime(m):
-            found[m] = found.get(m, 0) + mult
+            found[m] += mult
             continue
         root, k = _perfect_power(m)
         if k > 1:
-            push(root, mult * k)
+            work.append((root, mult * k))
             continue
         divisor = 0
         while not divisor:
@@ -115,8 +110,7 @@ def full_factorization(n, psi_n, rng, max_trials=200):
             if trials > max_trials:
                 raise TrialBudgetExhausted(f"no factor of {m:#x} within {max_trials} trials")
             divisor = find_factor(m, psi_n, _draw_non_residue(m, rng))
-        push(divisor, mult)
-        push(m // divisor, mult)
+        work += [(divisor, mult), (m // divisor, mult)]
     return sorted(found.items())
 
 

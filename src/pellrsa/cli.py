@@ -1,8 +1,10 @@
 """Command line front end: keygen, encrypt, decrypt, factor.
 
-Numbers cross the command line as keyfmt writes them: residues in hex, the
-rest in decimal.  Exit codes: 1 for bad flags, 2 for file or parse
-problems, 3 for domain errors (the error class name goes to stderr).
+keygen draws its primes from the OS CSPRNG (random.SystemRandom); only
+factor takes a --seed, as its randomness need not be secret.  Numbers
+cross the command line as keyfmt writes them: residues in hex, the rest in
+decimal.  Exit codes: 1 for bad flags, 2 for file or parse problems, 3 for
+domain errors (the error class name goes to stderr).
 """
 
 import argparse
@@ -53,11 +55,10 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="pellrsa")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    kg = sub.add_parser("keygen", help="generate a key pair")
+    kg = sub.add_parser("keygen", help="generate a key pair from the OS CSPRNG")
     kg.add_argument("--bits", type=_number(10), required=True, help="modulus size in bits")
     kg.add_argument("--exponents", type=_exponent_list, required=True, help="e1,..,er (odd), one per prime")
     kg.add_argument("--pub-exp", type=_number(10), default=None, help="public exponent (decimal)")
-    kg.add_argument("--seed", type=_number(10), default=None, help="deterministic randomness seed")
     kg.add_argument("--out", required=True, help="prefix for PREFIX.pub / PREFIX.key")
 
     en = sub.add_parser("encrypt", help="encrypt a message pair")
@@ -82,8 +83,7 @@ def build_parser():
 
 def _cmd_keygen(args):
     prime_bits = args.bits // sum(args.exponents)
-    rng = random.Random(args.seed)
-    pub, priv = keygen(len(args.exponents), args.exponents, prime_bits, rng, e=args.pub_exp)
+    pub, priv = keygen(len(args.exponents), args.exponents, prime_bits, random.SystemRandom(), e=args.pub_exp)
     Path(args.out + ".pub").write_text(dump_public_key(pub))
     Path(args.out + ".key").write_text(dump_private_key(priv))
     return 0

@@ -29,19 +29,12 @@ from .arith import lucas_v, mod_inv
 from .errors import ImpossibleOperation
 
 
+@dataclass(frozen=True)
 class _AtInfinity:
     """Identity of the parameter product; image of the point (1, 0)."""
 
-    __slots__ = ()
-
     def __repr__(self):
         return "INFINITY"
-
-    def __eq__(self, other):
-        return isinstance(other, _AtInfinity)
-
-    def __hash__(self):
-        return hash("pell-parameter-at-infinity")
 
 
 INFINITY = _AtInfinity()

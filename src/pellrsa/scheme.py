@@ -97,6 +97,8 @@ class PrivateKey:
     e: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if type(self.mode) is not Mode:
+            raise ValueError("mode must be a Mode member")
         if len(self.factors.factors) < 2:
             raise ValueError("need at least two primes")
         if any(p % 2 == 0 or k % 2 == 0 for p, k in self.factors.factors):
@@ -168,11 +170,7 @@ def keypair_from_primes(primes, exponents, e=None, mode=Mode.ROBUST):
     to the exponent modulus; an explicit e that is no odd int >= 3 coprime to
     the exponent modulus raises BadExponentChoice.
     """
-    primes = list(primes)
-    exponents = list(exponents)
-    if len(exponents) != len(primes):
-        raise ValueError("one exponent per prime required")
-    factors = FactoredModulus(zip(primes, exponents))
+    factors = FactoredModulus(zip(primes, exponents, strict=True))
     lam = exponent_modulus(factors, mode)
     if e is None:
         e = DEFAULT_PUBLIC_EXPONENT
@@ -323,7 +321,8 @@ def _root(c, pp, row, e, d, i):
     p^k takes ceil(log3 k) steps, and p none.  m's norm is 1 + U mod q with
     u | U, so U^3 = 0 mod q and scaling m by s = 1 - U/2 + 3U^2/8, the
     series of (1 + U)^(-1/2), puts m' on the curve mod q, still m mod u; a
-    power m'^e off the curve is a fault and raises, naming prime i.  Then
+    power m'^e off the curve is a fault and raises, naming prime i; it
+    raises to e mod p^(k-1) * order, the group order mod p^k.  Then
     E = c * conj(m'^e) has u | y_E: it lies in the kernel of reduction mod
     u, where x = 1 + D y^2/2 mod u^3 and a product's y-coordinate
     y + y' + D y y' (y + y')/2 loses its cubic term, so y-coordinates add
@@ -339,6 +338,7 @@ def _root(c, pp, row, e, d, i):
     if t != c.x % p:
         raise DecryptionFailure(f"verify: the root's e-th power is not the ciphertext mod prime {i}")
     m, q = HyperbolaPoint(x, c.y * mod_inv(u, p) % p), p
+    e %= pp.modulus // p * order
     while q < pp.modulus:
         q = min(q**3, pp.modulus)
         dq, half = pp.d % q, (q + 1) // 2

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import random
@@ -345,6 +346,16 @@ def test_factored_modulus_value_and_ordering():
     assert fm.value == 5**3 * 7
     assert fm.factors == ((5, 3), (7, 1))
     assert repr(fm) == "FactoredModulus(0x5^3 * 0x7^1)"
+
+
+@pytest.mark.parametrize("name", ["factors", "value"])
+def test_factored_modulus_is_immutable(name):
+    # assigning factors used to rewrite a validated key's factorization
+    fm = FactoredModulus([(5, 1), (7, 1)])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(fm, name, ((11, 1), (13, 1)))
+    assert (fm.factors, fm.value) == (((5, 1), (7, 1)), 35)
+    assert fm == FactoredModulus([(7, 1), (5, 1)]) and hash(fm) == hash(FactoredModulus([(7, 1), (5, 1)]))
 
 
 def test_factored_modulus_rejects_bad_input():

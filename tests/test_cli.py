@@ -3,20 +3,33 @@ import random
 import pytest
 
 from pellrsa import cli
-from pellrsa.keyfmt import load_private_key, load_public_key
+from pellrsa.keyfmt import dump_private_key, dump_public_key, load_private_key, load_public_key
 from pellrsa.pell import psi
-from pellrsa.scheme import exponent_modulus, random_message
+from pellrsa.scheme import exponent_modulus, keygen, random_message
 
 
 @pytest.fixture(scope="module")
 def keys(tmp_path_factory):
+    # a fixed 512-bit key: its e d - 1 is wider than 2|n| bits, as
+    # test_factor_takes_a_multiple_of_psi_below_n_squared_only needs and
+    # not every random key's is
     prefix = tmp_path_factory.mktemp("keys") / "k"
-    argv = ["keygen", "--bits", "512", "--exponents", "1,1"]
-    assert cli.dispatch(argv + ["--seed", "1", "--out", str(prefix)]) == 0
+    pub, priv = keygen(2, [1, 1], 256, random.Random(1))
+    prefix.with_suffix(".pub").write_text(dump_public_key(pub))
+    prefix.with_suffix(".key").write_text(dump_private_key(priv))
+    return prefix, pub, priv
+
+
+def test_keygen_draws_from_the_os_csprng(tmp_path, monkeypatch):
+    # keygen used random.Random, a Mersenne Twister, seeded or not
+    rngs, draw = [], cli.keygen
+    monkeypatch.setattr(cli, "keygen", lambda *args, **kw: rngs.append(args[3]) or draw(*args, **kw))
+    prefix = tmp_path / "k"
+    assert cli.dispatch(["keygen", "--bits", "512", "--exponents", "1,1", "--out", str(prefix)]) == 0
+    assert [type(rng) for rng in rngs] == [random.SystemRandom]
     pub = load_public_key(prefix.with_suffix(".pub").read_text())
     priv = load_private_key(prefix.with_suffix(".key").read_text())
     assert pub.n == priv.n and pub.n.bit_length() >= 511
-    return prefix, pub, priv
 
 
 def encrypt_to(tmp_path, prefix, msg, kind):
@@ -114,7 +127,7 @@ def test_invalid_input_file_exits_2(keys, tmp_path, capsys, flag, bad, error):
 def test_keygen_with_too_few_primes_of_that_size_exits_3(tmp_path, capsys, alarm):
     # 192 // 24 = 8-bit primes, and only 23 exist: redrawing never ended
     argv = ["keygen", "--bits", "192", "--exponents", ",".join(["1"] * 24)]
-    assert cli.dispatch(argv + ["--seed", "1", "--out", str(tmp_path / "k")]) == 3
+    assert cli.dispatch(argv + ["--out", str(tmp_path / "k")]) == 3
     assert capsys.readouterr().err.startswith("RandomnessExhausted")
     assert not list(tmp_path.iterdir())
 
@@ -166,6 +179,7 @@ def test_factor_refuses_an_oversized_psi_at_once(capsys, alarm):
         ["keygen", "--bits", "512", "--exponents", "1"],
         ["keygen", "--bits", "512", "--exponents", "2,1"],
         ["keygen", "--bits", "512", "--primes", "2", "--exponents", "1,1"],
+        ["keygen", "--bits", "512", "--exponents", "1,1", "--seed", "1"],
     ],
 )
 def test_invalid_arguments_exit_1(tmp_path, capsys, argv):

@@ -9,6 +9,7 @@ import pellrsa
 from pellrsa import errors
 
 MODULES = sorted(Path(pellrsa.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def unused_imports(source):
@@ -34,6 +35,24 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_module_imports_only_names_it_uses(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_grammar_newer_than_python_3_10_is_refused():
+    source = "try:\n    pass\nexcept* ValueError:\n    pass\n"
+    ast.parse(source, feature_version=(3, 11))
+    with pytest.raises(SyntaxError, match="3.11"):
+        ast.parse(source, feature_version=(3, 10))
+
+
+# pyproject's requires-python is 3.10; the parser's feature_version flags
+# newer grammar, not newer library calls
+@pytest.mark.parametrize(
+    "path",
+    MODULES + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "pellbench").glob("*.py")),
+    ids=lambda path: f"{path.parent.name}/{path.name}",
+)
+def test_sources_parse_with_the_python_3_10_grammar(path):
+    ast.parse(path.read_text(), feature_version=(3, 10))
 
 
 def raised_names(source):

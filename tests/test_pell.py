@@ -1,5 +1,7 @@
+import copy
 import functools
 import math
+import pickle
 import random
 
 import pytest
@@ -192,6 +194,14 @@ def test_param_identity_and_inverse():
     assert param_mul(12, 35 - 12, PP35) is INFINITY
     # 0 is its own inverse (the order-2 element)
     assert param_mul(0, 0, PP35) is INFINITY
+
+
+@pytest.mark.parametrize("clone", [copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))], ids=["deepcopy", "pickle"])
+def test_infinity_copies_compare_equal(clone):
+    twin = clone(INFINITY)
+    assert twin == INFINITY and hash(twin) == hash(INFINITY)
+    assert repr(twin) == "INFINITY" and twin != 0
+    assert param_mul(twin, 12, PP35) == 12
 
 
 def test_param_mul_frozen_example():

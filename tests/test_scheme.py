@@ -495,6 +495,37 @@ def test_a_public_exponent_above_p_plus_1_checks_roots_of_both_orders(monkeypatc
     assert checks == 2 * [(pub.e % order, prime) for order, prime in zip(orders, (p, q))]
 
 
+def test_the_hensel_lift_raises_to_e_mod_the_group_order_mod_p_k(monkeypatch):
+    # a key file with a small d derives an e about as wide as the exponent
+    # modulus; each lift step used to raise to that full e at p^k width
+    rng = random.Random(33)
+    _, base = small_keypair(rng, r=2, bits=32, exponents=[3, 1])
+    lam = exponent_modulus(base.factors, Mode.ROBUST)
+    d = next(d for d in range(1 << 20 | 1, lam, 2) if math.gcd(d, lam) == 1)
+    priv = PrivateKey(base.factors, d, Mode.ROBUST)
+    pub = PublicKey(priv.n, priv.e)
+    ((p, k),) = [(p, k) for p, k in priv.factors.factors if k == 3]
+    assert priv.e > p**2 * (p + 1)
+    lifts, chain = [], scheme.chebyshev
+
+    def spy(x, e, n):
+        if n == p**k:
+            lifts.append(e)
+        return chain(x, e, n)
+
+    monkeypatch.setattr(scheme, "chebyshev", spy)
+    orders = set()
+    for _ in range(6):
+        msg = random_message(pub, rng)
+        (order,) = [o for q, _, _, o in reduced_private_exponents(priv, validate_message(pub, msg)) if q == p]
+        orders.add(order)
+        for dec, ct in ((decrypt, encrypt(pub, msg)), (decrypt_point, encrypt_point(pub, msg))):
+            lifts.clear()
+            assert dec(priv, ct) == msg
+            assert lifts and max(lifts) < p ** (k - 1) * order
+    assert orders == {p - 1, p + 1}
+
+
 def test_private_key_derives_e():
     rng = random.Random(19)
     pub, priv = small_keypair(rng, r=3, bits=32, exponents=[3, 1, 5])
@@ -521,6 +552,15 @@ def test_keypair_from_primes_refuses_primes_that_are_not_ints():
     # int() made a key over 77 from these
     with pytest.raises(ValueError):
         keypair_from_primes([7.9, 11.2], [1, 1], e=7)
+
+
+@pytest.mark.parametrize("primes,exponents", [([5, 7], [1]), ([5], [1, 1]), ([5, 7], [1, 1, 1])])
+def test_keypair_from_primes_refuses_a_length_mismatch_before_any_primality_test(monkeypatch, primes, exponents):
+    tested = []
+    monkeypatch.setattr(arith, "is_probable_prime", lambda n: tested.append(n) or True)
+    with pytest.raises(ValueError):
+        keypair_from_primes(primes, exponents, e=5)
+    assert tested == []
 
 
 def test_decrypt_rejects_malformed_ciphertexts():
@@ -563,6 +603,16 @@ NOT_INTS = {
     "ct-compressed-to-decrypt-point": (lambda: decrypt_point(PRIV35, Ciphertext(34, 18)), DecryptionFailure),
     "ct-tuple": (lambda: decrypt(PRIV35, (1, 2)), DecryptionFailure),
 }
+
+
+@pytest.mark.parametrize("mode", [None, "bogus", "robust"])
+def test_a_mode_that_is_no_mode_member_is_refused(mode):
+    # these used to build a key that acted as robust, on which
+    # dump_private_key raised a bare AttributeError
+    with pytest.raises(ValueError, match="^mode must be a Mode member$"):
+        PrivateKey(PRIV35.factors, 29, mode)
+    with pytest.raises(ValueError, match="^mode must be a Mode member$"):
+        keygen(2, [1, 1], 16, random.Random(1), mode=mode)
 
 
 @pytest.mark.parametrize("case", NOT_INTS)
