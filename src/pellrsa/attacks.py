@@ -79,7 +79,10 @@ def full_factorization(n, psi_n, rng, max_trials=200):
     psi_n of it below 2^(2|n|): psi(n) < 2^r n <= n^2 is, a key's e d - 1
     mostly is not.  psi of any divisor divides psi_n, so it drives the
     recursion on every cofactor.  Prime powers are peeled off by exact-root
-    extraction; composite cofactors are split by find_factor from a fresh
+    extraction, tried only on a cofactor m with gcd(m, psi_n) > 1, as p^2 | m
+    puts p into psi_n; under a bogus psi_n coprime to p, a power of p raises
+    TrialBudgetExhausted, or RandomnessExhausted on reaching an even power,
+    which has no start x.  Composite cofactors are split by find_factor from a fresh
     start x per trial.  Raises TrialBudgetExhausted once max_trials
     splitting trials were spent, and ValueError before any primality test
     for an n or psi_n that is no int, an n above MAX_MODULUS_BITS, or a psi_n
@@ -100,7 +103,7 @@ def full_factorization(n, psi_n, rng, max_trials=200):
         if is_probable_prime(m):
             found[m] += mult
             continue
-        root, k = _perfect_power(m)
+        root, k = _perfect_power(m) if math.gcd(m, psi_n) > 1 else (m, 1)
         if k > 1:
             work.append((root, mult * k))
             continue

@@ -56,12 +56,14 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     kg = sub.add_parser("keygen", help="generate a key pair from the OS CSPRNG")
+    kg.set_defaults(run=_cmd_keygen)
     kg.add_argument("--bits", type=_number(10), required=True, help="modulus size in bits")
     kg.add_argument("--exponents", type=_exponent_list, required=True, help="e1,..,er (odd), one per prime")
     kg.add_argument("--pub-exp", type=_number(10), default=None, help="public exponent (decimal)")
     kg.add_argument("--out", required=True, help="prefix for PREFIX.pub / PREFIX.key")
 
     en = sub.add_parser("encrypt", help="encrypt a message pair")
+    en.set_defaults(run=_cmd_encrypt)
     en.add_argument("--pub", required=True, help="public key file")
     en.add_argument("--mx", type=_number(16), required=True, help="first residue (hex)")
     en.add_argument("--my", type=_number(16), required=True, help="second residue (hex)")
@@ -69,10 +71,12 @@ def build_parser():
     en.add_argument("--out", default=None, help="ciphertext file (default stdout)")
 
     de = sub.add_parser("decrypt", help="decrypt a ciphertext file")
+    de.set_defaults(run=_cmd_decrypt)
     de.add_argument("--key", required=True, help="private key file")
     de.add_argument("--in", dest="infile", required=True, help="ciphertext file")
 
     fa = sub.add_parser("factor", help="factor n given psi(n)")
+    fa.set_defaults(run=_cmd_factor)
     fa.add_argument("--n", type=_number(16), required=True, help="modulus (hex)")
     fa.add_argument("--psi", type=_number(16), required=True, help="psi(n) or a multiple below 2^(2|n|) (hex)")
     fa.add_argument("--trials", type=_number(10), default=200, help="trial budget")
@@ -118,14 +122,6 @@ def _cmd_factor(args):
     return 0
 
 
-_COMMANDS = {
-    "keygen": _cmd_keygen,
-    "encrypt": _cmd_encrypt,
-    "decrypt": _cmd_decrypt,
-    "factor": _cmd_factor,
-}
-
-
 def dispatch(argv):
     parser = build_parser()
     try:
@@ -134,7 +130,7 @@ def dispatch(argv):
         # argparse exits 0 for --help, 2 for bad flags; map the latter to 1
         return 0 if exc.code in (0, None) else 1
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (KeyFormatError, OSError, UnicodeDecodeError) as err:
         print(f"{type(err).__name__}: {err}", file=sys.stderr)
         return 2

@@ -2,7 +2,9 @@
 
 Numbers are read only as written: residues in lowercase hex, factor-line
 exponents in decimal, ASCII with no sign, prefix, separator or leading zero.
-Whitespace around lines and blank lines are ignored.  Formats:
+A loader accepts a text only if the matching dump writes it back, up to
+whitespace around lines and blank lines, so the dump alone fixes the
+header, the field order, repeats and the order of the factors.  Formats:
 
     pellrsa-pub v1          pellrsa-priv v1         pellrsa-ct v1
     n=<hex>                 mode=<strict|robust>    kind=<param|point>
@@ -21,23 +23,24 @@ PRIVATE_MAGIC = "pellrsa-priv v1"
 CIPHERTEXT_MAGIC = "pellrsa-ct v1"
 
 
-def _parse_lines(text, magic):
+def _load(text, dump, build):
+    """build(fields), where fields maps each key of text's key=value lines to
+    its values in file order, if dump writes the result back as text; any
+    other text, and a KeyError or ValueError from build, raise KeyFormatError."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != magic:
-        raise KeyFormatError(f"missing header {magic!r}")
-    fields = []
-    for ln in lines[1:]:
-        key, sep, value = ln.partition("=")
-        if not sep or not value:
-            raise KeyFormatError(f"malformed line {ln!r}")
-        fields.append((key, value))
-    return fields
-
-
-def _take(fields, expected):
-    if not fields or fields[0][0] != expected:
-        raise KeyFormatError(f"expected field {expected!r}")
-    return fields.pop(0)[1]
+    fields = {}
+    for key, _, value in (ln.partition("=") for ln in lines):
+        fields.setdefault(key, []).append(value)
+    try:
+        obj = build(fields)
+    except KeyError as err:
+        raise KeyFormatError(f"missing field {err}") from None
+    except ValueError as err:
+        raise KeyFormatError(str(err)) from None
+    # a dump writes stripped lines and no blank ones
+    if dump(obj).splitlines() != lines:
+        raise KeyFormatError("the text is not what pellrsa writes for its content")
+    return obj
 
 
 def parse_number(value, field, base=16):
@@ -57,15 +60,7 @@ def dump_public_key(pk):
 
 
 def load_public_key(text):
-    fields = _parse_lines(text, PUBLIC_MAGIC)
-    n = parse_number(_take(fields, "n"), "n")
-    e = parse_number(_take(fields, "e"), "e")
-    if fields:
-        raise KeyFormatError(f"unexpected trailing fields {fields}")
-    try:
-        return PublicKey(n, e)
-    except ValueError as err:
-        raise KeyFormatError(str(err)) from None
+    return _load(text, dump_public_key, lambda f: PublicKey(parse_number(f["n"][0], "n"), parse_number(f["e"][0], "e")))
 
 
 def dump_private_key(sk):
@@ -74,22 +69,15 @@ def dump_private_key(sk):
     return "\n".join(lines) + "\n"
 
 
+def _private_key(fields):
+    mode, d = Mode(fields["mode"][0]), parse_number(fields["d"][0], "d")
+    pairs = [value.partition("^")[::2] for value in fields["factor"]]
+    factors = FactoredModulus((parse_number(p, "factor"), parse_number(k, "factor", 10)) for p, k in pairs)
+    return PrivateKey(factors, d, mode)
+
+
 def load_private_key(text):
-    fields = _parse_lines(text, PRIVATE_MAGIC)
-    mode = _take(fields, "mode")
-    d = parse_number(_take(fields, "d"), "d")
-    pairs = []
-    for key, value in fields:
-        if key != "factor":
-            raise KeyFormatError(f"unexpected field {key!r}")
-        base, _, exp = value.partition("^")
-        pairs.append((parse_number(base, "factor"), parse_number(exp, "factor", 10)))
-    if pairs != sorted(pairs):
-        raise KeyFormatError("factor lines must list the primes in ascending order")
-    try:
-        return PrivateKey(FactoredModulus(pairs), d, Mode(mode))
-    except ValueError as err:
-        raise KeyFormatError(str(err)) from None
+    return _load(text, dump_private_key, _private_key)
 
 
 def dump_ciphertext(ct):
@@ -102,19 +90,12 @@ def dump_ciphertext(ct):
     return f"{CIPHERTEXT_MAGIC}\n{body}\n"
 
 
+def _ciphertext(fields):
+    d_coef = parse_number(fields["d_coef"][0], "d_coef")
+    if fields["kind"][0] == "param":
+        return Ciphertext(parse_number(fields["c"][0], "c"), d_coef)
+    return PointCiphertext(parse_number(fields["cx"][0], "cx"), parse_number(fields["cy"][0], "cy"), d_coef)
+
+
 def load_ciphertext(text):
-    fields = _parse_lines(text, CIPHERTEXT_MAGIC)
-    kind = _take(fields, "kind")
-    d_coef = parse_number(_take(fields, "d_coef"), "d_coef")
-    if kind == "param":
-        c = parse_number(_take(fields, "c"), "c")
-        ct = Ciphertext(c, d_coef)
-    elif kind == "point":
-        cx = parse_number(_take(fields, "cx"), "cx")
-        cy = parse_number(_take(fields, "cy"), "cy")
-        ct = PointCiphertext(cx, cy, d_coef)
-    else:
-        raise KeyFormatError(f"unknown ciphertext kind {kind!r}")
-    if fields:
-        raise KeyFormatError(f"unexpected trailing fields {fields}")
-    return ct
+    return _load(text, dump_ciphertext, _ciphertext)

@@ -70,13 +70,16 @@ class Mode(str, Enum):
 
 @dataclass(frozen=True)
 class PublicKey:
+    """n and e, both odd, e >= 3; keypair_from_primes also refuses e = 1 mod
+    the exponent modulus, which like e = 1 encrypts every message to itself."""
+
     n: int
     e: int
 
     def __post_init__(self):
         # the exponent modulus is even, so an even e has no private d
-        if {type(self.n), type(self.e)} != {int} or self.n < 3 or self.n % 2 == 0 or self.e < 1 or self.e % 2 == 0:
-            raise ValueError("public key needs ints: an odd n >= 3 and an odd e >= 1")
+        if {type(self.n), type(self.e)} != {int} or self.n < 3 or self.n % 2 == 0 or self.e < 3 or self.e % 2 == 0:
+            raise ValueError("public key needs ints: an odd n >= 3 and an odd e >= 3")
         if max(self.n, self.e).bit_length() > MAX_MODULUS_BITS:
             raise ValueError(f"n and e may have at most {MAX_MODULUS_BITS} bits")
 
@@ -86,9 +89,11 @@ class PrivateKey:
     """Factored modulus, private exponent d and mode.
 
     d must lie in [1, exponent modulus): a larger d decrypts alike but
-    makes every Hensel lift step multiply by it.  Its one derived field,
-    e = d^-1 mod the exponent modulus, serves the root checks and the lift;
-    the key file does not store it.
+    makes every Hensel lift step multiply by it.  d = 1 is refused, as its
+    e = 1 makes encryption the identity; any other d gives an e >= 3 with
+    e != 1 mod the exponent modulus.  Its one derived field, e = d^-1 mod
+    the exponent modulus, serves the root checks and the lift; the key file
+    does not store it.
     """
 
     factors: FactoredModulus
@@ -108,6 +113,8 @@ class PrivateKey:
         lam = exponent_modulus(self.factors, self.mode)
         if not 1 <= self.d < lam:
             raise ValueError("d must lie in [1, exponent modulus)")
+        if self.d == 1:
+            raise ValueError("d = 1 makes e = 1 mod the exponent modulus: encryption would be the identity")
         try:
             e = mod_inv(self.d, lam)
         except ImpossibleOperation:
@@ -167,17 +174,18 @@ def keypair_from_primes(primes, exponents, e=None, mode=Mode.ROBUST):
 
     Primes must be distinct odd primes, exponents odd and >= 1.  With
     e=None the public exponent is the smallest odd integer >= 65537 coprime
-    to the exponent modulus; an explicit e that is no odd int >= 3 coprime to
-    the exponent modulus raises BadExponentChoice.
+    to the exponent modulus and not 1 mod it; an explicit e that is no odd
+    int >= 3 coprime to the exponent modulus, or that is 1 mod it and so
+    encrypts every message to itself, raises BadExponentChoice.
     """
     factors = FactoredModulus(zip(primes, exponents, strict=True))
     lam = exponent_modulus(factors, mode)
     if e is None:
         e = DEFAULT_PUBLIC_EXPONENT
-        while math.gcd(e, lam) != 1:
+        while math.gcd(e, lam) != 1 or e % lam == 1:
             e += 2
-    elif type(e) is not int or e < 3 or e % 2 == 0 or math.gcd(e, lam) != 1:
-        raise BadExponentChoice(f"e={e} unusable (gcd with exponent modulus != 1 or e < 3 odd)")
+    elif type(e) is not int or e < 3 or e % 2 == 0 or math.gcd(e, lam) != 1 or e % lam == 1:
+        raise BadExponentChoice(f"e={e} unusable (gcd with exponent modulus != 1, e = 1 mod it, or e < 3 odd)")
     d = mod_inv(e, lam)
     return PublicKey(factors.value, e), PrivateKey(factors, d, mode)
 
@@ -185,14 +193,16 @@ def keypair_from_primes(primes, exponents, e=None, mode=Mode.ROBUST):
 def keygen(r, exponents, prime_bits, rng, e=None, mode=Mode.ROBUST):
     """Generate a key over r fresh primes of prime_bits bits each.
 
-    The modulus size is roughly prime_bits * sum(exponents).  r < 2, other
+    The modulus size is roughly prime_bits * sum(exponents).  An r,
+    prime_bits or exponent that is no int (a bool included), r < 2, other
     than r exponents, an exponent that is even or below 1, and a size above
     MAX_MODULUS_BITS raise ValueError before any prime is drawn.  Colliding
     primes are redrawn; r + PRIME_REDRAWS draws without r distinct primes
     (fewer may have prime_bits bits) raise RandomnessExhausted.
     """
-    if r < 2 or len(exponents) != r or any(k < 1 or k % 2 == 0 for k in exponents):
-        raise ValueError("need r >= 2 primes and one odd exponent >= 1 for each")
+    ints = all(type(v) is int for v in (r, prime_bits, *exponents))
+    if not ints or r < 2 or len(exponents) != r or any(k < 1 or k % 2 == 0 for k in exponents):
+        raise ValueError("need ints: r >= 2 primes, prime_bits and one odd exponent >= 1 for each")
     if prime_bits * sum(exponents) > MAX_MODULUS_BITS:
         raise ValueError(f"modulus exceeds {MAX_MODULUS_BITS} bits")
     primes = []
@@ -279,14 +289,15 @@ def decrypt_point(sk, ct):
 
 def _decrypt(sk, ct, kind):
     """One loop over the plan for a ciphertext of the class kind, refusing any
-    other object: per prime it becomes a point mod p^k, which must lie on the
+    other object and any field outside [0, N), which the ciphertext of no
+    message has: per prime it becomes a point mod p^k, which must lie on the
     curve, _root takes its verified root mod p^k, and CRT must give a message
     on the curve mod N."""
     if type(ct) is not kind:
         raise DecryptionFailure(f"plan: expected a {kind.__name__}, got a {type(ct).__name__}")
-    if any(type(v) is not int for v in vars(ct).values()):
-        raise DecryptionFailure("plan: ciphertext fields must be ints")
-    d_coef, roots, moduli = ct.d_coef % sk.n, [], []
+    if any(type(v) is not int or not 0 <= v < sk.n for v in vars(ct).values()):
+        raise DecryptionFailure("plan: ciphertext fields must be ints in [0, N)")
+    d_coef, roots, moduli = ct.d_coef, [], []
     for i, (p, k, d_i, order) in enumerate(reduced_private_exponents(sk, d_coef)):
         q = p**k
         pp = PellParams(q, d_coef % q)

@@ -18,7 +18,7 @@ from pellrsa.attacks import (
 )
 from pellrsa.errors import TrialBudgetExhausted
 from pellrsa.pell import point_pow, psi
-from pellrsa.scheme import exponent_modulus, keypair_from_primes
+from pellrsa.scheme import exponent_modulus, keygen, keypair_from_primes
 
 
 class ExplodingRng:
@@ -168,9 +168,24 @@ def test_prime_input_short_circuits():
 
 
 def test_full_factorization_budget():
-    # an odd bogus psi gives the splitting loop nothing to work with
-    with pytest.raises(TrialBudgetExhausted):
-        full_factorization(1009 * 1013, 1, random.Random(0), max_trials=3)
+    # an odd bogus psi gives the splitting loop nothing to work with; for
+    # 1009^3 it lacks the 1009 of psi(1009^3), so the exact-root scan, which
+    # used to return (1009, 3), is skipped
+    for n in (1009 * 1013, 1009**3):
+        with pytest.raises(TrialBudgetExhausted):
+            full_factorization(n, 1, random.Random(0), max_trials=3)
+
+
+def test_square_free_moduli_are_never_root_scanned(monkeypatch):
+    # the benchmark's factoring shapes: r = 2 and r = 3 at 1024 bits; the
+    # scan took about 15% of their factoring time and could only fail
+    scans = []
+    monkeypatch.setattr(attacks, "_perfect_power", lambda m: scans.append(m) or _perfect_power(m))
+    rng = random.Random(1024)
+    for r in (2, 3) * 3:
+        pub, priv = keygen(r, [1] * r, 1024 // r, rng)
+        assert full_factorization(pub.n, psi(priv.factors), rng) == list(priv.factors.factors)
+    assert scans == []
 
 
 def test_full_factorization_budget_message_survives_the_int_str_limit():

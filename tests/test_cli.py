@@ -124,6 +124,17 @@ def test_invalid_input_file_exits_2(keys, tmp_path, capsys, flag, bad, error):
     assert capsys.readouterr().err.startswith(error)
 
 
+def test_encrypt_with_an_identity_public_exponent_exits_2(keys, tmp_path, capsys):
+    # e = 1 used to load, and encrypt then wrote the message point itself
+    prefix, pub, _ = keys
+    msg = random_message(pub, random.Random(5))
+    (tmp_path / "pub").write_text(f"pellrsa-pub v1\nn={pub.n:x}\ne=1\n")
+    argv = ["encrypt", "--pub", str(tmp_path / "pub"), "--mx", f"{msg.mx:x}", "--my", f"{msg.my:x}"]
+    assert cli.dispatch(argv + ["--point", "--out", str(tmp_path / "ct")]) == 2
+    assert capsys.readouterr().err.startswith("KeyFormatError")
+    assert not (tmp_path / "ct").exists()
+
+
 def test_keygen_with_too_few_primes_of_that_size_exits_3(tmp_path, capsys, alarm):
     # 192 // 24 = 8-bit primes, and only 23 exist: redrawing never ended
     argv = ["keygen", "--bits", "192", "--exponents", ",".join(["1"] * 24)]

@@ -134,12 +134,21 @@ def test_loaders_accept_only_dumped_text(files, data):
         (load_private_key, "pellrsa-priv v1\nmode=robust\nd=5\nfactor=7^1\nfactor=5^1\n"),
         (load_ciphertext, "pellrsa-ct v1\nkind=param\nd_coef=12\nc=-5\n"),
         (load_ciphertext, "pellrsa-ct v1\nkind=param\nd_coef=-3\nc=22\n"),
+        (load_public_key, "pellrsa-pub v1\nn=23\nn=23\ne=5\n"),
+        (load_private_key, "pellrsa-priv v1\nmode=robust\nd=1d\nd=1d\nfactor=5^1\nfactor=7^1\n"),
+        (load_public_key, "pellrsa-pub v1\npellrsa-pub v1\nn=23\ne=5\n"),
+        (load_public_key, "pellrsa-pub v1\nn=23\nx=1\ne=5\n"),
+        (load_private_key, "pellrsa-priv v1\nmode=robust\nd=1d\nx=1\nfactor=5^1\nfactor=7^1\n"),
+        (load_ciphertext, "pellrsa-ct v1\nkind=param\nd_coef=12\nc=22\ncx=3\n"),
+        (load_private_key, "pellrsa-priv v1\nmode=robust\nd=1d\nfactor=5\nfactor=7^1\n"),
     ],
 )
 def test_loaders_refuse_text_dump_never_writes(load, text):
     # int() reads each number here: a prefix and separator, a sign, a leading
     # zero, upper case, an inner space, an Arabic-Indic three and negative
-    # residues; and dump_private_key writes the primes in ascending order
+    # residues; dump_private_key writes the primes in ascending order; and a
+    # dump writes each line once, no foreign line, no cx= in a param
+    # ciphertext and a ^ in every factor line
     with pytest.raises(KeyFormatError):
         load(text)
 

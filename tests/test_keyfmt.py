@@ -120,6 +120,8 @@ def test_ciphertext_parse_errors():
         ),
         pytest.param(load_public_key, "pellrsa-pub v1\nn=23\ne=2\n", id="e-2"),
         pytest.param(load_public_key, "pellrsa-pub v1\nn=23\ne=4\n", id="e-4"),
+        pytest.param(load_public_key, "pellrsa-pub v1\nn=23\ne=1\n", id="e-1"),
+        pytest.param(load_private_key, "pellrsa-priv v1\nmode=robust\nd=1\nfactor=5^1\nfactor=7^1\n", id="d-1"),
         pytest.param(
             load_private_key, "pellrsa-priv v1\nmode=robust\nd=4d\nfactor=5^1\nfactor=7^1\n", id="d-plus-lambda"
         ),
@@ -136,6 +138,7 @@ def test_loaders_reject_keys_breaking_invariants(load, text):
     # modulus far above the size limit (refused before 3^(10^12) is computed),
     # a public n or e above MAX_MODULUS_BITS, which would make encryption slow,
     # an even public e, which no d inverts modulo the even exponent modulus,
+    # e = 1 and d = 1, under which encryption is the identity,
     # and d = 29 plus a multiple of 48, which inverts e = 5 but is not reduced
     with pytest.raises(KeyFormatError):
         load(text)

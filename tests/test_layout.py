@@ -185,3 +185,28 @@ def test_every_decryption_failure_names_its_stage():
     stages = failure_stages((Path(pellrsa.__file__).parent / "scheme.py").read_text())
     assert None not in stages
     assert sorted(set(stages)) == sorted(STAGES)
+
+
+def calls_by_function(source, prefix, callee):
+    """{name: whether its body calls callee by name} for each module-level
+    function of a source whose name starts with prefix."""
+    return {
+        node.name: any(
+            isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == callee
+            for call in ast.walk(node)
+        )
+        for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith(prefix)
+    }
+
+
+def test_calls_by_function_are_found():
+    source = "def load_a(t):\n    return _load(t)\ndef load_b(t):\n    return t\ndef dump_a(t):\n    _load(t)\n"
+    assert calls_by_function(source, "load_", "_load") == {"load_a": True, "load_b": False}
+
+
+def test_every_keyfmt_loader_goes_through_load():
+    # one rule for canonical text: a loader accepts only what its dump writes
+    source = (Path(pellrsa.__file__).parent / "keyfmt.py").read_text()
+    loaders = {"load_public_key": True, "load_private_key": True, "load_ciphertext": True}
+    assert calls_by_function(source, "load_", "_load") == loaders

@@ -118,6 +118,29 @@ def test_even_public_exponent_rejected():
         keypair_from_primes([5, 7], [1, 1], e=1)
 
 
+@pytest.mark.parametrize("primes, e, mode", [([5, 7], 49, Mode.ROBUST), ([5, 7], 25, Mode.STRICT), ([5, 7], 97, Mode.ROBUST)])
+def test_a_public_exponent_of_1_mod_the_exponent_modulus_is_refused(primes, e, mode):
+    # e = 1 mod lcm(24, 48) = 48 (robust) or lcm(6, 8) = 24 (strict) gave
+    # d = 1, and encryption returned the message point itself
+    with pytest.raises(BadExponentChoice, match="e = 1 mod it"):
+        keypair_from_primes(primes, [1, 1], e=e, mode=mode)
+
+
+def test_the_default_public_exponent_skips_1_mod_the_exponent_modulus():
+    # strict 7 * 31: lcm(8, 32) = 32 divides 65536, so 65537 = 1 mod 32 gave
+    # d = 1, and encryption returned the message point itself
+    pub, priv = keypair_from_primes([7, 31], [1, 1], mode=Mode.STRICT)
+    assert (pub.e, priv.d) == (65539, 11)
+    msg = random_message(pub, random.Random(0), Mode.STRICT)
+    ct = encrypt_point(pub, msg, Mode.STRICT)
+    assert (ct.cx, ct.cy) != (msg.mx, msg.my)
+
+
+def test_a_private_exponent_of_1_is_refused():
+    with pytest.raises(ValueError, match="^d = 1 makes e = 1"):
+        PrivateKey(PRIV35.factors, 1, Mode.ROBUST)
+
+
 def test_default_public_exponent_is_coprime_and_at_least_65537():
     pub, priv = keypair_from_primes([101, 103, 107], [1, 1, 1])
     assert pub.e >= 65537 and pub.e % 2 == 1
@@ -142,6 +165,17 @@ def test_keygen_refuses_oversized_moduli_before_drawing():
     for r, exponents in [(1, [1]), (2, [1]), (2, [1, 1, 1]), (2, [2, 1]), (2, [0, 1]), (2, [-1, 1])]:
         with pytest.raises(ValueError, match="one odd exponent >= 1 for each"):
             keygen(r, exponents, 1024, NoDraws())
+
+
+@pytest.mark.parametrize(
+    "r, exponents, prime_bits",
+    [(2, [1, 1], 64.0), (2, [1.0, 1], 64), (2.0, [1, 1], 64), (True, [1, 1], 64), (2, [True, 1], 64), (2, [1, 1], True)],
+)
+def test_keygen_refuses_arguments_that_are_no_ints_before_drawing(r, exponents, prime_bits):
+    # a float prime_bits leaked a TypeError from getrandbits, and a float
+    # exponent drew every prime before FactoredModulus refused it
+    with pytest.raises(ValueError, match="^need ints"):
+        keygen(r, exponents, prime_bits, NoDraws())
 
 
 def test_keygen_frozen_modulus():
@@ -448,10 +482,9 @@ def test_point_encryption_never_hits_impossible_operation():
 
 
 def test_identity_exponent_point_encryption():
-    # hand-built key with e = 1: the ciphertext is the message point itself
-    pub = PublicKey(35, 1)
-    pct = encrypt_point(pub, MessagePair(3, 4))
-    assert (pct.cx, pct.cy) == (3, 4)
+    # a hand-built key with e = 1 used to encrypt (3, 4) to the point (3, 4)
+    with pytest.raises(ValueError, match="odd e >= 3"):
+        PublicKey(35, 1)
 
 
 @pytest.mark.parametrize("exponents", [None, [1, 3, 1]])
@@ -603,6 +636,26 @@ NOT_INTS = {
     "ct-compressed-to-decrypt-point": (lambda: decrypt_point(PRIV35, Ciphertext(34, 18)), DecryptionFailure),
     "ct-tuple": (lambda: decrypt(PRIV35, (1, 2)), DecryptionFailure),
 }
+
+
+CT35 = encrypt(PUB35, MessagePair(3, 4))
+
+
+@pytest.mark.parametrize(
+    "dec, ct",
+    [
+        (decrypt, Ciphertext(CT35.c + 35, CT35.d_coef)),
+        (decrypt, Ciphertext(CT35.c, CT35.d_coef + 35)),
+        (decrypt, Ciphertext(-CT35.c, CT35.d_coef)),
+        (decrypt_point, PointCiphertext(PCT35.cx + 35, PCT35.cy, PCT35.d_coef)),
+        (decrypt_point, PointCiphertext(PCT35.cx, PCT35.cy - 35, PCT35.d_coef)),
+    ],
+    ids=["c-plus-n", "d-plus-n", "minus-c", "cx-plus-n", "cy-minus-n"],
+)
+def test_ciphertext_fields_outside_0_to_n_are_refused(dec, ct):
+    # each used to decrypt, to (3, 4) or, for -c, to (3, 35 - 4)
+    with pytest.raises(DecryptionFailure, match=r"^plan: ciphertext fields must be ints in \[0, N\)$"):
+        dec(PRIV35, ct)
 
 
 @pytest.mark.parametrize("mode", [None, "bogus", "robust"])
