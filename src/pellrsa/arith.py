@@ -71,25 +71,45 @@ def jacobi(a, n):
     return result if n == 1 else 0
 
 
-def crt_combine(residues, moduli):
+def crt_coefficients(moduli):
+    """Garner's coefficients for crt_combine: for each modulus after the
+    first, the inverse mod it of the product of those before it.
+
+    Raises ImpossibleOperation carrying the gcd of a modulus and the
+    product of those before it when they share a factor.
+
+        >>> crt_coefficients([5, 7, 9])
+        (3, 8)
+    """
+    out, m = [], moduli[0]
+    for m_i in moduli[1:]:
+        out.append(mod_inv(m % m_i, m_i))
+        m *= m_i
+    return tuple(out)
+
+
+def crt_combine(residues, moduli, coefficients=None):
     """Unique x mod prod(moduli) with x = residues[i] mod moduli[i].
 
     A residue may also be a tuple of coordinates, such as a curve point:
     tuples combine coordinate-wise under one set of Garner coefficients and
     a tuple comes back.  Moduli must be pairwise coprime and above 1; when
     two share a factor, raises ImpossibleOperation carrying the gcd of a
-    modulus and the product of those before it.
+    modulus and the product of those before it.  coefficients, when given,
+    must be crt_coefficients(moduli), which a caller combining under the
+    same moduli again keeps instead of inverting again.
 
         >>> crt_combine([(2, 1), (3, 0)], [5, 7])
         (17, 21)
     """
     if len(residues) != len(moduli) or not moduli:
         raise ValueError("need equally many residues and moduli, at least one")
+    if coefficients is None:
+        coefficients = crt_coefficients(moduli)
     scalar = isinstance(residues[0], int)
     rows = [(r,) if scalar else r for r in residues]
     xs, m = [r % moduli[0] for r in rows[0]], moduli[0]
-    for row, m_i in zip(rows[1:], moduli[1:]):
-        inv = mod_inv(m % m_i, m_i)
+    for row, m_i, inv in zip(rows[1:], moduli[1:], coefficients):
         xs = [x + m * ((r_i - x) * inv % m_i) for x, r_i in zip(xs, row)]
         m *= m_i
     xs = tuple(x % m for x in xs)
@@ -102,8 +122,11 @@ def lucas_v(v, k, m):
     A Montgomery ladder over V_{2j} = V_j^2 - 2 and V_{2j+1} = V_j V_{j+1} - v,
     one full product for the leading bit of k and two for each later one
     (pell.ladder_cost), and no division.  With v = 2x it is pell.point_pow's
-    x-only power, since V_k = 2 T_k(x); with v = P it is _lucas_test's.  A
-    power's y needs U_{k-1} too, which this ladder yields only through an
+    x-only power, since V_k = 2 T_k(x); with v = P it is _lucas_test's.  It
+    serves exponents used once: primality, factoring and a decryption row's
+    first use.  A pell.LucasChain takes about 1.63 products per bit for an
+    exponent used again, but building it costs more than one ladder saves.
+    A power's y needs U_{k-1} too, which this ladder yields only through an
     inversion, so pell.chebyshev takes those powers.
     """
     v %= m

@@ -10,19 +10,20 @@ Two views of the same cyclic structure are implemented:
 
 Over a composite modulus the parameter product is only partial: a denominator
 sharing a factor with the modulus aborts the operation and leaks that factor
-(ImpossibleOperation).  Point powers never divide and read only x: the
-x-only Lucas ladder (point_pow on arith.lucas_v) takes decryption's and
-factoring's long powers, and chebyshev, on a bare residue and modulus,
-encryption's and decryption's short ones to e with U for the caller's y.
-lucas_v also runs the Lucas half of arith.is_probable_prime, so one ladder
-serves decryption, factoring and primality.  param_mul, param_pow and the
+(ImpossibleOperation).  Point powers never divide and read only x:
+point_pow takes decryption's and factoring's long powers, and chebyshev, on
+a bare residue and modulus, encryption's and decryption's short ones to e
+with U for the caller's y.  point_pow runs the x-only Lucas ladder
+arith.lucas_v for an exponent it sees once, as factoring and primality do,
+and a LucasChain (Montgomery's PRAC, built by lucas_chain) for an exponent
+a decryption plan reuses.  param_mul, param_pow and the
 Redei-pair power redei_pow (one division at the end) have no library
 caller: they serve the tests of the paper's definitions and the
 benchmark's traces.
 """
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 from typing import NamedTuple
 
 from .arith import lucas_v, mod_inv
@@ -78,18 +79,143 @@ class PellParams:
         return HyperbolaPoint(1 % self.modulus, 0)
 
 
-def point_pow(x, k, pp):
+def point_pow(x, k, pp, chain=None):
     """x-coordinate of the k-th power of an on-curve point with x-coordinate x.
 
     x_k = T_k(x), the Chebyshev polynomial, whatever the curve's D, so only
     pp.modulus is read.  V_k = 2 x_k is a Lucas sequence with V_1 = 2x and
-    Q = 1, and arith.lucas_v's ladder takes it in two multiplications per
-    exponent bit (ladder_cost), never dividing.  Mod 2n every V_k is 2 x_k
+    Q = 1.  Without a chain, arith.lucas_v's ladder takes it in two
+    multiplications per exponent bit (ladder_cost); a LucasChain built for
+    k (lucas_chain) takes it in about 1.63, and one built for another
+    exponent raises ValueError.  Neither divides.  Mod 2n every V_k is 2 x_k
     plus a multiple of 2n, so a shift halves it exactly, for even n too.
     """
     if k < 0:
         raise ValueError("exponent must be >= 0")
-    return lucas_v(2 * x, k, 2 * pp.modulus)[0] >> 1
+    if chain is None:
+        return lucas_v(2 * x, k, 2 * pp.modulus)[0] >> 1
+    if chain.k != k:
+        raise ValueError("the chain was built for another exponent")
+    return chain.run(2 * x, 2 * pp.modulus) >> 1
+
+
+class LucasChain(NamedTuple):
+    """A differential addition chain for V_k, as register operations.
+
+    Register 0 holds V_0 = 2 and register 1 holds V_1 = v; op j, a triple
+    (a, b, c) of earlier registers, fills register j + 2 with
+    V_a V_b - V_c, which is V_(a+b) when c holds V_(a-b) and V_(a-b) when c
+    holds V_(a+b) (indices up to sign, as V_-n = V_n).  A doubling is
+    (a, a, 0): V_a^2 - 2.  The last register holds V_k.
+    """
+
+    k: int
+    ops: tuple
+
+    def run(self, v, m):
+        """V_k mod m of the Lucas sequence V_0 = 2, V_1 = v with Q = 1, one
+        product per op."""
+        regs = [2, v % m]
+        for a, b, c in self.ops:
+            regs.append((regs[a] * regs[b] - regs[c]) % m)
+        return regs[-1]
+
+    def proved_index(self):
+        """The n whose V_n the last register holds, proved op by op.
+
+        Raises ValueError for an op whose third register holds neither the
+        difference nor the sum of the indices of the other two.
+        """
+        idx = [0, 1]
+        for a, b, c in self.ops:
+            s, t = idx[a] + idx[b], abs(idx[a] - idx[b])
+            if idx[c] == t:
+                idx.append(s)
+            elif idx[c] == s:
+                idx.append(t)
+            else:
+                raise ValueError(f"op {len(idx) - 2} is no Lucas step: V_{idx[c]} beside V_{idx[a]} and V_{idx[b]}")
+        return idx[-1]
+
+
+# candidate splits lucas_chain tries around the golden one before giving up
+CHAIN_SPLITS = 16
+
+
+def lucas_chain(k):
+    """Montgomery's PRAC chain for V_k, or None where none beats the ladder.
+
+    P. L. Montgomery, "Evaluating recurrences of form X_(m+n) =
+    f(X_m, X_n, X_(m-n)) via Lucas chains", 1992.  PRAC starts from a split
+    k = (k - r) + r with r near k/phi, r = (isqrt(5 k^2) - k) // 2; the
+    chain reaches V_k only when gcd(r, k) = 1, so r, r + 1, r - 1, ... are
+    tried in turn, CHAIN_SPLITS of them, up to the first coprime one.  Its
+    chain is returned only when its proved_index() is k and it is shorter
+    than ladder_cost(k).  A chain's length is about 1.63 products per
+    exponent bit, one in ten a squaring, against the ladder's 2.
+    """
+    golden = (isqrt(5 * k * k) - k) // 2
+    for s in range(CHAIN_SPLITS):
+        r = golden + (s + 1) // 2 * (1 if s % 2 else -1)
+        if k < 2 * r < 2 * k and gcd(r, k) == 1:
+            chain = LucasChain(k, _prac(k, r))
+            return chain if chain.proved_index() == k and len(chain.ops) < ladder_cost(k) else None
+    return None
+
+
+def _prac(k, r):
+    """The ops of Montgomery's PRAC table for k split at r, k/2 < r < k.
+
+    Registers a, b and c hold V_i, V_j and V_(i-j) while k = d i + e j.
+    Each pass applies the first of the table's nine rules whose condition
+    holds, which shrinks d + e, so the loop ends, at d = e = gcd(r, k);
+    V_(i+j) is then the last op.  Swaps rename registers and cost nothing.
+    """
+    ops = []
+
+    def add(x, y, z):
+        ops.append((x, y, z))
+        return len(ops) + 1
+
+    d, e = k - r, 2 * r - k
+    b = c = 1
+    a = add(1, 1, 0)
+    while d != e:
+        if d < e:
+            d, e, a, b = e, d, b, a
+        if 4 * d <= 5 * e and (d + e) % 3 == 0:
+            d, e = (2 * d - e) // 3, (2 * e - d) // 3
+            t = add(a, b, c)
+            a, b = add(t, a, b), add(b, t, a)
+        elif 4 * d <= 5 * e and (d - e) % 6 == 0:
+            d = (d - e) // 2
+            a, b = add(a, a, 0), add(a, b, c)
+        elif d <= 4 * e:
+            d -= e
+            b, c = add(b, a, c), b
+        elif (d - e) % 2 == 0:
+            d = (d - e) // 2
+            a, b = add(a, a, 0), add(b, a, c)
+        elif d % 2 == 0:
+            d //= 2
+            a, c = add(a, a, 0), add(c, a, b)
+        elif d % 3 == 0:
+            d = d // 3 - e
+            t, u = add(a, a, 0), add(a, b, c)
+            a, b, c = add(t, a, a), add(t, u, c), b
+        elif (d + e) % 3 == 0:
+            d = (d - 2 * e) // 3
+            b = add(add(a, b, c), a, b)
+            a = add(add(a, a, 0), a, a)
+        elif (d - e) % 3 == 0:
+            d = (d - e) // 3
+            b, c = add(a, b, c), add(c, a, b)
+            a = add(add(a, a, 0), a, a)
+        else:
+            e //= 2
+            b, c = add(b, b, 0), add(c, b, a)
+    add(a, b, c)
+    return tuple(ops)
 
 
 def chebyshev(x, k, n):
@@ -121,6 +247,7 @@ def ladder_cost(k):
 
     One for V_2 = V_1^2 - 2, then two per exponent bit after the leading one,
     and no inversion; a root's y adds product_ladder_cost(e) and an inversion.
+    A LucasChain costs len(chain.ops).
     """
     return 2 * (k.bit_length() - 1) + 1
 

@@ -11,28 +11,37 @@ Decryption exploits the factorization: modulo each prime p the group
 order is p + 1 or p - 1 depending on whether D is a non-residue or a
 residue mod p, so the private exponent shrinks to the size of one prime
 per factor, and the results recombine by CRT.  That exponent reduction is
-where the speedup over two-prime moduli comes from; the plan
-(reduced_private_exponents) names each prime's order and reduced exponent.
+where the speedup over two-prime moduli comes from.  A key's decryption
+plan (PrivateKey.plan), built at its first decryption, holds per prime p^k
+one row per group order with d reduced mod it, and the Garner coefficients
+of the p^k; reduced_private_exponents picks each prime's row for a D.
 One loop over the primes serves both ciphertext kinds, told apart by class,
 and never works mod N: per prime the ciphertext becomes a point on the
 curve mod p^k, by decompression or reduction, and _root takes its verified
-root.  An x-only Lucas ladder mod p (pell.point_pow) yields the root's x;
-its power to e mod the prime's order (pell.chebyshev) must give back the
-ciphertext's x, and its U yields the root's y, so a fault in one prime's
-branch, exponent or ladder raises instead of leaking p through a wrong
-plaintext (the Bellcore attack).  The root then lifts to p^k by
-ceil(log3 k) cubic Newton steps (Takagi's p^k q decryption), each one power
-to e that must stay on the curve, so no ladder runs wider than a prime.  A
-DecryptionFailure names its stage and, before CRT, the prime's index.
+root.  An x-only power mod p (pell.point_pow) yields the root's x: a row's
+first use runs the binary Lucas ladder, its second builds the row a PRAC
+Lucas chain (pell.lucas_chain), and every later use runs that chain.  The
+root's power to e mod the prime's order (pell.chebyshev) must give back
+the ciphertext's x, and its U yields the root's y, so a fault in one
+prime's branch, exponent, ladder or chain raises instead of leaking p
+through a wrong plaintext (the Bellcore attack).  The root then lifts to
+p^k by ceil(log3 k) cubic Newton steps (Takagi's p^k q decryption), each
+one power to e that must stay on the curve, so no ladder runs wider than a
+prime.  A DecryptionFailure names its stage and, before CRT, the prime's
+index.
 
 The paper counts one multiplication per exponent bit on both sides and
-predicts a speedup of r^2/2 over two-prime CRT-RSA; counting the ladder's
-2 per bit against square-and-multiply RSA's 1.5 predicts 3/4 of r^2/2, and
-the check's product_ladder_cost(e), 35 per prime at e = 65537 or 2.6% of a
-683-bit ladder, lowers that from 3.4 to 3.3 for r = 3.  With s primes
-counted with multiplicity (s = e1 + ... + er), the ladders run at |N|/s
-bits instead of |N|/r, and a ladder's cost grows as the cube of its width,
-so r^2/2 scales by (s/r)^3 to s^3/(2r) (16 for p^3 q), plus the lifts.
+predicts a speedup of r^2/2 over two-prime CRT-RSA.  A chain spends about
+1.63 products per exponent bit against square-and-multiply RSA's 1.5,
+which predicts 1.5/1.63 = 0.92 of r^2/2, and the check's
+product_ladder_cost(e), 35 per prime at e = 65537 or 3.1% of a 683-bit
+chain, lowers that from 4.1 to 4.0 for r = 3 (the ladder's 2 per bit
+predicted 3.3).  The benchmark measures about 2.7 for r = 3: a product's
+interpreter overhead and reduction weigh more at 683 bits than at 1024.
+With s primes counted with multiplicity (s = e1 + ... + er), the ladders
+run at |N|/s bits instead of |N|/r, and a ladder's cost grows as the cube
+of its width, so r^2/2 scales by (s/r)^3 to s^3/(2r) (16 for p^3 q), plus
+the lifts.
 
 Two private-exponent modes exist because the sender can only test the
 Jacobi symbol of mx^2 - 1, not the residuosity mod the secret primes:
@@ -47,8 +56,10 @@ Jacobi symbol of mx^2 - 1, not the residuosity mod the secret primes:
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
+from typing import NamedTuple
 
-from .arith import MAX_MODULUS_BITS, FactoredModulus, crt_combine, gen_prime, jacobi, mod_inv
+from .arith import MAX_MODULUS_BITS, FactoredModulus, crt_coefficients, crt_combine, gen_prime, jacobi, mod_inv
 from .errors import (
     BadExponentChoice,
     DecryptionFailure,
@@ -56,7 +67,17 @@ from .errors import (
     MessageNotEncryptable,
     RandomnessExhausted,
 )
-from .pell import INFINITY, HyperbolaPoint, PellParams, chebyshev, param_to_point, point_pow, point_to_param
+from .pell import (
+    INFINITY,
+    HyperbolaPoint,
+    LucasChain,
+    PellParams,
+    chebyshev,
+    lucas_chain,
+    param_to_point,
+    point_pow,
+    point_to_param,
+)
 
 DEFAULT_PUBLIC_EXPONENT = 65537
 RANDOM_MESSAGE_DRAWS = 1000
@@ -93,7 +114,7 @@ class PrivateKey:
     e = 1 makes encryption the identity; any other d gives an e >= 3 with
     e != 1 mod the exponent modulus.  Its one derived field, e = d^-1 mod
     the exponent modulus, serves the root checks and the lift; the key file
-    does not store it.
+    does not store it, nor the decryption plan.
     """
 
     factors: FactoredModulus
@@ -124,6 +145,55 @@ class PrivateKey:
     @property
     def n(self):
         return self.factors.value
+
+    @cached_property
+    def plan(self):
+        """The decryption plan, built at first use and kept on this object.
+
+        Per prime p^k one PlanRow per group order the key covers
+        (_group_orders), and the Garner coefficients of the p^k.  It is no
+        field: ==, hash, repr and the key file ignore it.
+        """
+        primes = tuple(
+            PlanPrime(p, k, p**k, {order: PlanRow(self.d % order) for order in _group_orders(p, self.mode)})
+            for p, k in self.factors.factors
+        )
+        return DecryptionPlan(primes, crt_coefficients([q for _, _, q, _ in primes]))
+
+
+@dataclass(eq=False)
+class PlanRow:
+    """One group order of one prime: d_i, d mod the order, and a chain slot.
+
+    The first use of a row runs the binary ladder; the second builds a
+    Lucas chain for d_i (pell.lucas_chain), which every later use runs.  A
+    single decryption, as one `pellrsa decrypt` call makes, so never pays
+    for a chain it cannot reuse.  Concurrent decryptions may build a row's
+    chain twice or one use late; every chain built for d_i gives the same x.
+    """
+
+    d_i: int
+    uses: int = 0
+    chain: LucasChain | None = None
+
+    def use(self):
+        """Count one use; the chain for it, None while the ladder serves."""
+        self.uses += 1
+        if self.uses == 2:
+            self.chain = lucas_chain(self.d_i)
+        return self.chain
+
+
+class PlanPrime(NamedTuple):
+    p: int
+    k: int
+    q: int  # p^k
+    rows: dict  # group order -> PlanRow
+
+
+class DecryptionPlan(NamedTuple):
+    primes: tuple  # a PlanPrime per prime, in the key's order
+    garner: tuple  # crt_coefficients of the p^k
 
 
 @dataclass(frozen=True)
@@ -257,22 +327,22 @@ def encrypt_point(pk, msg, mode=Mode.ROBUST):
 
 
 def reduced_private_exponents(sk, d_coef):
-    """CRT decryption plan: (prime p, its exponent k, d mod the order, the order).
+    """The plan's row per prime for D: (prime p, its exponent k, d mod the order, the order).
 
     Per prime, the group order mod p is p - Jacobi(D, p): p + 1 for a
     non-residue D, p - 1 for a residue.  The ladder runs mod p for every
     factor, a prime power included, so each reduced exponent is below p + 1;
     the root mod p lifts to p^k afterwards.  An order the key's d does not
-    cover (_group_orders) raises DecryptionFailure naming the prime's index:
-    a residue D under a strict key, or D = 0 mod p.
+    cover (no row in sk.plan) raises DecryptionFailure naming the prime's
+    index: a residue D under a strict key, or D = 0 mod p.
     """
-    plan = []
-    for i, (p, k) in enumerate(sk.factors.factors):
+    rows = []
+    for i, (p, k, _, by_order) in enumerate(sk.plan.primes):
         order = p - jacobi(d_coef % p, p)
-        if order not in _group_orders(p, sk.mode):
+        if order not in by_order:
             raise DecryptionFailure(f"plan: the {sk.mode.value} key covers no group order of D mod prime {i}")
-        plan.append((p, k, sk.d % order, order))
-    return plan
+        rows.append((p, k, by_order[order].d_i, order))
+    return rows
 
 
 def decrypt(sk, ct):
@@ -291,15 +361,15 @@ def _decrypt(sk, ct, kind):
     """One loop over the plan for a ciphertext of the class kind, refusing any
     other object and any field outside [0, N), which the ciphertext of no
     message has: per prime it becomes a point mod p^k, which must lie on the
-    curve, _root takes its verified root mod p^k, and CRT must give a message
-    on the curve mod N."""
+    curve, _root takes its verified root mod p^k with the row's chain, and
+    CRT under the plan's coefficients must give a message on the curve mod N."""
     if type(ct) is not kind:
         raise DecryptionFailure(f"plan: expected a {kind.__name__}, got a {type(ct).__name__}")
     if any(type(v) is not int or not 0 <= v < sk.n for v in vars(ct).values()):
         raise DecryptionFailure("plan: ciphertext fields must be ints in [0, N)")
-    d_coef, roots, moduli = ct.d_coef, [], []
+    d_coef, roots, moduli, plan = ct.d_coef, [], [], sk.plan
     for i, (p, k, d_i, order) in enumerate(reduced_private_exponents(sk, d_coef)):
-        q = p**k
+        q = plan.primes[i].q
         pp = PellParams(q, d_coef % q)
         try:
             c = param_to_point(ct.c, pp) if kind is Ciphertext else HyperbolaPoint(ct.cx % q, ct.cy % q)
@@ -307,9 +377,10 @@ def _decrypt(sk, ct, kind):
             raise DecryptionFailure(f"decompression: c^2 - D is no unit mod prime {i}") from None
         if not pp.on_curve(*c):
             raise DecryptionFailure(f"curve: the ciphertext point is off the curve mod prime {i}")
-        roots.append(_root(c, pp, (p, k, d_i, order), sk.e, sk.d, i))
+        chain = plan.primes[i].rows[order].use()
+        roots.append(_root(c, pp, (p, k, d_i, order), sk.e, sk.d, i, chain))
         moduli.append(q)
-    mx, my = crt_combine(roots, moduli)
+    mx, my = crt_combine(roots, moduli, plan.garner)
     if (mx * mx - d_coef * my * my) % sk.n != 1:
         raise DecryptionFailure("crt: the recovered point is not on the curve")
     if math.gcd(mx * my, sk.n) != 1:
@@ -317,12 +388,13 @@ def _decrypt(sk, ct, kind):
     return MessagePair(mx, my)
 
 
-def _root(c, pp, row, e, d, i):
+def _root(c, pp, row, e, d, i, chain=None):
     """For the plan row (p, k, d_i, order), the e-th root c^(d_i) of c on the
     curve pp, checked mod p by its power to e, lifted to pp.modulus = p^k.
 
     c with y = 0 mod p is (+-1, 0), a fixed point of the odd d_i, so no
-    message; it is refused before the ladder mod p, which yields x.  The
+    message; it is refused before the power mod p, which yields x: the
+    ladder, or the row's chain, whose exponent must be d_i.  The
     root (x, y) raised to e is (T_e(x), y U_{e-1}(x)), so T_e(x) = c.x, and
     y = c.y / U_{e-1}(x) with U a unit as c.y is.  T_k of a point is periodic
     in k mod its order, so the check raises to e mod the order, below p + 2
@@ -344,7 +416,9 @@ def _root(c, pp, row, e, d, i):
     p, _, d_i, order = row
     if c.y % p == 0:
         raise DecryptionFailure(f"ladder: the ciphertext has y = 0 mod prime {i}")
-    x = point_pow(c.x, d_i, PellParams(p, pp.d % p))
+    if chain is not None and chain.k != d_i:
+        raise DecryptionFailure(f"verify: the row's chain raises to another exponent than d_i mod prime {i}")
+    x = point_pow(c.x, d_i, PellParams(p, pp.d % p), chain=chain)
     t, u = chebyshev(x, e % order, p)
     if t != c.x % p:
         raise DecryptionFailure(f"verify: the root's e-th power is not the ciphertext mod prime {i}")

@@ -13,6 +13,7 @@ from pellrsa.arith import (
     FactoredModulus,
     _lucas_test,
     _strong_test,
+    crt_coefficients,
     crt_combine,
     gen_prime,
     is_probable_prime,
@@ -202,6 +203,9 @@ def test_crt_rejects_common_factor():
     with pytest.raises(ImpossibleOperation) as info:
         crt_combine([1, 2], [6, 15])
     assert info.value.factor == 3
+    with pytest.raises(ImpossibleOperation) as info:
+        crt_coefficients([7, 5, 21])
+    assert info.value.factor == 7
 
 
 def test_crt_reproduces_residues():
@@ -212,6 +216,7 @@ def test_crt_reproduces_residues():
             continue
         residues = [rng.randrange(0, m) for m in moduli]
         x = crt_combine(residues, moduli)
+        assert crt_combine(residues, moduli, crt_coefficients(moduli)) == x
         assert 0 <= x < math.prod(moduli)
         assert all(x % m == r for r, m in zip(residues, moduli))
         others = [rng.randrange(-m, 2 * m) for m in moduli]

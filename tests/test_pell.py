@@ -5,18 +5,20 @@ import pickle
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pellrsa import pell, scheme
-from pellrsa.arith import FactoredModulus, gen_prime, is_probable_prime, jacobi, mod_inv
+from pellrsa.arith import FactoredModulus, gen_prime, is_probable_prime, jacobi, lucas_v, mod_inv
 from pellrsa.errors import ImpossibleOperation
 from pellrsa.pell import (
     INFINITY,
     HyperbolaPoint,
+    LucasChain,
     PellParams,
     chebyshev,
     ladder_cost,
+    lucas_chain,
     param_mul,
     param_pow,
     param_to_point,
@@ -462,7 +464,9 @@ def test_decryption_ladders_run_mod_each_prime_and_lifts_count_log_k(monkeypatch
     ct = scheme.encrypt_point(pub, msg)
     ladders, chains = [], []
     ladder, chain = scheme.point_pow, scheme.chebyshev
-    monkeypatch.setattr(scheme, "point_pow", lambda x, k, pp: ladders.append((k, pp.modulus)) or ladder(x, k, pp))
+    monkeypatch.setattr(
+        scheme, "point_pow", lambda x, k, pp, chain=None: ladders.append((k, pp.modulus)) or ladder(x, k, pp, chain=chain)
+    )
     monkeypatch.setattr(scheme, "chebyshev", lambda x, k, n: chains.append((k, n)) or chain(x, k, n))
     assert scheme.decrypt_point(priv, ct) == msg
     primes = [p for p, _ in priv.factors.factors]
@@ -561,6 +565,96 @@ def test_point_pow_frozen_even_modulus():
     assert point_pow(2, 2, pp) == 7
     for k in range(200):
         check_point_pow(pt, k, pp, chain_pow(pt, k, pp))
+
+
+# ---- Lucas chains against the ladder ----
+
+def ladder_ops(k):
+    """arith.lucas_v's ladder for k >= 2 as LucasChain ops, ladder_cost(k) of
+    them: a holds V_j and b V_(j+1), whose difference V_1 is register 1."""
+    ops = []
+
+    def add(x, y, z):
+        ops.append((x, y, z))
+        return len(ops) + 1
+
+    a, b = 1, add(1, 1, 0)
+    for bit in bin(k)[3:]:
+        if bit == "1":
+            b, a = add(b, b, 0), add(a, b, 1)
+        else:
+            b, a = add(a, b, 1), add(a, a, 0)
+    return tuple(ops)
+
+
+def test_ladder_ops_compile_the_ladder(alarm):
+    for k in (2, 3, 10, 1000, 2**64 + 13):
+        chain = LucasChain(k, ladder_ops(k))
+        assert chain.proved_index() == k and len(chain.ops) == ladder_cost(k)
+        assert chain.run(7, 1009) == lucas_v(7, k, 1009)[0]
+
+
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    k=st.one_of(st.integers(1, 300), st.integers(1, 2**700 - 1)),
+    m=st.one_of(st.integers(3, 300), st.integers(3, 2**700)),
+    v=st.integers(0, 2**701),
+)
+def test_lucas_chain_computes_v_k_as_the_ladder_does(alarm, k, m, v):
+    # odd and even k and m alike
+    chain = lucas_chain(k)
+    if chain is None:
+        return
+    assert chain.k == k == chain.proved_index()
+    assert len(chain.ops) < ladder_cost(k)
+    assert chain.run(v, m) == lucas_v(v, k, m)[0]
+
+
+@pytest.mark.parametrize("bits", [512, 683])
+def test_chain_products_are_pinned(alarm, bits):
+    # seeded reduced exponents d mod (p +- 1): Tallied counts one product per
+    # op, about 1.63 per exponent bit against the ladder's 2
+    rng = random.Random(bits)
+    p = gen_prime(bits, rng)
+    pp = PellParams(p, rng.randrange(1, p))
+    for order in (p - 1, p + 1):
+        k = rng.randrange(order)
+        chain = lucas_chain(k)
+        x = rng.randrange(p)
+        count, out = count_products(point_pow, Tallied(x), k, pp, chain)
+        assert (count, out) == (len(chain.ops), point_pow(x, k, pp))
+        assert len(chain.ops) <= 1.70 * k.bit_length()
+
+
+def test_proved_index_refuses_an_op_that_is_no_lucas_step(alarm):
+    # V_1 V_2 - V_2: register 3 holds neither V_(2-1) nor V_(2+1)
+    with pytest.raises(ValueError, match="^op 1 is no Lucas step"):
+        LucasChain(3, ((1, 1, 0), (1, 2, 2))).proved_index()
+    assert LucasChain(3, ((1, 1, 0), (1, 2, 1))).proved_index() == 3
+    # a difference: V_3 V_2 - V_5 is V_1
+    assert LucasChain(1, ((1, 1, 0), (1, 2, 1), (2, 3, 1), (3, 2, 4))).proved_index() == 1
+
+
+def test_lucas_chain_returns_a_chain_only_for_k_and_shorter_than_the_ladder(monkeypatch, alarm):
+    assert [k for k in range(1, 2000) if lucas_chain(k) is None] == [1, 2, 6]
+    k = 10**30 + 7
+    prac = pell._prac
+    # a chain one op short ends at another index
+    monkeypatch.setattr(pell, "_prac", lambda k, r: prac(k, r)[:-1])
+    assert lucas_chain(k) is None
+    # the ladder's own ops prove k but are no shorter than the ladder
+    monkeypatch.setattr(pell, "_prac", lambda k, r: ladder_ops(k))
+    assert lucas_chain(k) is None
+    monkeypatch.setattr(pell, "_prac", lambda k, r: ladder_ops(k)[:1] + ((1, 2, 2),))
+    with pytest.raises(ValueError, match="no Lucas step"):
+        lucas_chain(k)
+
+
+def test_point_pow_refuses_a_chain_built_for_another_exponent():
+    chain = lucas_chain(1001)
+    assert point_pow(3, 1001, PP5, chain) == point_pow(3, 1001, PP5)
+    with pytest.raises(ValueError, match="another exponent"):
+        point_pow(3, 1003, PP5, chain)
 
 
 @functools.lru_cache(maxsize=None)

@@ -722,12 +722,14 @@ def test_the_plan_refuses_a_coefficient_vanishing_mod_a_prime():
             reduced_private_exponents(priv, splice(pub, priv, i, 0, d_coef))
 
 
-@pytest.mark.parametrize("exponents,inversions", [([1, 1, 1], [8, 5]), ([3, 1], [5, 3])])
+@pytest.mark.parametrize("exponents,inversions", [([1, 1, 1], [6, 3]), ([3, 1], [4, 2])])
 def test_work_per_decryption_is_pinned(monkeypatch, exponents, inversions):
     # inversions per compressed and per point request: one decompression and
-    # one root y per prime, r - 1 Garner coefficients; no curve mod N is built
+    # one root y per prime; the r - 1 Garner coefficients are the plan's,
+    # built once per key; no curve mod N is built
     rng = random.Random(31)
     pub, priv = small_keypair(rng, r=len(exponents), bits=32, exponents=exponents)
+    assert len(priv.plan.garner) == len(exponents) - 1
     msg = random_message(pub, rng)
     requests = [(decrypt, encrypt(pub, msg)), (decrypt_point, encrypt_point(pub, msg))]
     inverted, curves = [], []
@@ -867,8 +869,8 @@ def inject_fault(monkeypatch, fault, p):
         ladder = scheme.point_pow
         corrupt = {"ladder_x": lambda x: x + 1, "x_is_1": lambda x: 1, "x_is_minus_1": lambda x: -1}[fault]
 
-        def faulty(x, k, pp):
-            out = ladder(x, k, pp)
+        def faulty(x, k, pp, chain=None):
+            out = ladder(x, k, pp, chain=chain)
             return corrupt(out) % p if pp.modulus == p else out
 
         monkeypatch.setattr(scheme, "point_pow", faulty)
@@ -897,15 +899,88 @@ def test_a_fault_in_one_prime_raises_naming_the_verify_stage(monkeypatch, fault,
     enc, dec = (encrypt_point, decrypt_point) if point else (encrypt, decrypt)
     msgs = [random_message(pub, rng) for _ in range(4)]
     cts = [enc(pub, msg) for msg in msgs]
-    assert [dec(priv, ct) for ct in cts] == msgs
+    # twice, so every row these ciphertexts use has built its chain
+    assert [dec(priv, ct) for ct in cts + cts] == msgs + msgs
+    assert all(row.chain for prime in priv.plan.primes for row in prime.rows.values() if row.uses)
     for i, (p, k) in enumerate(priv.factors.factors):
         if fault == "lift_x" and k == 1:
             continue
         with monkeypatch.context() as mp:
             inject_fault(mp, fault, p)
             for ct in cts:
+                # a fresh copy of the key runs first-use ladders, priv its chains
+                for key in (dataclasses.replace(priv), priv):
+                    with pytest.raises(DecryptionFailure, match=f"^verify: .* prime {i}$"):
+                        dec(key, ct)
+
+
+def corrupted(chain):
+    """The chain with one op's first operand moved to the register before it."""
+    j = len(chain.ops) // 2
+    a, b, c = chain.ops[j]
+    return chain._replace(ops=chain.ops[:j] + ((a - 1, b, c),) + chain.ops[j + 1 :])
+
+
+@pytest.mark.parametrize("exponents", FAULT_SHAPES)
+@pytest.mark.parametrize("point", [False, True])
+def test_a_corrupted_chain_op_raises_naming_the_verify_stage(monkeypatch, exponents, point):
+    # a chain no longer proved: it still claims d_i, so point_pow runs it and
+    # only the root check can tell its x is no root
+    rng = random.Random(26)
+    pub, priv = small_keypair(rng, r=len(exponents), bits=64, exponents=exponents)
+    enc, dec = (encrypt_point, decrypt_point) if point else (encrypt, decrypt)
+    msgs = [random_message(pub, rng) for _ in range(4)]
+    cts = [enc(pub, msg) for msg in msgs]
+    assert [dec(priv, ct) for ct in cts + cts] == msgs + msgs
+    for i, prime in enumerate(priv.plan.primes):
+        with monkeypatch.context() as mp:
+            for row in prime.rows.values():
+                if row.chain:
+                    bad = corrupted(row.chain)
+                    with pytest.raises(ValueError):
+                        bad.proved_index()
+                    mp.setattr(row, "chain", bad)
+            for ct in cts:
                 with pytest.raises(DecryptionFailure, match=f"^verify: .* prime {i}$"):
                     dec(priv, ct)
+        assert [dec(priv, ct) for ct in cts] == msgs
+
+
+@pytest.mark.parametrize("exponents", [[1, 1, 1], [3, 1]])
+def test_a_row_builds_its_chain_on_its_second_use_only(monkeypatch, exponents):
+    # one decryption, as `pellrsa decrypt` makes, builds no chain; a second
+    # of the same ciphertext builds one per row it uses, and later ones none
+    rng = random.Random(27)
+    pub, priv = small_keypair(rng, r=len(exponents), bits=64, exponents=exponents)
+    msg = random_message(pub, rng)
+    ct, pct = encrypt(pub, msg), encrypt_point(pub, msg)
+    built, build = [], scheme.lucas_chain
+    monkeypatch.setattr(scheme, "lucas_chain", lambda k: built.append(k) or build(k))
+    assert decrypt(priv, ct) == msg
+    assert built == []
+    rows = reduced_private_exponents(priv, ct.d_coef)
+    assert decrypt_point(priv, pct) == msg
+    assert built == [d_i for _, _, d_i, _ in rows]
+    for _ in range(3):
+        assert decrypt(priv, ct) == decrypt_point(priv, pct) == msg
+    assert len(built) == len(rows)
+    used = [prime.rows[order] for prime, (_, _, _, order) in zip(priv.plan.primes, rows)]
+    assert [(row.uses, row.chain.k) for row in used] == [(8, d_i) for _, _, d_i, _ in rows]
+
+
+def test_a_built_plan_leaves_the_key_file_eq_and_hash_unchanged():
+    rng = random.Random(34)
+    pub, priv = small_keypair(rng, r=3, bits=64)
+    text = dump_private_key(priv)
+    copy = load_private_key(text)
+    msgs = [random_message(pub, rng) for _ in range(3)]
+    for msg in msgs + msgs:
+        assert decrypt(priv, encrypt(pub, msg)) == msg
+    assert any(row.chain for prime in priv.plan.primes for row in prime.rows.values())
+    assert "plan" in vars(priv) and "plan" not in vars(copy)
+    assert dump_private_key(priv) == text
+    assert priv == copy and hash(priv) == hash(copy)
+    assert repr(priv) == repr(copy)
 
 
 def hostile_integers(n, primes):
