@@ -76,11 +76,13 @@ def crt_coefficients(moduli):
     first, the inverse mod it of the product of those before it.
 
     Raises ImpossibleOperation carrying the gcd of a modulus and the
-    product of those before it when they share a factor.
+    product of those before it when they share a factor, ValueError for none.
 
         >>> crt_coefficients([5, 7, 9])
         (3, 8)
     """
+    if not moduli:
+        raise ValueError("need at least one modulus")
     out, m = [], moduli[0]
     for m_i in moduli[1:]:
         out.append(mod_inv(m % m_i, m_i))
@@ -92,12 +94,13 @@ def crt_combine(residues, moduli, coefficients=None):
     """Unique x mod prod(moduli) with x = residues[i] mod moduli[i].
 
     A residue may also be a tuple of coordinates, such as a curve point:
-    tuples combine coordinate-wise under one set of Garner coefficients and
-    a tuple comes back.  Moduli must be pairwise coprime and above 1; when
-    two share a factor, raises ImpossibleOperation carrying the gcd of a
-    modulus and the product of those before it.  coefficients, when given,
-    must be crt_coefficients(moduli), which a caller combining under the
-    same moduli again keeps instead of inverting again.
+    tuples of one length combine coordinate-wise under one set of Garner
+    coefficients and a tuple comes back.  Moduli must be pairwise coprime
+    and above 1; when two share a factor, raises ImpossibleOperation
+    carrying the gcd of a modulus and the product of those before it.
+    coefficients, when given, must be crt_coefficients(moduli), which a
+    caller combining under the same moduli again keeps; a length mismatch
+    anywhere raises ValueError.
 
         >>> crt_combine([(2, 1), (3, 0)], [5, 7])
         (17, 21)
@@ -109,8 +112,8 @@ def crt_combine(residues, moduli, coefficients=None):
     scalar = isinstance(residues[0], int)
     rows = [(r,) if scalar else r for r in residues]
     xs, m = [r % moduli[0] for r in rows[0]], moduli[0]
-    for row, m_i, inv in zip(rows[1:], moduli[1:], coefficients):
-        xs = [x + m * ((r_i - x) * inv % m_i) for x, r_i in zip(xs, row)]
+    for row, m_i, inv in zip(rows[1:], moduli[1:], coefficients, strict=True):
+        xs = [x + m * ((r_i - x) * inv % m_i) for x, r_i in zip(xs, row, strict=True)]
         m *= m_i
     xs = tuple(x % m for x in xs)
     return xs[0] if scalar else xs

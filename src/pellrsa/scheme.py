@@ -7,28 +7,27 @@ point to the public exponent by pell.chebyshev on mx alone, scaling my by
 the U it returns, and compresses the power to its parameter C, which is
 m = (mx + 1)/my raised to e; the ciphertext is the pair (C, D).
 
-Decryption exploits the factorization: modulo each prime p the group
-order is p + 1 or p - 1 depending on whether D is a non-residue or a
-residue mod p, so the private exponent shrinks to the size of one prime
-per factor, and the results recombine by CRT.  That exponent reduction is
-where the speedup over two-prime moduli comes from.  A key's decryption
-plan (PrivateKey.plan), built at its first decryption, holds per prime p^k
-one row per group order with d reduced mod it, and the Garner coefficients
-of the p^k; reduced_private_exponents picks each prime's row for a D.
-One loop over the primes serves both ciphertext kinds, told apart by class,
-and never works mod N: per prime the ciphertext becomes a point on the
-curve mod p^k, by decompression or reduction, and _root takes its verified
-root.  An x-only power mod p (pell.point_pow) yields the root's x: a row's
-first use runs the binary Lucas ladder, its second builds the row a PRAC
-Lucas chain (pell.lucas_chain), and every later use runs that chain.  The
-root's power to e mod the prime's order (pell.chebyshev) must give back
-the ciphertext's x, and its U yields the root's y, so a fault in one
-prime's branch, exponent, ladder or chain raises instead of leaking p
-through a wrong plaintext (the Bellcore attack).  The root then lifts to
-p^k by ceil(log3 k) cubic Newton steps (Takagi's p^k q decryption), each
-one power to e that must stay on the curve, so no ladder runs wider than a
-prime.  A DecryptionFailure names its stage and, before CRT, the prime's
-index.
+Decryption exploits the factorization: modulo each prime p the group order
+is p + 1 or p - 1 depending on whether D is a non-residue or a residue mod
+p, so the private exponent shrinks to the size of one prime per factor, and
+the results recombine by CRT.  That exponent reduction is where the speedup
+over two-prime moduli comes from.  A key's decryption plan
+(PrivateKey.plan), built at its first decryption, holds per prime p^k one
+PlanRow per group order: p, k, p^k, the order and d reduced mod it;
+reduced_private_exponents picks each prime's row for a D.  One loop over the
+rows serves both ciphertext kinds, told apart by class, and never works mod
+N: per prime the ciphertext becomes a point on the curve mod p^k, by
+decompression or reduction, and _root takes its verified root.  An x-only
+power mod p (pell.point_pow) yields the root's x: a row's first use runs the
+binary Lucas ladder, its second builds the row a PRAC Lucas chain
+(pell.lucas_chain), and every later use runs that chain.  The root's power
+to e mod the prime's order (pell.chebyshev) must give back the ciphertext's
+x, and its U yields the root's y, so a fault in one prime's branch,
+exponent, ladder or chain raises instead of leaking p through a wrong
+plaintext (the Bellcore attack).  The root then lifts to p^k by ceil(log3 k)
+cubic Newton steps (Takagi's p^k q decryption), each one power to e that
+must stay on the curve, so no ladder runs wider than a prime.  A
+DecryptionFailure names its stage and, before CRT, the prime's index.
 
 The paper counts one multiplication per exponent bit on both sides and
 predicts a speedup of r^2/2 over two-prime CRT-RSA.  A chain spends about
@@ -57,7 +56,6 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import NamedTuple
 
 from .arith import MAX_MODULUS_BITS, FactoredModulus, crt_coefficients, crt_combine, gen_prime, jacobi, mod_inv
 from .errors import (
@@ -148,22 +146,24 @@ class PrivateKey:
 
     @cached_property
     def plan(self):
-        """The decryption plan, built at first use and kept on this object.
-
-        Per prime p^k one PlanRow per group order the key covers
-        (_group_orders), and the Garner coefficients of the p^k.  It is no
-        field: ==, hash, repr and the key file ignore it.
-        """
-        primes = tuple(
-            PlanPrime(p, k, p**k, {order: PlanRow(self.d % order) for order in _group_orders(p, self.mode)})
+        """The decryption plan, built at first use and kept on this object:
+        per prime, in the key's order, {order: PlanRow} for each group order
+        the key covers (_group_orders).  Like garner it is no field: ==,
+        hash, repr and the key file ignore it."""
+        return tuple(
+            {order: PlanRow(p, k, p**k, order, self.d % order) for order in _group_orders(p, self.mode)}
             for p, k in self.factors.factors
         )
-        return DecryptionPlan(primes, crt_coefficients([q for _, _, q, _ in primes]))
+
+    @cached_property
+    def garner(self):
+        """crt_coefficients of the p^k, which every decryption's CRT reuses."""
+        return crt_coefficients([p**k for p, k in self.factors.factors])
 
 
 @dataclass(eq=False)
 class PlanRow:
-    """One group order of one prime: d_i, d mod the order, and a chain slot.
+    """One group order of a prime p^k: p, k, q = p^k, the order, d_i = d mod it, a chain slot.
 
     The first use of a row runs the binary ladder; the second builds a
     Lucas chain for d_i (pell.lucas_chain), which every later use runs.  A
@@ -172,6 +172,10 @@ class PlanRow:
     chain twice or one use late; every chain built for d_i gives the same x.
     """
 
+    p: int
+    k: int
+    q: int
+    order: int
     d_i: int
     uses: int = 0
     chain: LucasChain | None = None
@@ -182,18 +186,6 @@ class PlanRow:
         if self.uses == 2:
             self.chain = lucas_chain(self.d_i)
         return self.chain
-
-
-class PlanPrime(NamedTuple):
-    p: int
-    k: int
-    q: int  # p^k
-    rows: dict  # group order -> PlanRow
-
-
-class DecryptionPlan(NamedTuple):
-    primes: tuple  # a PlanPrime per prime, in the key's order
-    garner: tuple  # crt_coefficients of the p^k
 
 
 @dataclass(frozen=True)
@@ -327,7 +319,7 @@ def encrypt_point(pk, msg, mode=Mode.ROBUST):
 
 
 def reduced_private_exponents(sk, d_coef):
-    """The plan's row per prime for D: (prime p, its exponent k, d mod the order, the order).
+    """The plan's own PlanRow per prime for D, in the key's order.
 
     Per prime, the group order mod p is p - Jacobi(D, p): p + 1 for a
     non-residue D, p - 1 for a residue.  The ladder runs mod p for every
@@ -337,11 +329,11 @@ def reduced_private_exponents(sk, d_coef):
     index: a residue D under a strict key, or D = 0 mod p.
     """
     rows = []
-    for i, (p, k, _, by_order) in enumerate(sk.plan.primes):
-        order = p - jacobi(d_coef % p, p)
-        if order not in by_order:
+    for i, ((p, _), by_order) in enumerate(zip(sk.factors.factors, sk.plan)):
+        row = by_order.get(p - jacobi(d_coef % p, p))
+        if row is None:
             raise DecryptionFailure(f"plan: the {sk.mode.value} key covers no group order of D mod prime {i}")
-        rows.append((p, k, by_order[order].d_i, order))
+        rows.append(row)
     return rows
 
 
@@ -361,26 +353,25 @@ def _decrypt(sk, ct, kind):
     """One loop over the plan for a ciphertext of the class kind, refusing any
     other object and any field outside [0, N), which the ciphertext of no
     message has: per prime it becomes a point mod p^k, which must lie on the
-    curve, _root takes its verified root mod p^k with the row's chain, and
-    CRT under the plan's coefficients must give a message on the curve mod N."""
+    curve, _root takes its verified root mod p^k through the prime's row, and
+    CRT under the key's Garner coefficients must give a message on the curve
+    mod N."""
     if type(ct) is not kind:
         raise DecryptionFailure(f"plan: expected a {kind.__name__}, got a {type(ct).__name__}")
     if any(type(v) is not int or not 0 <= v < sk.n for v in vars(ct).values()):
         raise DecryptionFailure("plan: ciphertext fields must be ints in [0, N)")
-    d_coef, roots, moduli, plan = ct.d_coef, [], [], sk.plan
-    for i, (p, k, d_i, order) in enumerate(reduced_private_exponents(sk, d_coef)):
-        q = plan.primes[i].q
-        pp = PellParams(q, d_coef % q)
+    d_coef, roots = ct.d_coef, []
+    rows = reduced_private_exponents(sk, d_coef)
+    for i, row in enumerate(rows):
+        pp = PellParams(row.q, d_coef % row.q)
         try:
-            c = param_to_point(ct.c, pp) if kind is Ciphertext else HyperbolaPoint(ct.cx % q, ct.cy % q)
+            c = param_to_point(ct.c, pp) if kind is Ciphertext else HyperbolaPoint(ct.cx % row.q, ct.cy % row.q)
         except ImpossibleOperation:
             raise DecryptionFailure(f"decompression: c^2 - D is no unit mod prime {i}") from None
         if not pp.on_curve(*c):
             raise DecryptionFailure(f"curve: the ciphertext point is off the curve mod prime {i}")
-        chain = plan.primes[i].rows[order].use()
-        roots.append(_root(c, pp, (p, k, d_i, order), sk.e, sk.d, i, chain))
-        moduli.append(q)
-    mx, my = crt_combine(roots, moduli, plan.garner)
+        roots.append(_root(c, pp, row, sk, i))
+    mx, my = crt_combine(roots, [row.q for row in rows], sk.garner)
     if (mx * mx - d_coef * my * my) % sk.n != 1:
         raise DecryptionFailure("crt: the recovered point is not on the curve")
     if math.gcd(mx * my, sk.n) != 1:
@@ -388,17 +379,18 @@ def _decrypt(sk, ct, kind):
     return MessagePair(mx, my)
 
 
-def _root(c, pp, row, e, d, i, chain=None):
-    """For the plan row (p, k, d_i, order), the e-th root c^(d_i) of c on the
-    curve pp, checked mod p by its power to e, lifted to pp.modulus = p^k.
+def _root(c, pp, row, sk, i):
+    """The e-th root c^(d_i) of c on the curve pp mod row.q = p^k, for the
+    key sk's e and d, checked mod p by its power to e, then lifted to p^k.
 
     c with y = 0 mod p is (+-1, 0), a fixed point of the odd d_i, so no
-    message; it is refused before the power mod p, which yields x: the
-    ladder, or the row's chain, whose exponent must be d_i.  The
-    root (x, y) raised to e is (T_e(x), y U_{e-1}(x)), so T_e(x) = c.x, and
-    y = c.y / U_{e-1}(x) with U a unit as c.y is.  T_k of a point is periodic
-    in k mod its order, so the check raises to e mod the order, below p + 2
-    for any e.  A root x = +-1 fails the check: T_e(+-1) = +-1, not c.x.
+    message; it is refused before the row counts a use (PlanRow.use) and
+    before the power mod p, which yields x: the ladder, or the row's chain,
+    whose exponent must be d_i.  The root (x, y) raised to e is
+    (T_e(x), y U_{e-1}(x)), so T_e(x) = c.x, and y = c.y / U_{e-1}(x) with U
+    a unit as c.y is.  T_k of a point is periodic in k mod its order, so the
+    check raises to e mod the order, below p + 2 for any e.  A root x = +-1
+    fails the check: T_e(+-1) = +-1, not c.x.
 
     Each Newton step then lifts the root m mod u to q = min(u^3, p^k), so
     p^k takes ceil(log3 k) steps, and p none.  m's norm is 1 + U mod q with
@@ -413,19 +405,19 @@ def _root(c, pp, row, e, d, i, chain=None):
     p^(k-1) divides the exponent modulus, so d = e^-1 mod p^(k-1), and
     p | y_E.  No step divides.
     """
-    p, _, d_i, order = row
+    p, d_i, order = row.p, row.d_i, row.order
     if c.y % p == 0:
         raise DecryptionFailure(f"ladder: the ciphertext has y = 0 mod prime {i}")
-    if chain is not None and chain.k != d_i:
+    if (chain := row.use()) is not None and chain.k != d_i:
         raise DecryptionFailure(f"verify: the row's chain raises to another exponent than d_i mod prime {i}")
     x = point_pow(c.x, d_i, PellParams(p, pp.d % p), chain=chain)
-    t, u = chebyshev(x, e % order, p)
+    t, u = chebyshev(x, sk.e % order, p)
     if t != c.x % p:
         raise DecryptionFailure(f"verify: the root's e-th power is not the ciphertext mod prime {i}")
     m, q = HyperbolaPoint(x, c.y * mod_inv(u, p) % p), p
-    e %= pp.modulus // p * order
-    while q < pp.modulus:
-        q = min(q**3, pp.modulus)
+    e = sk.e % (row.q // p * order)
+    while q < row.q:
+        q = min(q**3, row.q)
         dq, half = pp.d % q, (q + 1) // 2
         x, y = m
         h = (x * x - dq * y * y - 1) * half % q  # U/2
@@ -435,7 +427,7 @@ def _root(c, pp, row, e, d, i, chain=None):
         ey = y * v % q
         if (ex * ex - dq * ey * ey) % q != 1:
             raise DecryptionFailure(f"verify: the lifted root's e-th power is off the curve mod prime {i}")
-        t = (c.y * ex - c.x * ey) * d % q
+        t = (c.y * ex - c.x * ey) * sk.d % q
         w = (1 + dq * t * t * half) % q
         m = HyperbolaPoint((x * w + dq * y * t) % q, (y * w + x * t) % q)
     return m

@@ -208,6 +208,25 @@ def test_crt_rejects_common_factor():
     assert info.value.factor == 7
 
 
+def test_crt_refuses_too_few_coefficients():
+    # zip stopped at the one coefficient and returned 16, not 366
+    assert crt_combine([1, 2, 3], [5, 7, 11]) == 366
+    with pytest.raises(ValueError):
+        crt_combine([1, 2, 3], [5, 7, 11], (3,))
+
+
+def test_crt_refuses_residue_tuples_of_unequal_lengths():
+    # zip dropped the second coordinate and returned (31,)
+    with pytest.raises(ValueError):
+        crt_combine([(1, 2), (3,)], [5, 7])
+
+
+def test_crt_coefficients_refuse_no_moduli():
+    # moduli[0] used to leak an IndexError
+    with pytest.raises(ValueError, match="at least one modulus"):
+        crt_coefficients([])
+
+
 def test_crt_reproduces_residues():
     rng = random.Random(19)
     for _ in range(100):

@@ -3,6 +3,7 @@ import functools
 import math
 import pickle
 import random
+import types
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -517,16 +518,28 @@ def test_point_pow_exhaustive_against_product_oracle(p):
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101])
 def test_decryption_root_step_exhaustive_against_product_oracle(p):
-    # the ladder's x with y read off the power to e is the whole point
-    # c^(d_i), for every point with y != 0 mod p and every e invertible mod
-    # the order, so y is still checked on every such point; at k = 1 the
-    # step lifts nothing, so it never reads d
-    for pp, pts, order in point_pow_cases(p, 1):
-        for e_i in (e for e in range(1, order) if math.gcd(e, order) == 1):
-            d_i = pow(e_i, -1, order)
-            for c in pts:
-                if c.y:
-                    assert scheme._root(c, pp, (p, 1, d_i, order), e_i, None, 0) == chain_pow(c, d_i, pp)
+    # the ladder's x with y read off the power to e, lifted to p^k, is the
+    # whole point c^d, for every point with y != 0 mod p, so y is still
+    # checked on every such point: at k = 1 for every e invertible mod the
+    # order, at k = 2 and 3 for six.  One row serves every point of a
+    # (D, e), so its first use runs the ladder, its second builds the chain
+    # and later ones run it
+    rng = random.Random(p)
+    chained = 0
+    for k in (1, 2, 3) if p <= 7 else (1,):
+        for pp, pts, group_order in point_pow_cases(p, k):
+            order = group_order // p ** (k - 1)
+            es = [e for e in range(1, group_order) if math.gcd(e, group_order) == 1]
+            for e in es if k == 1 else rng.sample(es, min(6, len(es))):
+                d = pow(e, -1, group_order)
+                row = scheme.PlanRow(p, k, p**k, order, d % order)
+                key = types.SimpleNamespace(e=e, d=d)
+                for c in pts:
+                    if c.y % p:
+                        assert scheme._root(c, pp, row, key, 0) == chain_pow(c, d, pp)
+                assert row.uses == sum(1 for c in pts if c.y % p)
+                chained += row.chain is not None
+    assert chained
 
 
 EVEN_MODULI = list(range(4, 64, 2)) + [98, 128, 250, 338, 390]

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import random
 
@@ -15,7 +16,7 @@ from pellrsa.errors import (
     RandomnessExhausted,
 )
 from pellrsa.arith import MAX_MODULUS_BITS, crt_combine, gen_prime, jacobi, mod_inv
-from pellrsa.keyfmt import dump_private_key, load_private_key
+from pellrsa.keyfmt import dump_ciphertext, dump_private_key, dump_public_key, load_private_key
 from pellrsa.pell import (
     INFINITY,
     HyperbolaPoint,
@@ -369,6 +370,31 @@ def test_crt_fast_path_bit_identical_to_direct():
             assert decrypt_point(priv, pct) == full_width_decrypt_point(priv, pct)
 
 
+# SHA-256 of test_known_answers_are_pinned's transcript: a key, ciphertext
+# or plaintext that changes by one bit changes it
+KNOWN_ANSWER_DIGEST = "6644f0144ef4c125ebedc99ef243a4bba92a939febdef56d968b158214164e3f"
+
+
+def test_known_answers_are_pinned():
+    # 512-bit r = 3 and (3,1) keys: the dumped keys, both ciphertexts of six
+    # messages each, and three decryption passes of each kind, which run
+    # each row's first use, its chain build and its chain
+    digest = hashlib.sha256()
+    for r, exponents in ((3, [1, 1, 1]), (2, [3, 1])):
+        rng = random.Random(2021)
+        pub, priv = keygen(r, exponents, 512 // sum(exponents), rng)
+        digest.update((dump_public_key(pub) + dump_private_key(priv)).encode())
+        msgs = [random_message(pub, rng) for _ in range(6)]
+        cts = [(encrypt(pub, msg), encrypt_point(pub, msg)) for msg in msgs]
+        for ct, pct in cts:
+            digest.update((dump_ciphertext(ct) + dump_ciphertext(pct)).encode())
+        for _ in range(3):
+            for ct, pct in cts:
+                for msg in (decrypt(priv, ct), decrypt_point(priv, pct)):
+                    digest.update(f"{msg.mx:x},{msg.my:x}\n".encode())
+    assert digest.hexdigest() == KNOWN_ANSWER_DIGEST
+
+
 def test_decrypt_methods_agree():
     rng = random.Random(7)
     for r, bits, exps in ORACLE_SHAPES:
@@ -493,13 +519,15 @@ def test_reduced_exponents_divide_and_invert(exponents):
     pub, priv = small_keypair(rng, r=3, bits=32, exponents=exponents)
     msg = random_message(pub, rng)
     ct = encrypt(pub, msg)
-    plan = reduced_private_exponents(priv, ct.d_coef)
-    assert [(p, k) for p, k, _, _ in plan] == list(priv.factors.factors)
-    for p, k, d_i, order in plan:
+    rows = reduced_private_exponents(priv, ct.d_coef)
+    assert [(row.p, row.k) for row in rows] == list(priv.factors.factors)
+    for row in rows:
+        p, k, order = row.p, row.k, row.order
         # the ladder runs mod p, a prime power included: d mod p + 1 or p - 1
+        assert row.q == p**k
         assert order == p - jacobi(ct.d_coef, p)
-        assert d_i == priv.d % order < p + 1
-        assert pub.e * d_i % order == 1
+        assert row.d_i == priv.d % order < p + 1
+        assert pub.e * row.d_i % order == 1
         # robust d inverts e under both candidate orders of the prime power
         for order in (p ** (k - 1) * (p + 1), p ** (k - 1) * (p - 1)):
             assert pub.e * (priv.d % order) % order == 1 % order
@@ -518,7 +546,7 @@ def test_a_public_exponent_above_p_plus_1_checks_roots_of_both_orders(monkeypatc
         d_coef = validate_message(pub, msg)
         if jacobi(d_coef, p) != jacobi(d_coef, q):
             break
-    orders = [order for _, _, _, order in reduced_private_exponents(priv, d_coef)]
+    orders = [row.order for row in reduced_private_exponents(priv, d_coef)]
     assert orders == [p - jacobi(d_coef, p), q - jacobi(d_coef, q)]
     assert sorted(order - prime for order, prime in zip(orders, (p, q))) == [-1, 1]
     cts = encrypt(pub, msg), encrypt_point(pub, msg)
@@ -550,7 +578,7 @@ def test_the_hensel_lift_raises_to_e_mod_the_group_order_mod_p_k(monkeypatch):
     orders = set()
     for _ in range(6):
         msg = random_message(pub, rng)
-        (order,) = [o for q, _, _, o in reduced_private_exponents(priv, validate_message(pub, msg)) if q == p]
+        (order,) = [row.order for row in reduced_private_exponents(priv, validate_message(pub, msg)) if row.p == p]
         orders.add(order)
         for dec, ct in ((decrypt, encrypt(pub, msg)), (decrypt_point, encrypt_point(pub, msg))):
             lifts.clear()
@@ -729,7 +757,7 @@ def test_work_per_decryption_is_pinned(monkeypatch, exponents, inversions):
     # built once per key; no curve mod N is built
     rng = random.Random(31)
     pub, priv = small_keypair(rng, r=len(exponents), bits=32, exponents=exponents)
-    assert len(priv.plan.garner) == len(exponents) - 1
+    assert len(priv.garner) == len(exponents) - 1
     msg = random_message(pub, rng)
     requests = [(decrypt, encrypt(pub, msg)), (decrypt_point, encrypt_point(pub, msg))]
     inverted, curves = [], []
@@ -853,7 +881,9 @@ def inject_fault(monkeypatch, fault, p):
         plan = scheme.reduced_private_exponents
 
         def flipped(sk, d_coef):
-            return [(q, k, d_i ^ (1 << 40) if q == p else d_i, order) for q, k, d_i, order in plan(sk, d_coef)]
+            # copies: the plan's own rows keep their d_i, uses and chain
+            rows = plan(sk, d_coef)
+            return [dataclasses.replace(row, d_i=row.d_i ^ (1 << 40)) if row.p == p else row for row in rows]
 
         monkeypatch.setattr(scheme, "reduced_private_exponents", flipped)
     elif fault == "lift_x":
@@ -901,10 +931,11 @@ def test_a_fault_in_one_prime_raises_naming_the_verify_stage(monkeypatch, fault,
     cts = [enc(pub, msg) for msg in msgs]
     # twice, so every row these ciphertexts use has built its chain
     assert [dec(priv, ct) for ct in cts + cts] == msgs + msgs
-    assert all(row.chain for prime in priv.plan.primes for row in prime.rows.values() if row.uses)
+    assert all(row.chain for rows in priv.plan for row in rows.values() if row.uses)
     for i, (p, k) in enumerate(priv.factors.factors):
         if fault == "lift_x" and k == 1:
             continue
+        before = [(row.uses, row.chain) for row in priv.plan[i].values()]
         with monkeypatch.context() as mp:
             inject_fault(mp, fault, p)
             for ct in cts:
@@ -912,6 +943,9 @@ def test_a_fault_in_one_prime_raises_naming_the_verify_stage(monkeypatch, fault,
                 for key in (dataclasses.replace(priv), priv):
                     with pytest.raises(DecryptionFailure, match=f"^verify: .* prime {i}$"):
                         dec(key, ct)
+        if fault == "d_bit":
+            # the faulty copies counted the uses and built any chain
+            assert [(row.uses, row.chain) for row in priv.plan[i].values()] == before
 
 
 def corrupted(chain):
@@ -932,9 +966,9 @@ def test_a_corrupted_chain_op_raises_naming_the_verify_stage(monkeypatch, expone
     msgs = [random_message(pub, rng) for _ in range(4)]
     cts = [enc(pub, msg) for msg in msgs]
     assert [dec(priv, ct) for ct in cts + cts] == msgs + msgs
-    for i, prime in enumerate(priv.plan.primes):
+    for i, rows in enumerate(priv.plan):
         with monkeypatch.context() as mp:
-            for row in prime.rows.values():
+            for row in rows.values():
                 if row.chain:
                     bad = corrupted(row.chain)
                     with pytest.raises(ValueError):
@@ -960,12 +994,28 @@ def test_a_row_builds_its_chain_on_its_second_use_only(monkeypatch, exponents):
     assert built == []
     rows = reduced_private_exponents(priv, ct.d_coef)
     assert decrypt_point(priv, pct) == msg
-    assert built == [d_i for _, _, d_i, _ in rows]
+    assert built == [row.d_i for row in rows]
     for _ in range(3):
         assert decrypt(priv, ct) == decrypt_point(priv, pct) == msg
     assert len(built) == len(rows)
-    used = [prime.rows[order] for prime, (_, _, _, order) in zip(priv.plan.primes, rows)]
-    assert [(row.uses, row.chain.k) for row in used] == [(8, d_i) for _, _, d_i, _ in rows]
+    assert [(row.uses, row.chain.k) for row in rows] == [(8, row.d_i) for row in rows]
+
+
+@pytest.mark.parametrize("exponents", [[1, 1, 1], [3, 1]])
+def test_a_decryption_adds_one_use_to_each_plan_row_it_reads(exponents):
+    rng = random.Random(28)
+    pub, priv = small_keypair(rng, r=len(exponents), bits=64, exponents=exponents)
+    every_row = [row for by_order in priv.plan for row in by_order.values()]
+    for dec, enc in [(decrypt, encrypt), (decrypt_point, encrypt_point), (decrypt, encrypt)]:
+        msg = random_message(pub, rng)
+        ct = enc(pub, msg)
+        rows = reduced_private_exponents(priv, ct.d_coef)
+        # the plan's own rows, one per prime, for the order D picks
+        assert all(row is priv.plan[i][row.order] for i, row in enumerate(rows))
+        uses = [row.uses for row in every_row]
+        assert dec(priv, ct) == msg
+        read = [any(row is r for r in rows) for row in every_row]
+        assert [row.uses - n for row, n in zip(every_row, uses)] == [int(r) for r in read]
 
 
 def test_a_built_plan_leaves_the_key_file_eq_and_hash_unchanged():
@@ -976,8 +1026,8 @@ def test_a_built_plan_leaves_the_key_file_eq_and_hash_unchanged():
     msgs = [random_message(pub, rng) for _ in range(3)]
     for msg in msgs + msgs:
         assert decrypt(priv, encrypt(pub, msg)) == msg
-    assert any(row.chain for prime in priv.plan.primes for row in prime.rows.values())
-    assert "plan" in vars(priv) and "plan" not in vars(copy)
+    assert any(row.chain for rows in priv.plan for row in rows.values())
+    assert {"plan", "garner"} <= vars(priv).keys() and not {"plan", "garner"} & vars(copy).keys()
     assert dump_private_key(priv) == text
     assert priv == copy and hash(priv) == hash(copy)
     assert repr(priv) == repr(copy)
