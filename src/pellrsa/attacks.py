@@ -7,6 +7,9 @@ part of psi, then squared, reaches order 2 and the identity at different
 steps modulo different primes, so a gcd probe exposes a factor.  Only x
 takes part: the point is (x, 1) on the curve with D = x^2 - 1, raised by the
 x-only decryption ladder.  Each trial succeeds with constant probability.
+A cofactor m is tested for primality first when m < 2^64 or m + 1 | psi,
+as for every prime factor; otherwise it is composite unless psi is bogus,
+and is tested after its first failed trial or before the budget runs out.
 """
 
 import math
@@ -83,7 +86,10 @@ def full_factorization(n, psi_n, rng, max_trials=200):
     puts p into psi_n; under a bogus psi_n coprime to p, a power of p raises
     TrialBudgetExhausted, or RandomnessExhausted on reaching an even power,
     which has no start x.  Composite cofactors are split by find_factor from a fresh
-    start x per trial.  Raises TrialBudgetExhausted once max_trials
+    start x per trial.  A cofactor m is tested for primality first when
+    m < 2^64 or m + 1 | psi_n allows a prime; otherwise after its first
+    failed trial, or before the budget error, so each prime returned passes
+    is_probable_prime.  Raises TrialBudgetExhausted once max_trials
     splitting trials were spent, and ValueError before any primality test
     for an n or psi_n that is no int, an n above MAX_MODULUS_BITS, or a psi_n
     below 1 or wider than 2|n| bits, which bounds each trial's ladder.
@@ -100,20 +106,27 @@ def full_factorization(n, psi_n, rng, max_trials=200):
     trials = 0
     while work:
         m, mult = work.pop()
-        if is_probable_prime(m):
+        untested = m >= 1 << 64 and psi_n % (m + 1)
+        if not untested and is_probable_prime(m):
             found[m] += mult
             continue
         root, k = _perfect_power(m) if math.gcd(m, psi_n) > 1 else (m, 1)
         if k > 1:
             work.append((root, mult * k))
             continue
-        divisor = 0
+        divisor, start = 0, trials
         while not divisor:
-            trials += 1
-            if trials > max_trials:
+            if untested and (trials > start or trials >= max_trials):
+                untested = False
+                if is_probable_prime(m):
+                    found[m] += mult
+                    break
+            if trials >= max_trials:
                 raise TrialBudgetExhausted(f"no factor of {m:#x} within {max_trials} trials")
+            trials += 1
             divisor = find_factor(m, psi_n, _draw_non_residue(m, rng))
-        work += [(divisor, mult), (m // divisor, mult)]
+        else:
+            work += [(divisor, mult), (m // divisor, mult)]
     return sorted(found.items())
 
 

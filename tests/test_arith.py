@@ -221,6 +221,21 @@ def test_crt_refuses_residue_tuples_of_unequal_lengths():
         crt_combine([(1, 2), (3,)], [5, 7])
 
 
+MIXED_CRT_INPUTS = {
+    "scalar-then-tuple": ([1, (2, 3)], [5, 7]),
+    "tuple-then-scalar": ([(1, 2), 3], [5, 7]),
+    "float-residue": ([1, 2.0], [5, 7]),
+    "float-modulus": ([1, 2], [5.0, 7]),
+}
+
+
+@pytest.mark.parametrize("case", MIXED_CRT_INPUTS)
+def test_crt_refuses_mixed_or_non_int_inputs(case):
+    # each leaked a TypeError, or returned a float for the float residue
+    with pytest.raises(ValueError, match="residues must be"):
+        crt_combine(*MIXED_CRT_INPUTS[case])
+
+
 def test_crt_coefficients_refuse_no_moduli():
     # moduli[0] used to leak an IndexError
     with pytest.raises(ValueError, match="at least one modulus"):

@@ -188,6 +188,57 @@ def test_square_free_moduli_are_never_root_scanned(monkeypatch):
     assert scans == []
 
 
+FACTORING_SHAPES = {"r2": [1, 1], "r3": [1, 1, 1], "r4": [1, 1, 1, 1], "pp31": [3, 1], "pp13": [1, 3]}
+
+
+@pytest.mark.parametrize("shape", FACTORING_SHAPES)
+def test_primality_is_tested_on_wide_cofactors_only_when_they_are_prime(shape, monkeypatch):
+    # p + 1 divides psi(n), its multiples and the exponent modulus for every
+    # prime p | n, so a wide cofactor m whose m + 1 does not divide psi_n is
+    # split without a primality test; one is tested only after a trial on it
+    # failed, which is rare under psi(n) and common under the exponent modulus
+    exponents = FACTORING_SHAPES[shape]
+    rng = random.Random(f"shape/{shape}")
+    primes = []
+    while len(primes) < len(exponents):
+        p = gen_prime(80, rng)
+        if p not in primes:
+            primes.append(p)
+    pub, priv = keypair_from_primes(primes, exponents)
+    events = []
+    monkeypatch.setattr(attacks, "is_probable_prime", lambda m: events.append((m, None)) or is_probable_prime(m))
+
+    def spy_find_factor(m, psi_n, x):
+        f = find_factor(m, psi_n, x)
+        events.append((m, f))
+        return f
+
+    monkeypatch.setattr(attacks, "find_factor", spy_find_factor)
+    for psi_n in (psi(priv.factors), 3 * psi(priv.factors), exponent_modulus(priv.factors, priv.mode)):
+        for seed in range(4):
+            events.clear()
+            assert full_factorization(pub.n, psi_n, random.Random(seed)) == list(priv.factors.factors)
+            tested = [m for m, f in events if f is None]
+            failed = {m for m, f in events if f == 0}
+            for i, (m, f) in enumerate(events):
+                if f is None and m >= 1 << 64 and m not in primes:
+                    assert (m, 0) in events[:i], f"composite {m:#x} tested before any trial on it failed"
+            if exponents == [1] * len(exponents):
+                # each prime once, and each cofactor once after its failed trial
+                assert sorted(tested) == sorted(primes + list(failed))
+
+
+@pytest.mark.parametrize("max_trials", [0, 1, 200])
+@pytest.mark.parametrize("bogus", ["one", "p+2"])
+def test_a_wide_prime_under_a_bogus_psi_is_still_returned(bogus, max_trials):
+    # p + 1 does not divide psi_n, so the primality test of p waits for a
+    # failed trial, or for the budget: with max_trials=0 it draws no start x
+    p = gen_prime(80, random.Random(31))
+    psi_n = {"one": 1, "p+2": p + 2}[bogus]
+    rng = ExplodingRng() if max_trials == 0 else random.Random(0)
+    assert full_factorization(p, psi_n, rng, max_trials=max_trials) == [(p, 1)]
+
+
 def test_full_factorization_budget_message_survives_the_int_str_limit():
     # 2330 bits is about 700 decimal digits, past the limit set below
     n = (2**2203 - 1) * (2**127 - 1)
