@@ -7,6 +7,10 @@ part of psi, then squared, reaches order 2 and the identity at different
 steps modulo different primes, so a gcd probe exposes a factor.  Only x
 takes part: the point is (x, 1) on the curve with D = x^2 - 1, raised by the
 x-only decryption ladder.  Each trial succeeds with constant probability.
+Two primes need no trial: p + q = psi(pq) - pq - 1, as phi gives for RSA,
+so a cofactor of multiplicity 1 splits in closed form once psi over the psi
+of the primes found so far is its own; a two-prime n under exact psi costs
+no trial.
 A cofactor m is tested for primality first when m < 2^64 or m + 1 | psi,
 as for every prime factor; otherwise it is composite unless psi is bogus,
 and is tested after its first failed trial or before the budget runs out.
@@ -44,6 +48,20 @@ def find_factor(n, psi_n, x):
                 return g
         x = (2 * x * x - 1) % n
     return 0
+
+
+def _split_from_psi(m, psi_m):
+    """The smaller prime p of m = p q from psi_m = psi(m) = (p + 1)(q + 1):
+    p + q = psi_m - m - 1, so p and q are the roots of z^2 - (p + q) z + m.
+    Any other psi_m gives 0 or, by chance, still a proper divisor of m.
+    """
+    s = psi_m - m - 1
+    disc = s * s - 4 * m
+    if disc < 0:
+        return 0
+    root = math.isqrt(disc)
+    p = (s - root) // 2
+    return p if root * root == disc and 1 < p < m and m % p == 0 else 0
 
 
 def _draw_non_residue(n, rng):
@@ -85,14 +103,21 @@ def full_factorization(n, psi_n, rng, max_trials=200):
     extraction, tried only on a cofactor m with gcd(m, psi_n) > 1, as p^2 | m
     puts p into psi_n; under a bogus psi_n coprime to p, a power of p raises
     TrialBudgetExhausted, or RandomnessExhausted on reaching an even power,
-    which has no start x.  Composite cofactors are split by find_factor from a fresh
-    start x per trial.  A cofactor m is tested for primality first when
-    m < 2^64 or m + 1 | psi_n allows a prime; otherwise after its first
-    failed trial, or before the budget error, so each prime returned passes
-    is_probable_prime.  Raises TrialBudgetExhausted once max_trials
-    splitting trials were spent, and ValueError before any primality test
-    for an n or psi_n that is no int, an n above MAX_MODULUS_BITS, or a psi_n
-    below 1 or wider than 2|n| bits, which bounds each trial's ladder.
+    which has no start x.  A composite cofactor m of multiplicity 1 is first
+    split in closed form (_split_from_psi) from S = psi_n / prod q^(e-1) (q + 1)
+    over the primes q^e found so far.  That fires when S is psi(m) and m = p q,
+    as under psi(n) once m is all that is left of n; otherwise find_factor
+    splits m, from a fresh start x per trial.  A half h with h + 1 | psi_n pops
+    first, so a likely prime is found before its cofactor's S is formed: the
+    last two primes of a square-free n cost no trial, and max_trials=0
+    factors a two-prime n under exact psi.  A cofactor m is tested for
+    primality first when m < 2^64 or m + 1 | psi_n allows a prime; otherwise
+    after its first failed trial, or before the budget error, so each prime
+    returned passes is_probable_prime.  Raises TrialBudgetExhausted once
+    max_trials splitting trials were spent, and ValueError before any
+    primality test for an n or psi_n that is no int, an n above
+    MAX_MODULUS_BITS, or a psi_n below 1 or wider than 2|n| bits, which
+    bounds each trial's ladder.
     """
     if {type(n), type(psi_n)} != {int} or not 1 <= n < 1 << MAX_MODULUS_BITS or not 1 <= psi_n < 4 ** n.bit_length():
         raise ValueError(f"n must lie in [1, 2^{MAX_MODULUS_BITS}) and psi_n in [1, 2^(2|n|))")
@@ -115,6 +140,10 @@ def full_factorization(n, psi_n, rng, max_trials=200):
             work.append((root, mult * k))
             continue
         divisor, start = 0, trials
+        if mult == 1:
+            known = math.prod(q ** (e - 1) * (q + 1) for q, e in found.items())
+            if psi_n % known == 0:
+                divisor = _split_from_psi(m, psi_n // known)
         while not divisor:
             if untested and (trials > start or trials >= max_trials):
                 untested = False
@@ -126,7 +155,7 @@ def full_factorization(n, psi_n, rng, max_trials=200):
             trials += 1
             divisor = find_factor(m, psi_n, _draw_non_residue(m, rng))
         else:
-            work += [(divisor, mult), (m // divisor, mult)]
+            work += sorted([(divisor, mult), (m // divisor, mult)], key=lambda h: psi_n % (h[0] + 1) == 0)
     return sorted(found.items())
 
 

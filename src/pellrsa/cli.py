@@ -79,7 +79,7 @@ def build_parser():
     fa.set_defaults(run=_cmd_factor)
     fa.add_argument("--n", type=_number(16), required=True, help="modulus (hex)")
     fa.add_argument("--psi", type=_number(16), required=True, help="psi(n) or a multiple below 2^(2|n|) (hex)")
-    fa.add_argument("--trials", type=_number(10), default=200, help="trial budget")
+    fa.add_argument("--trials", type=_number(10), default=200, help="budget of splitting trials (default 200)")
     fa.add_argument("--seed", type=_number(10), default=None)
 
     return parser

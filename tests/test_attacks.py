@@ -12,6 +12,7 @@ from pellrsa.attacks import (
     _draw_non_residue,
     _iroot,
     _perfect_power,
+    _split_from_psi,
     find_factor,
     full_factorization,
     impossible_op_probability,
@@ -188,7 +189,26 @@ def test_square_free_moduli_are_never_root_scanned(monkeypatch):
     assert scans == []
 
 
-FACTORING_SHAPES = {"r2": [1, 1], "r3": [1, 1, 1], "r4": [1, 1, 1, 1], "pp31": [3, 1], "pp13": [1, 3]}
+FACTORING_SHAPES = {
+    "r2": [1, 1],
+    "r3": [1, 1, 1],
+    "r4": [1, 1, 1, 1],
+    "pp31": [3, 1],
+    "pp13": [1, 3],
+    "pp331": [3, 3, 1],
+}
+
+
+def factoring_key(shape):
+    """A seeded key of the shape on distinct 80-bit primes, and its primes."""
+    exponents = FACTORING_SHAPES[shape]
+    rng = random.Random(f"shape/{shape}")
+    primes = []
+    while len(primes) < len(exponents):
+        p = gen_prime(80, rng)
+        if p not in primes:
+            primes.append(p)
+    return primes, *keypair_from_primes(primes, exponents)
 
 
 @pytest.mark.parametrize("shape", FACTORING_SHAPES)
@@ -198,13 +218,7 @@ def test_primality_is_tested_on_wide_cofactors_only_when_they_are_prime(shape, m
     # split without a primality test; one is tested only after a trial on it
     # failed, which is rare under psi(n) and common under the exponent modulus
     exponents = FACTORING_SHAPES[shape]
-    rng = random.Random(f"shape/{shape}")
-    primes = []
-    while len(primes) < len(exponents):
-        p = gen_prime(80, rng)
-        if p not in primes:
-            primes.append(p)
-    pub, priv = keypair_from_primes(primes, exponents)
+    primes, pub, priv = factoring_key(shape)
     events = []
     monkeypatch.setattr(attacks, "is_probable_prime", lambda m: events.append((m, None)) or is_probable_prime(m))
 
@@ -226,6 +240,125 @@ def test_primality_is_tested_on_wide_cofactors_only_when_they_are_prime(shape, m
             if exponents == [1] * len(exponents):
                 # each prime once, and each cofactor once after its failed trial
                 assert sorted(tested) == sorted(primes + list(failed))
+
+
+# find_factor calls under 3 psi(n) and the exponent modulus for rng seeds
+# 0..3, as recorded before the closed-form split was added: "012>2" is a trial
+# on p0 p1 p2 that split off p2, "01>" a trial on p0 p1 that failed.  Off exact
+# psi the closed form never fires, and the pop order moves no start x.
+SPLITTING_TRIALS = {
+    ("r2", "3psi"): [["01>1"], ["01>1"], ["01>0"], ["01>0"]],
+    ("r2", "lambda"): [["01>", "01>0"], ["01>1"], ["01>1"], ["01>1"]],
+    ("r3", "3psi"): [["012>2", "01>0"], ["012>0", "12>2"], ["012>2", "01>0"], ["012>2", "01>1"]],
+    ("r3", "lambda"): [["012>01", "01>", "01>0"], ["012>0", "12>2"], ["012>0", "12>1"], ["012>12", "12>1"]],
+    ("r4", "3psi"): [
+        ["0123>0", "123>23", "23>2"],
+        ["0123>3", "012>1", "02>0"],
+        ["0123>12", "03>3", "12>2"],
+        ["0123>3", "012>0", "12>1"],
+    ],
+    ("r4", "lambda"): [
+        ["0123>013", "013>0", "13>1"],
+        ["0123>3", "012>0", "12>1"],
+        ["0123>012", "012>0", "12>2"],
+        ["0123>013", "013>0", "13>1"],
+    ],
+    ("pp31", "3psi"): [["0001>000"], ["0001>000"], ["0001>1"], ["0001>1"]],
+    ("pp31", "lambda"): [["0001>1"], ["0001>1"], ["0001>000"], ["0001>000"]],
+    ("pp13", "3psi"): [["0111>0"], ["0111>111"], ["0111>0"], ["0111>111"]],
+    ("pp13", "lambda"): [["0111>0"], ["0111>0"], ["0111>", "0111>0"], ["0111>", "0111>0"]],
+    ("pp331", "3psi"): [
+        ["0001112>2", "01>0"],
+        ["0001112>000", "1112>111"],
+        ["0001112>000", "1112>2"],
+        ["0001112>000", "1112>111"],
+    ],
+    ("pp331", "lambda"): [
+        ["0001112>111", "0002>", "0002>2"],
+        ["0001112>1112", "1112>2"],
+        ["0001112>2", "01>", "01>", "01>", "01>0"],
+        ["0001112>000", "1112>2"],
+    ],
+}
+
+
+@pytest.mark.parametrize("shape", FACTORING_SHAPES)
+def test_splitting_trials_are_pinned(shape, monkeypatch):
+    # exact psi draws the same start x as 3 psi(n), which has the same odd part
+    # up to 3; on a square-free n it spends no trial on the last two primes,
+    # so r = 2, 3 and 4 take 0, 1 and 2 trials, and a prime power's
+    # multiplicity keeps the closed form off its cofactors
+    primes, pub, priv = factoring_key(shape)
+
+    def indices(m):
+        out = ""
+        for i, p in enumerate(primes):
+            while m % p == 0:
+                out, m = out + str(i), m // p
+        return out
+
+    calls = []
+
+    def spy_find_factor(m, psi_n, x):
+        f = find_factor(m, psi_n, x)
+        calls.append(f"{indices(m)}>{indices(f) if f else ''}")
+        return f
+
+    monkeypatch.setattr(attacks, "find_factor", spy_find_factor)
+    lam = exponent_modulus(priv.factors, priv.mode)
+    multiples = {"psi": psi(priv.factors), "3psi": 3 * psi(priv.factors), "lambda": lam}
+    seen = {}
+    for kind, psi_n in multiples.items():
+        for seed in range(4):
+            calls.clear()
+            assert full_factorization(pub.n, psi_n, random.Random(seed)) == list(priv.factors.factors)
+            seen.setdefault(kind, []).append(list(calls))
+    assert seen["3psi"] == SPLITTING_TRIALS[shape, "3psi"]
+    assert seen["lambda"] == SPLITTING_TRIALS[shape, "lambda"]
+    square_free = FACTORING_SHAPES[shape] == [1] * len(primes)
+    assert seen["psi"] == [trials[:-1] if square_free else trials for trials in seen["3psi"]]
+    if square_free:
+        assert [len(trials) for trials in seen["psi"]] == [len(primes) - 2] * 4
+
+
+@pytest.mark.parametrize("small", [[], [(2, 1), (3, 1)], [(2, 3), (3, 2)]])
+def test_two_primes_under_exact_psi_need_no_trial(small):
+    # the closed form divides psi of the 2s and 3s found first out of psi_n;
+    # 3 psi(n) has no closed form and runs out of trials, as it always did
+    _, _, priv = factoring_key("r2")
+    fm = FactoredModulus(small + list(priv.factors.factors))
+    assert full_factorization(fm.value, psi(fm), ExplodingRng(), max_trials=0) == list(fm.factors)
+    with pytest.raises(TrialBudgetExhausted):
+        full_factorization(fm.value, 3 * psi(fm), random.Random(0), max_trials=0)
+
+
+@settings(max_examples=60)
+@given(
+    bits=st.tuples(st.integers(16, 64), st.integers(16, 64)),
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(-(2**40), 2**40).filter(bool),
+    c=st.integers(2, 2**16),
+    data=st.data(),
+)
+def test_split_from_psi_returns_a_proper_divisor_or_zero(bits, seed, k, c, data):
+    # p + q = psi(pq) - pq - 1, so exact psi yields p; any other value yields
+    # 0 or a proper divisor, never 1, m or a non-divisor: 2m + 2 = psi of the
+    # trivial split 1 * m, and phi(m) gives the negative root -q
+    rng = random.Random(seed)
+    p = gen_prime(bits[0], rng)
+    q = gen_prime(bits[1], rng)
+    while q == p:
+        q = gen_prime(bits[1], rng)
+    p, q = sorted((p, q))
+    assert _split_from_psi(p * q, (p + 1) * (q + 1)) == p
+    assert _split_from_psi(p * p, (p + 1) ** 2) == p  # discriminant 0
+    for m, exact in ((p * q, (p + 1) * (q + 1)), (p * p, (p + 1) ** 2)):
+        below = data.draw(st.integers(0, 4 ** m.bit_length() - 1))
+        for other in (exact + k, c * exact, 2 * m + 2, (p - 1) * (q - 1), below):
+            f = _split_from_psi(m, other)
+            assert f == 0 or (1 < f < m and m % f == 0), (m, other, f)
+    assert _split_from_psi(p * q, 2 * p * q + 2) == 0
+    assert _split_from_psi(p * q, (p - 1) * (q - 1)) == 0
 
 
 @pytest.mark.parametrize("max_trials", [0, 1, 200])

@@ -152,6 +152,20 @@ def test_factor_given_psi(keys, capsys):
     assert capsys.readouterr().out == expected + "\n"
 
 
+def test_factor_splits_two_primes_in_closed_form_with_no_trial_budget(keys, capsys):
+    # exact psi needs no splitting trial; 3 psi(n) does and exits 3
+    _, pub, priv = keys
+    capsys.readouterr()
+
+    def factor(multiple):
+        return cli.dispatch(["factor", "--n", f"{pub.n:x}", "--psi", f"{multiple:x}", "--trials", "0", "--seed", "5"])
+
+    assert factor(psi(priv.factors)) == 0
+    assert capsys.readouterr().out == " * ".join(f"{p:x}^{e}" for p, e in priv.factors.factors) + "\n"
+    assert factor(3 * psi(priv.factors)) == 3
+    assert capsys.readouterr().err.startswith("TrialBudgetExhausted")
+
+
 def test_factor_takes_a_multiple_of_psi_below_n_squared_only(keys, capsys, alarm):
     # the exponent modulus factors n; the key's e d - 1, a multiple of it
     # wider than 2|n| bits, exits 1 before any splitting trial
