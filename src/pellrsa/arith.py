@@ -90,37 +90,28 @@ def crt_coefficients(moduli):
     return tuple(out)
 
 
-def crt_combine(residues, moduli, coefficients=None):
-    """Unique x mod prod(moduli) with x = residues[i] mod moduli[i].
+def crt_combine(residues, moduli, coefficients):
+    """Unique x mod prod(moduli) with x = residues[i] mod moduli[i], per coordinate.
 
-    A residue may also be a tuple of coordinates, such as a curve point:
-    tuples of one length combine coordinate-wise under one set of Garner
-    coefficients and a tuple comes back.  Moduli must be pairwise coprime
-    and above 1; when two share a factor, raises ImpossibleOperation
-    carrying the gcd of a modulus and the product of those before it.
-    coefficients, when given, must be crt_coefficients(moduli), which a
-    caller combining under the same moduli again keeps.  A length mismatch
-    anywhere, a modulus that is no int, or residues that are not all ints
-    or all int tuples of one length raise ValueError.
+    Each residue is a tuple of int coordinates, such as a curve point, all of
+    one width, and a tuple of that width comes back.  coefficients must be
+    crt_coefficients(moduli), which refuses moduli that share a factor.  A
+    length mismatch anywhere, a modulus that is no int, or a residue that is
+    no int tuple of the first one's width raise ValueError.
 
-        >>> crt_combine([(2, 1), (3, 0)], [5, 7])
+        >>> crt_combine([(2, 1), (3, 0)], [5, 7], crt_coefficients([5, 7]))
         (17, 21)
     """
     if len(residues) != len(moduli) or not moduli:
         raise ValueError("need equally many residues and moduli, at least one")
-    scalar = type(residues[0]) is int
-    rows = [(r,) if scalar else r for r in residues]
-    if any(type(m_i) is not int or not isinstance(row, tuple) or len(row) != len(rows[0])
-           or any(type(c) is not int for c in row) for row, m_i in zip(rows, moduli)):
-        raise ValueError("residues must be all ints or all int tuples of one length, moduli ints")
-    if coefficients is None:
-        coefficients = crt_coefficients(moduli)
-    xs, m = [r % moduli[0] for r in rows[0]], moduli[0]
-    for row, m_i, inv in zip(rows[1:], moduli[1:], coefficients, strict=True):
+    if any(type(m_i) is not int or not isinstance(row, tuple) or len(row) != len(residues[0])
+           or any(type(c) is not int for c in row) for row, m_i in zip(residues, moduli)):
+        raise ValueError("residues must be int tuples of one length, moduli ints")
+    xs, m = [r % moduli[0] for r in residues[0]], moduli[0]
+    for row, m_i, inv in zip(residues[1:], moduli[1:], coefficients, strict=True):
         xs = [x + m * ((r_i - x) * inv % m_i) for x, r_i in zip(xs, row)]
         m *= m_i
-    xs = tuple(x % m for x in xs)
-    return xs[0] if scalar else xs
+    return tuple(x % m for x in xs)
 
 
 def lucas_v(v, k, m):

@@ -16,9 +16,11 @@ a bare residue and modulus, encryption's and decryption's short ones to e
 with U for the caller's y.  point_pow runs the x-only Lucas ladder
 arith.lucas_v for an exponent it sees once, as factoring and primality do,
 and a LucasChain (Montgomery's PRAC, built by lucas_chain) for an exponent
-a decryption plan reuses.  param_mul, param_pow and the
-Redei-pair power redei_pow (one division at the end) have no library
-caller: they serve the tests of the paper's definitions and the
+a decryption plan reuses.  point_to_param compresses encryption's power on
+a bare modulus, as it never reads D, and param_to_point decompresses a
+ciphertext mod each prime power.  param_mul, param_pow and the Redei-pair
+power redei_pow (redei_eval's pair (a, b), one division at the end) have no
+library caller: they serve the tests of the paper's definitions and the
 benchmark's traces.
 """
 
@@ -44,13 +46,6 @@ INFINITY = _AtInfinity()
 class HyperbolaPoint(NamedTuple):
     x: int
     y: int
-
-
-class RedeiPair(NamedTuple):
-    """Coefficients (a, b) of (z + sqrt(D))^k = a + b*sqrt(D) mod the modulus."""
-
-    a: int
-    b: int
 
 
 @dataclass(frozen=True)
@@ -299,14 +294,13 @@ def param_pow(m, k, pp):
     return r
 
 
-def point_to_param(p, pp):
-    """Compress a point to its parameter (1 + x)/y.
+def point_to_param(p, n):
+    """Compress a point mod n to its parameter (1 + x)/y, whatever the curve's D.
 
     (1, 0) maps to INFINITY and (-1, 0) to 0.  A non-invertible y (or an
     x with x^2 = 1, x != +-1, possible only against a composite modulus)
     raises ImpossibleOperation with the revealed factor.
     """
-    n = pp.modulus
     x, y = p.x % n, p.y % n
     if y == 0:
         if x == 1 % n:
@@ -334,7 +328,7 @@ def param_to_point(m, pp):
 
 
 def redei_eval(d, z, k, modulus):
-    """Redei polynomial pair (A_k, B_k) for z, reduced mod the modulus.
+    """Redei polynomial pair (A_k, B_k) for z, reduced mod the modulus, as a tuple.
 
     Defined by (z + sqrt(D))^k = A_k + B_k sqrt(D), i.e. the entries of the
     k-th power of the matrix [[z, D], [1, z]].  Computed by binary powering
@@ -351,7 +345,7 @@ def redei_eval(d, z, k, modulus):
         a, b = (a * a + d * b * b) % n, 2 * a * b % n
         if bit == "1":
             a, b = (a * z + d * b) % n, (a + b * z) % n
-    return RedeiPair(a, b)
+    return a, b
 
 
 def redei_pow(m, k, pp):

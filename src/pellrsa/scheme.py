@@ -13,7 +13,7 @@ p, so the private exponent shrinks to the size of one prime per factor, and
 the results recombine by CRT.  That exponent reduction is where the speedup
 over two-prime moduli comes from.  A key's decryption plan
 (PrivateKey.plan), built at its first decryption, holds per prime p^k one
-PlanRow per group order: p, k, p^k, the order and d reduced mod it;
+PlanRow per group order: p, p^k, the order and d reduced mod it;
 reduced_private_exponents picks each prime's row for a D.  One loop over the
 rows serves both ciphertext kinds, told apart by class, and never works mod
 N: per prime the ciphertext becomes a point on the curve mod p^k, by
@@ -35,12 +35,12 @@ predicts a speedup of r^2/2 over two-prime CRT-RSA.  A chain spends about
 which predicts 1.5/1.63 = 0.92 of r^2/2, and the check's
 product_ladder_cost(e), 35 per prime at e = 65537 or 3.1% of a 683-bit
 chain, lowers that from 4.1 to 4.0 for r = 3 (the ladder's 2 per bit
-predicted 3.3).  The benchmark measures about 2.7 for r = 3: a product's
-interpreter overhead and reduction weigh more at 683 bits than at 1024.
-With s primes counted with multiplicity (s = e1 + ... + er), the ladders
-run at |N|/s bits instead of |N|/r, and a ladder's cost grows as the cube
-of its width, so r^2/2 scales by (s/r)^3 to s^3/(2r) (16 for p^3 q), plus
-the lifts.
+predicted 3.3).  At 2048 bits the benchmark measures about 2.8 for r = 3:
+a product's interpreter overhead and reduction weigh more at 683 bits than
+at 1024.  With s primes counted with multiplicity (s = e1 + ... + er), the
+ladders run at |N|/s bits instead of |N|/r, and a ladder's cost grows as
+the cube of its width, so r^2/2 scales by (s/r)^3 to s^3/(2r) (16 for
+p^3 q), plus the lifts; the benchmark measures about 6.0 for p^3 q.
 
 Two private-exponent modes exist because the sender can only test the
 Jacobi symbol of mx^2 - 1, not the residuosity mod the secret primes:
@@ -123,6 +123,8 @@ class PrivateKey:
     def __post_init__(self):
         if type(self.mode) is not Mode:
             raise ValueError("mode must be a Mode member")
+        if type(self.factors) is not FactoredModulus:
+            raise ValueError("factors must be a FactoredModulus")
         if len(self.factors.factors) < 2:
             raise ValueError("need at least two primes")
         if any(p % 2 == 0 or k % 2 == 0 for p, k in self.factors.factors):
@@ -151,7 +153,7 @@ class PrivateKey:
         the key covers (_group_orders).  Like garner it is no field: ==,
         hash, repr and the key file ignore it."""
         return tuple(
-            {order: PlanRow(p, k, p**k, order, self.d % order) for order in _group_orders(p, self.mode)}
+            {order: PlanRow(p, p**k, order, self.d % order) for order in _group_orders(p, self.mode)}
             for p, k in self.factors.factors
         )
 
@@ -163,7 +165,7 @@ class PrivateKey:
 
 @dataclass(eq=False)
 class PlanRow:
-    """One group order of a prime p^k: p, k, q = p^k, the order, d_i = d mod it, a chain slot.
+    """One group order of a prime p^k: p, q = p^k, the order, d_i = d mod it, a chain slot.
 
     The first use of a row runs the binary ladder; the second builds a
     Lucas chain for d_i (pell.lucas_chain), which every later use runs.  A
@@ -173,7 +175,6 @@ class PlanRow:
     """
 
     p: int
-    k: int
     q: int
     order: int
     d_i: int
@@ -237,8 +238,9 @@ def keypair_from_primes(primes, exponents, e=None, mode=Mode.ROBUST):
     Primes must be distinct odd primes, exponents odd and >= 1.  With
     e=None the public exponent is the smallest odd integer >= 65537 coprime
     to the exponent modulus and not 1 mod it; an explicit e that is no odd
-    int >= 3 coprime to the exponent modulus, or that is 1 mod it and so
-    encrypts every message to itself, raises BadExponentChoice.
+    int >= 3 of at most MAX_MODULUS_BITS bits coprime to the exponent
+    modulus, or that is 1 mod it and so encrypts every message to itself,
+    raises BadExponentChoice.
     """
     factors = FactoredModulus(zip(primes, exponents, strict=True))
     lam = exponent_modulus(factors, mode)
@@ -246,8 +248,9 @@ def keypair_from_primes(primes, exponents, e=None, mode=Mode.ROBUST):
         e = DEFAULT_PUBLIC_EXPONENT
         while math.gcd(e, lam) != 1 or e % lam == 1:
             e += 2
-    elif type(e) is not int or e < 3 or e % 2 == 0 or math.gcd(e, lam) != 1 or e % lam == 1:
-        raise BadExponentChoice(f"e={e} unusable (gcd with exponent modulus != 1, e = 1 mod it, or e < 3 odd)")
+    elif (type(e) is not int or e < 3 or e % 2 == 0 or e.bit_length() > MAX_MODULUS_BITS
+          or math.gcd(e, lam) != 1 or e % lam == 1):
+        raise BadExponentChoice("e unusable (gcd with exponent modulus != 1, e = 1 mod it, e < 3 odd, or too wide)")
     d = mod_inv(e, lam)
     return PublicKey(factors.value, e), PrivateKey(factors, d, mode)
 
@@ -304,7 +307,7 @@ def encrypt(pk, msg, mode=Mode.ROBUST):
     parameter of the point ciphertext.  Raises ImpossibleOperation when that
     point's y is no unit, which a robust key's e rules out."""
     ct = encrypt_point(pk, msg, mode)
-    c = point_to_param(HyperbolaPoint(ct.cx, ct.cy), PellParams(pk.n, ct.d_coef))
+    c = point_to_param(HyperbolaPoint(ct.cx, ct.cy), pk.n)
     if c is INFINITY:
         # message point order divides e; only conceivable for toy primes
         raise MessageNotEncryptable("message parameter collapses to the identity")
@@ -370,7 +373,7 @@ def _decrypt(sk, ct, kind):
             raise DecryptionFailure(f"decompression: c^2 - D is no unit mod prime {i}") from None
         if not pp.on_curve(*c):
             raise DecryptionFailure(f"curve: the ciphertext point is off the curve mod prime {i}")
-        roots.append(_root(c, pp, row, sk, i))
+        roots.append(_root(c, pp.d, row, sk, i))
     mx, my = crt_combine(roots, [row.q for row in rows], sk.garner)
     if (mx * mx - d_coef * my * my) % sk.n != 1:
         raise DecryptionFailure("crt: the recovered point is not on the curve")
@@ -379,9 +382,9 @@ def _decrypt(sk, ct, kind):
     return MessagePair(mx, my)
 
 
-def _root(c, pp, row, sk, i):
-    """The e-th root c^(d_i) of c on the curve pp mod row.q = p^k, for the
-    key sk's e and d, checked mod p by its power to e, then lifted to p^k.
+def _root(c, dq, row, sk, i):
+    """The e-th root c^(d_i) of c on x^2 - dq y^2 = 1 mod row.q = p^k, for
+    the key sk's e and d, checked mod p by its power to e, then lifted to p^k.
 
     c with y = 0 mod p is (+-1, 0), a fixed point of the odd d_i, so no
     message; it is refused before the row counts a use (PlanRow.use) and
@@ -410,7 +413,7 @@ def _root(c, pp, row, sk, i):
         raise DecryptionFailure(f"ladder: the ciphertext has y = 0 mod prime {i}")
     if (chain := row.use()) is not None and chain.k != d_i:
         raise DecryptionFailure(f"verify: the row's chain raises to another exponent than d_i mod prime {i}")
-    x = point_pow(c.x, d_i, PellParams(p, pp.d % p), chain=chain)
+    x = point_pow(c.x, d_i, PellParams(p, dq % p), chain=chain)
     t, u = chebyshev(x, sk.e % order, p)
     if t != c.x % p:
         raise DecryptionFailure(f"verify: the root's e-th power is not the ciphertext mod prime {i}")
@@ -418,7 +421,7 @@ def _root(c, pp, row, sk, i):
     e = sk.e % (row.q // p * order)
     while q < row.q:
         q = min(q**3, row.q)
-        dq, half = pp.d % q, (q + 1) // 2
+        half = (q + 1) // 2
         x, y = m
         h = (x * x - dq * y * y - 1) * half % q  # U/2
         s = (1 - h + 3 * h * h * half) % q

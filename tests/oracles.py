@@ -1,5 +1,16 @@
 """Reference implementations that more than one test module checks against."""
 
+import math
+
+
+def crt(residues, moduli):
+    """x mod prod(moduli) with x = residues[i] mod moduli[i], by the textbook
+    sum of r_i M_i (M_i^-1 mod m_i) with M_i = prod(moduli) / m_i; the
+    library's crt_combine takes coordinate tuples under Garner's coefficients.
+    """
+    m = math.prod(moduli)
+    return sum(r * (m // m_i) * pow(m // m_i, -1, m_i) for r, m_i in zip(residues, moduli)) % m
+
 
 def miller_rabin(n, rng, rounds=40):
     """Miller-Rabin to `rounds` bases drawn from rng.

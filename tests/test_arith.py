@@ -21,7 +21,7 @@ from pellrsa.arith import (
     mod_inv,
 )
 from pellrsa.errors import ImpossibleOperation
-from oracles import miller_rabin
+from oracles import crt, miller_rabin
 
 
 # ---- independent oracles ----
@@ -189,19 +189,19 @@ def test_jacobi_multiplicative_at_crypto_sizes(n, a, b, twos, residues):
 
 def test_crt_frozen_example():
     assert crt_by_search([2, 3], [5, 7]) == 17
-    assert crt_combine([2, 3], [5, 7]) == 17
-    # tuples combine coordinate-wise: 1 mod 5 and 0 mod 7 is 21
-    assert crt_combine([(2, 1), (3, 0)], [5, 7]) == (17, 21)
+    assert crt([2, 3], [5, 7]) == 17
+    # coordinate-wise: 1 mod 5 and 0 mod 7 is 21
+    assert crt_combine([(2, 1), (3, 0)], [5, 7], (3,)) == (17, 21)
 
 
 def test_crt_trivial_cases():
-    assert crt_combine([0, 0], [11, 13]) == 0
-    assert crt_combine([1], [997]) == 1
+    assert crt_combine([(0,), (0,)], [11, 13], crt_coefficients([11, 13])) == (0,)
+    assert crt_combine([(1, 2)], [997], ()) == (1, 2)
 
 
 def test_crt_rejects_common_factor():
     with pytest.raises(ImpossibleOperation) as info:
-        crt_combine([1, 2], [6, 15])
+        crt_coefficients([6, 15])
     assert info.value.factor == 3
     with pytest.raises(ImpossibleOperation) as info:
         crt_coefficients([7, 5, 21])
@@ -210,30 +210,32 @@ def test_crt_rejects_common_factor():
 
 def test_crt_refuses_too_few_coefficients():
     # zip stopped at the one coefficient and returned 16, not 366
-    assert crt_combine([1, 2, 3], [5, 7, 11]) == 366
+    assert crt_combine([(1,), (2,), (3,)], [5, 7, 11], crt_coefficients([5, 7, 11])) == (366,)
     with pytest.raises(ValueError):
-        crt_combine([1, 2, 3], [5, 7, 11], (3,))
+        crt_combine([(1,), (2,), (3,)], [5, 7, 11], (3,))
 
 
 def test_crt_refuses_residue_tuples_of_unequal_lengths():
     # zip dropped the second coordinate and returned (31,)
     with pytest.raises(ValueError):
-        crt_combine([(1, 2), (3,)], [5, 7])
+        crt_combine([(1, 2), (3,)], [5, 7], (3,))
 
 
 MIXED_CRT_INPUTS = {
+    "scalars": ([1, 2], [5, 7]),
     "scalar-then-tuple": ([1, (2, 3)], [5, 7]),
     "tuple-then-scalar": ([(1, 2), 3], [5, 7]),
-    "float-residue": ([1, 2.0], [5, 7]),
-    "float-modulus": ([1, 2], [5.0, 7]),
+    "float-residue": ([(1,), (2.0,)], [5, 7]),
+    "float-modulus": ([(1,), (2,)], [5.0, 7]),
 }
 
 
 @pytest.mark.parametrize("case", MIXED_CRT_INPUTS)
 def test_crt_refuses_mixed_or_non_int_inputs(case):
-    # each leaked a TypeError, or returned a float for the float residue
+    # residues are tuples only; mixed scalars and tuples once leaked a
+    # TypeError, and a float residue returned a float
     with pytest.raises(ValueError, match="residues must be"):
-        crt_combine(*MIXED_CRT_INPUTS[case])
+        crt_combine(*MIXED_CRT_INPUTS[case], (3,))
 
 
 def test_crt_coefficients_refuse_no_moduli():
@@ -249,13 +251,11 @@ def test_crt_reproduces_residues():
         if any(math.gcd(a, b) > 1 for i, a in enumerate(moduli) for b in moduli[i + 1:]):
             continue
         residues = [rng.randrange(0, m) for m in moduli]
-        x = crt_combine(residues, moduli)
-        assert crt_combine(residues, moduli, crt_coefficients(moduli)) == x
+        others = [rng.randrange(-m, 2 * m) for m in moduli]
+        x, y = crt_combine(list(zip(residues, others)), moduli, crt_coefficients(moduli))
         assert 0 <= x < math.prod(moduli)
         assert all(x % m == r for r, m in zip(residues, moduli))
-        others = [rng.randrange(-m, 2 * m) for m in moduli]
-        pairs = list(zip(residues, others))
-        assert crt_combine(pairs, moduli) == (x, crt_combine(others, moduli))
+        assert (x, y) == (crt(residues, moduli), crt(others, moduli))
 
 
 # ---- gen_prime ----

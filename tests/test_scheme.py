@@ -15,7 +15,7 @@ from pellrsa.errors import (
     MessageNotEncryptable,
     RandomnessExhausted,
 )
-from pellrsa.arith import MAX_MODULUS_BITS, crt_combine, gen_prime, jacobi, mod_inv
+from pellrsa.arith import MAX_MODULUS_BITS, crt_coefficients, crt_combine, gen_prime, jacobi, mod_inv
 from pellrsa.keyfmt import dump_ciphertext, dump_private_key, dump_public_key, load_private_key
 from pellrsa.pell import (
     INFINITY,
@@ -44,7 +44,7 @@ from pellrsa.scheme import (
     reduced_private_exponents,
     validate_message,
 )
-from oracles import miller_rabin
+from oracles import crt, miller_rabin
 
 
 def small_keypair(rng, r=2, bits=32, mode=Mode.ROBUST, exponents=None):
@@ -88,7 +88,7 @@ def crt_decrypt_with(param_power, sk, ct):
         m_i, order = p**k, p ** (k - 1) * (p - jacobi(ct.d_coef, p))
         residues.append(param_power(ct.c % m_i, sk.d % order, PellParams(m_i, ct.d_coef % m_i)))
         moduli.append(m_i)
-    pt = param_to_point(crt_combine(residues, moduli), PellParams(sk.n, ct.d_coef % sk.n))
+    pt = param_to_point(crt(residues, moduli), PellParams(sk.n, ct.d_coef % sk.n))
     return MessagePair(pt.x, pt.y)
 
 
@@ -125,6 +125,17 @@ def test_a_public_exponent_of_1_mod_the_exponent_modulus_is_refused(primes, e, m
     # d = 1, and encryption returned the message point itself
     with pytest.raises(BadExponentChoice, match="e = 1 mod it"):
         keypair_from_primes(primes, [1, 1], e=e, mode=mode)
+
+
+@pytest.mark.parametrize("e", [2**16000, 2**20000 + 1], ids=["even-16001-bits", "odd-20001-bits"])
+def test_a_public_exponent_wider_than_a_modulus_is_refused(e):
+    # the first leaked a ValueError from formatting e in decimal, the second
+    # passed the check and leaked PublicKey's ValueError
+    with pytest.raises(BadExponentChoice, match="^e unusable"):
+        keypair_from_primes([5, 7], [1, 1], e=e)
+    if e % 2:
+        with pytest.raises(BadExponentChoice, match="^e unusable"):
+            keygen(2, [1, 1], 16, random.Random(1), e=e)
 
 
 def test_the_default_public_exponent_skips_1_mod_the_exponent_modulus():
@@ -520,11 +531,10 @@ def test_reduced_exponents_divide_and_invert(exponents):
     msg = random_message(pub, rng)
     ct = encrypt(pub, msg)
     rows = reduced_private_exponents(priv, ct.d_coef)
-    assert [(row.p, row.k) for row in rows] == list(priv.factors.factors)
-    for row in rows:
-        p, k, order = row.p, row.k, row.order
+    assert [(row.p, row.q) for row in rows] == [(p, p**k) for p, k in priv.factors.factors]
+    for row, (p, k) in zip(rows, priv.factors.factors):
+        order = row.order
         # the ladder runs mod p, a prime power included: d mod p + 1 or p - 1
-        assert row.q == p**k
         assert order == p - jacobi(ct.d_coef, p)
         assert row.d_i == priv.d % order < p + 1
         assert pub.e * row.d_i % order == 1
@@ -663,6 +673,8 @@ NOT_INTS = {
     "ct-point-to-decrypt": (lambda: decrypt(PRIV35, PCT35), DecryptionFailure),
     "ct-compressed-to-decrypt-point": (lambda: decrypt_point(PRIV35, Ciphertext(34, 18)), DecryptionFailure),
     "ct-tuple": (lambda: decrypt(PRIV35, (1, 2)), DecryptionFailure),
+    "priv-factors-pairs": (lambda: PrivateKey(((5, 1), (7, 1)), 5, Mode.ROBUST), ValueError),
+    "priv-factors-none": (lambda: PrivateKey(None, 5, Mode.ROBUST), ValueError),
 }
 
 
@@ -708,7 +720,7 @@ def test_fields_that_are_not_ints_are_refused(case):
 def splice(pub, priv, i, value, other):
     """The integer equal to value mod the i-th prime power and other mod the rest."""
     p, k = priv.factors.factors[i]
-    return crt_combine([value % p**k, other], [p**k, pub.n // p**k])
+    return crt([value, other], [p**k, pub.n // p**k])
 
 
 @pytest.mark.parametrize("exponents", [[1, 1, 1], [3, 1]])
@@ -780,6 +792,25 @@ def test_work_per_decryption_is_pinned(monkeypatch, exponents, inversions):
 
 
 @pytest.mark.parametrize("exponents", [[1, 1, 1], [3, 1]])
+def test_curves_built_per_request_are_pinned(monkeypatch, exponents):
+    # encryption builds no curve: compression reads the bare modulus.  A
+    # decryption builds two per prime power, whichever use of the row: the
+    # ciphertext's curve mod p^k, and the curve mod p that point_pow reads
+    rng = random.Random(32)
+    pub, priv = small_keypair(rng, r=len(exponents), bits=32, exponents=exponents)
+    msg = random_message(pub, rng)
+    built = []
+    monkeypatch.setattr(scheme, "PellParams", lambda n, d: built.append(n) or PellParams(n, d))
+    requests = [(decrypt, encrypt(pub, msg)), (decrypt_point, encrypt_point(pub, msg))]
+    assert built == []
+    expected = sorted(q for p, k in priv.factors.factors for q in (p, p**k))
+    for dec, ct in requests * 3:
+        built.clear()
+        assert dec(priv, ct) == msg
+        assert sorted(built) == expected
+
+
+@pytest.mark.parametrize("exponents", [[1, 1, 1], [3, 1]])
 @pytest.mark.parametrize("sign", [1, -1])
 def test_decrypt_point_rejects_points_that_are_no_message(sign, exponents):
     # (+-1, 0) lie on every curve and are their own powers; my = 0 is no unit,
@@ -799,7 +830,7 @@ def test_decrypt_rejects_parameter_vanishing_mod_one_prime(exponents, zeroed):
     ct = encrypt(pub, random_message(pub, rng))
     i = [k for _, k in priv.factors.factors].index(zeroed)
     p, k = priv.factors.factors[i]
-    c = crt_combine([0, ct.c], [p**k, pub.n // p**k])
+    c = crt([0, ct.c], [p**k, pub.n // p**k])
     with pytest.raises(DecryptionFailure, match=f"^ladder: .* prime {i}$"):
         decrypt(priv, Ciphertext(c, ct.d_coef))
 
@@ -817,7 +848,8 @@ def test_decrypt_point_names_the_one_prime_where_y_vanishes(exponents):
         t, u = chebyshev(ct.cx, p - jacobi(ct.d_coef, p), q)
         z = HyperbolaPoint(t, ct.cy * u % q)
         assert z.y % p == 0 and (z.y != 0) == (k > 1)
-        cx, cy = crt_combine([z, (ct.cx, ct.cy)], [q, pub.n // q])
+        moduli = [q, pub.n // q]
+        cx, cy = crt_combine([z, (ct.cx, ct.cy)], moduli, crt_coefficients(moduli))
         assert PellParams(pub.n, ct.d_coef).on_curve(cx, cy)
         with pytest.raises(DecryptionFailure, match=f"^ladder: .* y = 0 mod prime {i}$"):
             decrypt_point(priv, PointCiphertext(cx, cy, ct.d_coef))
@@ -865,7 +897,7 @@ def test_decrypt_names_the_prime_where_the_parameter_does_not_decompress(exponen
                 continue
             s = pow(ct.d_coef, (p + 1) // 4, p)
             assert (s * s - ct.d_coef) % p == 0
-            c = crt_combine([s, ct.c], [p**k, pub.n // p**k])
+            c = crt([s, ct.c], [p**k, pub.n // p**k])
             with pytest.raises(DecryptionFailure, match=f"prime {i}$"):
                 decrypt(priv, Ciphertext(c, ct.d_coef))
             tested.add(i)
