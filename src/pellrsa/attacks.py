@@ -75,9 +75,7 @@ def _draw_non_residue(n, rng):
 
 
 def _iroot(n, k):
-    """Integer k-th root (floor) by Newton iteration."""
-    if n < 2:
-        return n
+    """Integer k-th root (floor) of n >= 2 by Newton iteration."""
     x = 1 << -(-n.bit_length() // k)
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k

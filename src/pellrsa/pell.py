@@ -17,11 +17,11 @@ with U for the caller's y.  point_pow runs the x-only Lucas ladder
 arith.lucas_v for an exponent it sees once, as factoring and primality do,
 and a LucasChain (Montgomery's PRAC, built by lucas_chain) for an exponent
 a decryption plan reuses.  point_to_param compresses encryption's power on
-a bare modulus, as it never reads D, and param_to_point decompresses a
-ciphertext mod each prime power.  param_mul, param_pow and the Redei-pair
-power redei_pow (redei_eval's pair (a, b), one division at the end) have no
-library caller: they serve the tests of the paper's definitions and the
-benchmark's traces.
+a bare modulus, as it never reads D, and param_to_point(m, n, d), on a bare
+modulus and coefficient, decompresses a ciphertext mod each prime power.
+param_mul, param_pow and the Redei-pair power redei_pow (redei_eval's pair
+(a, b), one division at the end) have no library caller: they serve the
+tests of the paper's definitions and the benchmark's traces.
 """
 
 from dataclasses import dataclass
@@ -69,9 +69,6 @@ class PellParams:
 
     def on_curve(self, x, y):
         return (x * x - self.d * y * y) % self.modulus == 1 % self.modulus
-
-    def identity(self):
-        return HyperbolaPoint(1 % self.modulus, 0)
 
 
 def point_pow(x, k, pp, chain=None):
@@ -241,19 +238,11 @@ def ladder_cost(k):
     """Modular multiplications of point_pow's ladder for an exponent k >= 1.
 
     One for V_2 = V_1^2 - 2, then two per exponent bit after the leading one,
-    and no inversion; a root's y adds product_ladder_cost(e) and an inversion.
-    A LucasChain costs len(chain.ops).
+    and no inversion; a root's y adds chebyshev's power to e (two per bit of
+    e and two per one bit, both after the leading one), one product that
+    scales y by U, and an inversion.  A LucasChain costs len(chain.ops).
     """
     return 2 * (k.bit_length() - 1) + 1
-
-
-def product_ladder_cost(k):
-    """Modular multiplications of a point's k-th power, for k >= 1.
-
-    chebyshev takes two per squaring and two per multiply step; one more
-    scales y by U at the end.
-    """
-    return 2 * (k.bit_length() - 1) + 2 * (k.bit_count() - 1) + 1
 
 
 def param_mul(a, b, pp):
@@ -312,15 +301,15 @@ def point_to_param(p, n):
     return (1 + x) * mod_inv(y, n) % n
 
 
-def param_to_point(m, pp):
-    """Decompress a parameter to ((m^2 + D)/(m^2 - D), 2m/(m^2 - D)).
+def param_to_point(m, n, d):
+    """Decompress a parameter m mod n onto x^2 - d y^2 = 1 as
+    ((m^2 + d)/(m^2 - d), 2m/(m^2 - d)).
 
-    INFINITY maps to (1, 0).  Raises ImpossibleOperation when m^2 - D is
-    not invertible.
+    INFINITY maps to (1, 0).  Raises ImpossibleOperation when m^2 - d is
+    not invertible mod n.
     """
-    n, d = pp.modulus, pp.d
     if isinstance(m, _AtInfinity):
-        return pp.identity()
+        return HyperbolaPoint(1, 0)
     m %= n
     den = (m * m - d) % n
     inv = mod_inv(den, n)

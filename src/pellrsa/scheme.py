@@ -32,15 +32,16 @@ DecryptionFailure names its stage and, before CRT, the prime's index.
 The paper counts one multiplication per exponent bit on both sides and
 predicts a speedup of r^2/2 over two-prime CRT-RSA.  A chain spends about
 1.63 products per exponent bit against square-and-multiply RSA's 1.5,
-which predicts 1.5/1.63 = 0.92 of r^2/2, and the check's
-product_ladder_cost(e), 35 per prime at e = 65537 or 3.1% of a 683-bit
-chain, lowers that from 4.1 to 4.0 for r = 3 (the ladder's 2 per bit
-predicted 3.3).  At 2048 bits the benchmark measures about 2.8 for r = 3:
-a product's interpreter overhead and reduction weigh more at 683 bits than
-at 1024.  With s primes counted with multiplicity (s = e1 + ... + er), the
-ladders run at |N|/s bits instead of |N|/r, and a ladder's cost grows as
-the cube of its width, so r^2/2 scales by (s/r)^3 to s^3/(2r) (16 for
-p^3 q), plus the lifts; the benchmark measures about 6.0 for p^3 q.
+which predicts 1.5/1.63 = 0.92 of r^2/2, and the check's power to e, two
+products per bit and per one bit of e past the leading one and one for y
+(35 per prime at e = 65537, 3.1% of a 683-bit chain), lowers that from 4.1
+to 4.0 for r = 3 (the ladder's 2 per bit predicted 3.3).  At 2048 bits the
+benchmark measures about 2.8 for r = 3: a product's interpreter overhead
+and reduction weigh more at 683 bits than at 1024.  With s primes counted
+with multiplicity (s = e1 + ... + er), the ladders run at |N|/s bits
+instead of |N|/r, and a ladder's cost grows as the cube of its width, so
+r^2/2 scales by (s/r)^3 to s^3/(2r) (16 for p^3 q), plus the lifts; the
+benchmark measures about 6.0 for p^3 q.
 
 Two private-exponent modes exist because the sender can only test the
 Jacobi symbol of mx^2 - 1, not the residuosity mod the secret primes:
@@ -244,15 +245,20 @@ def keypair_from_primes(primes, exponents, e=None, mode=Mode.ROBUST):
     """
     factors = FactoredModulus(zip(primes, exponents, strict=True))
     lam = exponent_modulus(factors, mode)
+    _refuse_unusable_e(e, lam)
     if e is None:
         e = DEFAULT_PUBLIC_EXPONENT
         while math.gcd(e, lam) != 1 or e % lam == 1:
             e += 2
-    elif (type(e) is not int or e < 3 or e % 2 == 0 or e.bit_length() > MAX_MODULUS_BITS
-          or math.gcd(e, lam) != 1 or e % lam == 1):
-        raise BadExponentChoice("e unusable (gcd with exponent modulus != 1, e = 1 mod it, e < 3 odd, or too wide)")
     d = mod_inv(e, lam)
     return PublicKey(factors.value, e), PrivateKey(factors, d, mode)
+
+
+def _refuse_unusable_e(e, lam=None):
+    """BadExponentChoice for an explicit e no key takes; without lam, only type, parity, width and e < 3 count."""
+    if e is not None and (type(e) is not int or e < 3 or e % 2 == 0 or e.bit_length() > MAX_MODULUS_BITS
+                          or lam is not None and (math.gcd(e, lam) != 1 or e % lam == 1)):
+        raise BadExponentChoice("e unusable (gcd with exponent modulus != 1, e = 1 mod it, e < 3 odd, or too wide)")
 
 
 def keygen(r, exponents, prime_bits, rng, e=None, mode=Mode.ROBUST):
@@ -261,7 +267,8 @@ def keygen(r, exponents, prime_bits, rng, e=None, mode=Mode.ROBUST):
     The modulus size is roughly prime_bits * sum(exponents).  An r,
     prime_bits or exponent that is no int (a bool included), r < 2, other
     than r exponents, an exponent that is even or below 1, and a size above
-    MAX_MODULUS_BITS raise ValueError before any prime is drawn.  Colliding
+    MAX_MODULUS_BITS raise ValueError, and an e no key takes BadExponentChoice
+    (its type, parity, width and e < 3), before any prime is drawn.  Colliding
     primes are redrawn; r + PRIME_REDRAWS draws without r distinct primes
     (fewer may have prime_bits bits) raise RandomnessExhausted.
     """
@@ -270,6 +277,7 @@ def keygen(r, exponents, prime_bits, rng, e=None, mode=Mode.ROBUST):
         raise ValueError("need ints: r >= 2 primes, prime_bits and one odd exponent >= 1 for each")
     if prime_bits * sum(exponents) > MAX_MODULUS_BITS:
         raise ValueError(f"modulus exceeds {MAX_MODULUS_BITS} bits")
+    _refuse_unusable_e(e)
     primes = []
     for _ in range(r + PRIME_REDRAWS):
         if (p := gen_prime(prime_bits, rng)) not in primes:
@@ -366,14 +374,14 @@ def _decrypt(sk, ct, kind):
     d_coef, roots = ct.d_coef, []
     rows = reduced_private_exponents(sk, d_coef)
     for i, row in enumerate(rows):
-        pp = PellParams(row.q, d_coef % row.q)
+        q, dq = row.q, d_coef % row.q
         try:
-            c = param_to_point(ct.c, pp) if kind is Ciphertext else HyperbolaPoint(ct.cx % row.q, ct.cy % row.q)
+            c = param_to_point(ct.c, q, dq) if kind is Ciphertext else HyperbolaPoint(ct.cx % q, ct.cy % q)
         except ImpossibleOperation:
             raise DecryptionFailure(f"decompression: c^2 - D is no unit mod prime {i}") from None
-        if not pp.on_curve(*c):
+        if (c.x * c.x - dq * c.y * c.y) % q != 1:
             raise DecryptionFailure(f"curve: the ciphertext point is off the curve mod prime {i}")
-        roots.append(_root(c, pp.d, row, sk, i))
+        roots.append(_root(c, dq, row, sk, i))
     mx, my = crt_combine(roots, [row.q for row in rows], sk.garner)
     if (mx * mx - d_coef * my * my) % sk.n != 1:
         raise DecryptionFailure("crt: the recovered point is not on the curve")

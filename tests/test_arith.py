@@ -70,6 +70,8 @@ def test_mod_inv_frozen_example():
     g, x, _ = egcd_oracle(16, 35)
     assert g == 1 and x % 35 == 11
     assert mod_inv(16, 35) == 11
+    with pytest.raises(ValueError, match="^modulus must be >= 2$"):
+        mod_inv(3, 1)
 
 
 def test_mod_inv_shared_factor_carries_gcd():
@@ -213,6 +215,9 @@ def test_crt_refuses_too_few_coefficients():
     assert crt_combine([(1,), (2,), (3,)], [5, 7, 11], crt_coefficients([5, 7, 11])) == (366,)
     with pytest.raises(ValueError):
         crt_combine([(1,), (2,), (3,)], [5, 7, 11], (3,))
+    # so are fewer residues than moduli
+    with pytest.raises(ValueError, match="^need equally many residues and moduli"):
+        crt_combine([(1,)], [5, 7], (3,))
 
 
 def test_crt_refuses_residue_tuples_of_unequal_lengths():
@@ -242,6 +247,8 @@ def test_crt_coefficients_refuse_no_moduli():
     # moduli[0] used to leak an IndexError
     with pytest.raises(ValueError, match="at least one modulus"):
         crt_coefficients([])
+    with pytest.raises(ValueError, match="at least one$"):
+        crt_combine([], [], ())
 
 
 def test_crt_reproduces_residues():
@@ -404,6 +411,8 @@ def test_factored_modulus_rejects_bad_input():
         FactoredModulus([(5, 1), (5, 2)])  # repeated prime
     with pytest.raises(ValueError):
         FactoredModulus([(5, 0)])  # exponent < 1
+    with pytest.raises(ValueError, match="^at least one prime factor required$"):
+        FactoredModulus(())
     # 2^16000 has 4817 decimal digits, more than str() converts: hex it is
     with pytest.raises(ValueError, match=f"^{1 << 16000:#x} is not prime$"):
         FactoredModulus([(1 << 16000, 1)])

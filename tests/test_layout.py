@@ -138,7 +138,6 @@ def test_uncalled_functions_are_found():
 UNCALLED = [
     "impossible_op_probability",
     "param_pow",
-    "product_ladder_cost",
     "psi",
     "random_message",
     "redei_pow",

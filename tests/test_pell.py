@@ -25,7 +25,6 @@ from pellrsa.pell import (
     param_to_point,
     point_pow,
     point_to_param,
-    product_ladder_cost,
     psi,
     redei_eval,
     redei_pow,
@@ -72,16 +71,25 @@ def enumerate_hyperbola(p, r, d):
 
 def naive_point_pow(p, k, pp):
     """k-fold product by literal repeated Brahmagupta multiplication."""
-    acc = pp.identity()
+    acc = HyperbolaPoint(1, 0)
     for _ in range(k):
         acc = point_mul(acc, p, pp)
     return acc
 
 
+def product_ladder_cost(k):
+    """Modular multiplications of a point's k-th power, for k >= 1.
+
+    chebyshev takes two per squaring and two per multiply step; one more
+    scales y by U at the end.
+    """
+    return 2 * (k.bit_length() - 1) + 2 * (k.bit_count() - 1) + 1
+
+
 def chain_pow(pt, k, pp):
     """pt^k by chebyshev, y scaled by U_{k-1}; the identity for k = 0."""
     if k == 0:
-        return pp.identity()
+        return HyperbolaPoint(1, 0)
     t, u = chebyshev(pt.x, k, pp.modulus)
     return HyperbolaPoint(t, pt.y * u % pp.modulus)
 
@@ -161,8 +169,8 @@ def count_products(fn, *args):
 
 def test_point_identity_and_inverse():
     pt = HyperbolaPoint(2, 2)
-    assert point_mul(pt, PP5.identity(), PP5) == pt
-    assert point_mul(pt, HyperbolaPoint(2, 3), PP5) == PP5.identity()  # (2,-2) = (2,3)
+    assert point_mul(pt, HyperbolaPoint(1, 0), PP5) == pt
+    assert point_mul(pt, HyperbolaPoint(2, 3), PP5) == HyperbolaPoint(1, 0)  # (2,-2) = (2,3)
 
 
 def test_point_mul_frozen_example():
@@ -256,8 +264,8 @@ def test_compress_leaks_factor_for_exotic_square_roots():
 
 
 def test_decompress_special_values():
-    assert param_to_point(INFINITY, PP35) == HyperbolaPoint(1, 0)
-    assert param_to_point(0, PP35) == HyperbolaPoint(34, 0)
+    assert param_to_point(INFINITY, 35, 18) == HyperbolaPoint(1, 0)
+    assert param_to_point(0, 35, 18) == HyperbolaPoint(34, 0)
 
 
 def test_decompress_lands_on_curve_and_roundtrips():
@@ -266,7 +274,7 @@ def test_decompress_lands_on_curve_and_roundtrips():
         pp = PellParams(p, qnr_mod(p, rng))
         for pt in enumerate_hyperbola(p, 1, pp.d):
             m = point_to_param(pt, pp.modulus)
-            back = param_to_point(m, pp)
+            back = param_to_point(m, pp.modulus, pp.d)
             assert pp.on_curve(back.x, back.y)
             assert back == pt
 
@@ -298,7 +306,7 @@ def test_param_pow_frozen_example():
     # the one-step chain 1, 1*1, (1*1)*1, ... dies at step 3 mod 35 (the
     # parameter product is partial over composites), so the oracle walks the
     # division-free curve side and compresses at the end
-    pt = param_to_point(1, PP35)
+    pt = param_to_point(1, 35, 18)
     oracle = point_to_param(naive_point_pow(pt, 5, PP35), 35)
     assert oracle == 34
     assert param_pow(1, 5, PP35) == 34
@@ -327,6 +335,8 @@ def test_point_pow_trivial_and_frozen():
     assert chebyshev(pt.x, 7, 5) == (2, 1)  # (T_7(2), U_6(2)) = (5042, 2911)
     with pytest.raises(ValueError):
         chebyshev(pt.x, 0, 5)
+    with pytest.raises(ValueError, match="^exponent must be >= 0$"):
+        point_pow(pt.x, -1, PP5)
 
 
 def check_point_pow(pt, k, pp, expected):
@@ -346,8 +356,8 @@ def test_point_pow_matches_naive():
     # (+-1, 0) mod 101 are their own odd powers, and (-1, 0) squares to (1, 0)
     for x in (1, pp.modulus - 1):
         check_point_pow(HyperbolaPoint(x, 0), 3, pp, HyperbolaPoint(x, 0))
-        check_point_pow(HyperbolaPoint(x, 0), 2, pp, pp.identity())
-        check_point_pow(HyperbolaPoint(x, 0), 0, pp, pp.identity())
+        check_point_pow(HyperbolaPoint(x, 0), 2, pp, HyperbolaPoint(1, 0))
+        check_point_pow(HyperbolaPoint(x, 0), 0, pp, HyperbolaPoint(1, 0))
 
 
 def test_pow_morphism():
@@ -356,7 +366,7 @@ def test_pow_morphism():
     pts = [pt for pt in enumerate_hyperbola(101, 1, pp.d) if pt.y != 0]
     for _ in range(50):
         pt, k = rng.choice(pts), rng.randrange(0, 200)
-        rhs = param_to_point(param_pow(point_to_param(pt, pp.modulus), k, pp), pp)
+        rhs = param_to_point(param_pow(point_to_param(pt, pp.modulus), k, pp), pp.modulus, pp.d)
         assert point_pow(pt.x, k, pp) == rhs.x
 
 
@@ -419,7 +429,7 @@ def test_ladder_multiplication_counts_are_exact(monkeypatch):
     rng = random.Random(79)
     pp = PellParams(10007, qnr_mod(10007, rng))
     assert pp.d != 2  # a product with D must not look like a doubling
-    pt = param_to_point(123, pp)
+    pt = param_to_point(123, pp.modulus, pp.d)
     tallied = HyperbolaPoint(Tallied(pt.x), Tallied(pt.y))
     param_muls, inversions = [], []
 
@@ -436,7 +446,6 @@ def test_ladder_multiplication_counts_are_exact(monkeypatch):
     for k in (2, 3, 10, 100, 999, 4096, 10**9 + 7):
         squarings, multiplies = k.bit_length() - 1, k.bit_count() - 1
         assert ladder_cost(k) == 2 * squarings + 1
-        assert product_ladder_cost(k) == 2 * squarings + 2 * multiplies + 1
         # the x-only Lucas ladder and nothing else: no inversion
         expected = naive_point_pow(pt, k % (pp.modulus + 1), pp)
         inversions.clear()
@@ -502,7 +511,7 @@ def test_point_pow_exhaustive_against_product_oracle(p):
                 non_unit += math.gcd(pp.d * pt.y, pp.modulus) != 1
                 if order <= 200:
                     # every k in [0, 2 * order] against repeated products
-                    acc = pp.identity()
+                    acc = HyperbolaPoint(1, 0)
                     for k in range(2 * order + 1):
                         check_point_pow(pt, k, pp, acc)
                         acc = point_mul(acc, pt, pp)
@@ -687,7 +696,7 @@ def test_point_pow_bit_identical_to_product_ladder_at_crypto_sizes(bits, power, 
     n = p**power
     rng = random.Random(seed)
     pp = PellParams(n, rng.randrange(1, p) + p * rng.randrange(n // p))
-    pt = param_to_point(rng.randrange(n), pp)
+    pt = param_to_point(rng.randrange(n), pp.modulus, pp.d)
     if in_kernel:
         # P^(p^2 - 1) reduces to (1, 0) mod p, so D*y is not a unit mod n
         pt = chain_pow(pt, p * p - 1, pp)
@@ -705,15 +714,15 @@ def test_point_group_laws_at_crypto_sizes(bits, seed):
     p = crypto_prime(bits)
     rng = random.Random(seed)
     pp = PellParams(p, rng.randrange(1, p))
-    a, b, c = (param_to_point(rng.randrange(p), pp) for _ in range(3))
+    a, b, c = (param_to_point(rng.randrange(p), pp.modulus, pp.d) for _ in range(3))
     assert all(pp.on_curve(*pt) for pt in (a, b, c))
-    assert point_mul(a, pp.identity(), pp) == a
-    assert point_mul(a, HyperbolaPoint(a.x, -a.y % p), pp) == pp.identity()
+    assert point_mul(a, HyperbolaPoint(1, 0), pp) == a
+    assert point_mul(a, HyperbolaPoint(a.x, -a.y % p), pp) == HyperbolaPoint(1, 0)
     assert point_mul(a, b, pp) == point_mul(b, a, pp)
     assert point_mul(point_mul(a, b, pp), c, pp) == point_mul(a, point_mul(b, c, pp), pp)
     j, k = rng.randrange(p), rng.randrange(p)
     assert point_mul(chain_pow(a, j, pp), chain_pow(a, k, pp), pp) == chain_pow(a, j + k, pp)
-    assert chain_pow(a, p - jacobi(pp.d, p), pp) == pp.identity()
+    assert chain_pow(a, p - jacobi(pp.d, p), pp) == HyperbolaPoint(1, 0)
 
 
 @settings(max_examples=25)
@@ -728,7 +737,7 @@ def test_param_point_bijection_at_crypto_sizes(bits, seed):
         d = rng.randrange(1, p)
     pp = PellParams(p, d)
     for m in (INFINITY, 0, 1, p - 1, rng.randrange(p)):
-        pt = param_to_point(m, pp)
+        pt = param_to_point(m, pp.modulus, pp.d)
         assert pp.on_curve(*pt)
         assert point_to_param(pt, pp.modulus) == m
 

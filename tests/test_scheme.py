@@ -70,7 +70,7 @@ def full_width_decrypt(sk, ct):
     pp = PellParams(sk.n, ct.d_coef % sk.n)
     m_val = redei_pow(ct.c, sk.d, pp)
     assert m_val is not INFINITY
-    pt = param_to_point(m_val, pp)
+    pt = param_to_point(m_val, pp.modulus, pp.d)
     return MessagePair(pt.x, pt.y)
 
 
@@ -88,7 +88,7 @@ def crt_decrypt_with(param_power, sk, ct):
         m_i, order = p**k, p ** (k - 1) * (p - jacobi(ct.d_coef, p))
         residues.append(param_power(ct.c % m_i, sk.d % order, PellParams(m_i, ct.d_coef % m_i)))
         moduli.append(m_i)
-    pt = param_to_point(crt(residues, moduli), PellParams(sk.n, ct.d_coef % sk.n))
+    pt = param_to_point(crt(residues, moduli), sk.n, ct.d_coef % sk.n)
     return MessagePair(pt.x, pt.y)
 
 
@@ -127,15 +127,24 @@ def test_a_public_exponent_of_1_mod_the_exponent_modulus_is_refused(primes, e, m
         keypair_from_primes(primes, [1, 1], e=e, mode=mode)
 
 
-@pytest.mark.parametrize("e", [2**16000, 2**20000 + 1], ids=["even-16001-bits", "odd-20001-bits"])
+class NoDraws:
+    """An rng that fails the test if anything is drawn from it."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"rng.{name} consulted")
+
+
+@pytest.mark.parametrize(
+    "e", [2**16000, 2**20000 + 1, 65538, 7.0], ids=["even-16001-bits", "odd-20001-bits", "even", "float"]
+)
 def test_a_public_exponent_wider_than_a_modulus_is_refused(e):
     # the first leaked a ValueError from formatting e in decimal, the second
-    # passed the check and leaked PublicKey's ValueError
+    # passed the check and leaked PublicKey's ValueError; keygen used to
+    # refuse each only after drawing every prime
     with pytest.raises(BadExponentChoice, match="^e unusable"):
         keypair_from_primes([5, 7], [1, 1], e=e)
-    if e % 2:
-        with pytest.raises(BadExponentChoice, match="^e unusable"):
-            keygen(2, [1, 1], 16, random.Random(1), e=e)
+    with pytest.raises(BadExponentChoice, match="^e unusable"):
+        keygen(2, [1, 1], 1024, NoDraws(), e=e)
 
 
 def test_the_default_public_exponent_skips_1_mod_the_exponent_modulus():
@@ -158,13 +167,6 @@ def test_default_public_exponent_is_coprime_and_at_least_65537():
     assert pub.e >= 65537 and pub.e % 2 == 1
     assert math.gcd(pub.e, exponent_modulus(priv.factors, priv.mode)) == 1
     assert pub.e * priv.d % exponent_modulus(priv.factors, priv.mode) == 1
-
-
-class NoDraws:
-    """An rng that fails the test if anything is drawn from it."""
-
-    def __getattr__(self, name):
-        raise AssertionError(f"rng.{name} consulted")
 
 
 def test_keygen_refuses_oversized_moduli_before_drawing():
@@ -794,8 +796,8 @@ def test_work_per_decryption_is_pinned(monkeypatch, exponents, inversions):
 @pytest.mark.parametrize("exponents", [[1, 1, 1], [3, 1]])
 def test_curves_built_per_request_are_pinned(monkeypatch, exponents):
     # encryption builds no curve: compression reads the bare modulus.  A
-    # decryption builds two per prime power, whichever use of the row: the
-    # ciphertext's curve mod p^k, and the curve mod p that point_pow reads
+    # decryption builds one per prime, whichever use of the row: the curve
+    # mod p that point_pow reads; the ciphertext's curve mod p^k is bare ints
     rng = random.Random(32)
     pub, priv = small_keypair(rng, r=len(exponents), bits=32, exponents=exponents)
     msg = random_message(pub, rng)
@@ -803,7 +805,7 @@ def test_curves_built_per_request_are_pinned(monkeypatch, exponents):
     monkeypatch.setattr(scheme, "PellParams", lambda n, d: built.append(n) or PellParams(n, d))
     requests = [(decrypt, encrypt(pub, msg)), (decrypt_point, encrypt_point(pub, msg))]
     assert built == []
-    expected = sorted(q for p, k in priv.factors.factors for q in (p, p**k))
+    expected = sorted(p for p, _ in priv.factors.factors)
     for dec, ct in requests * 3:
         built.clear()
         assert dec(priv, ct) == msg
@@ -853,6 +855,39 @@ def test_decrypt_point_names_the_one_prime_where_y_vanishes(exponents):
         assert PellParams(pub.n, ct.d_coef).on_curve(cx, cy)
         with pytest.raises(DecryptionFailure, match=f"^ladder: .* y = 0 mod prime {i}$"):
             decrypt_point(priv, PointCiphertext(cx, cy, ct.d_coef))
+
+
+@pytest.mark.parametrize("exponents", [[1, 1, 1], [3, 1]])
+def test_a_root_that_is_no_unit_mod_one_prime_fails_the_crt_stage(exponents):
+    # (0, y) with D = -1/y^2 mod p^k lies on the curve there, and its root to
+    # an odd e has x = 0 too, so the root check and the lift pass; only the
+    # CRT stage sees that the recovered mx = 0 mod p is no unit
+    rng = random.Random(35)
+    pub, priv = small_keypair(rng, r=len(exponents), bits=32, exponents=exponents)
+    ct = encrypt_point(pub, random_message(pub, rng))
+    for i, (p, k) in enumerate(priv.factors.factors):
+        d_i = -mod_inv(ct.cy * ct.cy, p**k) % p**k
+        bad = PointCiphertext(splice(pub, priv, i, 0, ct.cx), ct.cy, splice(pub, priv, i, d_i, ct.d_coef))
+        with pytest.raises(DecryptionFailure, match="^crt: the recovered point is not a message"):
+            decrypt_point(priv, bad)
+
+
+@pytest.mark.parametrize("exponents", [[1, 1, 1], [3, 1]])
+@pytest.mark.parametrize("point", [False, True])
+def test_a_fault_in_the_crt_combination_fails_the_crt_stage(monkeypatch, exponents, point):
+    rng = random.Random(36)
+    pub, priv = small_keypair(rng, r=len(exponents), bits=32, exponents=exponents)
+    enc, dec = (encrypt_point, decrypt_point) if point else (encrypt, decrypt)
+    ct = enc(pub, random_message(pub, rng))
+    combine = scheme.crt_combine
+
+    def shifted(*args):
+        mx, my = combine(*args)
+        return mx + 1, my
+
+    monkeypatch.setattr(scheme, "crt_combine", shifted)
+    with pytest.raises(DecryptionFailure, match="^crt: the recovered point is not on the curve$"):
+        dec(priv, ct)
 
 
 @pytest.mark.parametrize("exponents", [[1, 1, 1], [3, 1]])
@@ -1011,6 +1046,27 @@ def test_a_corrupted_chain_op_raises_naming_the_verify_stage(monkeypatch, expone
                     dec(priv, ct)
         assert [dec(priv, ct) for ct in cts] == msgs
 
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=pytest.fail.Exception,
+    reason="the lift checks only that its power to e lies on the curve, which a kernel element keeps",
+)
+@pytest.mark.parametrize("point", [False, True])
+def test_a_lift_power_off_by_a_kernel_element_raises_naming_the_verify_stage(monkeypatch, point):
+    # raising the lift's power mod p^3 to e + order multiplies it by m'^order,
+    # which is 1 mod p and on the curve: every check passes, and the result
+    # is a wrong plaintext
+    rng = random.Random(37)
+    pub, priv = small_keypair(rng, r=2, bits=40, exponents=[3, 1])
+    ((p, k),) = [(p, k) for p, k in priv.factors.factors if k == 3]
+    enc, dec = (encrypt_point, decrypt_point) if point else (encrypt, decrypt)
+    ct = enc(pub, random_message(pub, rng))
+    order = p - jacobi(ct.d_coef % p, p)
+    chain = scheme.chebyshev
+    monkeypatch.setattr(scheme, "chebyshev", lambda x, e, n: chain(x, e + order if n == p**k else e, n))
+    with pytest.raises(DecryptionFailure, match="^verify: "):
+        dec(priv, ct)
 
 @pytest.mark.parametrize("exponents", [[1, 1, 1], [3, 1]])
 def test_a_row_builds_its_chain_on_its_second_use_only(monkeypatch, exponents):
@@ -1198,3 +1254,4 @@ def test_random_message_respects_mode():
     for _ in range(20):
         msg = random_message(pub, rng, Mode.STRICT)
         assert jacobi((msg.mx**2 - 1) % pub.n, pub.n) == -1
+
