@@ -75,14 +75,14 @@ def crt_coefficients(moduli):
     """Garner's coefficients for crt_combine: for each modulus after the
     first, the inverse mod it of the product of those before it.
 
-    Raises ImpossibleOperation carrying the gcd of a modulus and the
-    product of those before it when they share a factor, ValueError for none.
+    Raises ImpossibleOperation carrying the gcd of a modulus and the product
+    of those before it when they share a factor, ValueError for none or one < 2.
 
         >>> crt_coefficients([5, 7, 9])
         (3, 8)
     """
-    if not moduli:
-        raise ValueError("need at least one modulus")
+    if not moduli or min(moduli) < 2:
+        raise ValueError("need at least one modulus, each >= 2")
     out, m = [], moduli[0]
     for m_i in moduli[1:]:
         out.append(mod_inv(m % m_i, m_i))
@@ -96,17 +96,17 @@ def crt_combine(residues, moduli, coefficients):
     Each residue is a tuple of int coordinates, such as a curve point, all of
     one width, and a tuple of that width comes back.  coefficients must be
     crt_coefficients(moduli), which refuses moduli that share a factor.  A
-    length mismatch anywhere, a modulus that is no int, or a residue that is
-    no int tuple of the first one's width raise ValueError.
+    length mismatch anywhere, a modulus that is no int >= 2, or a residue
+    that is no int tuple of the first one's width raise ValueError.
 
         >>> crt_combine([(2, 1), (3, 0)], [5, 7], crt_coefficients([5, 7]))
         (17, 21)
     """
     if len(residues) != len(moduli) or not moduli:
         raise ValueError("need equally many residues and moduli, at least one")
-    if any(type(m_i) is not int or not isinstance(row, tuple) or len(row) != len(residues[0])
+    if any(type(m_i) is not int or m_i < 2 or not isinstance(row, tuple) or len(row) != len(residues[0])
            or any(type(c) is not int for c in row) for row, m_i in zip(residues, moduli)):
-        raise ValueError("residues must be int tuples of one length, moduli ints")
+        raise ValueError("residues must be int tuples of one length, moduli ints >= 2")
     xs, m = [r % moduli[0] for r in residues[0]], moduli[0]
     for row, m_i, inv in zip(residues[1:], moduli[1:], coefficients, strict=True):
         xs = [x + m * ((r_i - x) * inv % m_i) for x, r_i in zip(xs, row)]
@@ -115,7 +115,8 @@ def crt_combine(residues, moduli, coefficients):
 
 
 def lucas_v(v, k, m):
-    """(V_k, V_{k+1}) mod m of the Lucas sequence V_0 = 2, V_1 = v with Q = 1.
+    """(V_k, V_{k+1}) mod m of the Lucas sequence V_0 = 2, V_1 = v with Q = 1,
+    for k >= 0 and m >= 2; any other k or m raises ValueError.
 
     A Montgomery ladder over V_{2j} = V_j^2 - 2 and V_{2j+1} = V_j V_{j+1} - v,
     one full product for the leading bit of k and two for each later one
@@ -127,6 +128,8 @@ def lucas_v(v, k, m):
     A power's y needs U_{k-1} too, which this ladder yields only through an
     inversion, so pell.chebyshev takes those powers.
     """
+    if k < 0 or m < 2:
+        raise ValueError("lucas_v needs k >= 0 and m >= 2")
     v %= m
     a, b = 2, v
     for bit in bin(k)[2:]:

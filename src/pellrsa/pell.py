@@ -222,8 +222,8 @@ def chebyshev(x, k, n):
         >>> chebyshev(2, 3, 1000)
         (26, 15)
     """
-    if k < 1:
-        raise ValueError("exponent must be >= 1")
+    if k < 1 or n < 2:
+        raise ValueError("exponent must be >= 1 and modulus >= 2")
     x %= n
     t, u = x, 1
     for bit in bin(k)[3:]:
@@ -288,11 +288,13 @@ def point_to_param(p, n):
 
     (1, 0) maps to INFINITY and (-1, 0) to 0.  A non-invertible y (or an
     x with x^2 = 1, x != +-1, possible only against a composite modulus)
-    raises ImpossibleOperation with the revealed factor.
+    raises ImpossibleOperation with the revealed factor; n < 2 ValueError.
     """
+    if n < 2:
+        raise ValueError("modulus must be >= 2")
     x, y = p.x % n, p.y % n
     if y == 0:
-        if x == 1 % n:
+        if x == 1:
             return INFINITY
         if x == n - 1:
             return 0
@@ -306,13 +308,14 @@ def param_to_point(m, n, d):
     ((m^2 + d)/(m^2 - d), 2m/(m^2 - d)).
 
     INFINITY maps to (1, 0).  Raises ImpossibleOperation when m^2 - d is
-    not invertible mod n.
+    not invertible mod n; n < 2 raises ValueError.
     """
+    if n < 2:
+        raise ValueError("modulus must be >= 2")
     if isinstance(m, _AtInfinity):
         return HyperbolaPoint(1, 0)
     m %= n
-    den = (m * m - d) % n
-    inv = mod_inv(den, n)
+    inv = mod_inv(m * m - d, n)
     return HyperbolaPoint((m * m + d) * inv % n, 2 * m * inv % n)
 
 
@@ -324,8 +327,8 @@ def redei_eval(d, z, k, modulus):
     of the (A, B) pair, so O(log k) ring operations and no division at all;
     the rational value A_k/B_k equals the k-fold parameter product of z.
     """
-    if k < 1:
-        raise ValueError("exponent must be >= 1")
+    if k < 1 or modulus < 2:
+        raise ValueError("exponent must be >= 1 and modulus >= 2")
     n = modulus
     z %= n
     d %= n

@@ -12,14 +12,14 @@ is p + 1 or p - 1 depending on whether D is a non-residue or a residue mod
 p, so the private exponent shrinks to the size of one prime per factor, and
 the results recombine by CRT.  That exponent reduction is where the speedup
 over two-prime moduli comes from.  A key's decryption plan
-(PrivateKey.plan), built at its first decryption, holds per prime p^k one
-PlanRow per group order: p, p^k, the order and d reduced mod it;
-reduced_private_exponents picks each prime's row for a D.  One loop over the
-rows serves both ciphertext kinds, told apart by class, and never works mod
-N: per prime the ciphertext becomes a point on the curve mod p^k, by
-decompression or reduction, and _root takes its verified root.  An x-only
-power mod p (pell.point_pow) yields the root's x: a row's first use runs the
-binary Lucas ladder, its second builds the row a PRAC Lucas chain
+(PrivateKey.plan), built with the key like Garner's CRT coefficients, holds
+per prime p^k one PlanRow per group order: p, p^k, the order and d reduced
+mod it; reduced_private_exponents picks each prime's row for a D.  One loop
+over the rows serves both ciphertext kinds, told apart by class, and never
+works mod N: per prime the ciphertext becomes a point on the curve mod p^k,
+by decompression or reduction, and _root takes its verified root.  An x-only
+power mod p (pell.point_pow) yields the root's x: a row's first use runs
+the binary Lucas ladder, its second builds the row a PRAC Lucas chain
 (pell.lucas_chain), and every later use runs that chain.  The root's power
 to e mod the prime's order (pell.chebyshev) must give back the ciphertext's
 x, and its U yields the root's y, so a fault in one prime's branch,
@@ -56,7 +56,6 @@ Jacobi symbol of mx^2 - 1, not the residuosity mod the secret primes:
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 
 from .arith import MAX_MODULUS_BITS, FactoredModulus, crt_coefficients, crt_combine, gen_prime, jacobi, mod_inv
 from .errors import (
@@ -111,15 +110,20 @@ class PrivateKey:
     d must lie in [1, exponent modulus): a larger d decrypts alike but
     makes every Hensel lift step multiply by it.  d = 1 is refused, as its
     e = 1 makes encryption the identity; any other d gives an e >= 3 with
-    e != 1 mod the exponent modulus.  Its one derived field, e = d^-1 mod
-    the exponent modulus, serves the root checks and the lift; the key file
-    does not store it, nor the decryption plan.
+    e != 1 mod the exponent modulus.  Its derived fields are built with the
+    key: e = d^-1 mod the exponent modulus, for the root checks and the
+    lift; plan, per prime in the key's order {order: PlanRow} for each group
+    order the key covers (_group_orders); and garner, the crt_coefficients
+    of the p^k, which every CRT reuses.  ==, hash, repr and the key file
+    ignore all three.
     """
 
     factors: FactoredModulus
     d: int
     mode: Mode
     e: int = field(init=False, repr=False, compare=False)
+    plan: tuple = field(init=False, repr=False, compare=False)
+    garner: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if type(self.mode) is not Mode:
@@ -142,26 +146,15 @@ class PrivateKey:
         except ImpossibleOperation:
             raise ValueError("d is not coprime to the exponent modulus") from None
         object.__setattr__(self, "e", e)
+        moduli = [p**k for p, k in self.factors.factors]
+        object.__setattr__(self, "plan", tuple(
+            {order: PlanRow(p, q, order, self.d % order) for order in _group_orders(p, self.mode)}
+            for (p, _), q in zip(self.factors.factors, moduli)))
+        object.__setattr__(self, "garner", crt_coefficients(moduli))
 
     @property
     def n(self):
         return self.factors.value
-
-    @cached_property
-    def plan(self):
-        """The decryption plan, built at first use and kept on this object:
-        per prime, in the key's order, {order: PlanRow} for each group order
-        the key covers (_group_orders).  Like garner it is no field: ==,
-        hash, repr and the key file ignore it."""
-        return tuple(
-            {order: PlanRow(p, p**k, order, self.d % order) for order in _group_orders(p, self.mode)}
-            for p, k in self.factors.factors
-        )
-
-    @cached_property
-    def garner(self):
-        """crt_coefficients of the p^k, which every decryption's CRT reuses."""
-        return crt_coefficients([p**k for p, k in self.factors.factors])
 
 
 @dataclass(eq=False)

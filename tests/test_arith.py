@@ -20,7 +20,7 @@ from pellrsa.arith import (
     jacobi,
     mod_inv,
 )
-from pellrsa.errors import ImpossibleOperation
+from pellrsa.errors import ImpossibleOperation, RandomnessExhausted
 from oracles import crt, miller_rabin
 
 
@@ -291,6 +291,14 @@ def test_gen_prime_frozen_example():
 def test_gen_prime_rejects_tiny_request():
     with pytest.raises(ValueError):
         gen_prime(4, random.Random(0))
+
+
+def test_gen_prime_gives_up_after_a_bounded_number_of_candidates():
+    # every candidate from an all-zero source is 2^7 + 1 = 129 = 3 * 43
+    zeros = random.Random(0)
+    zeros.getrandbits = lambda bits: 0
+    with pytest.raises(RandomnessExhausted, match="^no 8-bit prime found$"):
+        gen_prime(8, zeros)
 
 
 def test_is_probable_prime_against_sieve():

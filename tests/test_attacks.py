@@ -17,7 +17,7 @@ from pellrsa.attacks import (
     full_factorization,
     impossible_op_probability,
 )
-from pellrsa.errors import TrialBudgetExhausted
+from pellrsa.errors import RandomnessExhausted, TrialBudgetExhausted
 from pellrsa.pell import point_pow, psi
 from pellrsa.scheme import exponent_modulus, keygen, keypair_from_primes
 
@@ -175,6 +175,12 @@ def test_full_factorization_budget():
     for n in (1009 * 1013, 1009**3):
         with pytest.raises(TrialBudgetExhausted):
             full_factorization(n, 1, random.Random(0), max_trials=3)
+
+
+def test_an_even_prime_power_exhausts_the_draws_for_a_start_x():
+    # Jacobi(x^2 - 1, 5^2) is a square, never -1, so no start x exists
+    with pytest.raises(RandomnessExhausted, match="^no x with Jacobi"):
+        full_factorization(25, 2, random.Random(0))
 
 
 def test_square_free_moduli_are_never_root_scanned(monkeypatch):

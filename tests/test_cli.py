@@ -48,6 +48,10 @@ def test_encrypt_decrypt_round_trip(keys, tmp_path, capsys, kind):
     capsys.readouterr()
     assert cli.dispatch(["decrypt", "--key", f"{prefix}.key", "--in", str(ct_file)]) == 0
     assert capsys.readouterr().out == f"mx={msg.mx:x} my={msg.my:x}\n"
+    # without --out the same ciphertext text goes to stdout
+    argv = ["encrypt", "--pub", f"{prefix}.pub", "--mx", f"{msg.mx:x}", "--my", f"{msg.my:x}"]
+    assert cli.dispatch(argv + (["--point"] if kind == "point" else [])) == 0
+    assert capsys.readouterr().out == ct_file.read_text()
 
 
 def test_decrypt_tampered_ciphertext_exits_3(keys, tmp_path, capsys):
@@ -205,6 +209,7 @@ def test_factor_refuses_an_oversized_psi_at_once(capsys, alarm):
         ["keygen", "--bits", "512", "--exponents", "2,1"],
         ["keygen", "--bits", "512", "--primes", "2", "--exponents", "1,1"],
         ["keygen", "--bits", "512", "--exponents", "1,1", "--seed", "1"],
+        ["keygen", "--bits", "512", "--exponents", "0,1"],
     ],
 )
 def test_invalid_arguments_exit_1(tmp_path, capsys, argv):

@@ -45,6 +45,8 @@ def test_ciphertext_exact_formats():
         dump_ciphertext(PointCiphertext(3, 4, 18))
         == "pellrsa-ct v1\nkind=point\nd_coef=12\ncx=3\ncy=4\n"
     )
+    with pytest.raises(TypeError, match="^not a ciphertext"):
+        dump_ciphertext(object())
 
 
 def test_key_roundtrips(keypair):

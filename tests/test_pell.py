@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pellrsa import pell, scheme
+from pellrsa import arith, pell, scheme
 from pellrsa.arith import FactoredModulus, gen_prime, is_probable_prime, jacobi, lucas_v, mod_inv
 from pellrsa.errors import ImpossibleOperation
 from pellrsa.pell import (
@@ -298,8 +298,11 @@ def test_morphism_exhaustive_over_primes():
 
 def test_param_pow_trivial():
     assert param_pow(9, 1, PP35) == 9
-    assert param_pow(9, 0, PP35) is INFINITY
-    assert param_pow(INFINITY, 17, PP35) is INFINITY
+    for power in (param_pow, redei_pow):
+        assert power(9, 0, PP35) is INFINITY
+        assert power(INFINITY, 17, PP35) is INFINITY
+        with pytest.raises(ValueError, match="^exponent must be >= 0$"):
+            power(9, -1, PP35)
 
 
 def test_param_pow_frozen_example():
@@ -339,6 +342,31 @@ def test_point_pow_trivial_and_frozen():
         point_pow(pt.x, -1, PP5)
 
 
+# a zero modulus used to leak ZeroDivisionError from each; a modulus of 1
+# gave chebyshev (0, 0), point_to_param INFINITY and crt_coefficients a
+# trivial CRT, and lucas_v at k = -1 gave (V_1, V_2)
+BAD_KERNEL_CALLS = {
+    "chebyshev-0": lambda: chebyshev(2, 3, 0),
+    "chebyshev-1": lambda: chebyshev(2, 3, 1),
+    "point_to_param-0": lambda: point_to_param(HyperbolaPoint(2, 3), 0),
+    "point_to_param-1": lambda: point_to_param(HyperbolaPoint(1, 0), 1),
+    "param_to_point-0": lambda: param_to_point(2, 0, 3),
+    "param_to_point-1": lambda: param_to_point(2, 1, 3),
+    "redei_eval-0": lambda: redei_eval(18, 9, 3, 0),
+    "lucas_v-0": lambda: lucas_v(3, 5, 0),
+    "lucas_v-negative-k": lambda: lucas_v(3, -1, 101),
+    "crt_coefficients-0": lambda: arith.crt_coefficients([5, 0]),
+    "crt_coefficients-1": lambda: arith.crt_coefficients([1, 5]),
+    "crt_combine-0": lambda: arith.crt_combine([(1,), (2,)], [5, 0], (1,)),
+}
+
+
+@pytest.mark.parametrize("case", BAD_KERNEL_CALLS)
+def test_bare_modulus_kernels_refuse_a_modulus_below_2_and_lucas_v_a_negative_k(case):
+    with pytest.raises(ValueError):
+        BAD_KERNEL_CALLS[case]()
+
+
 def check_point_pow(pt, k, pp, expected):
     """point_pow(pt.x, k) is the x-coordinate of the expected power, for
     every point, D*y a unit or not."""
@@ -374,6 +402,8 @@ def test_pow_morphism():
 
 def test_redei_first_values():
     assert redei_eval(18, 9, 1, 35) == (9, 1)
+    with pytest.raises(ValueError, match="^exponent must be >= 1 and modulus >= 2$"):
+        redei_eval(18, 9, 0, 35)
     # one hand matrix multiplication: (z^2 + D, 2z)
     z, d, n = 9, 18, 35
     assert redei_eval(d, z, 2, n) == ((z * z + d) % n, 2 * z % n)

@@ -300,6 +300,12 @@ def test_encrypt_frozen_example():
     assert decrypt(priv, ct) == MessagePair(3, 4)
 
 
+def test_encrypt_refuses_a_message_whose_power_is_the_identity():
+    # T_3(3) = 99 = 1 mod 7 and U_2(3) = 35 = 0 mod 7: (3, 1)^3 = (1, 0)
+    with pytest.raises(MessageNotEncryptable, match="^message parameter collapses to the identity$"):
+        encrypt(PublicKey(7, 3), MessagePair(3, 1))
+
+
 def test_encrypt_sign_symmetry():
     pub, _ = keypair_from_primes([5, 7], [1, 1], e=5)
     ct = encrypt(pub, MessagePair(3, 4))
@@ -1107,15 +1113,21 @@ def test_a_decryption_adds_one_use_to_each_plan_row_it_reads(exponents):
 
 
 def test_a_built_plan_leaves_the_key_file_eq_and_hash_unchanged():
+    # keygen and load_private_key both return a key whose plan and Garner
+    # coefficients are built before any decryption
     rng = random.Random(34)
     pub, priv = small_keypair(rng, r=3, bits=64)
     text = dump_private_key(priv)
     copy = load_private_key(text)
+    garner = crt_coefficients([p**k for p, k in priv.factors.factors])
+    for key in (priv, copy):
+        assert {"plan", "garner"} <= vars(key).keys() and key.garner == garner
+        assert [sorted(rows) for rows in key.plan] == [[p - 1, p + 1] for p, _ in key.factors.factors]
+        assert all(row.uses == 0 and row.chain is None for rows in key.plan for row in rows.values())
     msgs = [random_message(pub, rng) for _ in range(3)]
     for msg in msgs + msgs:
         assert decrypt(priv, encrypt(pub, msg)) == msg
     assert any(row.chain for rows in priv.plan for row in rows.values())
-    assert {"plan", "garner"} <= vars(priv).keys() and not {"plan", "garner"} & vars(copy).keys()
     assert dump_private_key(priv) == text
     assert priv == copy and hash(priv) == hash(copy)
     assert repr(priv) == repr(copy)
