@@ -16,7 +16,7 @@ totient analog).  Import from the module that holds each part:
 * ``pell``: curve and parameter group laws, the x-only ladder and Lucas
   chains, the Chebyshev chain, Redei powers, psi;
 * ``arith``: inverse, Jacobi symbol, CRT, primality, FactoredModulus;
-* ``attacks``: factoring N given psi(N), impossible-operation odds;
+* ``attacks``: factoring N given psi(N);
 * ``keyfmt``: the text format of keys and ciphertexts;
 * ``cli``: the ``pellrsa`` command (keygen, encrypt, decrypt, factor);
 * ``errors``: the ``PellRsaError`` hierarchy.

@@ -95,9 +95,9 @@ def crt_combine(residues, moduli, coefficients):
 
     Each residue is a tuple of int coordinates, such as a curve point, all of
     one width, and a tuple of that width comes back.  coefficients must be
-    crt_coefficients(moduli), which refuses moduli that share a factor.  A
-    length mismatch anywhere, a modulus that is no int >= 2, or a residue
-    that is no int tuple of the first one's width raise ValueError.
+    crt_coefficients(moduli), which refuses moduli that share a factor; any
+    other, a length mismatch anywhere, a modulus that is no int >= 2, or a
+    residue that is no int tuple of the first one's width raise ValueError.
 
         >>> crt_combine([(2, 1), (3, 0)], [5, 7], crt_coefficients([5, 7]))
         (17, 21)
@@ -109,6 +109,8 @@ def crt_combine(residues, moduli, coefficients):
         raise ValueError("residues must be int tuples of one length, moduli ints >= 2")
     xs, m = [r % moduli[0] for r in residues[0]], moduli[0]
     for row, m_i, inv in zip(residues[1:], moduli[1:], coefficients, strict=True):
+        if m * inv % m_i != 1:
+            raise ValueError("coefficients must be crt_coefficients(moduli)")
         xs = [x + m * ((r_i - x) * inv % m_i) for x, r_i in zip(xs, row)]
         m *= m_i
     return tuple(x % m for x in xs)

@@ -1,5 +1,4 @@
-"""Factoring N from the parameter-group totient analog, and the
-impossible-operation probability.
+"""Factoring N from the parameter-group totient analog.
 
 Knowing psi(N) = prod p^(e-1) * (p + 1) is as good as knowing the
 factorization (Williams' p + 1 method): a random point raised to the odd
@@ -18,7 +17,6 @@ and is tested after its first failed trial or before the budget runs out.
 
 import math
 from collections import Counter
-from fractions import Fraction
 
 from .arith import MAX_MODULUS_BITS, is_probable_prime, jacobi, primes_up_to
 from .errors import RandomnessExhausted, TrialBudgetExhausted
@@ -155,18 +153,3 @@ def full_factorization(n, psi_n, rng, max_trials=200):
         else:
             work += sorted([(divisor, mult), (m // divisor, mult)], key=lambda h: psi_n % (h[0] + 1) == 0)
     return sorted(found.items())
-
-
-def impossible_op_probability(primes):
-    """Closed-form chance that a parameter product denominator is not a unit:
-    1 - (1 - 1/p1) * ... * (1 - 1/pr).  Negligible for large prime factors.
-    Entries that are no int primes, or repeat, raise ValueError.
-    """
-    primes = list(primes)
-    if not all(type(p) is int and is_probable_prime(p) for p in primes) or len(set(primes)) != len(primes):
-        raise ValueError("primes must be distinct int primes")
-    unit_share = Fraction(1)
-    for p in primes:
-        unit_share *= Fraction(p - 1, p)
-    return float(1 - unit_share)
-

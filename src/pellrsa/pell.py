@@ -67,9 +67,6 @@ class PellParams:
         if gcd(self.d, self.modulus) != 1:
             raise ValueError("coefficient must be a unit mod the modulus")
 
-    def on_curve(self, x, y):
-        return (x * x - self.d * y * y) % self.modulus == 1 % self.modulus
-
 
 def point_pow(x, k, pp, chain=None):
     """x-coordinate of the k-th power of an on-curve point with x-coordinate x.
@@ -106,7 +103,9 @@ class LucasChain(NamedTuple):
 
     def run(self, v, m):
         """V_k mod m of the Lucas sequence V_0 = 2, V_1 = v with Q = 1, one
-        product per op."""
+        product per op; m < 2 raises ValueError."""
+        if m < 2:
+            raise ValueError("modulus must be >= 2")
         regs = [2, v % m]
         for a, b, c in self.ops:
             regs.append((regs[a] * regs[b] - regs[c]) % m)

@@ -114,12 +114,12 @@ class PrivateKey:
     key: e = d^-1 mod the exponent modulus, for the root checks and the
     lift; plan, per prime in the key's order {order: PlanRow} for each group
     order the key covers (_group_orders); and garner, the crt_coefficients
-    of the p^k, which every CRT reuses.  ==, hash, repr and the key file
-    ignore all three.
+    of the p^k, which every CRT reuses.  ==, hash and the key file ignore
+    all three, and repr shows only the mode, so a formatted key leaks none.
     """
 
-    factors: FactoredModulus
-    d: int
+    factors: FactoredModulus = field(repr=False)
+    d: int = field(repr=False)
     mode: Mode
     e: int = field(init=False, repr=False, compare=False)
     plan: tuple = field(init=False, repr=False, compare=False)
@@ -157,7 +157,7 @@ class PrivateKey:
         return self.factors.value
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, repr=False)
 class PlanRow:
     """One group order of a prime p^k: p, q = p^k, the order, d_i = d mod it, a chain slot.
 
@@ -166,6 +166,7 @@ class PlanRow:
     single decryption, as one `pellrsa decrypt` call makes, so never pays
     for a chain it cannot reuse.  Concurrent decryptions may build a row's
     chain twice or one use late; every chain built for d_i gives the same x.
+    Its repr is object's, as p, q, the order and d_i are secret.
     """
 
     p: int
@@ -358,8 +359,8 @@ def _decrypt(sk, ct, kind):
     other object and any field outside [0, N), which the ciphertext of no
     message has: per prime it becomes a point mod p^k, which must lie on the
     curve, _root takes its verified root mod p^k through the prime's row, and
-    CRT under the key's Garner coefficients must give a message on the curve
-    mod N."""
+    CRT under the key's Garner coefficients, which must invert its moduli,
+    must give a message on the curve mod N."""
     if type(ct) is not kind:
         raise DecryptionFailure(f"plan: expected a {kind.__name__}, got a {type(ct).__name__}")
     if any(type(v) is not int or not 0 <= v < sk.n for v in vars(ct).values()):
@@ -375,7 +376,10 @@ def _decrypt(sk, ct, kind):
         if (c.x * c.x - dq * c.y * c.y) % q != 1:
             raise DecryptionFailure(f"curve: the ciphertext point is off the curve mod prime {i}")
         roots.append(_root(c, dq, row, sk, i))
-    mx, my = crt_combine(roots, [row.q for row in rows], sk.garner)
+    try:
+        mx, my = crt_combine(roots, [row.q for row in rows], sk.garner)
+    except ValueError:
+        raise DecryptionFailure("crt: the key's Garner coefficients do not invert its moduli") from None
     if (mx * mx - d_coef * my * my) % sk.n != 1:
         raise DecryptionFailure("crt: the recovered point is not on the curve")
     if math.gcd(mx * my, sk.n) != 1:

@@ -1,6 +1,14 @@
-"""Reference implementations that more than one test module checks against."""
+"""Reference implementations and closed forms that tests check against."""
 
 import math
+from fractions import Fraction
+
+from pellrsa.arith import is_probable_prime
+
+
+def on_curve(x, y, d, n):
+    """Whether (x, y) lies on x^2 - d y^2 = 1 mod n."""
+    return (x * x - d * y * y) % n == 1 % n
 
 
 def crt(residues, moduli):
@@ -38,3 +46,17 @@ def miller_rabin(n, rng, rounds=40):
         else:
             return False
     return True
+
+
+def impossible_op_probability(primes):
+    """Closed-form chance that a parameter product denominator is not a unit:
+    1 - (1 - 1/p1) * ... * (1 - 1/pr).  Negligible for large prime factors.
+    Entries that are no int primes, or repeat, raise ValueError.
+    """
+    primes = list(primes)
+    if not all(type(p) is int and is_probable_prime(p) for p in primes) or len(set(primes)) != len(primes):
+        raise ValueError("primes must be distinct int primes")
+    unit_share = Fraction(1)
+    for p in primes:
+        unit_share *= Fraction(p - 1, p)
+    return float(1 - unit_share)

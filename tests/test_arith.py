@@ -218,6 +218,9 @@ def test_crt_refuses_too_few_coefficients():
     # so are fewer residues than moduli
     with pytest.raises(ValueError, match="^need equally many residues and moduli"):
         crt_combine([(1,)], [5, 7], (3,))
+    # and a coefficient that is not Garner's: (1,) used to give (6,), 6 mod 7
+    with pytest.raises(ValueError, match="^coefficients must be crt_coefficients"):
+        crt_combine([(1,), (2,)], [5, 7], (1,))
 
 
 def test_crt_refuses_residue_tuples_of_unequal_lengths():

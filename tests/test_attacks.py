@@ -15,11 +15,11 @@ from pellrsa.attacks import (
     _split_from_psi,
     find_factor,
     full_factorization,
-    impossible_op_probability,
 )
 from pellrsa.errors import RandomnessExhausted, TrialBudgetExhausted
 from pellrsa.pell import point_pow, psi
 from pellrsa.scheme import exponent_modulus, keygen, keypair_from_primes
+from oracles import impossible_op_probability
 
 
 class ExplodingRng:

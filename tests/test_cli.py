@@ -1,4 +1,6 @@
 import random
+import runpy
+import sys
 
 import pytest
 
@@ -218,3 +220,17 @@ def test_invalid_arguments_exit_1(tmp_path, capsys, argv):
     assert cli.dispatch(argv) == 1
     assert capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, code", [(["decrypt", "--key", "absent.key", "--in", "absent.ct"], 2), (["--help"], 0)])
+def test_main_exits_with_the_code_dispatch_returns(tmp_path, monkeypatch, capsys, argv, code):
+    # the console script and python -m pellrsa.cli both exit through main
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["pellrsa", *argv])
+    # run_module warns when the module it runs as __main__ is already imported
+    monkeypatch.delitem(sys.modules, "pellrsa.cli")
+    for run in (cli.main, lambda: runpy.run_module("pellrsa.cli", run_name="__main__")):
+        with pytest.raises(SystemExit) as info:
+            run()
+        assert info.value.code == code
+    assert capsys.readouterr().err.startswith("FileNotFoundError") == (code == 2)

@@ -133,10 +133,9 @@ def test_uncalled_functions_are_found():
 
 
 # Entry points for callers outside the library: the tests' paper-definition
-# oracles, the benchmark and the paper's closed forms.  A new public function
-# that nothing in the package calls must be listed here, or called.
+# oracles and the benchmark.  A new public function that nothing in the
+# package calls must be listed here, or called.
 UNCALLED = [
-    "impossible_op_probability",
     "param_pow",
     "psi",
     "random_message",

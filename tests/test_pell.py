@@ -29,6 +29,7 @@ from pellrsa.pell import (
     redei_eval,
     redei_pow,
 )
+from oracles import on_curve
 
 PP35 = PellParams(35, 18)  # D=18 is a non-residue mod 5, a residue mod 7
 PP5 = PellParams(5, 2)
@@ -187,14 +188,14 @@ def test_point_mul_closure_and_commutativity():
         for _ in range(60):
             a, b, c = rng.choice(pts), rng.choice(pts), rng.choice(pts)
             ab = point_mul(a, b, pp)
-            assert pp.on_curve(ab.x, ab.y)
+            assert on_curve(ab.x, ab.y, pp.d, pp.modulus)
             assert ab == point_mul(b, a, pp)
             assert point_mul(ab, c, pp) == point_mul(a, point_mul(b, c, pp), pp)
 
 
 def test_point_validation():
-    assert PP5.on_curve(2, 2)  # 4 - 2 * 4 = -4 = 1 mod 5
-    assert not PP5.on_curve(1, 1)
+    assert on_curve(2, 2, 2, 5)  # 4 - 2 * 4 = -4 = 1 mod 5
+    assert not on_curve(1, 1, 2, 5)
 
 
 # ---- parameter product ----
@@ -251,13 +252,13 @@ def test_compress_special_points():
 
 def test_compress_frozen_example():
     # (1 + 3) * inverse(4) = 4 * 9 = 36 = 1 mod 35
-    assert PP35.on_curve(3, 4)
+    assert on_curve(3, 4, 18, 35)
     assert point_to_param(HyperbolaPoint(3, 4), 35) == 1
 
 
 def test_compress_leaks_factor_for_exotic_square_roots():
     # 6^2 = 1 mod 35 although 6 != +-1: (6, 0) is on the curve, unmappable
-    assert PP35.on_curve(6, 0)
+    assert on_curve(6, 0, 18, 35)
     with pytest.raises(ImpossibleOperation) as info:
         point_to_param(HyperbolaPoint(6, 0), 35)
     assert info.value.factor in (5, 7)
@@ -275,7 +276,7 @@ def test_decompress_lands_on_curve_and_roundtrips():
         for pt in enumerate_hyperbola(p, 1, pp.d):
             m = point_to_param(pt, pp.modulus)
             back = param_to_point(m, pp.modulus, pp.d)
-            assert pp.on_curve(back.x, back.y)
+            assert on_curve(back.x, back.y, pp.d, pp.modulus)
             assert back == pt
 
 
@@ -358,6 +359,9 @@ BAD_KERNEL_CALLS = {
     "crt_coefficients-0": lambda: arith.crt_coefficients([5, 0]),
     "crt_coefficients-1": lambda: arith.crt_coefficients([1, 5]),
     "crt_combine-0": lambda: arith.crt_combine([(1,), (2,)], [5, 0], (1,)),
+    "LucasChain.run-0": lambda: lucas_chain(1000003).run(3, 0),
+    "LucasChain.run-1": lambda: lucas_chain(1000003).run(3, 1),
+    "LucasChain.run-negative": lambda: lucas_chain(1000003).run(3, -7),
 }
 
 
@@ -613,7 +617,7 @@ def test_point_pow_frozen_even_modulus():
     # (2, 1) on x^2 - 3 y^2 = 1 mod 10: squared, x = 2 * 4 - 1 = 7
     pp = PellParams(10, 3)
     pt = HyperbolaPoint(2, 1)
-    assert pp.on_curve(*pt)
+    assert on_curve(*pt, pp.d, pp.modulus)
     assert point_pow(2, 2, pp) == 7
     for k in range(200):
         check_point_pow(pt, k, pp, chain_pow(pt, k, pp))
@@ -745,7 +749,7 @@ def test_point_group_laws_at_crypto_sizes(bits, seed):
     rng = random.Random(seed)
     pp = PellParams(p, rng.randrange(1, p))
     a, b, c = (param_to_point(rng.randrange(p), pp.modulus, pp.d) for _ in range(3))
-    assert all(pp.on_curve(*pt) for pt in (a, b, c))
+    assert all(on_curve(*pt, pp.d, pp.modulus) for pt in (a, b, c))
     assert point_mul(a, HyperbolaPoint(1, 0), pp) == a
     assert point_mul(a, HyperbolaPoint(a.x, -a.y % p), pp) == HyperbolaPoint(1, 0)
     assert point_mul(a, b, pp) == point_mul(b, a, pp)
@@ -768,7 +772,7 @@ def test_param_point_bijection_at_crypto_sizes(bits, seed):
     pp = PellParams(p, d)
     for m in (INFINITY, 0, 1, p - 1, rng.randrange(p)):
         pt = param_to_point(m, pp.modulus, pp.d)
-        assert pp.on_curve(*pt)
+        assert on_curve(*pt, pp.d, pp.modulus)
         assert point_to_param(pt, pp.modulus) == m
 
 

@@ -44,7 +44,7 @@ from pellrsa.scheme import (
     reduced_private_exponents,
     validate_message,
 )
-from oracles import crt, miller_rabin
+from oracles import crt, miller_rabin, on_curve
 
 
 def small_keypair(rng, r=2, bits=32, mode=Mode.ROBUST, exponents=None):
@@ -445,8 +445,7 @@ def test_point_mode_roundtrip_and_consistency():
     for _ in range(25):
         msg = random_message(pub, rng)
         pct = encrypt_point(pub, msg)
-        pp = PellParams(pub.n, pct.d_coef)
-        assert pp.on_curve(pct.cx, pct.cy)
+        assert on_curve(pct.cx, pct.cy, pct.d_coef, pub.n)
         assert decrypt_point(priv, pct) == msg
         assert decrypt_point(priv, pct) == decrypt(priv, encrypt(pub, msg))
 
@@ -753,7 +752,7 @@ def test_a_point_off_the_curve_mod_one_prime_fails_naming_it(exponents):
     ct = encrypt_point(pub, random_message(pub, rng))
     for i, (p, k) in enumerate(priv.factors.factors):
         cx = splice(pub, priv, i, ct.cx + 1, ct.cx)
-        assert not PellParams(p**k, ct.d_coef % p**k).on_curve(cx, ct.cy)
+        assert not on_curve(cx, ct.cy, ct.d_coef, p**k)
         with pytest.raises(DecryptionFailure, match=f"^curve: .* prime {i}$"):
             decrypt_point(priv, PointCiphertext(cx, ct.cy, ct.d_coef))
 
@@ -858,7 +857,7 @@ def test_decrypt_point_names_the_one_prime_where_y_vanishes(exponents):
         assert z.y % p == 0 and (z.y != 0) == (k > 1)
         moduli = [q, pub.n // q]
         cx, cy = crt_combine([z, (ct.cx, ct.cy)], moduli, crt_coefficients(moduli))
-        assert PellParams(pub.n, ct.d_coef).on_curve(cx, cy)
+        assert on_curve(cx, cy, ct.d_coef, pub.n)
         with pytest.raises(DecryptionFailure, match=f"^ladder: .* y = 0 mod prime {i}$"):
             decrypt_point(priv, PointCiphertext(cx, cy, ct.d_coef))
 
@@ -878,9 +877,17 @@ def test_a_root_that_is_no_unit_mod_one_prime_fails_the_crt_stage(exponents):
             decrypt_point(priv, bad)
 
 
+CRT_FAULTS = {
+    "shifted-result": "^crt: the recovered point is not on the curve$",
+    # a coefficient off by one used to fail only the curve check after CRT
+    "corrupted-garner": "^crt: the key's Garner coefficients do not invert its moduli$",
+}
+
+
 @pytest.mark.parametrize("exponents", [[1, 1, 1], [3, 1]])
 @pytest.mark.parametrize("point", [False, True])
-def test_a_fault_in_the_crt_combination_fails_the_crt_stage(monkeypatch, exponents, point):
+@pytest.mark.parametrize("fault", CRT_FAULTS)
+def test_a_fault_in_the_crt_combination_fails_the_crt_stage(monkeypatch, exponents, point, fault):
     rng = random.Random(36)
     pub, priv = small_keypair(rng, r=len(exponents), bits=32, exponents=exponents)
     enc, dec = (encrypt_point, decrypt_point) if point else (encrypt, decrypt)
@@ -891,8 +898,11 @@ def test_a_fault_in_the_crt_combination_fails_the_crt_stage(monkeypatch, exponen
         mx, my = combine(*args)
         return mx + 1, my
 
-    monkeypatch.setattr(scheme, "crt_combine", shifted)
-    with pytest.raises(DecryptionFailure, match="^crt: the recovered point is not on the curve$"):
+    if fault == "shifted-result":
+        monkeypatch.setattr(scheme, "crt_combine", shifted)
+    else:
+        object.__setattr__(priv, "garner", tuple(c + 1 for c in priv.garner))
+    with pytest.raises(DecryptionFailure, match=CRT_FAULTS[fault]):
         dec(priv, ct)
 
 
@@ -1131,6 +1141,10 @@ def test_a_built_plan_leaves_the_key_file_eq_and_hash_unchanged():
     assert dump_private_key(priv) == text
     assert priv == copy and hash(priv) == hash(copy)
     assert repr(priv) == repr(copy)
+    # repr printed d in decimal and each prime in hex, and a row p, q, order and d_i
+    secrets = [f"{p:#x}" for p, _ in priv.factors.factors] + [str(priv.d), f"{priv.d:#x}"]
+    assert not [secret for secret in secrets if secret in repr(priv)]
+    assert not [row for rows in priv.plan for row in rows.values() if str(row.d_i) in repr(row)]
 
 
 def hostile_integers(n, primes):
