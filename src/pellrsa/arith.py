@@ -75,14 +75,14 @@ def crt_coefficients(moduli):
     """Garner's coefficients for crt_combine: for each modulus after the
     first, the inverse mod it of the product of those before it.
 
-    Raises ImpossibleOperation carrying the gcd of a modulus and the product
-    of those before it when they share a factor, ValueError for none or one < 2.
+    Raises ImpossibleOperation carrying the gcd of a modulus and the product of those
+    before it when they share a factor, ValueError for none or one that is no int >= 2.
 
         >>> crt_coefficients([5, 7, 9])
         (3, 8)
     """
-    if not moduli or min(moduli) < 2:
-        raise ValueError("need at least one modulus, each >= 2")
+    if not moduli or any(type(m_i) is not int or m_i < 2 for m_i in moduli):
+        raise ValueError("need at least one modulus, each an int >= 2")
     out, m = [], moduli[0]
     for m_i in moduli[1:]:
         out.append(mod_inv(m % m_i, m_i))

@@ -111,12 +111,13 @@ def full_factorization(n, psi_n, rng, max_trials=200):
     after its first failed trial, or before the budget error, so each prime
     returned passes is_probable_prime.  Raises TrialBudgetExhausted once
     max_trials splitting trials were spent, and ValueError before any
-    primality test for an n or psi_n that is no int, an n above
-    MAX_MODULUS_BITS, or a psi_n below 1 or wider than 2|n| bits, which
-    bounds each trial's ladder.
+    primality test for an n, psi_n or max_trials that is no int, an n above
+    MAX_MODULUS_BITS, a psi_n below 1 or wider than 2|n| bits (which bounds
+    each trial's ladder) or max_trials < 0.
     """
-    if {type(n), type(psi_n)} != {int} or not 1 <= n < 1 << MAX_MODULUS_BITS or not 1 <= psi_n < 4 ** n.bit_length():
-        raise ValueError(f"n must lie in [1, 2^{MAX_MODULUS_BITS}) and psi_n in [1, 2^(2|n|))")
+    if ({type(n), type(psi_n), type(max_trials)} != {int} or not 1 <= n < 1 << MAX_MODULUS_BITS
+            or not 1 <= psi_n < 4 ** n.bit_length() or max_trials < 0):
+        raise ValueError(f"n must lie in [1, 2^{MAX_MODULUS_BITS}), psi_n in [1, 2^(2|n|)) and max_trials in [0, inf)")
     found = Counter()
     # mod 3, x^2 - 1 is a unit only for x = 0: 15 has no start x
     for q in (2, 3):

@@ -59,7 +59,7 @@ def build_parser():
     kg.set_defaults(run=_cmd_keygen)
     kg.add_argument("--bits", type=_number(10), required=True, help="modulus size in bits")
     kg.add_argument("--exponents", type=_exponent_list, required=True, help="e1,..,er (odd), one per prime")
-    kg.add_argument("--pub-exp", type=_number(10), default=None, help="public exponent (decimal)")
+    kg.add_argument("--pub-exp", type=_number(10), default=None, help="public exponent (decimal), coprime to every p^2 - 1: never 3")
     kg.add_argument("--out", required=True, help="prefix for PREFIX.pub / PREFIX.key")
 
     en = sub.add_parser("encrypt", help="encrypt a message pair")
@@ -108,10 +108,7 @@ def _cmd_encrypt(args):
 def _cmd_decrypt(args):
     priv = load_private_key(Path(args.key).read_text())
     ct = load_ciphertext(Path(args.infile).read_text())
-    if isinstance(ct, Ciphertext):
-        msg = decrypt(priv, ct)
-    else:
-        msg = decrypt_point(priv, ct)
+    msg = decrypt(priv, ct) if isinstance(ct, Ciphertext) else decrypt_point(priv, ct)
     print(f"mx={msg.mx:x} my={msg.my:x}")
     return 0
 

@@ -44,8 +44,10 @@ def _load(text, dump, build):
 
 
 def parse_number(value, field, base=16):
-    """The n >= 0 written as `value`, which must be exactly format(n, "x"),
-    or format(n, "d") for base 10; other text raises KeyFormatError."""
+    """The n >= 0 written as `value`, exactly format(n, "x"), or format(n, "d")
+    for base 10 (any other base raises ValueError); other text KeyFormatError."""
+    if type(base) is not int or base not in (16, 10):
+        raise ValueError("base must be 16 or 10")
     try:
         n = int(value, base)
         if n >= 0 and format(n, "x" if base == 16 else "d") == value:

@@ -2,8 +2,8 @@
 
 Two views of the same cyclic structure are implemented:
 
-* points (x, y) on the curve under the division-free Brahmagupta product
-  (x, y)*(w, z) = (xw + D yz, yw + xz);
+* points, bare (x, y) int pairs on the curve, under the division-free
+  Brahmagupta product (x, y)*(w, z) = (xw + D yz, yw + xz);
 * compressed parameters m = (1 + x)/y (slope of the line through (-1, 0)),
   living in Z_n plus one extra identity element at infinity, multiplied by
   m1 * m2 = (D + m1 m2)/(m1 + m2).
@@ -16,16 +16,16 @@ a bare residue and modulus, encryption's and decryption's short ones to e
 with U for the caller's y.  point_pow runs the x-only Lucas ladder
 arith.lucas_v for an exponent it sees once, as factoring and primality do,
 and a LucasChain (Montgomery's PRAC, built by lucas_chain) for an exponent
-a decryption plan reuses.  point_to_param compresses encryption's power on
-a bare modulus, as it never reads D, and param_to_point(m, n, d), on a bare
-modulus and coefficient, decompresses a ciphertext mod each prime power.
+a decryption plan reuses.  point_to_param(x, y, n) compresses encryption's
+power, as it never reads D, and param_to_point(m, n, d) decompresses a
+ciphertext mod each prime power to its pair (x, y).
 param_mul, param_pow and the Redei-pair power redei_pow (redei_eval's pair
 (a, b), one division at the end) have no library caller: they serve the
 tests of the paper's definitions and the benchmark's traces.
 """
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from typing import NamedTuple
 
 from .arith import lucas_v, mod_inv
@@ -41,11 +41,6 @@ class _AtInfinity:
 
 
 INFINITY = _AtInfinity()
-
-
-class HyperbolaPoint(NamedTuple):
-    x: int
-    y: int
 
 
 @dataclass(frozen=True)
@@ -234,13 +229,15 @@ def chebyshev(x, k, n):
 
 
 def ladder_cost(k):
-    """Modular multiplications of point_pow's ladder for an exponent k >= 1.
+    """Modular multiplications of point_pow's ladder for k >= 1; k < 1 raises ValueError.
 
     One for V_2 = V_1^2 - 2, then two per exponent bit after the leading one,
     and no inversion; a root's y adds chebyshev's power to e (two per bit of
     e and two per one bit, both after the leading one), one product that
     scales y by U, and an inversion.  A LucasChain costs len(chain.ops).
     """
+    if k < 1:
+        raise ValueError("exponent must be >= 1")
     return 2 * (k.bit_length() - 1) + 1
 
 
@@ -282,8 +279,8 @@ def param_pow(m, k, pp):
     return r
 
 
-def point_to_param(p, n):
-    """Compress a point mod n to its parameter (1 + x)/y, whatever the curve's D.
+def point_to_param(x, y, n):
+    """Compress the point (x, y) mod n to its parameter (1 + x)/y, whatever the curve's D.
 
     (1, 0) maps to INFINITY and (-1, 0) to 0.  A non-invertible y (or an
     x with x^2 = 1, x != +-1, possible only against a composite modulus)
@@ -291,7 +288,7 @@ def point_to_param(p, n):
     """
     if n < 2:
         raise ValueError("modulus must be >= 2")
-    x, y = p.x % n, p.y % n
+    x, y = x % n, y % n
     if y == 0:
         if x == 1:
             return INFINITY
@@ -303,8 +300,8 @@ def point_to_param(p, n):
 
 
 def param_to_point(m, n, d):
-    """Decompress a parameter m mod n onto x^2 - d y^2 = 1 as
-    ((m^2 + d)/(m^2 - d), 2m/(m^2 - d)).
+    """Decompress a parameter m mod n onto x^2 - d y^2 = 1 as the pair
+    (x, y) = ((m^2 + d)/(m^2 - d), 2m/(m^2 - d)).
 
     INFINITY maps to (1, 0).  Raises ImpossibleOperation when m^2 - d is
     not invertible mod n; n < 2 raises ValueError.
@@ -312,10 +309,10 @@ def param_to_point(m, n, d):
     if n < 2:
         raise ValueError("modulus must be >= 2")
     if isinstance(m, _AtInfinity):
-        return HyperbolaPoint(1, 0)
+        return 1, 0
     m %= n
     inv = mod_inv(m * m - d, n)
-    return HyperbolaPoint((m * m + d) * inv % n, 2 * m * inv % n)
+    return (m * m + d) * inv % n, 2 * m * inv % n
 
 
 def redei_eval(d, z, k, modulus):
@@ -362,8 +359,5 @@ def psi(fm):
     Annihilates the parameter group: m ** psi = INFINITY for every unit m
     when the coefficient is a non-residue mod each prime.
     """
-    out = 1
-    for p, e in fm.factors:
-        out *= p ** (e - 1) * (p + 1)
-    return out
+    return prod(p ** (e - 1) * (p + 1) for p, e in fm.factors)
 

@@ -35,13 +35,13 @@ predicts a speedup of r^2/2 over two-prime CRT-RSA.  A chain spends about
 which predicts 1.5/1.63 = 0.92 of r^2/2, and the check's power to e, two
 products per bit and per one bit of e past the leading one and one for y
 (35 per prime at e = 65537, 3.1% of a 683-bit chain), lowers that from 4.1
-to 4.0 for r = 3 (the ladder's 2 per bit predicted 3.3).  At 2048 bits the
-benchmark measures about 2.8 for r = 3: a product's interpreter overhead
-and reduction weigh more at 683 bits than at 1024.  With s primes counted
-with multiplicity (s = e1 + ... + er), the ladders run at |N|/s bits
-instead of |N|/r, and a ladder's cost grows as the cube of its width, so
-r^2/2 scales by (s/r)^3 to s^3/(2r) (16 for p^3 q), plus the lifts; the
-benchmark measures about 6.0 for p^3 q.
+to 4.0 for r = 3 (the ladder's 2 per bit predicted 3.3).  With s primes
+counted with multiplicity (s = e1 + ... + er), the ladders run at |N|/s
+bits, not |N|/r, and the paper's model, where a ladder's cost grows as the
+cube of its width, scales r^2/2 by (s/r)^3 to s^3/(2r) (16 for p^3 q).  At
+2048 bits the benchmark measures about 2.8 for r = 3 and 5.8 for p^3 q,
+with its lifts: a product's cost grows only as about width^1.23 between
+512 and 1024 bits, not width^2, so narrower ladders save less.
 
 Two private-exponent modes exist because the sender can only test the
 Jacobi symbol of mx^2 - 1, not the residuosity mod the secret primes:
@@ -67,7 +67,6 @@ from .errors import (
 )
 from .pell import (
     INFINITY,
-    HyperbolaPoint,
     LucasChain,
     PellParams,
     chebyshev,
@@ -82,7 +81,7 @@ RANDOM_MESSAGE_DRAWS = 1000
 PRIME_REDRAWS = 1000
 
 
-class Mode(str, Enum):
+class Mode(Enum):
     STRICT = "strict"
     ROBUST = "robust"
 
@@ -126,8 +125,6 @@ class PrivateKey:
     garner: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if type(self.mode) is not Mode:
-            raise ValueError("mode must be a Mode member")
         if type(self.factors) is not FactoredModulus:
             raise ValueError("factors must be a FactoredModulus")
         if len(self.factors.factors) < 2:
@@ -213,18 +210,21 @@ class PointCiphertext:
     d_coef: int
 
 
+def _refuse_non_mode(mode):
+    if type(mode) is not Mode:
+        raise ValueError("mode must be a Mode member")
+
+
 def _group_orders(p, mode):
     """Group orders mod the prime p that a key's d covers: p + 1 (non-residue
     D) under strict, p + 1 and p - 1 (residue D) under robust."""
-    return (p + 1,) if mode == Mode.STRICT else (p + 1, p - 1)
+    _refuse_non_mode(mode)
+    return (p + 1,) if mode is Mode.STRICT else (p + 1, p - 1)
 
 
 def exponent_modulus(factors, mode):
     """lcm of the per-prime group orders the private exponent must invert e under."""
-    out = 1
-    for p, k in factors.factors:
-        out = math.lcm(out, p ** (k - 1) * math.prod(_group_orders(p, mode)))
-    return out
+    return math.lcm(*(p ** (k - 1) * math.prod(_group_orders(p, mode)) for p, k in factors.factors))
 
 
 def keypair_from_primes(primes, exponents, e=None, mode=Mode.ROBUST):
@@ -235,8 +235,9 @@ def keypair_from_primes(primes, exponents, e=None, mode=Mode.ROBUST):
     to the exponent modulus and not 1 mod it; an explicit e that is no odd
     int >= 3 of at most MAX_MODULUS_BITS bits coprime to the exponent
     modulus, or that is 1 mod it and so encrypts every message to itself,
-    raises BadExponentChoice.
+    raises BadExponentChoice; a mode that is no Mode member ValueError first.
     """
+    _refuse_non_mode(mode)
     factors = FactoredModulus(zip(primes, exponents, strict=True))
     lam = exponent_modulus(factors, mode)
     _refuse_unusable_e(e, lam)
@@ -260,17 +261,21 @@ def keygen(r, exponents, prime_bits, rng, e=None, mode=Mode.ROBUST):
 
     The modulus size is roughly prime_bits * sum(exponents).  An r,
     prime_bits or exponent that is no int (a bool included), r < 2, other
-    than r exponents, an exponent that is even or below 1, and a size above
-    MAX_MODULUS_BITS raise ValueError, and an e no key takes BadExponentChoice
-    (its type, parity, width and e < 3), before any prime is drawn.  Colliding
-    primes are redrawn; r + PRIME_REDRAWS draws without r distinct primes
-    (fewer may have prime_bits bits) raise RandomnessExhausted.
+    than r exponents, an exponent that is even or below 1, a size above
+    MAX_MODULUS_BITS or a non-Mode mode raise ValueError, and an e no key
+    takes BadExponentChoice (its type, parity, width and e < 3), before any
+    prime is drawn.  A robust key's e must also be coprime to every p^2 - 1
+    (keypair_from_primes), so e = 3, which divides p^2 - 1 for every prime
+    p > 3, is never accepted.  Colliding primes are redrawn; r + PRIME_REDRAWS
+    draws without r distinct primes (fewer may have prime_bits bits) raise
+    RandomnessExhausted.
     """
     ints = all(type(v) is int for v in (r, prime_bits, *exponents))
     if not ints or r < 2 or len(exponents) != r or any(k < 1 or k % 2 == 0 for k in exponents):
         raise ValueError("need ints: r >= 2 primes, prime_bits and one odd exponent >= 1 for each")
     if prime_bits * sum(exponents) > MAX_MODULUS_BITS:
         raise ValueError(f"modulus exceeds {MAX_MODULUS_BITS} bits")
+    _refuse_non_mode(mode)
     _refuse_unusable_e(e)
     primes = []
     for _ in range(r + PRIME_REDRAWS):
@@ -288,8 +293,9 @@ def validate_message(pk, msg, mode=Mode.ROBUST):
     larger one would decrypt to its residue, not to the message sent.  Both
     modes demand gcd(mx^2 - 1, N) = 1; strict also demands
     Jacobi(mx^2 - 1, N) = -1, so only strict computes a Jacobi symbol.
-    Returns D = (mx^2 - 1)/my^2 mod N.
+    Returns D = (mx^2 - 1)/my^2 mod N; a non-Mode mode raises ValueError first.
     """
+    _refuse_non_mode(mode)
     n = pk.n
     mx, my = (msg.mx, msg.my) if type(msg) is MessagePair else (None, None)
     if {type(mx), type(my)} != {int} or not (0 <= mx < n and 0 <= my < n):
@@ -299,7 +305,7 @@ def validate_message(pk, msg, mode=Mode.ROBUST):
     t = (mx * mx - 1) % n
     if math.gcd(t, n) != 1:
         raise MessageNotEncryptable("mx^2 - 1 is not a unit mod N")
-    if mode == Mode.STRICT and jacobi(t, n) != -1:
+    if mode is Mode.STRICT and jacobi(t, n) != -1:
         raise MessageNotEncryptable("Jacobi(mx^2 - 1, N) != -1")
     return t * mod_inv(my * my % n, n) % n
 
@@ -309,7 +315,7 @@ def encrypt(pk, msg, mode=Mode.ROBUST):
     parameter of the point ciphertext.  Raises ImpossibleOperation when that
     point's y is no unit, which a robust key's e rules out."""
     ct = encrypt_point(pk, msg, mode)
-    c = point_to_param(HyperbolaPoint(ct.cx, ct.cy), pk.n)
+    c = point_to_param(ct.cx, ct.cy, pk.n)
     if c is INFINITY:
         # message point order divides e; only conceivable for toy primes
         raise MessageNotEncryptable("message parameter collapses to the identity")
@@ -370,12 +376,12 @@ def _decrypt(sk, ct, kind):
     for i, row in enumerate(rows):
         q, dq = row.q, d_coef % row.q
         try:
-            c = param_to_point(ct.c, q, dq) if kind is Ciphertext else HyperbolaPoint(ct.cx % q, ct.cy % q)
+            cx, cy = param_to_point(ct.c, q, dq) if kind is Ciphertext else (ct.cx % q, ct.cy % q)
         except ImpossibleOperation:
             raise DecryptionFailure(f"decompression: c^2 - D is no unit mod prime {i}") from None
-        if (c.x * c.x - dq * c.y * c.y) % q != 1:
+        if (cx * cx - dq * cy * cy) % q != 1:
             raise DecryptionFailure(f"curve: the ciphertext point is off the curve mod prime {i}")
-        roots.append(_root(c, dq, row, sk, i))
+        roots.append(_root(cx, cy, dq, row, sk, i))
     try:
         mx, my = crt_combine(roots, [row.q for row in rows], sk.garner)
     except ValueError:
@@ -387,21 +393,21 @@ def _decrypt(sk, ct, kind):
     return MessagePair(mx, my)
 
 
-def _root(c, dq, row, sk, i):
-    """The e-th root c^(d_i) of c on x^2 - dq y^2 = 1 mod row.q = p^k, for
-    the key sk's e and d, checked mod p by its power to e, then lifted to p^k.
+def _root(cx, cy, dq, row, sk, i):
+    """The e-th root (x, y) of c = (cx, cy) on x^2 - dq y^2 = 1 mod row.q = p^k,
+    for sk's e and d, checked mod p by its power to e, then lifted to p^k.
 
-    c with y = 0 mod p is (+-1, 0), a fixed point of the odd d_i, so no
+    c with cy = 0 mod p is (+-1, 0), a fixed point of the odd d_i, so no
     message; it is refused before the row counts a use (PlanRow.use) and
     before the power mod p, which yields x: the ladder, or the row's chain,
     whose exponent must be d_i.  The root (x, y) raised to e is
-    (T_e(x), y U_{e-1}(x)), so T_e(x) = c.x, and y = c.y / U_{e-1}(x) with U
-    a unit as c.y is.  T_k of a point is periodic in k mod its order, so the
+    (T_e(x), y U_{e-1}(x)), so T_e(x) = cx, and y = cy / U_{e-1}(x) with U
+    a unit as cy is.  T_k of a point is periodic in k mod its order, so the
     check raises to e mod the order, below p + 2 for any e.  A root x = +-1
-    fails the check: T_e(+-1) = +-1, not c.x.
+    fails the check: T_e(+-1) = +-1, not cx.
 
-    Each Newton step then lifts the root m mod u to q = min(u^3, p^k), so
-    p^k takes ceil(log3 k) steps, and p none.  m's norm is 1 + U mod q with
+    Each Newton step then lifts the root m = (x, y) mod u to q = min(u^3, p^k),
+    so p^k takes ceil(log3 k) steps, and p none.  m's norm is 1 + U mod q with
     u | U, so U^3 = 0 mod q and scaling m by s = 1 - U/2 + 3U^2/8, the
     series of (1 + U)^(-1/2), puts m' on the curve mod q, still m mod u; a
     power m'^e off the curve is a fault and raises, naming prime i; it
@@ -414,20 +420,19 @@ def _root(c, dq, row, sk, i):
     p | y_E.  No step divides.
     """
     p, d_i, order = row.p, row.d_i, row.order
-    if c.y % p == 0:
+    if cy % p == 0:
         raise DecryptionFailure(f"ladder: the ciphertext has y = 0 mod prime {i}")
     if (chain := row.use()) is not None and chain.k != d_i:
         raise DecryptionFailure(f"verify: the row's chain raises to another exponent than d_i mod prime {i}")
-    x = point_pow(c.x, d_i, PellParams(p, dq % p), chain=chain)
+    x = point_pow(cx, d_i, PellParams(p, dq % p), chain=chain)
     t, u = chebyshev(x, sk.e % order, p)
-    if t != c.x % p:
+    if t != cx % p:
         raise DecryptionFailure(f"verify: the root's e-th power is not the ciphertext mod prime {i}")
-    m, q = HyperbolaPoint(x, c.y * mod_inv(u, p) % p), p
+    y, q = cy * mod_inv(u, p) % p, p
     e = sk.e % (row.q // p * order)
     while q < row.q:
         q = min(q**3, row.q)
         half = (q + 1) // 2
-        x, y = m
         h = (x * x - dq * y * y - 1) * half % q  # U/2
         s = (1 - h + 3 * h * h * half) % q
         x, y = s * x % q, s * y % q
@@ -435,10 +440,10 @@ def _root(c, dq, row, sk, i):
         ey = y * v % q
         if (ex * ex - dq * ey * ey) % q != 1:
             raise DecryptionFailure(f"verify: the lifted root's e-th power is off the curve mod prime {i}")
-        t = (c.y * ex - c.x * ey) * sk.d % q
+        t = (cy * ex - cx * ey) * sk.d % q
         w = (1 + dq * t * t * half) % q
-        m = HyperbolaPoint((x * w + dq * y * t) % q, (y * w + x * t) % q)
-    return m
+        x, y = (x * w + dq * y * t) % q, (y * w + x * t) % q
+    return x, y
 
 
 def random_message(pk, rng, mode=Mode.ROBUST):

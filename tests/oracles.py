@@ -2,8 +2,16 @@
 
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 from pellrsa.arith import is_probable_prime
+
+
+class HyperbolaPoint(NamedTuple):
+    """A point (x, y) of the group-law oracles; the library passes bare pairs."""
+
+    x: int
+    y: int
 
 
 def on_curve(x, y, d, n):

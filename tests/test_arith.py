@@ -246,6 +246,12 @@ def test_crt_refuses_mixed_or_non_int_inputs(case):
         crt_combine(*MIXED_CRT_INPUTS[case], (3,))
 
 
+def test_crt_coefficients_refuse_a_modulus_that_is_no_int():
+    # a float modulus used to leak a TypeError from pow
+    with pytest.raises(ValueError, match="each an int >= 2$"):
+        crt_coefficients([3.0, 5])
+
+
 def test_crt_coefficients_refuse_no_moduli():
     # moduli[0] used to leak an IndexError
     with pytest.raises(ValueError, match="at least one modulus"):

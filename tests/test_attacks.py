@@ -415,6 +415,16 @@ def test_full_factorization_refuses_a_non_int_or_oversized_input_before_any_work
         full_factorization(n, psi_n, ExplodingRng())
 
 
+@pytest.mark.parametrize("max_trials", [-1, 1.5, True, "3", None])
+def test_full_factorization_refuses_a_max_trials_that_is_no_int_at_least_0_before_any_work(max_trials, monkeypatch):
+    # -1 used to run as 0, and 1.5 as a budget of 2
+    tested = []
+    monkeypatch.setattr(attacks, "is_probable_prime", lambda m: tested.append(m) or is_probable_prime(m))
+    with pytest.raises(ValueError, match="must lie in"):
+        full_factorization(35, 48, ExplodingRng(), max_trials=max_trials)
+    assert tested == []
+
+
 def test_full_factorization_accepts_psi_up_to_twice_the_bits_of_n():
     # 7 has 3 bits, so psi_n may have 6; the prime n short-circuits
     assert full_factorization(7, (1 << 6) - 1, ExplodingRng()) == [(7, 1)]

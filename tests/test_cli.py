@@ -149,6 +149,41 @@ def test_keygen_with_too_few_primes_of_that_size_exits_3(tmp_path, capsys, alarm
     assert not list(tmp_path.iterdir())
 
 
+class NoDraws:
+    """An rng that fails the test if anything is drawn from it."""
+
+    def getrandbits(self, bits):
+        raise AssertionError("a prime was drawn")
+
+
+def keygen_with(monkeypatch, rng):
+    """Make cli.keygen draw from rng in place of the OS CSPRNG."""
+    draw = cli.keygen
+    monkeypatch.setattr(cli, "keygen", lambda r, exponents, bits, _, **kw: draw(r, exponents, bits, rng, **kw))
+
+
+@pytest.mark.parametrize("exponents", ["1,1", "1,1,1"])
+@pytest.mark.parametrize("pub_exp", ["3", "4"])
+def test_keygen_with_an_unusable_pub_exp_exits_3(tmp_path, capsys, monkeypatch, exponents, pub_exp):
+    # 3 divides p^2 - 1 for every prime p > 3, so no robust key takes e = 3;
+    # an even e is refused before any prime is drawn
+    keygen_with(monkeypatch, random.Random(3) if pub_exp == "3" else NoDraws())
+    argv = ["keygen", "--bits", "256", "--exponents", exponents, "--pub-exp", pub_exp]
+    assert cli.dispatch(argv + ["--out", str(tmp_path / "k")]) == 3
+    assert capsys.readouterr().err.startswith("BadExponentChoice")
+    assert not list(tmp_path.iterdir())
+
+
+def test_keygen_takes_a_usable_pub_exp(tmp_path, monkeypatch):
+    keygen_with(monkeypatch, random.Random(4))
+    prefix = tmp_path / "k"
+    argv = ["keygen", "--bits", "256", "--exponents", "1,1", "--pub-exp", "65539", "--out", str(prefix)]
+    assert cli.dispatch(argv) == 0
+    assert f"e={65539:x}" in prefix.with_suffix(".pub").read_text().splitlines()
+    priv = load_private_key(prefix.with_suffix(".key").read_text())
+    assert 65539 * priv.d % exponent_modulus(priv.factors, priv.mode) == 1
+
+
 def test_factor_given_psi(keys, capsys):
     _, pub, priv = keys
     capsys.readouterr()

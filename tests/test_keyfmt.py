@@ -10,6 +10,7 @@ from pellrsa.keyfmt import (
     load_ciphertext,
     load_private_key,
     load_public_key,
+    parse_number,
 )
 from pellrsa.scheme import (
     Ciphertext,
@@ -144,3 +145,11 @@ def test_loaders_reject_keys_breaking_invariants(load, text):
     # and d = 29 plus a multiple of 48, which inverts e = 5 but is not reduced
     with pytest.raises(KeyFormatError):
         load(text)
+
+
+@pytest.mark.parametrize("base", [8, 2, 16.0, "16", None])
+def test_parse_number_refuses_a_base_other_than_16_or_10(base):
+    # base 8 used to read "7" as decimal 7, while it refused "10"
+    with pytest.raises(ValueError, match="^base must be 16 or 10$"):
+        parse_number("7", "f", base)
+    assert (parse_number("7", "f", 16), parse_number("10", "f", 10)) == (7, 10)

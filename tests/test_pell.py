@@ -14,7 +14,6 @@ from pellrsa.arith import FactoredModulus, gen_prime, is_probable_prime, jacobi,
 from pellrsa.errors import ImpossibleOperation
 from pellrsa.pell import (
     INFINITY,
-    HyperbolaPoint,
     LucasChain,
     PellParams,
     chebyshev,
@@ -29,7 +28,7 @@ from pellrsa.pell import (
     redei_eval,
     redei_pow,
 )
-from oracles import on_curve
+from oracles import HyperbolaPoint, on_curve
 
 PP35 = PellParams(35, 18)  # D=18 is a non-residue mod 5, a residue mod 7
 PP5 = PellParams(5, 2)
@@ -246,27 +245,27 @@ def test_param_mul_group_laws_over_prime():
 # ---- parametrization maps ----
 
 def test_compress_special_points():
-    assert point_to_param(HyperbolaPoint(1, 0), 35) is INFINITY
-    assert point_to_param(HyperbolaPoint(34, 0), 35) == 0
+    assert point_to_param(1, 0, 35) is INFINITY
+    assert point_to_param(34, 0, 35) == 0
 
 
 def test_compress_frozen_example():
     # (1 + 3) * inverse(4) = 4 * 9 = 36 = 1 mod 35
     assert on_curve(3, 4, 18, 35)
-    assert point_to_param(HyperbolaPoint(3, 4), 35) == 1
+    assert point_to_param(3, 4, 35) == 1
 
 
 def test_compress_leaks_factor_for_exotic_square_roots():
     # 6^2 = 1 mod 35 although 6 != +-1: (6, 0) is on the curve, unmappable
     assert on_curve(6, 0, 18, 35)
     with pytest.raises(ImpossibleOperation) as info:
-        point_to_param(HyperbolaPoint(6, 0), 35)
+        point_to_param(6, 0, 35)
     assert info.value.factor in (5, 7)
 
 
 def test_decompress_special_values():
-    assert param_to_point(INFINITY, 35, 18) == HyperbolaPoint(1, 0)
-    assert param_to_point(0, 35, 18) == HyperbolaPoint(34, 0)
+    assert param_to_point(INFINITY, 35, 18) == (1, 0)
+    assert param_to_point(0, 35, 18) == (34, 0)
 
 
 def test_decompress_lands_on_curve_and_roundtrips():
@@ -274,9 +273,9 @@ def test_decompress_lands_on_curve_and_roundtrips():
     for p in (13, 31, 101):
         pp = PellParams(p, qnr_mod(p, rng))
         for pt in enumerate_hyperbola(p, 1, pp.d):
-            m = point_to_param(pt, pp.modulus)
+            m = point_to_param(*pt, pp.modulus)
             back = param_to_point(m, pp.modulus, pp.d)
-            assert on_curve(back.x, back.y, pp.d, pp.modulus)
+            assert on_curve(*back, pp.d, pp.modulus)
             assert back == pt
 
 
@@ -290,8 +289,8 @@ def test_morphism_exhaustive_over_primes():
             pts = enumerate_hyperbola(p, 1, d)
             for a in pts:
                 for b in pts:
-                    lhs = point_to_param(point_mul(a, b, pp), p)
-                    rhs = param_mul(point_to_param(a, p), point_to_param(b, p), pp)
+                    lhs = point_to_param(*point_mul(a, b, pp), p)
+                    rhs = param_mul(point_to_param(*a, p), point_to_param(*b, p), pp)
                     assert lhs == rhs
 
 
@@ -311,7 +310,7 @@ def test_param_pow_frozen_example():
     # parameter product is partial over composites), so the oracle walks the
     # division-free curve side and compresses at the end
     pt = param_to_point(1, 35, 18)
-    oracle = point_to_param(naive_point_pow(pt, 5, PP35), 35)
+    oracle = point_to_param(*naive_point_pow(pt, 5, PP35), 35)
     assert oracle == 34
     assert param_pow(1, 5, PP35) == 34
     assert redei_pow(1, 5, PP35) == 34
@@ -349,8 +348,8 @@ def test_point_pow_trivial_and_frozen():
 BAD_KERNEL_CALLS = {
     "chebyshev-0": lambda: chebyshev(2, 3, 0),
     "chebyshev-1": lambda: chebyshev(2, 3, 1),
-    "point_to_param-0": lambda: point_to_param(HyperbolaPoint(2, 3), 0),
-    "point_to_param-1": lambda: point_to_param(HyperbolaPoint(1, 0), 1),
+    "point_to_param-0": lambda: point_to_param(2, 3, 0),
+    "point_to_param-1": lambda: point_to_param(1, 0, 1),
     "param_to_point-0": lambda: param_to_point(2, 0, 3),
     "param_to_point-1": lambda: param_to_point(2, 1, 3),
     "redei_eval-0": lambda: redei_eval(18, 9, 3, 0),
@@ -362,6 +361,9 @@ BAD_KERNEL_CALLS = {
     "LucasChain.run-0": lambda: lucas_chain(1000003).run(3, 0),
     "LucasChain.run-1": lambda: lucas_chain(1000003).run(3, 1),
     "LucasChain.run-negative": lambda: lucas_chain(1000003).run(3, -7),
+    # ladder_cost(0) returned -1 and ladder_cost(-5) returned 5
+    "ladder_cost-0": lambda: ladder_cost(0),
+    "ladder_cost-negative": lambda: ladder_cost(-5),
 }
 
 
@@ -398,8 +400,8 @@ def test_pow_morphism():
     pts = [pt for pt in enumerate_hyperbola(101, 1, pp.d) if pt.y != 0]
     for _ in range(50):
         pt, k = rng.choice(pts), rng.randrange(0, 200)
-        rhs = param_to_point(param_pow(point_to_param(pt, pp.modulus), k, pp), pp.modulus, pp.d)
-        assert point_pow(pt.x, k, pp) == rhs.x
+        rhs_x, _ = param_to_point(param_pow(point_to_param(*pt, pp.modulus), k, pp), pp.modulus, pp.d)
+        assert point_pow(pt.x, k, pp) == rhs_x
 
 
 # ---- Redei pairs ----
@@ -463,7 +465,7 @@ def test_ladder_multiplication_counts_are_exact(monkeypatch):
     rng = random.Random(79)
     pp = PellParams(10007, qnr_mod(10007, rng))
     assert pp.d != 2  # a product with D must not look like a doubling
-    pt = param_to_point(123, pp.modulus, pp.d)
+    pt = HyperbolaPoint(*param_to_point(123, pp.modulus, pp.d))
     tallied = HyperbolaPoint(Tallied(pt.x), Tallied(pt.y))
     param_muls, inversions = [], []
 
@@ -579,7 +581,7 @@ def test_decryption_root_step_exhaustive_against_product_oracle(p):
                 key = types.SimpleNamespace(e=e, d=d)
                 for c in pts:
                     if c.y % p:
-                        assert scheme._root(c, pp.d, row, key, 0) == chain_pow(c, d, pp)
+                        assert scheme._root(*c, pp.d, row, key, 0) == chain_pow(c, d, pp)
                 assert row.uses == sum(1 for c in pts if c.y % p)
                 chained += row.chain is not None
     assert chained
@@ -730,7 +732,7 @@ def test_point_pow_bit_identical_to_product_ladder_at_crypto_sizes(bits, power, 
     n = p**power
     rng = random.Random(seed)
     pp = PellParams(n, rng.randrange(1, p) + p * rng.randrange(n // p))
-    pt = param_to_point(rng.randrange(n), pp.modulus, pp.d)
+    pt = HyperbolaPoint(*param_to_point(rng.randrange(n), pp.modulus, pp.d))
     if in_kernel:
         # P^(p^2 - 1) reduces to (1, 0) mod p, so D*y is not a unit mod n
         pt = chain_pow(pt, p * p - 1, pp)
@@ -748,7 +750,7 @@ def test_point_group_laws_at_crypto_sizes(bits, seed):
     p = crypto_prime(bits)
     rng = random.Random(seed)
     pp = PellParams(p, rng.randrange(1, p))
-    a, b, c = (param_to_point(rng.randrange(p), pp.modulus, pp.d) for _ in range(3))
+    a, b, c = (HyperbolaPoint(*param_to_point(rng.randrange(p), pp.modulus, pp.d)) for _ in range(3))
     assert all(on_curve(*pt, pp.d, pp.modulus) for pt in (a, b, c))
     assert point_mul(a, HyperbolaPoint(1, 0), pp) == a
     assert point_mul(a, HyperbolaPoint(a.x, -a.y % p), pp) == HyperbolaPoint(1, 0)
@@ -773,7 +775,7 @@ def test_param_point_bijection_at_crypto_sizes(bits, seed):
     for m in (INFINITY, 0, 1, p - 1, rng.randrange(p)):
         pt = param_to_point(m, pp.modulus, pp.d)
         assert on_curve(*pt, pp.d, pp.modulus)
-        assert point_to_param(pt, pp.modulus) == m
+        assert point_to_param(*pt, pp.modulus) == m
 
 
 # ---- orders, psi, enumeration ----

@@ -19,7 +19,6 @@ from pellrsa.arith import MAX_MODULUS_BITS, crt_coefficients, crt_combine, gen_p
 from pellrsa.keyfmt import dump_ciphertext, dump_private_key, dump_public_key, load_private_key
 from pellrsa.pell import (
     INFINITY,
-    HyperbolaPoint,
     PellParams,
     chebyshev,
     param_pow,
@@ -44,7 +43,7 @@ from pellrsa.scheme import (
     reduced_private_exponents,
     validate_message,
 )
-from oracles import crt, miller_rabin, on_curve
+from oracles import HyperbolaPoint, crt, miller_rabin, on_curve
 
 
 def small_keypair(rng, r=2, bits=32, mode=Mode.ROBUST, exponents=None):
@@ -70,8 +69,7 @@ def full_width_decrypt(sk, ct):
     pp = PellParams(sk.n, ct.d_coef % sk.n)
     m_val = redei_pow(ct.c, sk.d, pp)
     assert m_val is not INFINITY
-    pt = param_to_point(m_val, pp.modulus, pp.d)
-    return MessagePair(pt.x, pt.y)
+    return MessagePair(*param_to_point(m_val, pp.modulus, pp.d))
 
 
 def full_width_decrypt_point(sk, ct):
@@ -88,8 +86,7 @@ def crt_decrypt_with(param_power, sk, ct):
         m_i, order = p**k, p ** (k - 1) * (p - jacobi(ct.d_coef, p))
         residues.append(param_power(ct.c % m_i, sk.d % order, PellParams(m_i, ct.d_coef % m_i)))
         moduli.append(m_i)
-    pt = param_to_point(crt(residues, moduli), sk.n, ct.d_coef % sk.n)
-    return MessagePair(pt.x, pt.y)
+    return MessagePair(*param_to_point(crt(residues, moduli), sk.n, ct.d_coef % sk.n))
 
 
 # ---- key generation ----
@@ -705,14 +702,30 @@ def test_ciphertext_fields_outside_0_to_n_are_refused(dec, ct):
         dec(PRIV35, ct)
 
 
-@pytest.mark.parametrize("mode", [None, "bogus", "robust"])
-def test_a_mode_that_is_no_mode_member_is_refused(mode):
+@pytest.mark.parametrize("mode", [None, "bogus", "robust", "strict", 42])
+def test_a_mode_that_is_no_mode_member_is_refused(mode, monkeypatch):
     # these used to build a key that acted as robust, on which
-    # dump_private_key raised a bare AttributeError
-    with pytest.raises(ValueError, match="^mode must be a Mode member$"):
+    # dump_private_key raised a bare AttributeError; the encryptions and
+    # random_message took any of them as robust, and "strict" as strict
+    def refused():
+        return pytest.raises(ValueError, match="^mode must be a Mode member$")
+
+    with refused():
         PrivateKey(PRIV35.factors, 29, mode)
-    with pytest.raises(ValueError, match="^mode must be a Mode member$"):
-        keygen(2, [1, 1], 16, random.Random(1), mode=mode)
+    with refused():
+        exponent_modulus(PRIV35.factors, mode)
+    with refused():
+        keygen(2, [1, 1], 16, NoDraws(), mode=mode)
+    for entry in (validate_message, encrypt, encrypt_point):
+        with refused():
+            entry(PUB35, MessagePair(3, 4), mode)
+    with refused():
+        random_message(PUB35, random.Random(1), mode)
+    tested = []
+    monkeypatch.setattr(arith, "is_probable_prime", lambda n: tested.append(n) or True)
+    with refused():
+        keypair_from_primes([5, 7], [1, 1], e=5, mode=mode)
+    assert tested == []
 
 
 @pytest.mark.parametrize("case", NOT_INTS)
