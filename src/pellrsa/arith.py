@@ -1,12 +1,12 @@
 """Big-integer modular arithmetic, primality testing and CRT utilities.
 
-Above 2^64 is_probable_prime is the Baillie-PSW test (Baillie and Wagstaff,
-"Lucas pseudoprimes", Math. Comp. 35, 1980): a strong test to base 2 and an
-extra strong Lucas test (Grantham, "Frobenius pseudoprimes", Math. Comp. 70,
-2001) on lucas_v, the ladder pell.point_pow also runs.  No composite is known
-to pass both.  "Prime and Prejudice" (Albrecht et al., CCS 2018) builds
-composites that pass Miller-Rabin to fixed bases and recommends Baillie-PSW
-for input an adversary may choose, such as a key file.
+is_probable_prime is the Baillie-PSW test at every size (Baillie and
+Wagstaff, "Lucas pseudoprimes", Math. Comp. 35, 1980): a strong test to base
+2 and an extra strong Lucas test (Grantham, "Frobenius pseudoprimes", Math.
+Comp. 70, 2001) on lucas_v, the ladder pell.point_pow also runs.  No
+composite is known to pass both.  "Prime and Prejudice" (Albrecht et al.,
+CCS 2018) builds composites that pass Miller-Rabin to fixed bases and
+recommends Baillie-PSW for input an adversary may choose, such as a key file.
 """
 
 import math
@@ -25,9 +25,6 @@ def primes_up_to(limit):
 
 
 SMALL_PRIMES = primes_up_to(1000)
-
-# First-12-prime Miller-Rabin bases are a proven deterministic set below 2^64.
-_DETERMINISTIC_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # Largest modulus FactoredModulus builds, as sum(e * bitlen(p)); NIST's
 # 15360-bit modulus for 256-bit security fits.
@@ -118,7 +115,7 @@ def crt_combine(residues, moduli, coefficients):
 
 def lucas_v(v, k, m):
     """(V_k, V_{k+1}) mod m of the Lucas sequence V_0 = 2, V_1 = v with Q = 1,
-    for k >= 0 and m >= 2; any other k or m raises ValueError.
+    for ints v, k >= 0 and m >= 2; any other v, k or m raises ValueError.
 
     A Montgomery ladder over V_{2j} = V_j^2 - 2 and V_{2j+1} = V_j V_{j+1} - v,
     one full product for the leading bit of k and two for each later one
@@ -130,8 +127,8 @@ def lucas_v(v, k, m):
     A power's y needs U_{k-1} too, which this ladder yields only through an
     inversion, so pell.chebyshev takes those powers.
     """
-    if k < 0 or m < 2:
-        raise ValueError("lucas_v needs k >= 0 and m >= 2")
+    if not all(isinstance(a, int) for a in (v, k, m)) or k < 0 or m < 2:
+        raise ValueError("lucas_v needs ints: k >= 0 and m >= 2")
     v %= m
     a, b = 2, v
     for bit in bin(k)[2:]:
@@ -182,19 +179,16 @@ def _lucas_test(n):
 
 
 def is_probable_prime(n):
-    """Primality: exact below 2^64, Baillie-PSW above; nothing is random.
-
-    Trial division by SMALL_PRIMES first.  Below 2^64 the twelve
-    _DETERMINISTIC_BASES are a proof, not a conjecture, and cost little at
-    that size.  Above, one strong test to base 2, then _lucas_test.
-    """
+    """Baillie-PSW at every size, nothing random: trial division by
+    SMALL_PRIMES, then a strong test to base 2 and _lucas_test.  Exact below
+    2^64 by computation: Feitsma and Galway listed the base-2 strong
+    pseudoprimes there, and none is an extra strong Lucas pseudoprime
+    (Jacobsen, "Pseudoprime Statistics, Tables, and Data", 2016)."""
     if n < 2:
         return False
     for p in SMALL_PRIMES:
         if n % p == 0:
             return n == p
-    if n < 1 << 64:
-        return all(_strong_test(n, a) for a in _DETERMINISTIC_BASES)
     return _strong_test(n, 2) and _lucas_test(n)
 
 

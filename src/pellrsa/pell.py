@@ -98,9 +98,9 @@ class LucasChain(NamedTuple):
 
     def run(self, v, m):
         """V_k mod m of the Lucas sequence V_0 = 2, V_1 = v with Q = 1, one
-        product per op; m < 2 raises ValueError."""
-        if m < 2:
-            raise ValueError("modulus must be >= 2")
+        product per op; a v or m that is no int, or m < 2, raises ValueError."""
+        if not all(isinstance(a, int) for a in (v, m)) or m < 2:
+            raise ValueError("v and m must be ints, m >= 2")
         regs = [2, v % m]
         for a, b, c in self.ops:
             regs.append((regs[a] * regs[b] - regs[c]) % m)
@@ -205,7 +205,7 @@ def _prac(k, r):
 
 
 def chebyshev(x, k, n):
-    """(T_k(x), U_{k-1}(x)) mod n for k >= 1, by a chain that never divides.
+    """(T_k(x), U_{k-1}(x)) mod n for ints x, k >= 1, n >= 2, never dividing.
 
     The k-th power of an on-curve point (x, y) is (T_k(x), y U_{k-1}(x))
     whatever the curve's D, so the caller scales y by U.  A squaring
@@ -216,8 +216,8 @@ def chebyshev(x, k, n):
         >>> chebyshev(2, 3, 1000)
         (26, 15)
     """
-    if k < 1 or n < 2:
-        raise ValueError("exponent must be >= 1 and modulus >= 2")
+    if not all(isinstance(a, int) for a in (x, k, n)) or k < 1 or n < 2:
+        raise ValueError("need ints: exponent >= 1 and modulus >= 2")
     x %= n
     t, u = x, 1
     for bit in bin(k)[3:]:
@@ -282,12 +282,12 @@ def param_pow(m, k, pp):
 def point_to_param(x, y, n):
     """Compress the point (x, y) mod n to its parameter (1 + x)/y, whatever the curve's D.
 
-    (1, 0) maps to INFINITY and (-1, 0) to 0.  A non-invertible y (or an
-    x with x^2 = 1, x != +-1, possible only against a composite modulus)
-    raises ImpossibleOperation with the revealed factor; n < 2 ValueError.
+    (1, 0) maps to INFINITY and (-1, 0) to 0.  A y that is no unit (or x^2 = 1
+    with x != +-1, possible only against a composite modulus) raises
+    ImpossibleOperation with the revealed factor; non-ints or n < 2 ValueError.
     """
-    if n < 2:
-        raise ValueError("modulus must be >= 2")
+    if not all(isinstance(a, int) for a in (x, y, n)) or n < 2:
+        raise ValueError("need ints: x, y and a modulus >= 2")
     x, y = x % n, y % n
     if y == 0:
         if x == 1:
@@ -303,11 +303,11 @@ def param_to_point(m, n, d):
     """Decompress a parameter m mod n onto x^2 - d y^2 = 1 as the pair
     (x, y) = ((m^2 + d)/(m^2 - d), 2m/(m^2 - d)).
 
-    INFINITY maps to (1, 0).  Raises ImpossibleOperation when m^2 - d is
-    not invertible mod n; n < 2 raises ValueError.
+    INFINITY maps to (1, 0).  m^2 - d no unit mod n raises ImpossibleOperation;
+    an m neither int nor INFINITY, a non-int n or d, or n < 2 ValueError.
     """
-    if n < 2:
-        raise ValueError("modulus must be >= 2")
+    if not all(isinstance(a, int) for a in (n, d)) or not isinstance(m, (int, _AtInfinity)) or n < 2:
+        raise ValueError("need an int or INFINITY m, and ints: n >= 2 and d")
     if isinstance(m, _AtInfinity):
         return 1, 0
     m %= n

@@ -289,13 +289,15 @@ def keygen(r, exponents, prime_bits, rng, e=None, mode=Mode.ROBUST):
 def validate_message(pk, msg, mode=Mode.ROBUST):
     """Check encryptability and derive the curve coefficient D.
 
-    msg must be a MessagePair whose coordinates are units in [0, N): a
-    larger one would decrypt to its residue, not to the message sent.  Both
-    modes demand gcd(mx^2 - 1, N) = 1; strict also demands
-    Jacobi(mx^2 - 1, N) = -1, so only strict computes a Jacobi symbol.
-    Returns D = (mx^2 - 1)/my^2 mod N; a non-Mode mode raises ValueError first.
+    msg must be a MessagePair whose coordinates are units in [0, N): a larger
+    one would decrypt to its residue, not to the message sent.  Both modes
+    demand gcd(mx^2 - 1, N) = 1; strict also demands Jacobi(mx^2 - 1, N) = -1,
+    so only strict computes a Jacobi symbol.  Returns D = (mx^2 - 1)/my^2 mod
+    N; a pk that is no PublicKey or a non-Mode mode raises ValueError first.
     """
     _refuse_non_mode(mode)
+    if type(pk) is not PublicKey:
+        raise ValueError(f"expected a PublicKey, got a {type(pk).__name__}")
     n = pk.n
     mx, my = (msg.mx, msg.my) if type(msg) is MessagePair else (None, None)
     if {type(mx), type(my)} != {int} or not (0 <= mx < n and 0 <= my < n):
@@ -361,14 +363,15 @@ def decrypt_point(sk, ct):
 
 
 def _decrypt(sk, ct, kind):
-    """One loop over the plan for a ciphertext of the class kind, refusing any
-    other object and any field outside [0, N), which the ciphertext of no
-    message has: per prime it becomes a point mod p^k, which must lie on the
-    curve, _root takes its verified root mod p^k through the prime's row, and
-    CRT under the key's Garner coefficients, which must invert its moduli,
-    must give a message on the curve mod N."""
-    if type(ct) is not kind:
-        raise DecryptionFailure(f"plan: expected a {kind.__name__}, got a {type(ct).__name__}")
+    """One loop over the plan of the PrivateKey sk for a ciphertext of the class
+    kind, refusing any other key or object and any field outside [0, N), which
+    the ciphertext of no message has: per prime it becomes a point mod p^k,
+    which must lie on the curve, _root takes its verified root mod p^k through
+    the prime's row, and CRT under the key's Garner coefficients, which must
+    invert its moduli, must give a message on the curve mod N."""
+    for obj, cls in ((sk, PrivateKey), (ct, kind)):
+        if type(obj) is not cls:
+            raise DecryptionFailure(f"plan: expected a {cls.__name__}, got a {type(obj).__name__}")
     if any(type(v) is not int or not 0 <= v < sk.n for v in vars(ct).values()):
         raise DecryptionFailure("plan: ciphertext fields must be ints in [0, N)")
     d_coef, roots = ct.d_coef, []
@@ -447,12 +450,15 @@ def _root(cx, cy, dq, row, sk, i):
 
 
 def random_message(pk, rng, mode=Mode.ROBUST):
-    """Uniformly drawn encryptable message pair, at most RANDOM_MESSAGE_DRAWS tries."""
-    n = pk.n
-    if n == 3:
+    """Uniformly drawn encryptable message pair, at most RANDOM_MESSAGE_DRAWS
+    tries; a pk that is no PublicKey or a non-Mode mode raises ValueError first."""
+    _refuse_non_mode(mode)
+    if type(pk) is not PublicKey:
+        raise ValueError(f"expected a PublicKey, got a {type(pk).__name__}")
+    if pk.n == 3:
         raise RandomnessExhausted("no residue in [2, n - 2] to draw mod 3")
     for _ in range(RANDOM_MESSAGE_DRAWS):
-        msg = MessagePair(rng.randrange(2, n - 1), rng.randrange(2, n - 1))
+        msg = MessagePair(rng.randrange(2, pk.n - 1), rng.randrange(2, pk.n - 1))
         try:
             validate_message(pk, msg, mode)
             return msg

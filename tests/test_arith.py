@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from pellrsa import arith
 from pellrsa.arith import (
-    _DETERMINISTIC_BASES,
     FactoredModulus,
     _lucas_test,
     _strong_test,
@@ -326,12 +325,13 @@ def test_is_probable_prime_large():
     assert not is_probable_prime(2**128 - 1)
 
 
-def test_is_probable_prime_agrees_with_miller_rabin_above_2_64():
-    # from each seeded odd start of 65-256 bits, walk to the oracle's next
-    # prime: every composite on the way and the prime agree
+@pytest.mark.parametrize("low, high", [(20, 65), (65, 257)])
+def test_is_probable_prime_agrees_with_miller_rabin_on_a_seeded_walk(low, high):
+    # from each seeded odd start of low to high - 1 bits, walk to the
+    # oracle's next prime: every composite on the way and the prime agree
     rng = random.Random(29)
     for _ in range(150):
-        n = rng.getrandbits(rng.randrange(65, 257)) | 1 << 64 | 1
+        n = rng.getrandbits(rng.randrange(low, high)) | 1 << (low - 1) | 1
         while not miller_rabin(n, rng):
             assert not is_probable_prime(n), n
             n += 2
@@ -353,7 +353,8 @@ def test_lucas_half_accepts_primes_and_exactly_a217719():
 
 def test_base_2_half_pseudoprimes_fail_the_lucas_half():
     # strong pseudoprimes to base 2; the last, below 2^64, also to every
-    # prime base up to 23, and refused there by the twelve bases
+    # prime base up to 31, and of the first twelve prime bases only 37
+    # refuses it
     for n in (2047, 3277, 4033, 4681, 8321, 3825123056546413051):
         assert _strong_test(n, 2) and not _lucas_test(n), n
         assert not is_probable_prime(n)
@@ -375,11 +376,11 @@ def test_each_half_refuses_a_composite_above_2_64_alone(monkeypatch, half):
 
 
 def test_strong_pseudoprime_to_the_first_twelve_prime_bases_is_refused():
-    # 82 bits, a strong pseudoprime to every prime base up to 37: the twelve
-    # bases that are exact below 2^64 all pass it
+    # 82 bits, a strong pseudoprime to every prime base up to 37: the first
+    # twelve prime bases, which are exact below 2^64, all pass it
     n = 3317044064679887385961981
     assert n > 1 << 64 and n == 1287836182261 * 2575672364521
-    assert all(_strong_test(n, a) for a in _DETERMINISTIC_BASES)
+    assert all(_strong_test(n, a) for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
     assert not is_probable_prime(n)
 
 

@@ -721,11 +721,33 @@ def test_a_mode_that_is_no_mode_member_is_refused(mode, monkeypatch):
             entry(PUB35, MessagePair(3, 4), mode)
     with refused():
         random_message(PUB35, random.Random(1), mode)
+    with refused():  # this used to raise RandomnessExhausted, as n = 3 has no residue to draw
+        random_message(PublicKey(3, 3), NoDraws(), mode)
     tested = []
     monkeypatch.setattr(arith, "is_probable_prime", lambda n: tested.append(n) or True)
     with refused():
         keypair_from_primes([5, 7], [1, 1], e=5, mode=mode)
     assert tested == []
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: decrypt(PUB35, CT35), DecryptionFailure, "^plan: expected a PrivateKey, got a PublicKey$"),
+        (lambda: decrypt_point(PUB35, PCT35), DecryptionFailure, "^plan: expected a PrivateKey, got a PublicKey$"),
+        (lambda: decrypt((35, 29), CT35), DecryptionFailure, "^plan: expected a PrivateKey, got a tuple$"),
+        (lambda: validate_message((35, 5), MessagePair(3, 4)), ValueError, "^expected a PublicKey, got a tuple$"),
+        (lambda: encrypt(PRIV35, MessagePair(3, 4)), ValueError, "^expected a PublicKey, got a PrivateKey$"),
+        (lambda: encrypt_point(PRIV35, MessagePair(3, 4)), ValueError, "^expected a PublicKey, got a PrivateKey$"),
+        (lambda: random_message((35, 5), NoDraws()), ValueError, "^expected a PublicKey, got a tuple$"),
+    ],
+    ids=["decrypt-pub", "decrypt-point-pub", "decrypt-tuple", "validate-tuple", "encrypt-priv",
+         "encrypt-point-priv", "random-message-tuple"],
+)
+def test_a_key_of_the_wrong_type_is_refused(call, error, message):
+    # each used to leak an AttributeError from reading the key
+    with pytest.raises(error, match=message):
+        call()
 
 
 @pytest.mark.parametrize("case", NOT_INTS)
