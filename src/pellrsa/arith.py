@@ -1,12 +1,11 @@
 """Big-integer modular arithmetic, primality testing and CRT utilities.
 
-is_probable_prime is the Baillie-PSW test at every size (Baillie and
-Wagstaff, "Lucas pseudoprimes", Math. Comp. 35, 1980): a strong test to base
-2 and an extra strong Lucas test (Grantham, "Frobenius pseudoprimes", Math.
-Comp. 70, 2001) on lucas_v, the ladder pell.point_pow also runs.  No
-composite is known to pass both.  "Prime and Prejudice" (Albrecht et al.,
-CCS 2018) builds composites that pass Miller-Rabin to fixed bases and
-recommends Baillie-PSW for input an adversary may choose, such as a key file.
+is_probable_prime trial-divides by the primes below 2^13 in two gcds, then
+runs Baillie-PSW (Baillie and Wagstaff, Math. Comp. 35, 1980): a strong test
+to base 2 and an extra strong Lucas test (Grantham, Math. Comp. 70, 2001) on
+lucas_v, the ladder pell.point_pow also runs.  No composite is known to pass
+both.  Albrecht et al. ("Prime and Prejudice", CCS 2018) build composites that
+pass Miller-Rabin to fixed bases and recommend Baillie-PSW for key files.
 """
 
 import math
@@ -24,7 +23,9 @@ def primes_up_to(limit):
     return [p for p, f in enumerate(flags) if f]
 
 
-SMALL_PRIMES = primes_up_to(1000)
+SMALL_PRIMES = frozenset(primes_up_to(1 << 13))
+_BELOW_1000 = math.prod(p for p in SMALL_PRIMES if p < 1000)
+_FROM_1000 = math.prod(p for p in SMALL_PRIMES if p > 1000)
 
 # Largest modulus FactoredModulus builds, as sum(e * bitlen(p)); NIST's
 # 15360-bit modulus for 256-bit security fits.
@@ -179,26 +180,28 @@ def _lucas_test(n):
 
 
 def is_probable_prime(n):
-    """Baillie-PSW at every size, nothing random: trial division by
-    SMALL_PRIMES, then a strong test to base 2 and _lucas_test.  Exact below
-    2^64 by computation: Feitsma and Galway listed the base-2 strong
-    pseudoprimes there, and none is an extra strong Lucas pseudoprime
+    """Baillie-PSW at every size, nothing random, for an int n (else
+    ValueError, for a bool too).  Trial division to 2^13 is two gcds: by the
+    primes below 1000, which refuses 84% of random odd n, then by the rest.
+    One gcd would charge the large product to every n; in two, a prime pays
+    no more than a loop over the primes below 1000.  n < 2 or with a factor
+    there is prime iff in SMALL_PRIMES; the rest take a strong test to base 2
+    and _lucas_test, exact below 2^64: Feitsma and Galway listed the base-2
+    strong pseudoprimes there, and none is an extra strong Lucas pseudoprime
     (Jacobsen, "Pseudoprime Statistics, Tables, and Data", 2016)."""
-    if n < 2:
-        return False
-    for p in SMALL_PRIMES:
-        if n % p == 0:
-            return n == p
+    if type(n) is not int:
+        raise ValueError("is_probable_prime needs an int")
+    if n < 2 or math.gcd(n, _BELOW_1000) > 1 or math.gcd(n, _FROM_1000) > 1:
+        return n in SMALL_PRIMES
     return _strong_test(n, 2) and _lucas_test(n)
 
 
 def gen_prime(bits, rng):
-    """Random probable prime of exactly `bits` bits (top bit set).
-
-    Raises RandomnessExhausted after a bounded number of attempts.
-    """
-    if bits < 8:
-        raise ValueError("bits must be >= 8")
+    """Random probable prime of exactly `bits` bits (top bit set) for an int
+    bits >= 8, else ValueError; RandomnessExhausted after 64 * bits tries.
+    Only the 12.5% of tries with no factor below 2^13 reach a strong test."""
+    if type(bits) is not int or bits < 8:
+        raise ValueError("bits must be an int >= 8")
     for _ in range(64 * bits):
         candidate = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
         if is_probable_prime(candidate):

@@ -298,18 +298,24 @@ def validate_message(pk, msg, mode=Mode.ROBUST):
     _refuse_non_mode(mode)
     if type(pk) is not PublicKey:
         raise ValueError(f"expected a PublicKey, got a {type(pk).__name__}")
-    n = pk.n
+    if reason := _unencryptable(msg, pk.n, mode):
+        raise MessageNotEncryptable(reason)
+    return (msg.mx * msg.mx - 1) * mod_inv(msg.my * msg.my % pk.n, pk.n) % pk.n
+
+
+def _unencryptable(msg, n, mode):
+    """Why validate_message refuses msg mod n under mode, or None; no inversion."""
     mx, my = (msg.mx, msg.my) if type(msg) is MessagePair else (None, None)
     if {type(mx), type(my)} != {int} or not (0 <= mx < n and 0 <= my < n):
-        raise MessageNotEncryptable("mx and my must be ints in [0, N)")
+        return "mx and my must be ints in [0, N)"
     if math.gcd(mx * my, n) != 1:
-        raise MessageNotEncryptable("mx or my is not a unit mod N")
+        return "mx or my is not a unit mod N"
     t = (mx * mx - 1) % n
     if math.gcd(t, n) != 1:
-        raise MessageNotEncryptable("mx^2 - 1 is not a unit mod N")
+        return "mx^2 - 1 is not a unit mod N"
     if mode is Mode.STRICT and jacobi(t, n) != -1:
-        raise MessageNotEncryptable("Jacobi(mx^2 - 1, N) != -1")
-    return t * mod_inv(my * my % n, n) % n
+        return "Jacobi(mx^2 - 1, N) != -1"
+    return None
 
 
 def encrypt(pk, msg, mode=Mode.ROBUST):
@@ -450,8 +456,8 @@ def _root(cx, cy, dq, row, sk, i):
 
 
 def random_message(pk, rng, mode=Mode.ROBUST):
-    """Uniformly drawn encryptable message pair, at most RANDOM_MESSAGE_DRAWS
-    tries; a pk that is no PublicKey or a non-Mode mode raises ValueError first."""
+    """Uniformly drawn encryptable message pair, at most RANDOM_MESSAGE_DRAWS tries,
+    computing no D; a pk that is no PublicKey or a non-Mode mode raises ValueError first."""
     _refuse_non_mode(mode)
     if type(pk) is not PublicKey:
         raise ValueError(f"expected a PublicKey, got a {type(pk).__name__}")
@@ -459,11 +465,8 @@ def random_message(pk, rng, mode=Mode.ROBUST):
         raise RandomnessExhausted("no residue in [2, n - 2] to draw mod 3")
     for _ in range(RANDOM_MESSAGE_DRAWS):
         msg = MessagePair(rng.randrange(2, pk.n - 1), rng.randrange(2, pk.n - 1))
-        try:
-            validate_message(pk, msg, mode)
+        if _unencryptable(msg, pk.n, mode) is None:
             return msg
-        except MessageNotEncryptable:
-            continue
     # e.g. mod any multiple of 3 no message is encryptable
     raise RandomnessExhausted(f"no encryptable message in {RANDOM_MESSAGE_DRAWS} draws")
 

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from pellrsa.arith import is_probable_prime
+from pellrsa.arith import _lucas_test, _strong_test, is_probable_prime
 
 
 class HyperbolaPoint(NamedTuple):
@@ -54,6 +54,20 @@ def miller_rabin(n, rng, rounds=40):
         else:
             return False
     return True
+
+
+PRIMES_BELOW_1000 = [p for p in range(2, 1000) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+
+
+def trial_division_prime(n):
+    """Baillie-PSW after an early-exit loop over the primes below 1000; the
+    library trial-divides by gcds with products up to 2^13 in its place."""
+    if n < 2:
+        return False
+    for p in PRIMES_BELOW_1000:
+        if n % p == 0:
+            return n == p
+    return _strong_test(n, 2) and _lucas_test(n)
 
 
 def impossible_op_probability(primes):

@@ -20,7 +20,7 @@ from pellrsa.arith import (
     mod_inv,
 )
 from pellrsa.errors import ImpossibleOperation, RandomnessExhausted
-from oracles import crt, miller_rabin
+from oracles import crt, miller_rabin, trial_division_prime
 
 
 # ---- independent oracles ----
@@ -310,14 +310,42 @@ def test_gen_prime_gives_up_after_a_bounded_number_of_candidates():
 
 
 def test_is_probable_prime_against_sieve():
-    sieve = [True] * 2000
-    sieve[0] = sieve[1] = False
-    for i in range(2, 45):
-        if sieve[i]:
-            for j in range(i * i, 2000, i):
-                sieve[j] = False
-    for n in range(2000):
-        assert is_probable_prime(n) == sieve[n]
+    # past 2^13, so every n the two gcds settle alone and the first n that
+    # reach the strong test are checked
+    composite = composite_flags(1 << 15)
+    for n in range(1 << 15):
+        assert is_probable_prime(n) == (n >= 2 and not composite[n]), n
+
+
+@pytest.mark.parametrize("n", [7.0, 1009.0, True, False, "7", None, 7 + 0j])
+def test_is_probable_prime_refuses_what_is_not_an_int(n):
+    # 7.0 used to pass as prime, 1009.0 to leak a TypeError
+    with pytest.raises(ValueError, match="^is_probable_prime needs an int$"):
+        is_probable_prime(n)
+
+
+@pytest.mark.parametrize("bits", [16.0, True, "16", None])
+def test_gen_prime_refuses_bits_that_are_no_int(bits):
+    rng = random.Random(0)
+    rng.getrandbits = lambda _: pytest.fail("a candidate was drawn")
+    with pytest.raises(ValueError, match="^bits must be an int >= 8$"):
+        gen_prime(bits, rng)
+
+
+def oracle_gen_prime(bits, rng):
+    while True:
+        candidate = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+        if trial_division_prime(candidate):
+            return candidate
+
+
+@pytest.mark.parametrize(
+    "bits, seeds", [(bits, range(50)) for bits in range(8, 17)] + [(64, range(5)), (256, range(3)), (512, range(2))]
+)
+def test_gen_prime_draws_and_accepts_as_trial_division_by_a_loop_did(bits, seeds):
+    # below 2^13 a candidate can itself be one of the trial divisors
+    for seed in seeds:
+        assert gen_prime(bits, random.Random(seed)) == oracle_gen_prime(bits, random.Random(seed)), (bits, seed)
 
 
 def test_is_probable_prime_large():

@@ -1316,3 +1316,19 @@ def test_random_message_respects_mode():
         msg = random_message(pub, rng, Mode.STRICT)
         assert jacobi((msg.mx**2 - 1) % pub.n, pub.n) == -1
 
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_random_message_accepts_what_validate_message_accepts_without_an_inversion(monkeypatch, mode):
+    # small primes, so that most draws are refused
+    pub, _ = keypair_from_primes([7, 11, 13], [1, 1, 1], mode=mode)
+    expected, rng = [], random.Random(21)
+    while len(expected) < 20:
+        msg = MessagePair(rng.randrange(2, pub.n - 1), rng.randrange(2, pub.n - 1))
+        try:
+            validate_message(pub, msg, mode)
+            expected.append(msg)
+        except MessageNotEncryptable:
+            pass
+    monkeypatch.setattr(scheme, "mod_inv", lambda *args: pytest.fail("random_message computed an inverse"))
+    rng = random.Random(21)
+    assert [random_message(pub, rng, mode) for _ in range(20)] == expected
