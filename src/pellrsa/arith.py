@@ -6,6 +6,9 @@ to base 2 and an extra strong Lucas test (Grantham, Math. Comp. 70, 2001) on
 lucas_v, the ladder pell.point_pow also runs.  No composite is known to pass
 both.  Albrecht et al. ("Prime and Prejudice", CCS 2018) build composites that
 pass Miller-Rabin to fixed bases and recommend Baillie-PSW for key files.
+
+An int argument of a public function of the package must pass _ints: an int,
+no bool, and an int subclass counts as its value; else ValueError or a PellRsaError.
 """
 
 import math
@@ -14,7 +17,11 @@ from dataclasses import dataclass, field
 from .errors import ImpossibleOperation, RandomnessExhausted
 
 
-def primes_up_to(limit):
+def _ints(*values):
+    return all(isinstance(v, int) and type(v) is not bool for v in values)
+
+
+def _primes_up_to(limit):
     """The primes p <= limit, ascending, by the sieve of Eratosthenes."""
     flags = bytearray([0, 0]) + bytearray([1]) * (limit - 1)
     for p in range(2, math.isqrt(limit) + 1):
@@ -23,7 +30,7 @@ def primes_up_to(limit):
     return [p for p, f in enumerate(flags) if f]
 
 
-SMALL_PRIMES = frozenset(primes_up_to(1 << 13))
+SMALL_PRIMES = frozenset(_primes_up_to(1 << 13))
 _BELOW_1000 = math.prod(p for p in SMALL_PRIMES if p < 1000)
 _FROM_1000 = math.prod(p for p in SMALL_PRIMES if p > 1000)
 
@@ -36,13 +43,13 @@ def mod_inv(a, n):
     """Inverse of a modulo n, in [0, n).
 
     Raises ImpossibleOperation carrying gcd(a, n) when it exceeds 1 --
-    against a composite modulus that gcd is often a harvested factor.  The
-    happy path rides the C-level extended gcd inside pow.
+    against a composite modulus that gcd is often a harvested factor -- and
+    ValueError for n < 2 or a non-int.  The happy path is pow's extended gcd.
 
         >>> mod_inv(16, 35)
         11
     """
-    if n < 2:
+    if not _ints(a, n) or n < 2:
         raise ValueError("modulus must be >= 2")
     try:
         return pow(a, -1, n)
@@ -51,8 +58,8 @@ def mod_inv(a, n):
 
 
 def jacobi(a, n):
-    """Jacobi symbol (a/n) for odd n >= 3; 0 iff gcd(a, n) > 1."""
-    if n < 3 or n % 2 == 0:
+    """Jacobi symbol (a/n) for ints a and odd n >= 3, else ValueError; 0 iff gcd(a, n) > 1."""
+    if not _ints(a, n) or n < 3 or n % 2 == 0:
         raise ValueError("jacobi symbol needs an odd modulus >= 3")
     a %= n
     result = 1
@@ -79,7 +86,7 @@ def crt_coefficients(moduli):
         >>> crt_coefficients([5, 7, 9])
         (3, 8)
     """
-    if not moduli or any(type(m_i) is not int or m_i < 2 for m_i in moduli):
+    if not moduli or not _ints(*moduli) or min(moduli) < 2:
         raise ValueError("need at least one modulus, each an int >= 2")
     out, m = [], moduli[0]
     for m_i in moduli[1:]:
@@ -102,12 +109,12 @@ def crt_combine(residues, moduli, coefficients):
     """
     if len(residues) != len(moduli) or not moduli:
         raise ValueError("need equally many residues and moduli, at least one")
-    if any(type(m_i) is not int or m_i < 2 or not isinstance(row, tuple) or len(row) != len(residues[0])
-           or any(type(c) is not int for c in row) for row, m_i in zip(residues, moduli)):
+    if any(not isinstance(row, tuple) or len(row) != len(residues[0]) or not _ints(m_i, *row) or m_i < 2
+           for row, m_i in zip(residues, moduli)):
         raise ValueError("residues must be int tuples of one length, moduli ints >= 2")
     xs, m = [r % moduli[0] for r in residues[0]], moduli[0]
     for row, m_i, inv in zip(residues[1:], moduli[1:], coefficients, strict=True):
-        if m * inv % m_i != 1:
+        if not _ints(inv) or m * inv % m_i != 1:
             raise ValueError("coefficients must be crt_coefficients(moduli)")
         xs = [x + m * ((r_i - x) * inv % m_i) for x, r_i in zip(xs, row)]
         m *= m_i
@@ -128,7 +135,7 @@ def lucas_v(v, k, m):
     A power's y needs U_{k-1} too, which this ladder yields only through an
     inversion, so pell.chebyshev takes those powers.
     """
-    if not all(isinstance(a, int) for a in (v, k, m)) or k < 0 or m < 2:
+    if not _ints(v, k, m) or k < 0 or m < 2:
         raise ValueError("lucas_v needs ints: k >= 0 and m >= 2")
     v %= m
     a, b = 2, v
@@ -181,15 +188,15 @@ def _lucas_test(n):
 
 def is_probable_prime(n):
     """Baillie-PSW at every size, nothing random, for an int n (else
-    ValueError, for a bool too).  Trial division to 2^13 is two gcds: by the
-    primes below 1000, which refuses 84% of random odd n, then by the rest.
+    ValueError, by the module's int rule).  Trial division to 2^13 is two
+    gcds: by the primes below 1000, which refuse 84% of random odd n, then the rest.
     One gcd would charge the large product to every n; in two, a prime pays
     no more than a loop over the primes below 1000.  n < 2 or with a factor
     there is prime iff in SMALL_PRIMES; the rest take a strong test to base 2
     and _lucas_test, exact below 2^64: Feitsma and Galway listed the base-2
     strong pseudoprimes there, and none is an extra strong Lucas pseudoprime
     (Jacobsen, "Pseudoprime Statistics, Tables, and Data", 2016)."""
-    if type(n) is not int:
+    if not _ints(n):
         raise ValueError("is_probable_prime needs an int")
     if n < 2 or math.gcd(n, _BELOW_1000) > 1 or math.gcd(n, _FROM_1000) > 1:
         return n in SMALL_PRIMES
@@ -200,7 +207,7 @@ def gen_prime(bits, rng):
     """Random probable prime of exactly `bits` bits (top bit set) for an int
     bits >= 8, else ValueError; RandomnessExhausted after 64 * bits tries.
     Only the 12.5% of tries with no factor below 2^13 reach a strong test."""
-    if type(bits) is not int or bits < 8:
+    if not _ints(bits) or bits < 8:
         raise ValueError("bits must be an int >= 8")
     for _ in range(64 * bits):
         candidate = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
@@ -215,8 +222,8 @@ class FactoredModulus:
 
     `factors` is a sorted tuple of (prime, exponent) pairs; `value` is the
     product of the prime powers.  Primes must be distinct probable primes and
-    exponents >= 1, each an int (not a bool, float or str, which int() would
-    coerce), and sum(e * bitlen(p)) at most MAX_MODULUS_BITS; the size is
+    exponents >= 1, each an int by the module's rule, never coerced by int(),
+    and sum(e * bitlen(p)) at most MAX_MODULUS_BITS; the size is
     checked from bit lengths first, so a hostile exponent is refused before
     any power or primality test runs.  The value is immutable: assigning
     either field raises, so a validated key's factorization cannot change.
@@ -227,7 +234,7 @@ class FactoredModulus:
 
     def __post_init__(self):
         pairs = [(p, e) for p, e in self.factors]
-        if any(type(v) is not int for pair in pairs for v in pair):
+        if not all(_ints(p, e) for p, e in pairs):
             raise ValueError("primes and exponents must be ints")
         pairs = tuple(sorted(pairs))
         if not pairs:

@@ -18,7 +18,7 @@ and is tested after its first failed trial or before the budget runs out.
 import math
 from collections import Counter
 
-from .arith import MAX_MODULUS_BITS, is_probable_prime, jacobi, primes_up_to
+from .arith import MAX_MODULUS_BITS, _ints, _primes_up_to, is_probable_prime, jacobi
 from .errors import RandomnessExhausted, TrialBudgetExhausted
 from .pell import PellParams, point_pow
 
@@ -31,9 +31,9 @@ def find_factor(n, psi_n, x):
     With psi_n = 2^h t, t odd, point_pow raises x to t; x <- 2x^2 - 1 then
     squares it h times, probing gcd(x - 1, n) (identity) and gcd(x + 1, n)
     (order 2) modulo some prime before each step, until x = 1.  Nothing
-    divides.  Raises ValueError for psi_n < 1 or x^2 - 1 no unit mod n.
+    divides.  Raises ValueError for a non-int, psi_n < 1 or x^2 - 1 no unit.
     """
-    if psi_n < 1:
+    if not _ints(n, psi_n, x) or psi_n < 1:
         raise ValueError("psi_n must be >= 1")
     h = (psi_n & -psi_n).bit_length() - 1
     t = psi_n >> h
@@ -84,7 +84,7 @@ def _iroot(n, k):
 
 def _perfect_power(n):
     """A prime k with n = root**k, as (root, k); (n, 1) if none."""
-    for k in primes_up_to(n.bit_length()):
+    for k in _primes_up_to(n.bit_length()):
         root = _iroot(n, k)
         if root**k == n:
             return root, k
@@ -115,7 +115,7 @@ def full_factorization(n, psi_n, rng, max_trials=200):
     MAX_MODULUS_BITS, a psi_n below 1 or wider than 2|n| bits (which bounds
     each trial's ladder) or max_trials < 0.
     """
-    if ({type(n), type(psi_n), type(max_trials)} != {int} or not 1 <= n < 1 << MAX_MODULUS_BITS
+    if (not _ints(n, psi_n, max_trials) or not 1 <= n < 1 << MAX_MODULUS_BITS
             or not 1 <= psi_n < 4 ** n.bit_length() or max_trials < 0):
         raise ValueError(f"n must lie in [1, 2^{MAX_MODULUS_BITS}), psi_n in [1, 2^(2|n|)) and max_trials in [0, inf)")
     found = Counter()

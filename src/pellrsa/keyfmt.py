@@ -14,7 +14,7 @@ header, the field order, repeats and the order of the factors.  Formats:
                                                     cy=<hex>         (point)
 """
 
-from .arith import FactoredModulus
+from .arith import FactoredModulus, _ints
 from .errors import KeyFormatError
 from .scheme import Ciphertext, Mode, PointCiphertext, PrivateKey, PublicKey
 
@@ -26,7 +26,9 @@ CIPHERTEXT_MAGIC = "pellrsa-ct v1"
 def _load(text, dump, build):
     """build(fields), where fields maps each key of text's key=value lines to
     its values in file order, if dump writes the result back as text; any
-    other text, and a KeyError or ValueError from build, raise KeyFormatError."""
+    other text or non-str, and a KeyError or ValueError from build, raise KeyFormatError."""
+    if not isinstance(text, str):
+        raise KeyFormatError("a key or ciphertext text must be a str")
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     fields = {}
     for key, _, value in (ln.partition("=") for ln in lines):
@@ -45,14 +47,14 @@ def _load(text, dump, build):
 
 def parse_number(value, field, base=16):
     """The n >= 0 written as `value`, exactly format(n, "x"), or format(n, "d")
-    for base 10 (any other base raises ValueError); other text KeyFormatError."""
-    if type(base) is not int or base not in (16, 10):
+    for base 10 (any other base raises ValueError); other text or a non-str KeyFormatError."""
+    if not _ints(base) or base not in (16, 10):
         raise ValueError("base must be 16 or 10")
     try:
         n = int(value, base)
         if n >= 0 and format(n, "x" if base == 16 else "d") == value:
             return n
-    except ValueError:
+    except (TypeError, ValueError):
         pass
     raise KeyFormatError(f"field {field!r} is not a base-{base} number as pellrsa writes it")
 

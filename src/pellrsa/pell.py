@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from math import gcd, isqrt, prod
 from typing import NamedTuple
 
-from .arith import lucas_v, mod_inv
+from .arith import _ints, lucas_v, mod_inv
 from .errors import ImpossibleOperation
 
 
@@ -68,13 +68,13 @@ def point_pow(x, k, pp, chain=None):
 
     x_k = T_k(x), the Chebyshev polynomial, whatever the curve's D, so only
     pp.modulus is read.  V_k = 2 x_k is a Lucas sequence with V_1 = 2x and
-    Q = 1.  Without a chain, arith.lucas_v's ladder takes it in two
-    multiplications per exponent bit (ladder_cost); a LucasChain built for
-    k (lucas_chain) takes it in about 1.63, and one built for another
-    exponent raises ValueError.  Neither divides.  Mod 2n every V_k is 2 x_k
-    plus a multiple of 2n, so a shift halves it exactly, for even n too.
+    Q = 1.  Without a chain, arith.lucas_v's ladder takes it in two products
+    per exponent bit (ladder_cost); a LucasChain built for k (lucas_chain)
+    in about 1.63, and one for another k raises ValueError, as do k < 0 and
+    a non-int x or k.  Neither divides.  Mod 2n every V_k is 2 x_k plus a
+    multiple of 2n, so a shift halves it exactly, for even n too.
     """
-    if k < 0:
+    if not _ints(x, k) or k < 0:
         raise ValueError("exponent must be >= 0")
     if chain is None:
         return lucas_v(2 * x, k, 2 * pp.modulus)[0] >> 1
@@ -99,7 +99,7 @@ class LucasChain(NamedTuple):
     def run(self, v, m):
         """V_k mod m of the Lucas sequence V_0 = 2, V_1 = v with Q = 1, one
         product per op; a v or m that is no int, or m < 2, raises ValueError."""
-        if not all(isinstance(a, int) for a in (v, m)) or m < 2:
+        if not _ints(v, m) or m < 2:
             raise ValueError("v and m must be ints, m >= 2")
         regs = [2, v % m]
         for a, b, c in self.ops:
@@ -137,15 +137,15 @@ def lucas_chain(k):
     chain reaches V_k only when gcd(r, k) = 1, so r, r + 1, r - 1, ... are
     tried in turn, CHAIN_SPLITS of them, up to the first coprime one.  Its
     chain is returned only when its proved_index() is k and it is shorter
-    than ladder_cost(k).  A chain's length is about 1.63 products per
-    exponent bit, one in ten a squaring, against the ladder's 2.
+    than ladder_cost(k), which refuses a k no int >= 1 first.  A chain
+    takes about 1.63 products per exponent bit, one in ten a squaring.
     """
-    golden = (isqrt(5 * k * k) - k) // 2
+    cost, golden = ladder_cost(k), (isqrt(5 * k * k) - k) // 2
     for s in range(CHAIN_SPLITS):
         r = golden + (s + 1) // 2 * (1 if s % 2 else -1)
         if k < 2 * r < 2 * k and gcd(r, k) == 1:
             chain = LucasChain(k, _prac(k, r))
-            return chain if chain.proved_index() == k and len(chain.ops) < ladder_cost(k) else None
+            return chain if chain.proved_index() == k and len(chain.ops) < cost else None
     return None
 
 
@@ -216,7 +216,7 @@ def chebyshev(x, k, n):
         >>> chebyshev(2, 3, 1000)
         (26, 15)
     """
-    if not all(isinstance(a, int) for a in (x, k, n)) or k < 1 or n < 2:
+    if not _ints(x, k, n) or k < 1 or n < 2:
         raise ValueError("need ints: exponent >= 1 and modulus >= 2")
     x %= n
     t, u = x, 1
@@ -229,14 +229,14 @@ def chebyshev(x, k, n):
 
 
 def ladder_cost(k):
-    """Modular multiplications of point_pow's ladder for k >= 1; k < 1 raises ValueError.
+    """Modular multiplications of point_pow's ladder for an int k >= 1, else ValueError.
 
     One for V_2 = V_1^2 - 2, then two per exponent bit after the leading one,
     and no inversion; a root's y adds chebyshev's power to e (two per bit of
     e and two per one bit, both after the leading one), one product that
     scales y by U, and an inversion.  A LucasChain costs len(chain.ops).
     """
-    if k < 1:
+    if not _ints(k) or k < 1:
         raise ValueError("exponent must be >= 1")
     return 2 * (k.bit_length() - 1) + 1
 
@@ -286,7 +286,7 @@ def point_to_param(x, y, n):
     with x != +-1, possible only against a composite modulus) raises
     ImpossibleOperation with the revealed factor; non-ints or n < 2 ValueError.
     """
-    if not all(isinstance(a, int) for a in (x, y, n)) or n < 2:
+    if not _ints(x, y, n) or n < 2:
         raise ValueError("need ints: x, y and a modulus >= 2")
     x, y = x % n, y % n
     if y == 0:
@@ -306,7 +306,7 @@ def param_to_point(m, n, d):
     INFINITY maps to (1, 0).  m^2 - d no unit mod n raises ImpossibleOperation;
     an m neither int nor INFINITY, a non-int n or d, or n < 2 ValueError.
     """
-    if not all(isinstance(a, int) for a in (n, d)) or not isinstance(m, (int, _AtInfinity)) or n < 2:
+    if not _ints(n, d) or not (isinstance(m, _AtInfinity) or _ints(m)) or n < 2:
         raise ValueError("need an int or INFINITY m, and ints: n >= 2 and d")
     if isinstance(m, _AtInfinity):
         return 1, 0

@@ -57,7 +57,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .arith import MAX_MODULUS_BITS, FactoredModulus, crt_coefficients, crt_combine, gen_prime, jacobi, mod_inv
+from .arith import MAX_MODULUS_BITS, FactoredModulus, _ints, crt_coefficients, crt_combine, gen_prime, jacobi, mod_inv
 from .errors import (
     BadExponentChoice,
     DecryptionFailure,
@@ -96,7 +96,7 @@ class PublicKey:
 
     def __post_init__(self):
         # the exponent modulus is even, so an even e has no private d
-        if {type(self.n), type(self.e)} != {int} or self.n < 3 or self.n % 2 == 0 or self.e < 3 or self.e % 2 == 0:
+        if not _ints(self.n, self.e) or self.n < 3 or self.n % 2 == 0 or self.e < 3 or self.e % 2 == 0:
             raise ValueError("public key needs ints: an odd n >= 3 and an odd e >= 3")
         if max(self.n, self.e).bit_length() > MAX_MODULUS_BITS:
             raise ValueError(f"n and e may have at most {MAX_MODULUS_BITS} bits")
@@ -131,7 +131,7 @@ class PrivateKey:
             raise ValueError("need at least two primes")
         if any(p % 2 == 0 or k % 2 == 0 for p, k in self.factors.factors):
             raise ValueError("primes and their exponents must be odd")
-        if type(self.d) is not int:
+        if not _ints(self.d):
             raise ValueError("d must be an int")
         lam = exponent_modulus(self.factors, self.mode)
         if not 1 <= self.d < lam:
@@ -251,7 +251,7 @@ def keypair_from_primes(primes, exponents, e=None, mode=Mode.ROBUST):
 
 def _refuse_unusable_e(e, lam=None):
     """BadExponentChoice for an explicit e no key takes; without lam, only type, parity, width and e < 3 count."""
-    if e is not None and (type(e) is not int or e < 3 or e % 2 == 0 or e.bit_length() > MAX_MODULUS_BITS
+    if e is not None and (not _ints(e) or e < 3 or e % 2 == 0 or e.bit_length() > MAX_MODULUS_BITS
                           or lam is not None and (math.gcd(e, lam) != 1 or e % lam == 1)):
         raise BadExponentChoice("e unusable (gcd with exponent modulus != 1, e = 1 mod it, e < 3 odd, or too wide)")
 
@@ -260,7 +260,7 @@ def keygen(r, exponents, prime_bits, rng, e=None, mode=Mode.ROBUST):
     """Generate a key over r fresh primes of prime_bits bits each.
 
     The modulus size is roughly prime_bits * sum(exponents).  An r,
-    prime_bits or exponent that is no int (a bool included), r < 2, other
+    prime_bits or exponent that is no int (arith's rule), r < 2, other
     than r exponents, an exponent that is even or below 1, a size above
     MAX_MODULUS_BITS or a non-Mode mode raise ValueError, and an e no key
     takes BadExponentChoice (its type, parity, width and e < 3), before any
@@ -270,8 +270,7 @@ def keygen(r, exponents, prime_bits, rng, e=None, mode=Mode.ROBUST):
     draws without r distinct primes (fewer may have prime_bits bits) raise
     RandomnessExhausted.
     """
-    ints = all(type(v) is int for v in (r, prime_bits, *exponents))
-    if not ints or r < 2 or len(exponents) != r or any(k < 1 or k % 2 == 0 for k in exponents):
+    if not _ints(r, prime_bits, *exponents) or r < 2 or len(exponents) != r or any(k < 1 or k % 2 == 0 for k in exponents):
         raise ValueError("need ints: r >= 2 primes, prime_bits and one odd exponent >= 1 for each")
     if prime_bits * sum(exponents) > MAX_MODULUS_BITS:
         raise ValueError(f"modulus exceeds {MAX_MODULUS_BITS} bits")
@@ -306,7 +305,7 @@ def validate_message(pk, msg, mode=Mode.ROBUST):
 def _unencryptable(msg, n, mode):
     """Why validate_message refuses msg mod n under mode, or None; no inversion."""
     mx, my = (msg.mx, msg.my) if type(msg) is MessagePair else (None, None)
-    if {type(mx), type(my)} != {int} or not (0 <= mx < n and 0 <= my < n):
+    if not _ints(mx, my) or not (0 <= mx < n and 0 <= my < n):
         return "mx and my must be ints in [0, N)"
     if math.gcd(mx * my, n) != 1:
         return "mx or my is not a unit mod N"
@@ -345,8 +344,10 @@ def reduced_private_exponents(sk, d_coef):
     factor, a prime power included, so each reduced exponent is below p + 1;
     the root mod p lifts to p^k afterwards.  An order the key's d does not
     cover (no row in sk.plan) raises DecryptionFailure naming the prime's
-    index: a residue D under a strict key, or D = 0 mod p.
+    index: a residue D under a strict key, or D = 0 mod p; a non-int D, first.
     """
+    if not _ints(d_coef):
+        raise DecryptionFailure("plan: D must be an int")
     rows = []
     for i, ((p, _), by_order) in enumerate(zip(sk.factors.factors, sk.plan)):
         row = by_order.get(p - jacobi(d_coef % p, p))
@@ -378,7 +379,7 @@ def _decrypt(sk, ct, kind):
     for obj, cls in ((sk, PrivateKey), (ct, kind)):
         if type(obj) is not cls:
             raise DecryptionFailure(f"plan: expected a {cls.__name__}, got a {type(obj).__name__}")
-    if any(type(v) is not int or not 0 <= v < sk.n for v in vars(ct).values()):
+    if not all(_ints(v) and 0 <= v < sk.n for v in vars(ct).values()):
         raise DecryptionFailure("plan: ciphertext fields must be ints in [0, N)")
     d_coef, roots = ct.d_coef, []
     rows = reduced_private_exponents(sk, d_coef)

@@ -153,3 +153,29 @@ def test_parse_number_refuses_a_base_other_than_16_or_10(base):
     with pytest.raises(ValueError, match="^base must be 16 or 10$"):
         parse_number("7", "f", base)
     assert (parse_number("7", "f", 16), parse_number("10", "f", 10)) == (7, 10)
+
+
+@pytest.mark.parametrize("value", [None, 7, b"7", 7.0])
+def test_parse_number_refuses_a_value_that_is_no_str(value):
+    # None and 7 leaked TypeError from int(value, 16)
+    with pytest.raises(KeyFormatError, match="^field 'n' is not a base-16 number as pellrsa writes it$"):
+        parse_number(value, "n")
+
+
+@pytest.mark.parametrize("text", [None, b"pellrsa-pub v1\nn=23\ne=5\n", 35])
+def test_load_public_key_refuses_a_text_that_is_no_str(text):
+    # None leaked AttributeError and bytes TypeError
+    with pytest.raises(KeyFormatError, match="^a key or ciphertext text must be a str$"):
+        load_public_key(text)
+
+
+@pytest.mark.parametrize("text", [None, b"pellrsa-priv v1\nmode=robust\n", ["pellrsa-priv v1"]])
+def test_load_private_key_refuses_a_text_that_is_no_str(text):
+    with pytest.raises(KeyFormatError, match="^a key or ciphertext text must be a str$"):
+        load_private_key(text)
+
+
+@pytest.mark.parametrize("text", [None, b"pellrsa-ct v1\nkind=param\nd_coef=1\nc=1\n", 1.5])
+def test_load_ciphertext_refuses_a_text_that_is_no_str(text):
+    with pytest.raises(KeyFormatError, match="^a key or ciphertext text must be a str$"):
+        load_ciphertext(text)
