@@ -9,6 +9,8 @@ pass Miller-Rabin to fixed bases and recommend Baillie-PSW for key files.
 
 An int argument of a public function of the package must pass _ints: an int,
 no bool, and an int subclass counts as its value; else ValueError or a PellRsaError.
+An object or sequence argument must pass _expect: its exact type is one the
+function names (a key, a ciphertext, a list or tuple, ...), else ValueError.
 """
 
 import math
@@ -19,6 +21,12 @@ from .errors import ImpossibleOperation, RandomnessExhausted
 
 def _ints(*values):
     return all(isinstance(v, int) and type(v) is not bool for v in values)
+
+
+def _expect(obj, *classes):
+    if type(obj) not in classes:
+        raise ValueError(f"expected a {' or '.join(c.__name__ for c in classes)}, got a {type(obj).__name__}")
+    return obj
 
 
 def _primes_up_to(limit):
@@ -80,13 +88,14 @@ def crt_coefficients(moduli):
     """Garner's coefficients for crt_combine: for each modulus after the
     first, the inverse mod it of the product of those before it.
 
-    Raises ImpossibleOperation carrying the gcd of a modulus and the product of those
-    before it when they share a factor, ValueError for none or one that is no int >= 2.
+    Raises ImpossibleOperation carrying the gcd of a modulus and the product of
+    those before it when they share a factor, ValueError unless moduli is a
+    non-empty list or tuple of ints >= 2.
 
         >>> crt_coefficients([5, 7, 9])
         (3, 8)
     """
-    if not moduli or not _ints(*moduli) or min(moduli) < 2:
+    if not _expect(moduli, list, tuple) or not _ints(*moduli) or min(moduli) < 2:
         raise ValueError("need at least one modulus, each an int >= 2")
     out, m = [], moduli[0]
     for m_i in moduli[1:]:
@@ -98,22 +107,22 @@ def crt_coefficients(moduli):
 def crt_combine(residues, moduli, coefficients):
     """Unique x mod prod(moduli) with x = residues[i] mod moduli[i], per coordinate.
 
-    Each residue is a tuple of int coordinates, such as a curve point, all of
-    one width, and a tuple of that width comes back.  coefficients must be
-    crt_coefficients(moduli), which refuses moduli that share a factor; any
-    other, a length mismatch anywhere, a modulus that is no int >= 2, or a
-    residue that is no int tuple of the first one's width raise ValueError.
+    Each residue is a tuple of int coordinates, such as a curve point, all of one
+    width, and a tuple of that width comes back.  coefficients must be
+    crt_coefficients(moduli), which refuses moduli that share a factor; any other,
+    an argument no list or tuple, a length mismatch anywhere, a modulus no int >= 2,
+    or a residue no int tuple of the first one's width raise ValueError.
 
         >>> crt_combine([(2, 1), (3, 0)], [5, 7], crt_coefficients([5, 7]))
         (17, 21)
     """
-    if len(residues) != len(moduli) or not moduli:
+    if len(_expect(residues, list, tuple)) != len(_expect(moduli, list, tuple)) or not moduli:
         raise ValueError("need equally many residues and moduli, at least one")
     if any(not isinstance(row, tuple) or len(row) != len(residues[0]) or not _ints(m_i, *row) or m_i < 2
            for row, m_i in zip(residues, moduli)):
         raise ValueError("residues must be int tuples of one length, moduli ints >= 2")
     xs, m = [r % moduli[0] for r in residues[0]], moduli[0]
-    for row, m_i, inv in zip(residues[1:], moduli[1:], coefficients, strict=True):
+    for row, m_i, inv in zip(residues[1:], moduli[1:], _expect(coefficients, list, tuple), strict=True):
         if not _ints(inv) or m * inv % m_i != 1:
             raise ValueError("coefficients must be crt_coefficients(moduli)")
         xs = [x + m * ((r_i - x) * inv % m_i) for x, r_i in zip(xs, row)]
@@ -220,20 +229,24 @@ def gen_prime(bits, rng):
 class FactoredModulus:
     """A modulus known by its prime-power factorization.
 
-    `factors` is a sorted tuple of (prime, exponent) pairs; `value` is the
-    product of the prime powers.  Primes must be distinct probable primes and
-    exponents >= 1, each an int by the module's rule, never coerced by int(),
-    and sum(e * bitlen(p)) at most MAX_MODULUS_BITS; the size is
-    checked from bit lengths first, so a hostile exponent is refused before
-    any power or primality test runs.  The value is immutable: assigning
-    either field raises, so a validated key's factorization cannot change.
+    `factors`, built from any iterable of (prime, exponent) pairs (else
+    ValueError), is a sorted tuple of them; `value` is the product of the
+    prime powers.  Primes must be distinct probable primes and exponents >= 1,
+    each an int by the module's rule, never coerced by int(), and
+    sum(e * bitlen(p)) at most MAX_MODULUS_BITS; the size is checked from bit
+    lengths first, so a hostile exponent is refused before any power or
+    primality test runs.  The value is immutable: assigning either field
+    raises, so a validated key's factorization cannot change.
     """
 
     factors: tuple
     value: int = field(init=False, compare=False)
 
     def __post_init__(self):
-        pairs = [(p, e) for p, e in self.factors]
+        try:
+            pairs = [(p, e) for p, e in self.factors]
+        except TypeError:
+            raise ValueError("factors must be (prime, exponent) pairs") from None
         if not all(_ints(p, e) for p, e in pairs):
             raise ValueError("primes and exponents must be ints")
         pairs = tuple(sorted(pairs))

@@ -108,7 +108,7 @@ def _cmd_encrypt(args):
 def _cmd_decrypt(args):
     priv = load_private_key(Path(args.key).read_text())
     ct = load_ciphertext(Path(args.infile).read_text())
-    msg = decrypt(priv, ct) if isinstance(ct, Ciphertext) else decrypt_point(priv, ct)
+    msg = decrypt(priv, ct) if type(ct) is Ciphertext else decrypt_point(priv, ct)
     print(f"mx={msg.mx:x} my={msg.my:x}")
     return 0
 

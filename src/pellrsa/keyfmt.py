@@ -14,7 +14,7 @@ header, the field order, repeats and the order of the factors.  Formats:
                                                     cy=<hex>         (point)
 """
 
-from .arith import FactoredModulus, _ints
+from .arith import FactoredModulus, _expect, _ints
 from .errors import KeyFormatError
 from .scheme import Ciphertext, Mode, PointCiphertext, PrivateKey, PublicKey
 
@@ -60,7 +60,7 @@ def parse_number(value, field, base=16):
 
 
 def dump_public_key(pk):
-    return f"{PUBLIC_MAGIC}\nn={pk.n:x}\ne={pk.e:x}\n"
+    return f"{PUBLIC_MAGIC}\nn={_expect(pk, PublicKey).n:x}\ne={pk.e:x}\n"
 
 
 def load_public_key(text):
@@ -68,7 +68,7 @@ def load_public_key(text):
 
 
 def dump_private_key(sk):
-    lines = [PRIVATE_MAGIC, f"mode={sk.mode.value}", f"d={sk.d:x}"]
+    lines = [PRIVATE_MAGIC, f"mode={_expect(sk, PrivateKey).mode.value}", f"d={sk.d:x}"]
     lines += [f"factor={p:x}^{e}" for p, e in sk.factors.factors]
     return "\n".join(lines) + "\n"
 
@@ -85,12 +85,10 @@ def load_private_key(text):
 
 
 def dump_ciphertext(ct):
-    if isinstance(ct, Ciphertext):
+    if type(_expect(ct, Ciphertext, PointCiphertext)) is Ciphertext:
         body = f"kind=param\nd_coef={ct.d_coef:x}\nc={ct.c:x}"
-    elif isinstance(ct, PointCiphertext):
-        body = f"kind=point\nd_coef={ct.d_coef:x}\ncx={ct.cx:x}\ncy={ct.cy:x}"
     else:
-        raise TypeError(f"not a ciphertext: {ct!r}")
+        body = f"kind=point\nd_coef={ct.d_coef:x}\ncx={ct.cx:x}\ncy={ct.cy:x}"
     return f"{CIPHERTEXT_MAGIC}\n{body}\n"
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from math import gcd, isqrt, prod
 from typing import NamedTuple
 
-from .arith import _ints, lucas_v, mod_inv
+from .arith import _expect, _ints, lucas_v, mod_inv
 from .errors import ImpossibleOperation
 
 
@@ -70,17 +70,17 @@ def point_pow(x, k, pp, chain=None):
     pp.modulus is read.  V_k = 2 x_k is a Lucas sequence with V_1 = 2x and
     Q = 1.  Without a chain, arith.lucas_v's ladder takes it in two products
     per exponent bit (ladder_cost); a LucasChain built for k (lucas_chain)
-    in about 1.63, and one for another k raises ValueError, as do k < 0 and
-    a non-int x or k.  Neither divides.  Mod 2n every V_k is 2 x_k plus a
-    multiple of 2n, so a shift halves it exactly, for even n too.
+    in about 1.63; one for another k, k < 0, a non-int x or k, or a pp or chain
+    of another class raise ValueError.  Neither divides.  Mod 2n every V_k is
+    2 x_k plus a multiple of 2n, so a shift halves it exactly, for even n too.
     """
     if not _ints(x, k) or k < 0:
         raise ValueError("exponent must be >= 0")
     if chain is None:
-        return lucas_v(2 * x, k, 2 * pp.modulus)[0] >> 1
-    if chain.k != k:
+        return lucas_v(2 * x, k, 2 * _expect(pp, PellParams).modulus)[0] >> 1
+    if not _ints(_expect(chain, LucasChain).k) or chain.k != k:
         raise ValueError("the chain was built for another exponent")
-    return chain.run(2 * x, 2 * pp.modulus) >> 1
+    return chain.run(2 * x, 2 * _expect(pp, PellParams).modulus) >> 1
 
 
 class LucasChain(NamedTuple):

@@ -39,7 +39,7 @@ to 4.0 for r = 3 (the ladder's 2 per bit predicted 3.3).  With s primes
 counted with multiplicity (s = e1 + ... + er), the ladders run at |N|/s
 bits, not |N|/r, and the paper's model, where a ladder's cost grows as the
 cube of its width, scales r^2/2 by (s/r)^3 to s^3/(2r) (16 for p^3 q).  At
-2048 bits the benchmark measures about 2.8 for r = 3 and 5.8 for p^3 q,
+2048 bits the benchmark measures about 2.8 for r = 3 and 6.0 for p^3 q,
 with its lifts: a product's cost grows only as about width^1.23 between
 512 and 1024 bits, not width^2, so narrower ladders save less.
 
@@ -57,7 +57,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .arith import MAX_MODULUS_BITS, FactoredModulus, _ints, crt_coefficients, crt_combine, gen_prime, jacobi, mod_inv
+from .arith import MAX_MODULUS_BITS, FactoredModulus, _expect, _ints, crt_coefficients, crt_combine, gen_prime, jacobi, mod_inv
 from .errors import (
     BadExponentChoice,
     DecryptionFailure,
@@ -125,9 +125,7 @@ class PrivateKey:
     garner: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if type(self.factors) is not FactoredModulus:
-            raise ValueError("factors must be a FactoredModulus")
-        if len(self.factors.factors) < 2:
+        if len(_expect(self.factors, FactoredModulus).factors) < 2:
             raise ValueError("need at least two primes")
         if any(p % 2 == 0 or k % 2 == 0 for p, k in self.factors.factors):
             raise ValueError("primes and their exponents must be odd")
@@ -210,21 +208,17 @@ class PointCiphertext:
     d_coef: int
 
 
-def _refuse_non_mode(mode):
-    if type(mode) is not Mode:
-        raise ValueError("mode must be a Mode member")
-
-
 def _group_orders(p, mode):
     """Group orders mod the prime p that a key's d covers: p + 1 (non-residue
     D) under strict, p + 1 and p - 1 (residue D) under robust."""
-    _refuse_non_mode(mode)
     return (p + 1,) if mode is Mode.STRICT else (p + 1, p - 1)
 
 
 def exponent_modulus(factors, mode):
     """lcm of the per-prime group orders the private exponent must invert e under."""
-    return math.lcm(*(p ** (k - 1) * math.prod(_group_orders(p, mode)) for p, k in factors.factors))
+    _expect(mode, Mode)
+    return math.lcm(*(p ** (k - 1) * math.prod(_group_orders(p, mode))
+                      for p, k in _expect(factors, FactoredModulus).factors))
 
 
 def keypair_from_primes(primes, exponents, e=None, mode=Mode.ROBUST):
@@ -237,8 +231,8 @@ def keypair_from_primes(primes, exponents, e=None, mode=Mode.ROBUST):
     modulus, or that is 1 mod it and so encrypts every message to itself,
     raises BadExponentChoice; a mode that is no Mode member ValueError first.
     """
-    _refuse_non_mode(mode)
-    factors = FactoredModulus(zip(primes, exponents, strict=True))
+    _expect(mode, Mode)
+    factors = FactoredModulus(zip(_expect(primes, list, tuple), _expect(exponents, list, tuple), strict=True))
     lam = exponent_modulus(factors, mode)
     _refuse_unusable_e(e, lam)
     if e is None:
@@ -270,11 +264,12 @@ def keygen(r, exponents, prime_bits, rng, e=None, mode=Mode.ROBUST):
     draws without r distinct primes (fewer may have prime_bits bits) raise
     RandomnessExhausted.
     """
-    if not _ints(r, prime_bits, *exponents) or r < 2 or len(exponents) != r or any(k < 1 or k % 2 == 0 for k in exponents):
+    if (not _ints(r, prime_bits, *_expect(exponents, list, tuple)) or r < 2 or len(exponents) != r
+            or any(k < 1 or k % 2 == 0 for k in exponents)):
         raise ValueError("need ints: r >= 2 primes, prime_bits and one odd exponent >= 1 for each")
     if prime_bits * sum(exponents) > MAX_MODULUS_BITS:
         raise ValueError(f"modulus exceeds {MAX_MODULUS_BITS} bits")
-    _refuse_non_mode(mode)
+    _expect(mode, Mode)
     _refuse_unusable_e(e)
     primes = []
     for _ in range(r + PRIME_REDRAWS):
@@ -294,10 +289,7 @@ def validate_message(pk, msg, mode=Mode.ROBUST):
     so only strict computes a Jacobi symbol.  Returns D = (mx^2 - 1)/my^2 mod
     N; a pk that is no PublicKey or a non-Mode mode raises ValueError first.
     """
-    _refuse_non_mode(mode)
-    if type(pk) is not PublicKey:
-        raise ValueError(f"expected a PublicKey, got a {type(pk).__name__}")
-    if reason := _unencryptable(msg, pk.n, mode):
+    if reason := _unencryptable(msg, _expect(pk, PublicKey).n, _expect(mode, Mode)):
         raise MessageNotEncryptable(reason)
     return (msg.mx * msg.mx - 1) * mod_inv(msg.my * msg.my % pk.n, pk.n) % pk.n
 
@@ -349,7 +341,7 @@ def reduced_private_exponents(sk, d_coef):
     if not _ints(d_coef):
         raise DecryptionFailure("plan: D must be an int")
     rows = []
-    for i, ((p, _), by_order) in enumerate(zip(sk.factors.factors, sk.plan)):
+    for i, ((p, _), by_order) in enumerate(zip(_expect(sk, PrivateKey).factors.factors, sk.plan)):
         row = by_order.get(p - jacobi(d_coef % p, p))
         if row is None:
             raise DecryptionFailure(f"plan: the {sk.mode.value} key covers no group order of D mod prime {i}")
@@ -459,10 +451,8 @@ def _root(cx, cy, dq, row, sk, i):
 def random_message(pk, rng, mode=Mode.ROBUST):
     """Uniformly drawn encryptable message pair, at most RANDOM_MESSAGE_DRAWS tries,
     computing no D; a pk that is no PublicKey or a non-Mode mode raises ValueError first."""
-    _refuse_non_mode(mode)
-    if type(pk) is not PublicKey:
-        raise ValueError(f"expected a PublicKey, got a {type(pk).__name__}")
-    if pk.n == 3:
+    _expect(mode, Mode)
+    if _expect(pk, PublicKey).n == 3:
         raise RandomnessExhausted("no residue in [2, n - 2] to draw mod 3")
     for _ in range(RANDOM_MESSAGE_DRAWS):
         msg = MessagePair(rng.randrange(2, pk.n - 1), rng.randrange(2, pk.n - 1))

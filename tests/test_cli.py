@@ -99,13 +99,17 @@ def test_encrypt_with_a_non_unit_my_exits_3(keys, tmp_path, capsys, kind, j):
         ("--pub", b"\xff\xfe", "UnicodeDecodeError"),
         ("--pub", "e=2", "KeyFormatError"),
         ("--key", "d+lambda", "KeyFormatError"),
+        ("--key", ".pub", "KeyFormatError: missing field 'mode'"),
+        ("--pub", ".key", "KeyFormatError: missing field 'n'"),
+        ("--in", ".key", "KeyFormatError: missing field 'd_coef'"),
     ],
-    ids=["key-syntax", "key-not-utf8", "in-not-utf8", "pub-not-utf8", "pub-even-e", "key-d-above-lambda"],
+    ids=["key-syntax", "key-not-utf8", "in-not-utf8", "pub-not-utf8", "pub-even-e", "key-d-above-lambda",
+         "key-is-a-pub", "pub-is-a-key", "in-is-a-key"],
 )
 def test_invalid_input_file_exits_2(keys, tmp_path, capsys, flag, bad, error):
     # a key that does not parse, an even public e that no private key can
-    # match, a d not reduced mod the exponent modulus, or an input file that
-    # is not UTF-8 text
+    # match, a d not reduced mod the exponent modulus, an input file that
+    # is not UTF-8 text, or a key file of the other kind or as the ciphertext
     prefix, pub, priv = keys
     msg = random_message(pub, random.Random(4))
     files = {"--key": f"{prefix}.key", "--pub": f"{prefix}.pub"}
@@ -115,6 +119,8 @@ def test_invalid_input_file_exits_2(keys, tmp_path, capsys, flag, bad, error):
         d = 0 if bad == "d=0" else priv.d + exponent_modulus(priv.factors, priv.mode)
         text = prefix.with_suffix(".key").read_text().splitlines()
         bad_file.write_text("\n".join([text[0], text[1], f"d={d:x}", *text[3:]]) + "\n")
+    elif bad in (".pub", ".key"):
+        bad_file.write_text(prefix.with_suffix(bad).read_text())
     elif bad == "e=2":
         text = prefix.with_suffix(".pub").read_text().splitlines()
         bad_file.write_text("\n".join([text[0], text[1], "e=2"]) + "\n")

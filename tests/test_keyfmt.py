@@ -46,7 +46,7 @@ def test_ciphertext_exact_formats():
         dump_ciphertext(PointCiphertext(3, 4, 18))
         == "pellrsa-ct v1\nkind=point\nd_coef=12\ncx=3\ncy=4\n"
     )
-    with pytest.raises(TypeError, match="^not a ciphertext"):
+    with pytest.raises(ValueError, match="^expected a Ciphertext or PointCiphertext, got a object$"):
         dump_ciphertext(object())
 
 

@@ -722,6 +722,9 @@ def test_point_pow_refuses_a_chain_built_for_another_exponent():
     assert point_pow(3, 1001, PP5, chain) == point_pow(3, 1001, PP5)
     with pytest.raises(ValueError, match="another exponent"):
         point_pow(3, 1003, PP5, chain)
+    # a chain whose k is a float returned 17, as 2.0 == 2
+    with pytest.raises(ValueError, match="another exponent"):
+        point_pow(3, 2, PellParams(101, 2), chain=LucasChain(2.0, ((1, 1, 0),)))
 
 
 @functools.lru_cache(maxsize=None)

@@ -708,7 +708,7 @@ def test_a_mode_that_is_no_mode_member_is_refused(mode, monkeypatch):
     # dump_private_key raised a bare AttributeError; the encryptions and
     # random_message took any of them as robust, and "strict" as strict
     def refused():
-        return pytest.raises(ValueError, match="^mode must be a Mode member$")
+        return pytest.raises(ValueError, match=f"^expected a Mode, got a {type(mode).__name__}$")
 
     with refused():
         PrivateKey(PRIV35.factors, 29, mode)
