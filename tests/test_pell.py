@@ -364,15 +364,6 @@ BAD_KERNEL_CALLS = {
     # ladder_cost(0) returned -1 and ladder_cost(-5) returned 5
     "ladder_cost-0": lambda: ladder_cost(0),
     "ladder_cost-negative": lambda: ladder_cost(-5),
-    # these returned floats: 10.0, (26.0, 15.0) and (18.0, 7.0)
-    "point_to_param-float": lambda: point_to_param(1.5, 2, 35),
-    "chebyshev-float": lambda: chebyshev(2.0, 3, 35),
-    "lucas_v-float": lambda: lucas_v(3.0, 5, 35),
-    # and these leaked TypeError
-    "param_to_point-float": lambda: param_to_point(2, 35, 1.5),
-    "param_to_point-float-m": lambda: param_to_point(1.5, 35, 2),
-    "point_pow-float": lambda: point_pow(1.5, 3, PellParams(35, 2)),
-    "LucasChain.run-float": lambda: lucas_chain(1000003).run(3.0, 101),
 }
 
 

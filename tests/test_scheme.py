@@ -43,7 +43,7 @@ from pellrsa.scheme import (
     reduced_private_exponents,
     validate_message,
 )
-from oracles import HyperbolaPoint, crt, miller_rabin, on_curve
+from oracles import HyperbolaPoint, NoDraws, crt, miller_rabin, on_curve
 
 
 def small_keypair(rng, r=2, bits=32, mode=Mode.ROBUST, exponents=None):
@@ -124,15 +124,8 @@ def test_a_public_exponent_of_1_mod_the_exponent_modulus_is_refused(primes, e, m
         keypair_from_primes(primes, [1, 1], e=e, mode=mode)
 
 
-class NoDraws:
-    """An rng that fails the test if anything is drawn from it."""
-
-    def __getattr__(self, name):
-        raise AssertionError(f"rng.{name} consulted")
-
-
 @pytest.mark.parametrize(
-    "e", [2**16000, 2**20000 + 1, 65538, 7.0], ids=["even-16001-bits", "odd-20001-bits", "even", "float"]
+    "e", [2**16000, 2**20000 + 1, 65538], ids=["even-16001-bits", "odd-20001-bits", "even"]
 )
 def test_a_public_exponent_wider_than_a_modulus_is_refused(e):
     # the first leaked a ValueError from formatting e in decimal, the second
@@ -176,17 +169,6 @@ def test_keygen_refuses_oversized_moduli_before_drawing():
     for r, exponents in [(1, [1]), (2, [1]), (2, [1, 1, 1]), (2, [2, 1]), (2, [0, 1]), (2, [-1, 1])]:
         with pytest.raises(ValueError, match="one odd exponent >= 1 for each"):
             keygen(r, exponents, 1024, NoDraws())
-
-
-@pytest.mark.parametrize(
-    "r, exponents, prime_bits",
-    [(2, [1, 1], 64.0), (2, [1.0, 1], 64), (2.0, [1, 1], 64), (True, [1, 1], 64), (2, [True, 1], 64), (2, [1, 1], True)],
-)
-def test_keygen_refuses_arguments_that_are_no_ints_before_drawing(r, exponents, prime_bits):
-    # a float prime_bits leaked a TypeError from getrandbits, and a float
-    # exponent drew every prime before FactoredModulus refused it
-    with pytest.raises(ValueError, match="^need ints"):
-        keygen(r, exponents, prime_bits, NoDraws())
 
 
 def test_keygen_frozen_modulus():
@@ -623,12 +605,6 @@ def test_private_key_refuses_d_outside_one_to_the_exponent_modulus():
             PrivateKey(priv.factors, d, Mode.ROBUST)
 
 
-def test_keypair_from_primes_refuses_primes_that_are_not_ints():
-    # int() made a key over 77 from these
-    with pytest.raises(ValueError):
-        keypair_from_primes([7.9, 11.2], [1, 1], e=7)
-
-
 @pytest.mark.parametrize("primes,exponents", [([5, 7], [1]), ([5], [1, 1]), ([5, 7], [1, 1, 1])])
 def test_keypair_from_primes_refuses_a_length_mismatch_before_any_primality_test(monkeypatch, primes, exponents):
     tested = []
@@ -653,35 +629,6 @@ def test_decrypt_rejects_malformed_ciphertexts():
 # (3, 4) under the robust 5 * 7 key with e = 5: D = 18, c = 34, d = 29
 PUB35, PRIV35 = keypair_from_primes([5, 7], [1, 1], e=5)
 PCT35 = encrypt_point(PUB35, MessagePair(3, 4))
-NOT_INTS = {
-    "pub-e-float": (lambda: PublicKey(35, 5.0), ValueError),
-    "pub-e-bool": (lambda: PublicKey(35, True), ValueError),
-    "pub-n-float": (lambda: PublicKey(35.0, 5), ValueError),
-    "priv-d-float": (lambda: PrivateKey(PRIV35.factors, 29.0, Mode.ROBUST), ValueError),
-    "priv-d-bool": (lambda: PrivateKey(PRIV35.factors, True, Mode.ROBUST), ValueError),
-    "keypair-e-float": (lambda: keypair_from_primes([5, 7], [1, 1], e=7.0), BadExponentChoice),
-    "keypair-e-bool": (lambda: keypair_from_primes([5, 7], [1, 1], e=True), BadExponentChoice),
-    "msg-mx-float": (lambda: encrypt_point(PUB35, MessagePair(3.0, 4)), MessageNotEncryptable),
-    "msg-my-float": (lambda: encrypt(PUB35, MessagePair(3, 4.0)), MessageNotEncryptable),
-    "msg-my-bool": (lambda: validate_message(PUB35, MessagePair(3, True)), MessageNotEncryptable),
-    "ct-c-float": (lambda: decrypt(PRIV35, Ciphertext(34.0, 18)), DecryptionFailure),
-    "ct-d-float": (lambda: decrypt(PRIV35, Ciphertext(34, 18.0)), DecryptionFailure),
-    "pct-cx-float": (lambda: decrypt_point(PRIV35, PointCiphertext(float(PCT35.cx), PCT35.cy, 18)), DecryptionFailure),
-    "pct-cy-float": (lambda: decrypt_point(PRIV35, PointCiphertext(PCT35.cx, float(PCT35.cy), 18)), DecryptionFailure),
-    "pct-d-float": (lambda: decrypt_point(PRIV35, PointCiphertext(PCT35.cx, PCT35.cy, 18.0)), DecryptionFailure),
-    "pct-d-bool": (lambda: decrypt_point(PRIV35, PointCiphertext(PCT35.cx, PCT35.cy, True)), DecryptionFailure),
-    # objects of another class: a bare AttributeError, or a TypeError from vars()
-    "msg-tuple-encrypt": (lambda: encrypt(PUB35, (3, 4)), MessageNotEncryptable),
-    "msg-tuple-encrypt-point": (lambda: encrypt_point(PUB35, (3, 4)), MessageNotEncryptable),
-    "msg-tuple-validate": (lambda: validate_message(PUB35, (3, 4)), MessageNotEncryptable),
-    "ct-point-to-decrypt": (lambda: decrypt(PRIV35, PCT35), DecryptionFailure),
-    "ct-compressed-to-decrypt-point": (lambda: decrypt_point(PRIV35, Ciphertext(34, 18)), DecryptionFailure),
-    "ct-tuple": (lambda: decrypt(PRIV35, (1, 2)), DecryptionFailure),
-    "priv-factors-pairs": (lambda: PrivateKey(((5, 1), (7, 1)), 5, Mode.ROBUST), ValueError),
-    "priv-factors-none": (lambda: PrivateKey(None, 5, Mode.ROBUST), ValueError),
-}
-
-
 CT35 = encrypt(PUB35, MessagePair(3, 4))
 
 
@@ -702,7 +649,7 @@ def test_ciphertext_fields_outside_0_to_n_are_refused(dec, ct):
         dec(PRIV35, ct)
 
 
-@pytest.mark.parametrize("mode", [None, "bogus", "robust", "strict", 42])
+@pytest.mark.parametrize("mode", ["bogus", "robust", "strict"])
 def test_a_mode_that_is_no_mode_member_is_refused(mode, monkeypatch):
     # these used to build a key that acted as robust, on which
     # dump_private_key raised a bare AttributeError; the encryptions and
@@ -731,32 +678,13 @@ def test_a_mode_that_is_no_mode_member_is_refused(mode, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "call, error, message",
-    [
-        (lambda: decrypt(PUB35, CT35), DecryptionFailure, "^plan: expected a PrivateKey, got a PublicKey$"),
-        (lambda: decrypt_point(PUB35, PCT35), DecryptionFailure, "^plan: expected a PrivateKey, got a PublicKey$"),
-        (lambda: decrypt((35, 29), CT35), DecryptionFailure, "^plan: expected a PrivateKey, got a tuple$"),
-        (lambda: validate_message((35, 5), MessagePair(3, 4)), ValueError, "^expected a PublicKey, got a tuple$"),
-        (lambda: encrypt(PRIV35, MessagePair(3, 4)), ValueError, "^expected a PublicKey, got a PrivateKey$"),
-        (lambda: encrypt_point(PRIV35, MessagePair(3, 4)), ValueError, "^expected a PublicKey, got a PrivateKey$"),
-        (lambda: random_message((35, 5), NoDraws()), ValueError, "^expected a PublicKey, got a tuple$"),
-    ],
-    ids=["decrypt-pub", "decrypt-point-pub", "decrypt-tuple", "validate-tuple", "encrypt-priv",
-         "encrypt-point-priv", "random-message-tuple"],
+    "dec, ct, wanted, got",
+    [(decrypt, PCT35, "Ciphertext", "PointCiphertext"), (decrypt_point, CT35, "PointCiphertext", "Ciphertext")],
 )
-def test_a_key_of_the_wrong_type_is_refused(call, error, message):
-    # each used to leak an AttributeError from reading the key
-    with pytest.raises(error, match=message):
-        call()
-
-
-@pytest.mark.parametrize("case", NOT_INTS)
-def test_fields_that_are_not_ints_are_refused(case):
-    # these used to build, or to raise a bare TypeError or AttributeError
-    # from deep inside; a bool is refused too, as FactoredModulus refuses it
-    call, error = NOT_INTS[case]
-    with pytest.raises(error):
-        call()
+def test_a_ciphertext_of_the_other_kind_is_refused(dec, ct, wanted, got):
+    # these used to raise a bare AttributeError from reading the missing field
+    with pytest.raises(DecryptionFailure, match=f"^plan: expected a {wanted}, got a {got}$"):
+        dec(PRIV35, ct)
 
 
 def splice(pub, priv, i, value, other):
