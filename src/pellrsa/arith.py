@@ -58,7 +58,7 @@ def mod_inv(a, n):
         11
     """
     if not _ints(a, n) or n < 2:
-        raise ValueError("modulus must be >= 2")
+        raise ValueError("need ints: a and a modulus >= 2")
     try:
         return pow(a, -1, n)
     except ValueError:
@@ -68,7 +68,7 @@ def mod_inv(a, n):
 def jacobi(a, n):
     """Jacobi symbol (a/n) for ints a and odd n >= 3, else ValueError; 0 iff gcd(a, n) > 1."""
     if not _ints(a, n) or n < 3 or n % 2 == 0:
-        raise ValueError("jacobi symbol needs an odd modulus >= 3")
+        raise ValueError("jacobi symbol needs ints: a and an odd modulus >= 3")
     a %= n
     result = 1
     while a:

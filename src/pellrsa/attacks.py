@@ -34,7 +34,7 @@ def find_factor(n, psi_n, x):
     divides.  Raises ValueError for a non-int, psi_n < 1 or x^2 - 1 no unit.
     """
     if not _ints(n, psi_n, x) or psi_n < 1:
-        raise ValueError("psi_n must be >= 1")
+        raise ValueError("need ints: n, x and psi_n >= 1")
     h = (psi_n & -psi_n).bit_length() - 1
     t = psi_n >> h
     x = point_pow(x, t, PellParams(n, (x * x - 1) % n))

@@ -56,7 +56,7 @@ class PellParams:
 
     def __post_init__(self):
         if not _ints(self.modulus, self.d) or self.modulus < 2:
-            raise ValueError("modulus must be >= 2")
+            raise ValueError("need ints: a modulus >= 2 and a coefficient")
         if not 1 <= self.d < self.modulus:
             raise ValueError("coefficient must lie in [1, modulus)")
         if gcd(self.d, self.modulus) != 1:
@@ -75,7 +75,7 @@ def point_pow(x, k, pp, chain=None):
     2 x_k plus a multiple of 2n, so a shift halves it exactly, for even n too.
     """
     if not _ints(x, k) or k < 0:
-        raise ValueError("exponent must be >= 0")
+        raise ValueError("need ints: x and an exponent >= 0")
     if chain is None:
         return lucas_v(2 * x, k, 2 * _expect(pp, PellParams).modulus)[0] >> 1
     if not _ints(_expect(chain, LucasChain).k) or chain.k != k:
@@ -237,7 +237,7 @@ def ladder_cost(k):
     scales y by U, and an inversion.  A LucasChain costs len(chain.ops).
     """
     if not _ints(k) or k < 1:
-        raise ValueError("exponent must be >= 1")
+        raise ValueError("exponent must be an int >= 1")
     return 2 * (k.bit_length() - 1) + 1
 
 
@@ -324,7 +324,7 @@ def redei_eval(d, z, k, modulus):
     the rational value A_k/B_k equals the k-fold parameter product of z.
     """
     if not _ints(d, z, k, modulus) or k < 1 or modulus < 2:
-        raise ValueError("exponent must be >= 1 and modulus >= 2")
+        raise ValueError("need ints: d, z, an exponent >= 1 and a modulus >= 2")
     n = modulus
     z %= n
     d %= n

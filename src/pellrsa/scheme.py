@@ -10,24 +10,24 @@ m = (mx + 1)/my raised to e; the ciphertext is the pair (C, D).
 Decryption exploits the factorization: modulo each prime p the group order
 is p + 1 or p - 1 depending on whether D is a non-residue or a residue mod
 p, so the private exponent shrinks to the size of one prime per factor, and
-the results recombine by CRT.  That exponent reduction is where the speedup
-over two-prime moduli comes from.  A key's decryption plan
-(PrivateKey.plan), built with the key like Garner's CRT coefficients, holds
-per prime p^k one PlanRow per group order: p, p^k, the order and d reduced
-mod it; reduced_private_exponents picks each prime's row for a D.  One loop
-over the rows serves both ciphertext kinds, told apart by class, and never
-works mod N: per prime the ciphertext becomes a point on the curve mod p^k,
-by decompression or reduction, and _root takes its verified root.  An x-only
-power mod p (pell.point_pow) yields the root's x: a row's first use runs
-the binary Lucas ladder, its second builds the row a PRAC Lucas chain
-(pell.lucas_chain), and every later use runs that chain.  The root's power
-to e mod the prime's order (pell.chebyshev) must give back the ciphertext's
-x, and its U yields the root's y, so a fault in one prime's branch,
-exponent, ladder or chain raises instead of leaking p through a wrong
-plaintext (the Bellcore attack).  The root then lifts to p^k by ceil(log3 k)
-cubic Newton steps (Takagi's p^k q decryption), each one power to e that
-must stay on the curve, so no ladder runs wider than a prime.  A
-DecryptionFailure names its stage and, before CRT, the prime's index.
+the results recombine by CRT.  That reduction is the speedup over two-prime
+moduli.  A key's decryption plan (PrivateKey.plan), built with the key like
+Garner's CRT coefficients, holds per prime p^k one PlanRow per group order:
+p, p^k, the order and d reduced mod it; reduced_private_exponents picks each
+prime's row for a D.  One loop over the rows serves both ciphertext kinds,
+told apart by class, and never works mod N: per prime the ciphertext becomes
+a point on the curve mod p^k, by decompression or reduction, and _root takes
+its verified root.  An x-only power mod p (pell.point_pow) yields the root's
+x: a row's first use runs the binary Lucas ladder, its second builds the row
+a PRAC Lucas chain (pell.lucas_chain), and every later use runs that chain.
+The root's power to e mod the prime's order (pell.chebyshev) must give back
+the ciphertext's x, and its U yields the root's y, so a fault in one prime's
+branch, exponent, ladder or chain raises instead of leaking p through a
+wrong plaintext (the Bellcore attack).  The root then lifts to p^k by
+ceil(log3 k) cubic Newton steps (Takagi's p^k q decryption), each one power
+to e that must stay on the curve, so no ladder runs wider than a prime.  A
+DecryptionFailure names its stage and, before CRT, the prime's index;
+tests/test_faults.py pins each message.
 
 The paper counts one multiplication per exponent bit on both sides and
 predicts a speedup of r^2/2 over two-prime CRT-RSA.  A chain spends about

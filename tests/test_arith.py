@@ -69,7 +69,7 @@ def test_mod_inv_frozen_example():
     g, x, _ = egcd_oracle(16, 35)
     assert g == 1 and x % 35 == 11
     assert mod_inv(16, 35) == 11
-    with pytest.raises(ValueError, match="^modulus must be >= 2$"):
+    with pytest.raises(ValueError, match="^need ints: a and a modulus >= 2$"):
         mod_inv(3, 1)
 
 

@@ -441,7 +441,7 @@ def test_full_factorization_rejects_psi_below_one():
     # a zero psi has no odd part for the splitting trial to reach
     with pytest.raises(ValueError):
         full_factorization(15, 0, random.Random(0))
-    with pytest.raises(ValueError, match="^psi_n must be >= 1$"):
+    with pytest.raises(ValueError, match="^need ints: n, x and psi_n >= 1$"):
         find_factor(35, 0, 2)
 
 

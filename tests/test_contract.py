@@ -56,8 +56,7 @@ FACTOR_INTS = ValueError("primes and exponents must be ints")
 FACTOR_PAIRS = ValueError("factors must be (prime, exponent) pairs")
 RESIDUE_ROWS = ValueError("residues must be int tuples of one length, moduli ints >= 2")
 GARNER = ValueError("coefficients must be crt_coefficients(moduli)")
-EXPONENT = ValueError("exponent must be >= 1")
-MODULUS = ValueError("modulus must be >= 2")
+EXPONENT = ValueError("exponent must be an int >= 1")
 TEXT = KeyFormatError("a key or ciphertext text must be a str")
 
 
@@ -102,9 +101,9 @@ PP = pell.PellParams(101, 2)
 LEAVES = "paper-definition code, which leaves the library with PellParams; the benchmark still reads it"
 
 CALLS = {
-    "arith.mod_inv": call(arith.mod_inv, 16, 35, ints=(0, 1), refuses=MODULUS),
+    "arith.mod_inv": call(arith.mod_inv, 16, 35, ints=(0, 1), refuses=ValueError("need ints: a and a modulus >= 2")),
     "arith.jacobi": call(
-        arith.jacobi, 2, 35, ints=(0, 1), refuses=ValueError("jacobi symbol needs an odd modulus >= 3")
+        arith.jacobi, 2, 35, ints=(0, 1), refuses=ValueError("jacobi symbol needs ints: a and an odd modulus >= 3")
     ),
     "arith.crt_coefficients": call(
         arith.crt_coefficients, [5, 7, 9], ints=((0, 0), (0, 1), (0, 2)), objs=(0,),
@@ -128,16 +127,20 @@ CALLS = {
         arith.FactoredModulus, [(5, 1), (7, 1)], ints=((0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1)),
         objs=(0, (0, 0), (0, 1)), refuses=FACTOR_INTS, at={0: FACTOR_PAIRS, (0, 0): FACTOR_PAIRS, (0, 1): FACTOR_PAIRS},
     ),
-    "pell.PellParams": call(pell.PellParams, 101, 2, ints=(0, 1), refuses=MODULUS),
+    "pell.PellParams": call(
+        pell.PellParams, 101, 2, ints=(0, 1), refuses=ValueError("need ints: a modulus >= 2 and a coefficient")
+    ),
     "pell.param_mul": LEAVES,
     "pell.param_pow": LEAVES,
     "pell.redei_eval": call(
-        pell.redei_eval, 18, 9, 3, 35, ints=(0, 1, 2, 3), refuses=ValueError("exponent must be >= 1 and modulus >= 2")
+        pell.redei_eval, 18, 9, 3, 35, ints=(0, 1, 2, 3),
+        refuses=ValueError("need ints: d, z, an exponent >= 1 and a modulus >= 2"),
     ),
     "pell.redei_pow": LEAVES,
     "pell.psi": LEAVES,
     "pell.point_pow": call(
-        pell.point_pow, 3, 5, PP, ints=(0, 1), objs=(2, "chain"), refuses=ValueError("exponent must be >= 0")
+        pell.point_pow, 3, 5, PP, ints=(0, 1), objs=(2, "chain"),
+        refuses=ValueError("need ints: x and an exponent >= 0"),
     ),
     "pell.LucasChain": "a record that lucas_chain builds; point_pow refuses a chain built for another exponent",
     "pell.LucasChain.run": call(
@@ -194,7 +197,7 @@ CALLS = {
     "scheme.decrypt_point": call(scheme.decrypt_point, SK, PCT, objs=(0, 1), at={0: PLAN_EXPECTED, 1: PLAN_EXPECTED}),
     "scheme.random_message": call(scheme.random_message, PK, RNG, objs=(0, "mode"), exempt=("rng",)),
     "attacks.find_factor": call(
-        attacks.find_factor, 35, 48, 3, ints=(0, 1, 2), refuses=ValueError("psi_n must be >= 1")
+        attacks.find_factor, 35, 48, 3, ints=(0, 1, 2), refuses=ValueError("need ints: n, x and psi_n >= 1")
     ),
     "attacks.full_factorization": call(
         attacks.full_factorization, 35, 48, RNG, max_trials=200, ints=(0, 1, "max_trials"), exempt=("rng",),

@@ -147,43 +147,6 @@ def test_public_functions_the_package_never_calls_are_listed():
     assert uncalled_functions([path.read_text() for path in MODULES]) == UNCALLED
 
 
-# Stages of decryption, in order; every DecryptionFailure message starts
-# with one of them and a colon.
-STAGES = ("plan", "decompression", "curve", "ladder", "verify", "crt")
-
-
-def failure_stages(source):
-    """The stage prefix of each DecryptionFailure(...) message in a module,
-    None where the message starts with no literal stage and colon."""
-    stages = []
-    for node in ast.walk(ast.parse(source)):
-        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
-            continue
-        if node.func.id != "DecryptionFailure":
-            continue
-        msg = node.args[0] if node.args else None
-        if isinstance(msg, ast.JoinedStr):
-            msg = msg.values[0]
-        text = msg.value if isinstance(msg, ast.Constant) and isinstance(msg.value, str) else ""
-        stages.append(next((s for s in STAGES if text.startswith(f"{s}: ")), None))
-    return stages
-
-
-def test_failure_stages_are_found():
-    source = (
-        "DecryptionFailure('plan: x')\nraise DecryptionFailure(f'crt: {x}') from None\n"
-        "DecryptionFailure('bad')\nDecryptionFailure(f'{x}: y')\nDecryptionFailure()\n"
-        "DecryptionFailure(f'curve {i}')\nValueError('x')\n"
-    )
-    assert failure_stages(source) == ["plan", "crt", None, None, None, None]
-
-
-def test_every_decryption_failure_names_its_stage():
-    stages = failure_stages((Path(pellrsa.__file__).parent / "scheme.py").read_text())
-    assert None not in stages
-    assert sorted(set(stages)) == sorted(STAGES)
-
-
 def calls_by_function(source, prefix, callee):
     """{name: whether its body calls callee by name} for each module-level
     function of a source whose name starts with prefix."""

@@ -338,7 +338,7 @@ def test_point_pow_trivial_and_frozen():
     assert chebyshev(pt.x, 7, 5) == (2, 1)  # (T_7(2), U_6(2)) = (5042, 2911)
     with pytest.raises(ValueError):
         chebyshev(pt.x, 0, 5)
-    with pytest.raises(ValueError, match="^exponent must be >= 0$"):
+    with pytest.raises(ValueError, match="^need ints: x and an exponent >= 0$"):
         point_pow(pt.x, -1, PP5)
 
 
@@ -408,7 +408,7 @@ def test_pow_morphism():
 
 def test_redei_first_values():
     assert redei_eval(18, 9, 1, 35) == (9, 1)
-    with pytest.raises(ValueError, match="^exponent must be >= 1 and modulus >= 2$"):
+    with pytest.raises(ValueError, match="^need ints: d, z, an exponent >= 1 and a modulus >= 2$"):
         redei_eval(18, 9, 0, 35)
     # one hand matrix multiplication: (z^2 + D, 2z)
     z, d, n = 9, 18, 35
