@@ -5,10 +5,10 @@ as {}; a str row names the test that covers its site.  A row's cases build
 a bad ciphertext, spliced by CRT mod one prime power into a clean one, or
 inject a fault through monkeypatch, as hardware would flip a branch, a bit
 of d_i, a ladder's output or a lift's power.  Keys of shapes (1,1,1), (3,1)
-and (5,1) over 64-bit primes = 3 mod 4 serve them, each with one message
-whose D is a residue mod every prime, run on the p - 1 rows, where
-sqrt(D) = D^((p + 1)/4) mod p, and one whose D is a non-residue, run on
-the p + 1 rows.  A case runs per message and ciphertext kind it takes, per
+and (5,1) over 64-bit primes = 3 mod 4 (conftest's keys) serve them,
+each with one message whose D is a residue mod every prime, run on the
+p - 1 rows, where sqrt(D) = D^((p + 1)/4) mod p, and one whose D is a
+non-residue, run on the p + 1 rows.  A case runs per message and ciphertext kind it takes, per
 prime whose exponent its `at` names (once, if None), and per use:
 "first-use" decrypts with a fresh dataclasses.replace of the key, its rows
 running the binary ladder, "chained" with the warmed key, running their
@@ -20,7 +20,6 @@ decrypting to the message: no fault leaves state.
 
 import ast
 import dataclasses
-import random
 import re
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -28,7 +27,7 @@ from typing import Callable, NamedTuple
 import pytest
 
 from pellrsa import scheme
-from pellrsa.arith import gen_prime, jacobi, mod_inv
+from pellrsa.arith import jacobi, mod_inv
 from pellrsa.errors import DecryptionFailure
 from pellrsa.pell import chebyshev, lucas_chain, param_to_point
 from pellrsa.scheme import Ciphertext, PointCiphertext, decrypt, decrypt_point, reduced_private_exponents
@@ -37,34 +36,9 @@ from oracles import crt, on_curve
 STAGES = ("plan", "decompression", "curve", "ladder", "verify", "crt")
 SHAPES = ((1, 1, 1), (3, 1), (5, 1))
 KINDS = (Ciphertext, PointCiphertext)
-SYMBOLS = {"residue": 1, "non-residue": -1}  # Jacobi(D, p) at every prime
+SYMBOLS = {"residue": lambda i: 1, "non-residue": lambda i: -1}  # Jacobi(D, p) at prime i, for conftest's keys
 DECRYPT = {Ciphertext: decrypt, PointCiphertext: decrypt_point}
 OTHER = {Ciphertext: PointCiphertext, PointCiphertext: Ciphertext}
-
-
-class Key(NamedTuple):
-    sk: scheme.PrivateKey
-    msg: scheme.MessagePair
-    cts: dict  # {kind: the message's ciphertext}
-
-
-@pytest.fixture(scope="module")
-def keys():
-    rng, keys = random.Random(35), {}
-    for shape in SHAPES:
-        primes = set()
-        while len(primes) < len(shape):
-            if (p := gen_prime(64, rng)) % 4 == 3:
-                primes.add(p)
-        pub, sk = scheme.keypair_from_primes(sorted(primes), list(shape))
-        for residue, symbol in SYMBOLS.items():
-            draws = iter(lambda: scheme.random_message(pub, rng), None)
-            msg = next(m for m in draws if all(jacobi(scheme.validate_message(pub, m), p) == symbol for p in primes))
-            cts = {Ciphertext: scheme.encrypt(pub, msg), PointCiphertext: scheme.encrypt_point(pub, msg)}
-            # two uses per row build its chain, so a third runs it
-            assert [DECRYPT[kind](sk, ct) for kind, ct in cts.items()] == [msg, msg]
-            keys[shape, residue] = Key(sk, msg, cts)
-    return keys
 
 
 class Run(NamedTuple):
@@ -72,7 +46,7 @@ class Run(NamedTuple):
     prime index i, that prime p and q = p^k (all None at no prime) and clean ct."""
 
     mp: pytest.MonkeyPatch
-    key: Key
+    key: tuple  # conftest's Key
     sk: scheme.PrivateKey
     kind: type
     i: int
@@ -199,7 +173,8 @@ def garner_plus_1(t):
 # ---- the table ----
 
 GAP = pytest.mark.xfail(strict=True, raises=pytest.fail.Exception, reason=(
-    "the lift checks only that its power to e lies on the curve, which a kernel element keeps (ROADMAP item 3)"))
+    "the Hensel lift's verification gap, a FOUND line in CHANGES.md: the lift checks only that its power to e "
+    "lies on the curve, which a kernel element keeps"))
 FIRST, CHAINED = ("first-use",), ("chained",)
 POINT, COMPRESSED = (PointCiphertext,), (Ciphertext,)
 
@@ -314,7 +289,7 @@ def test_each_failure_raises_its_sites_whole_message_and_leaves_no_state(
     def plan_state():  # per prime, the total uses of its rows and their chains
         return [(sum(row.uses for row in by_order.values()), [row.chain for row in by_order.values()]) for by_order in sk.plan]
     rows = reduced_private_exponents(sk, key.cts[kind].d_coef)
-    assert all(row.order == row.p - SYMBOLS[residue] for row in rows)
+    assert [row.p - row.order for row in rows] == [SYMBOLS[residue](j) for j in range(len(rows))]
     assert all(row.uses == 0 if use == "first-use" else row.chain for row in rows)
     before = plan_state()
     with monkeypatch.context() as mp:

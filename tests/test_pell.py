@@ -498,35 +498,6 @@ def test_ladder_multiplication_counts_are_exact(monkeypatch):
         assert len(param_muls) == squarings + multiplies
 
 
-@pytest.mark.parametrize("exponents", [[3, 1], [1, 1, 3], [5, 1], [9, 1]])
-def test_decryption_ladders_run_mod_each_prime_and_lifts_count_log_k(monkeypatch, exponents):
-    # one ladder per prime, mod the bare prime with an exponent below p + 1,
-    # and its check, a power mod p to e reduced mod the same order; then
-    # ceil(log3 k) cubic lift powers to e: p^3 for k = 3, p^3 and p^5 for
-    # k = 5, p^3 and p^9 for k = 9
-    rng = random.Random(83)
-    pub, priv = scheme.keygen(len(exponents), exponents, 32, rng)
-    msg = scheme.random_message(pub, rng)
-    ct = scheme.encrypt_point(pub, msg)
-    ladders, chains = [], []
-    ladder, chain = scheme.point_pow, scheme.chebyshev
-    monkeypatch.setattr(
-        scheme, "point_pow", lambda x, k, pp, chain=None: ladders.append((k, pp.modulus)) or ladder(x, k, pp, chain=chain)
-    )
-    monkeypatch.setattr(scheme, "chebyshev", lambda x, k, n: chains.append((k, n)) or chain(x, k, n))
-    assert scheme.decrypt_point(priv, ct) == msg
-    primes = [p for p, _ in priv.factors.factors]
-    assert [m for _, m in ladders] == primes
-    assert all(k < m + 1 for k, m in ladders)
-    schedule = {1: [], 3: [3], 5: [3, 5], 9: [3, 9]}
-    lifts = [(pub.e, p**j) for p, k in priv.factors.factors for j in schedule[k]]
-    checks = [(pub.e % (p - jacobi(ct.d_coef, p)), p) for p in primes]
-    assert [c for c in chains if c not in lifts] == checks
-    assert [c for c in chains if c in lifts] == lifts
-    # one step per power of 3: the least j with 3^j >= k
-    assert len(lifts) == sum(min(j for j in range(k) if 3**j >= k) for _, k in priv.factors.factors)
-
-
 # ---- the Lucas ladder against the product ladder ----
 
 def point_pow_cases(p, e):

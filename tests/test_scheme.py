@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pellrsa import arith, pell, scheme
+from pellrsa import arith, scheme
 from pellrsa.errors import (
     BadExponentChoice,
     DecryptionFailure,
@@ -14,7 +14,7 @@ from pellrsa.errors import (
     MessageNotEncryptable,
     RandomnessExhausted,
 )
-from pellrsa.arith import MAX_MODULUS_BITS, crt_coefficients, jacobi, mod_inv
+from pellrsa.arith import MAX_MODULUS_BITS, crt_coefficients, jacobi
 from pellrsa.keyfmt import dump_ciphertext, dump_private_key, dump_public_key, load_private_key
 from pellrsa.pell import (
     INFINITY,
@@ -54,6 +54,8 @@ ORACLE_SHAPES = [
     (2, 40, None),
     (3, 40, None),
     (4, 32, None),
+    (4, 16, None),  # e = 65537 > p + 1
+    (2, 20, [3, 1]),
     (2, 32, [3, 1]),
     (3, 24, [1, 1, 3]),
     (2, 32, [3, 3]),
@@ -292,14 +294,19 @@ def test_encrypt_sign_symmetry():
     assert flipped.c == (35 - ct.c) % 35
 
 
-def test_roundtrip_robust_various_shapes():
+@pytest.mark.parametrize("r, bits, exponents", ORACLE_SHAPES)
+def test_every_decryption_path_returns_the_message(r, bits, exponents):
+    # both kinds through the plan, the full-width oracles mod N, and the CRT
+    # oracles taking Redei and parameter powers mod each whole p^k
     rng = random.Random(5)
-    for r, bits, exps in [(2, 32, None), (3, 24, None), (4, 16, None), (2, 20, [3, 1])]:
-        pub, priv = small_keypair(rng, r=r, bits=bits, exponents=exps)
-        for _ in range(25):
-            msg = random_message(pub, rng)
-            ct = encrypt(pub, msg)
-            assert decrypt(priv, ct) == msg
+    pub, priv = small_keypair(rng, r=r, bits=bits, exponents=exponents)
+    for _ in range(10):
+        msg = random_message(pub, rng)
+        ct, pct = encrypt(pub, msg), encrypt_point(pub, msg)
+        assert on_curve(pct.cx, pct.cy, pct.d_coef, pub.n)
+        assert decrypt(priv, ct) == decrypt_point(priv, pct) == msg
+        assert full_width_decrypt(priv, ct) == full_width_decrypt_point(priv, pct) == msg
+        assert crt_decrypt_with(redei_pow, priv, ct) == crt_decrypt_with(param_pow, priv, ct) == msg
 
 
 @settings(max_examples=50)
@@ -355,18 +362,6 @@ def test_lifted_decryption_matches_full_width_oracle(exponents, bits, mode, poin
         assert decrypt(priv, ct) == full_width_decrypt(priv, ct) == msg
 
 
-def test_crt_fast_path_bit_identical_to_direct():
-    rng = random.Random(6)
-    for r, bits, exps in ORACLE_SHAPES:
-        pub, priv = small_keypair(rng, r=r, bits=bits, exponents=exps)
-        for _ in range(10):
-            msg = random_message(pub, rng)
-            ct = encrypt(pub, msg)
-            assert decrypt(priv, ct) == full_width_decrypt(priv, ct)
-            pct = encrypt_point(pub, msg)
-            assert decrypt_point(priv, pct) == full_width_decrypt_point(priv, pct)
-
-
 # SHA-256 of test_known_answers_are_pinned's transcript: a key, ciphertext
 # or plaintext that changes by one bit changes it
 KNOWN_ANSWER_DIGEST = "6644f0144ef4c125ebedc99ef243a4bba92a939febdef56d968b158214164e3f"
@@ -392,22 +387,6 @@ def test_known_answers_are_pinned():
     assert digest.hexdigest() == KNOWN_ANSWER_DIGEST
 
 
-def test_decrypt_methods_agree():
-    rng = random.Random(7)
-    for r, bits, exps in ORACLE_SHAPES:
-        pub, priv = small_keypair(rng, r=r, bits=bits, exponents=exps)
-        for _ in range(10):
-            msg = random_message(pub, rng)
-            ct = encrypt(pub, msg)
-            results = {
-                msg,
-                decrypt(priv, ct),
-                crt_decrypt_with(redei_pow, priv, ct),
-                crt_decrypt_with(param_pow, priv, ct),
-            }
-            assert len(results) == 1
-
-
 def test_ciphertext_parameter_is_a_unit():
     rng = random.Random(8)
     pub, priv = small_keypair(rng, r=3, bits=32)
@@ -415,17 +394,6 @@ def test_ciphertext_parameter_is_a_unit():
         ct = encrypt(pub, random_message(pub, rng))
         assert math.gcd(ct.c, pub.n) == 1
         assert math.gcd(ct.d_coef, pub.n) == 1
-
-
-def test_point_mode_roundtrip_and_consistency():
-    rng = random.Random(9)
-    pub, priv = small_keypair(rng, r=2, bits=32)
-    for _ in range(25):
-        msg = random_message(pub, rng)
-        pct = encrypt_point(pub, msg)
-        assert on_curve(pct.cx, pct.cy, pct.d_coef, pub.n)
-        assert decrypt_point(priv, pct) == msg
-        assert decrypt_point(priv, pct) == decrypt(priv, encrypt(pub, msg))
 
 
 def redei_ciphertext(pub, msg, d_coef):
@@ -528,60 +496,6 @@ def test_reduced_exponents_divide_and_invert(exponents):
             assert pub.e * (priv.d % order) % order == 1 % order
 
 
-def test_a_public_exponent_above_p_plus_1_checks_roots_of_both_orders(monkeypatch):
-    # 16-bit primes with e = 65537 and a D that is a residue mod one prime
-    # only; the root check mod p raises to e mod the order, so its chain
-    # stays below p + 2 for an e of any width
-    rng = random.Random(32)
-    pub, priv = small_keypair(rng, r=2, bits=16)
-    (p, _), (q, _) = priv.factors.factors
-    assert priv.e == pub.e == 65537 > max(p, q) + 1
-    while True:
-        msg = random_message(pub, rng)
-        d_coef = validate_message(pub, msg)
-        if jacobi(d_coef, p) != jacobi(d_coef, q):
-            break
-    orders = [row.order for row in reduced_private_exponents(priv, d_coef)]
-    assert orders == [p - jacobi(d_coef, p), q - jacobi(d_coef, q)]
-    assert sorted(order - prime for order, prime in zip(orders, (p, q))) == [-1, 1]
-    cts = encrypt(pub, msg), encrypt_point(pub, msg)
-    checks, chain = [], scheme.chebyshev
-    monkeypatch.setattr(scheme, "chebyshev", lambda x, k, n: checks.append((k, n)) or chain(x, k, n))
-    assert decrypt(priv, cts[0]) == decrypt_point(priv, cts[1]) == msg
-    assert checks == 2 * [(pub.e % order, prime) for order, prime in zip(orders, (p, q))]
-
-
-def test_the_hensel_lift_raises_to_e_mod_the_group_order_mod_p_k(monkeypatch):
-    # a key file with a small d derives an e about as wide as the exponent
-    # modulus; each lift step used to raise to that full e at p^k width
-    rng = random.Random(33)
-    _, base = small_keypair(rng, r=2, bits=32, exponents=[3, 1])
-    lam = exponent_modulus(base.factors, Mode.ROBUST)
-    d = next(d for d in range(1 << 20 | 1, lam, 2) if math.gcd(d, lam) == 1)
-    priv = PrivateKey(base.factors, d, Mode.ROBUST)
-    pub = PublicKey(priv.n, priv.e)
-    ((p, k),) = [(p, k) for p, k in priv.factors.factors if k == 3]
-    assert priv.e > p**2 * (p + 1)
-    lifts, chain = [], scheme.chebyshev
-
-    def spy(x, e, n):
-        if n == p**k:
-            lifts.append(e)
-        return chain(x, e, n)
-
-    monkeypatch.setattr(scheme, "chebyshev", spy)
-    orders = set()
-    for _ in range(6):
-        msg = random_message(pub, rng)
-        (order,) = [row.order for row in reduced_private_exponents(priv, validate_message(pub, msg)) if row.p == p]
-        orders.add(order)
-        for dec, ct in ((decrypt, encrypt(pub, msg)), (decrypt_point, encrypt_point(pub, msg))):
-            lifts.clear()
-            assert dec(priv, ct) == msg
-            assert lifts and max(lifts) < p ** (k - 1) * order
-    assert orders == {p - 1, p + 1}
-
-
 def test_private_key_derives_e():
     rng = random.Random(19)
     pub, priv = small_keypair(rng, r=3, bits=32, exponents=[3, 1, 5])
@@ -643,114 +557,6 @@ def test_a_mode_that_is_no_mode_member_is_refused(mode, monkeypatch):
     with refused():
         keypair_from_primes([5, 7], [1, 1], e=5, mode=mode)
     assert tested == []
-
-
-@pytest.mark.parametrize("exponents,inversions", [([1, 1, 1], [6, 3]), ([3, 1], [4, 2])])
-def test_work_per_decryption_is_pinned(monkeypatch, exponents, inversions):
-    # inversions per compressed and per point request: one decompression and
-    # one root y per prime; the r - 1 Garner coefficients are the plan's,
-    # built once per key; no curve mod N is built
-    rng = random.Random(31)
-    pub, priv = small_keypair(rng, r=len(exponents), bits=32, exponents=exponents)
-    assert len(priv.garner) == len(exponents) - 1
-    msg = random_message(pub, rng)
-    requests = [(decrypt, encrypt(pub, msg)), (decrypt_point, encrypt_point(pub, msg))]
-    inverted, curves = [], []
-
-    def spy(a, n):
-        inverted.append(n)
-        return mod_inv(a, n)
-
-    for module in (pell, scheme, arith):
-        monkeypatch.setattr(module, "mod_inv", spy)
-    built = PellParams.__post_init__
-    monkeypatch.setattr(PellParams, "__post_init__", lambda pp: curves.append(pp.modulus) or built(pp))
-    counts = []
-    for dec, ct in requests:
-        inverted.clear()
-        assert dec(priv, ct) == msg
-        counts.append(len(inverted))
-    assert counts == inversions
-    assert curves and pub.n not in curves
-
-
-@pytest.mark.parametrize("exponents", [[1, 1, 1], [3, 1]])
-def test_curves_built_per_request_are_pinned(monkeypatch, exponents):
-    # encryption builds no curve: compression reads the bare modulus.  A
-    # decryption builds one per prime, whichever use of the row: the curve
-    # mod p that point_pow reads; the ciphertext's curve mod p^k is bare ints
-    rng = random.Random(32)
-    pub, priv = small_keypair(rng, r=len(exponents), bits=32, exponents=exponents)
-    msg = random_message(pub, rng)
-    built = []
-    monkeypatch.setattr(scheme, "PellParams", lambda n, d: built.append(n) or PellParams(n, d))
-    requests = [(decrypt, encrypt(pub, msg)), (decrypt_point, encrypt_point(pub, msg))]
-    assert built == []
-    expected = sorted(p for p, _ in priv.factors.factors)
-    for dec, ct in requests * 3:
-        built.clear()
-        assert dec(priv, ct) == msg
-        assert sorted(built) == expected
-
-
-@pytest.mark.parametrize("exponents", [[1, 1, 1], [3, 1]])
-def test_decryption_inverts_at_prime_power_width(monkeypatch, exponents):
-    # decompression, the ladders' y recovery and CRT all invert mod a p^k
-    # or below, never mod N
-    rng = random.Random(22)
-    pub, priv = small_keypair(rng, r=len(exponents), bits=32, exponents=exponents)
-    msgs = [random_message(pub, rng) for _ in range(5)]
-    cts = [(decrypt, encrypt(pub, m)) for m in msgs]
-    cts += [(decrypt_point, encrypt_point(pub, m)) for m in msgs]
-    moduli = []
-
-    def spy(a, n):
-        moduli.append(n)
-        return mod_inv(a, n)
-
-    for module in (pell, scheme, arith):
-        monkeypatch.setattr(module, "mod_inv", spy)
-    for (dec, ct), msg in zip(cts, msgs + msgs):
-        assert dec(priv, ct) == msg
-    assert moduli and max(moduli) <= max(p**k for p, k in priv.factors.factors)
-
-
-@pytest.mark.parametrize("exponents", [[1, 1, 1], [3, 1]])
-def test_a_row_builds_its_chain_on_its_second_use_only(monkeypatch, exponents):
-    # one decryption, as `pellrsa decrypt` makes, builds no chain; a second
-    # of the same ciphertext builds one per row it uses, and later ones none
-    rng = random.Random(27)
-    pub, priv = small_keypair(rng, r=len(exponents), bits=64, exponents=exponents)
-    msg = random_message(pub, rng)
-    ct, pct = encrypt(pub, msg), encrypt_point(pub, msg)
-    built, build = [], scheme.lucas_chain
-    monkeypatch.setattr(scheme, "lucas_chain", lambda k: built.append(k) or build(k))
-    assert decrypt(priv, ct) == msg
-    assert built == []
-    rows = reduced_private_exponents(priv, ct.d_coef)
-    assert decrypt_point(priv, pct) == msg
-    assert built == [row.d_i for row in rows]
-    for _ in range(3):
-        assert decrypt(priv, ct) == decrypt_point(priv, pct) == msg
-    assert len(built) == len(rows)
-    assert [(row.uses, row.chain.k) for row in rows] == [(8, row.d_i) for row in rows]
-
-
-@pytest.mark.parametrize("exponents", [[1, 1, 1], [3, 1]])
-def test_a_decryption_adds_one_use_to_each_plan_row_it_reads(exponents):
-    rng = random.Random(28)
-    pub, priv = small_keypair(rng, r=len(exponents), bits=64, exponents=exponents)
-    every_row = [row for by_order in priv.plan for row in by_order.values()]
-    for dec, enc in [(decrypt, encrypt), (decrypt_point, encrypt_point), (decrypt, encrypt)]:
-        msg = random_message(pub, rng)
-        ct = enc(pub, msg)
-        rows = reduced_private_exponents(priv, ct.d_coef)
-        # the plan's own rows, one per prime, for the order D picks
-        assert all(row is priv.plan[i][row.order] for i, row in enumerate(rows))
-        uses = [row.uses for row in every_row]
-        assert dec(priv, ct) == msg
-        read = [any(row is r for r in rows) for row in every_row]
-        assert [row.uses - n for row, n in zip(every_row, uses)] == [int(r) for r in read]
 
 
 def test_a_built_plan_leaves_the_key_file_eq_and_hash_unchanged():
