@@ -13,6 +13,7 @@ no trial.
 A cofactor m is tested for primality first when m < 2^64 or m + 1 | psi,
 as for every prime factor; otherwise it is composite unless psi is bogus,
 and is tested after its first failed trial or before the budget runs out.
+tests/test_attacks.py pins each call full_factorization makes.
 """
 
 import math

@@ -1,13 +1,17 @@
+import ast
+import builtins
+import inspect
 import math
 import random
 import sys
+from unittest.mock import ANY
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pellrsa import attacks, pell
-from pellrsa.arith import MAX_MODULUS_BITS, FactoredModulus, gen_prime, is_probable_prime, mod_inv
+from pellrsa import arith, attacks, pell
+from pellrsa.arith import MAX_MODULUS_BITS, FactoredModulus, gen_prime, is_probable_prime
 from pellrsa.attacks import (
     _draw_non_residue,
     _iroot,
@@ -17,8 +21,8 @@ from pellrsa.attacks import (
     full_factorization,
 )
 from pellrsa.errors import RandomnessExhausted, TrialBudgetExhausted
-from pellrsa.pell import point_pow, psi
-from pellrsa.scheme import exponent_modulus, keygen, keypair_from_primes
+from pellrsa.pell import PellParams, psi
+from pellrsa.scheme import Mode, exponent_modulus, keygen, keypair_from_primes
 from oracles import NoDraws, impossible_op_probability
 
 
@@ -61,35 +65,6 @@ def test_find_factor_probes_order_two_and_identity(x):
     # has x = 1 for x = 2, which only gcd(x - 1, n) sees, and x = -1 for
     # x = 3, which only gcd(x + 1, n) sees
     assert find_factor(1009 * 1013, math.lcm(1010, 1014), x) == 1013
-
-
-def test_find_factor_runs_one_ladder_and_no_inversion(monkeypatch):
-    # a trial is one x-only decryption ladder to the odd part of psi, with no
-    # inversion and no parameter product
-    rng = random.Random(11)
-    fm = FactoredModulus((gen_prime(176, rng), 1) for _ in range(3))
-    n, psi_n = fm.value, psi(fm)
-    assert n.bit_length() >= 512
-    powers, inversions, products = [], [], []
-
-    def spy_point_pow(x, k, pp):
-        powers.append(k)
-        return point_pow(x, k, pp)
-
-    def spy_mod_inv(a, m):
-        inversions.append(m)
-        return mod_inv(a, m)
-
-    monkeypatch.setattr(attacks, "point_pow", spy_point_pow)
-    for module in (pell, attacks):
-        monkeypatch.setattr(module, "mod_inv", spy_mod_inv, raising=False)
-        for name in ("param_pow", "param_mul", "redei_pow"):
-            monkeypatch.setattr(module, name, lambda *a, name=name: products.append(name), raising=False)
-    f = find_factor(n, psi_n, _draw_non_residue(n, rng))
-    assert 1 < f < n and n % f == 0
-    assert powers == [psi_n // (psi_n & -psi_n)]
-    assert inversions == []
-    assert products == []
 
 
 def test_find_factor_returns_proper_divisors():
@@ -137,12 +112,6 @@ def test_perfect_power_scan_tries_prime_exponents_only(monkeypatch):
     assert all(is_probable_prime(k) for k in roots)
 
 
-def test_full_factorization_peels_nested_powers():
-    # 15^18 comes back as (15^9)^2; each root is examined again
-    fm = FactoredModulus([(3, 18), (5, 18), (7, 1)])
-    assert full_factorization(fm.value, psi(fm), random.Random(12)) == list(fm.factors)
-
-
 # ---- full factorization ----
 
 @pytest.mark.parametrize("factors", [[(3, 1), (5, 1)], [(3, 3), (5, 1)], [(3, 1), (5, 3)], [(3, 1), (5, 1), (7, 1)]])
@@ -157,10 +126,6 @@ def test_full_factorization_frozen_examples():
     rng = random.Random(4)
     assert full_factorization(35, 48, rng) == [(5, 1), (7, 1)]
     assert full_factorization(875, 1200, rng) == [(5, 3), (7, 1)]
-
-
-def test_prime_input_short_circuits():
-    assert full_factorization(7, 8, NoDraws()) == [(7, 1)]
 
 
 def test_full_factorization_budget():
@@ -178,159 +143,199 @@ def test_an_even_prime_power_exhausts_the_draws_for_a_start_x():
         full_factorization(25, 2, random.Random(0))
 
 
-def test_square_free_moduli_are_never_root_scanned(monkeypatch):
-    # the benchmark's factoring shapes: r = 2 and r = 3 at 1024 bits; the
-    # scan took about 15% of their factoring time and could only fail
-    scans = []
-    monkeypatch.setattr(attacks, "_perfect_power", lambda m: scans.append(m) or _perfect_power(m))
-    rng = random.Random(1024)
-    for r in (2, 3) * 3:
-        pub, priv = keygen(r, [1] * r, 1024 // r, rng)
-        assert full_factorization(pub.n, psi(priv.factors), rng) == list(priv.factors.factors)
-    assert scans == []
+# ---- the factoring work: every kernel call, in order ----
+
+# the kernel calls of full_factorization and find_factor, as attacks names them
+LOGGED = ("is_probable_prime", "_perfect_power", "_split_from_psi", "_draw_non_residue", "find_factor", "PellParams",
+          "point_pow")
 
 
-FACTORING_SHAPES = {
-    "r2": [1, 1],
-    "r3": [1, 1, 1],
-    "r4": [1, 1, 1, 1],
-    "pp31": [3, 1],
-    "pp13": [1, 3],
-    "pp331": [3, 3, 1],
-}
+def record_calls(mp):
+    """Through the MonkeyPatch mp, log each call of LOGGED in attacks and each
+    inversion or parameter product in attacks, pell and arith from here on,
+    in order, a call before its callees, as [name, *arguments, result]."""
+    log = []
+    for module in (attacks, pell, arith):
+        for name in (LOGGED if module is attacks else ()) + ("mod_inv", "param_mul", "param_pow", "redei_pow"):
+            if hasattr(module, name):
+                def spy(*args, name=name, original=getattr(module, name)):
+                    log.append(entry := [name, *args])
+                    entry.append(original(*args))
+                    return entry[-1]
+                mp.setattr(module, name, spy)
+    return log
 
 
-def factoring_key(shape):
-    """A seeded key of the shape on distinct 80-bit primes, and its primes."""
-    exponents = FACTORING_SHAPES[shape]
-    rng = random.Random(f"shape/{shape}")
-    primes = []
-    while len(primes) < len(exponents):
-        p = gen_prime(80, rng)
-        if p not in primes:
-            primes.append(p)
-    return primes, *keypair_from_primes(primes, exponents)
+def trial_calls(m, x, f, psi_n):
+    """R1's log of one trial on m from the start x that found f: the draw,
+    find_factor, and in it one curve and one ladder to the odd part of psi_n."""
+    curve = PellParams(m, (x * x - 1) % m)
+    return [["_draw_non_residue", m, ANY, x], ["find_factor", m, psi_n, x, f], ["PellParams", m, curve.d, curve],
+            ["point_pow", x, psi_n // (psi_n & -psi_n), curve, ANY]]
 
 
-@pytest.mark.parametrize("shape", FACTORING_SHAPES)
-def test_primality_is_tested_on_wide_cofactors_only_when_they_are_prime(shape, monkeypatch):
-    # p + 1 divides psi(n), its multiples and the exponent modulus for every
-    # prime p | n, so a wide cofactor m whose m + 1 does not divide psi_n is
-    # split without a primality test; one is tested only after a trial on it
-    # failed, which is rare under psi(n) and common under the exponent modulus
-    exponents = FACTORING_SHAPES[shape]
-    primes, pub, priv = factoring_key(shape)
-    events = []
-    monkeypatch.setattr(attacks, "is_probable_prime", lambda m: events.append((m, None)) or is_probable_prime(m))
-
-    def spy_find_factor(m, psi_n, x):
-        f = find_factor(m, psi_n, x)
-        events.append((m, f))
-        return f
-
-    monkeypatch.setattr(attacks, "find_factor", spy_find_factor)
-    for psi_n in (psi(priv.factors), 3 * psi(priv.factors), exponent_modulus(priv.factors, priv.mode)):
-        for seed in range(4):
-            events.clear()
-            assert full_factorization(pub.n, psi_n, random.Random(seed)) == list(priv.factors.factors)
-            tested = [m for m, f in events if f is None]
-            failed = {m for m, f in events if f == 0}
-            for i, (m, f) in enumerate(events):
-                if f is None and m >= 1 << 64 and m not in primes:
-                    assert (m, 0) in events[:i], f"composite {m:#x} tested before any trial on it failed"
-            if exponents == [1] * len(exponents):
-                # each prime once, and each cofactor once after its failed trial
-                assert sorted(tested) == sorted(primes + list(failed))
+def trials_of(log):
+    """(m, x, result) of each find_factor call in the log."""
+    return [(entry[1], entry[3], entry[4]) for entry in log if entry[0] == "find_factor"]
 
 
-# find_factor calls under 3 psi(n) and the exponent modulus for rng seeds
-# 0..3, as recorded before the closed-form split was added: "012>2" is a trial
-# on p0 p1 p2 that split off p2, "01>" a trial on p0 p1 that failed.  Off exact
-# psi the closed form never fires, and the pop order moves no start x.
-SPLITTING_TRIALS = {
-    ("r2", "3psi"): [["01>1"], ["01>1"], ["01>0"], ["01>0"]],
-    ("r2", "lambda"): [["01>", "01>0"], ["01>1"], ["01>1"], ["01>1"]],
-    ("r3", "3psi"): [["012>2", "01>0"], ["012>0", "12>2"], ["012>2", "01>0"], ["012>2", "01>1"]],
-    ("r3", "lambda"): [["012>01", "01>", "01>0"], ["012>0", "12>2"], ["012>0", "12>1"], ["012>12", "12>1"]],
-    ("r4", "3psi"): [
-        ["0123>0", "123>23", "23>2"],
-        ["0123>3", "012>1", "02>0"],
-        ["0123>12", "03>3", "12>2"],
-        ["0123>3", "012>0", "12>1"],
-    ],
-    ("r4", "lambda"): [
-        ["0123>013", "013>0", "13>1"],
-        ["0123>3", "012>0", "12>1"],
-        ["0123>012", "012>0", "12>2"],
-        ["0123>013", "013>0", "13>1"],
-    ],
-    ("pp31", "3psi"): [["0001>000"], ["0001>000"], ["0001>1"], ["0001>1"]],
-    ("pp31", "lambda"): [["0001>1"], ["0001>1"], ["0001>000"], ["0001>000"]],
-    ("pp13", "3psi"): [["0111>0"], ["0111>111"], ["0111>0"], ["0111>111"]],
-    ("pp13", "lambda"): [["0111>0"], ["0111>0"], ["0111>", "0111>0"], ["0111>", "0111>0"]],
-    ("pp331", "3psi"): [
-        ["0001112>2", "01>0"],
-        ["0001112>000", "1112>111"],
-        ["0001112>000", "1112>2"],
-        ["0001112>000", "1112>111"],
-    ],
-    ("pp331", "lambda"): [
-        ["0001112>111", "0002>", "0002>2"],
-        ["0001112>1112", "1112>2"],
-        ["0001112>2", "01>", "01>", "01>", "01>0"],
-        ["0001112>000", "1112>2"],
-    ],
-}
-
-
-@pytest.mark.parametrize("shape", FACTORING_SHAPES)
-def test_splitting_trials_are_pinned(shape, monkeypatch):
-    # exact psi draws the same start x as 3 psi(n), which has the same odd part
-    # up to 3; on a square-free n it spends no trial on the last two primes,
-    # so r = 2, 3 and 4 take 0, 1 and 2 trials, and a prime power's
-    # multiplicity keeps the closed form off its cofactors
-    primes, pub, priv = factoring_key(shape)
-
-    def indices(m):
+def words(log, primes, psi_n):
+    """The log in the table's words, each cofactor as its primes' indices
+    ("0001" is p0^3 p1) and each result after ">", nothing for none: P2 and
+    C01 are primality tests that pass and fail, R000>0 an exact-root scan
+    that found p0^3, S01>0 a closed-form split, T012>2 the four calls of
+    trial_calls, and ? starts any other call's name and arguments."""
+    def ix(m):
         out = ""
         for i, p in enumerate(primes):
-            while m % p == 0:
+            while m and m % p == 0:
                 out, m = out + str(i), m // p
         return out
 
-    calls = []
-
-    def spy_find_factor(m, psi_n, x):
-        f = find_factor(m, psi_n, x)
-        calls.append(f"{indices(m)}>{indices(f) if f else ''}")
-        return f
-
-    monkeypatch.setattr(attacks, "find_factor", spy_find_factor)
-    lam = exponent_modulus(priv.factors, priv.mode)
-    multiples = {"psi": psi(priv.factors), "3psi": 3 * psi(priv.factors), "lambda": lam}
-    seen = {}
-    for kind, psi_n in multiples.items():
-        for seed in range(4):
-            calls.clear()
-            assert full_factorization(pub.n, psi_n, random.Random(seed)) == list(priv.factors.factors)
-            seen.setdefault(kind, []).append(list(calls))
-    assert seen["3psi"] == SPLITTING_TRIALS[shape, "3psi"]
-    assert seen["lambda"] == SPLITTING_TRIALS[shape, "lambda"]
-    square_free = FACTORING_SHAPES[shape] == [1] * len(primes)
-    assert seen["psi"] == [trials[:-1] if square_free else trials for trials in seen["3psi"]]
-    if square_free:
-        assert [len(trials) for trials in seen["psi"]] == [len(primes) - 2] * 4
+    out, i = [], 0
+    while i < len(log):
+        (name, m, *rest), trial = log[i], log[i:i + 4]
+        if name == "_draw_non_residue" and len(trial) == 4 and trial == trial_calls(m, rest[-1], trial[1][-1], psi_n):
+            out.append(f"T{ix(m)}>{ix(trial[1][-1])}")
+            i += 3
+        elif name == "is_probable_prime":
+            out.append(("P" if rest[-1] else "C") + ix(m))
+        elif name == "_perfect_power":
+            out.append(f"R{ix(m)}>{ix(rest[-1][0]) if rest[-1][1] > 1 else ''}")
+        elif name == "_split_from_psi":
+            out.append(f"S{ix(m)}>{ix(rest[-1])}")
+        else:
+            out.append(f"?{name}{tuple(log[i][1:])}")
+        i += 1
+    return " ".join(out)
 
 
-@pytest.mark.parametrize("small", [[], [(2, 1), (3, 1)], [(2, 3), (3, 2)]])
-def test_two_primes_under_exact_psi_need_no_trial(small):
-    # the closed form divides psi of the 2s and 3s found first out of psi_n;
-    # 3 psi(n) has no closed form and runs out of trials, as it always did
-    _, _, priv = factoring_key("r2")
-    fm = FactoredModulus(small + list(priv.factors.factors))
-    assert full_factorization(fm.value, psi(fm), NoDraws(), max_trials=0) == list(fm.factors)
-    with pytest.raises(TrialBudgetExhausted):
-        full_factorization(fm.value, 3 * psi(fm), random.Random(0), max_trials=0)
+def assert_primes_are_tested_once(log, primes, psi_n, max_trials):
+    """R2: each of the primes takes one is_probable_prime, and a cofactor m >= 2^64
+    whose m + 1 does not divide psi_n is tested only after a failed trial on m or with no trial left."""
+    tested = [entry[1] for entry in log if entry[0] == "is_probable_prime"]
+    assert [tested.count(p) for p in primes] == [1] * len(primes)
+    for i, (name, m, *_) in enumerate(log):
+        if name == "is_probable_prime" and m >= 1 << 64 and psi_n % (m + 1):
+            trials = trials_of(log[:i])
+            assert (m, ANY, 0) in trials or len(trials) >= max_trials, f"{m:#x} tested first"
+
+
+FACTORING_SHAPES = {"r2": [1, 1], "r3": [1, 1, 1], "r4": [1, 1, 1, 1],
+                    "pp31": [3, 1], "pp13": [1, 3], "pp331": [3, 3, 1]}
+
+
+def factoring_work(modulus, multiple, seed, log):
+    """Clear the log, then factor a row's modulus under its multiple of psi:
+    (primes above 3 in index order, factors, psi_n, max_trials) and the words
+    of its calls, " !" added for a TrialBudgetExhausted.  A shape is on
+    distinct 80-bit primes, from random.Random(seed); "r2*k" is the r2 shape
+    times k = 1, 6 = 2 * 3 or 648 = 2^3 * 3^2, and "7" the prime 7, both under
+    NoDraws with max_trials=0; "nested" is 3^18 5^18 7, from random.Random(12);
+    1024r2 and 1024r3 are keys drawn in turn from random.Random(1024), whose draws go on."""
+    rng, max_trials = random.Random(1024 if modulus.startswith("1024") else seed), 200
+    if modulus.startswith("1024"):
+        for r in range(2, int(modulus[-1]) + 1):
+            fm = keygen(r, [1] * r, 1024 // r, rng)[1].factors
+        primes = [p for p, _ in fm.factors]
+    elif modulus == "nested":
+        primes, fm, rng = [5, 7], FactoredModulus([(3, 18), (5, 18), (7, 1)]), random.Random(12)
+    elif modulus == "7":
+        primes, fm, rng, max_trials = [7], FactoredModulus([(7, 1)]), NoDraws(), 0
+    else:
+        shape, _, times = modulus.partition("*")
+        draw, primes = random.Random(f"shape/{shape}"), []
+        while len(primes) < len(FACTORING_SHAPES[shape]):
+            if (p := gen_prime(80, draw)) not in primes:
+                primes.append(p)
+        small = {"6": [(2, 1), (3, 1)], "648": [(2, 3), (3, 2)]}.get(times, [])
+        fm = FactoredModulus(small + list(zip(primes, FACTORING_SHAPES[shape])))
+        if times:
+            rng, max_trials = NoDraws(), 0
+    psi_n = {"psi": psi(fm), "3psi": 3 * psi(fm), "lambda": exponent_modulus(fm, Mode.ROBUST)}[multiple]
+    run = primes, fm, psi_n, max_trials
+    log.clear()  # the key's own primality tests and inversions
+    try:
+        assert full_factorization(fm.value, psi_n, rng, max_trials) == list(fm.factors)
+        return run, words(log, primes, psi_n)
+    except TrialBudgetExhausted:
+        return run, words(log, primes, psi_n) + " !"
+
+
+# {(moduli, psi multiples): the words of each seed, for each modulus as factoring_work builds it under each multiple}
+FACTORING_WORK = {
+    ("r2", "psi"): ["S01>0 P1 P0", "S01>0 P1 P0", "S01>0 P1 P0", "S01>0 P1 P0"],
+    ("r2", "3psi"): ["S01> T01>1 P0 P1", "S01> T01>1 P0 P1", "S01> T01>0 P1 P0", "S01> T01>0 P1 P0"],
+    ("r2", "lambda"): ["S01> T01> C01 T01>0 P1 P0", "S01> T01>1 P0 P1", "S01> T01>1 P0 P1", "S01> T01>1 P0 P1"],
+    ("r3", "psi"): ["S012> T012>2 P2 S01>1 P0 P1", "S012> T012>0 P0 S12>2 P1 P2", "S012> T012>2 P2 S01>1 P0 P1",
+                    "S012> T012>2 P2 S01>1 P0 P1"],
+    ("r3", "3psi"): ["S012> T012>2 P2 S01> T01>0 P1 P0", "S012> T012>0 P0 S12> T12>2 P1 P2",
+                     "S012> T012>2 P2 S01> T01>0 P1 P0", "S012> T012>2 P2 S01> T01>1 P0 P1"],
+    ("r3", "lambda"): ["S012> T012>01 P2 S01> T01> C01 T01>0 P1 P0", "S012> T012>0 P0 S12> T12>2 P1 P2",
+                       "S012> T012>0 P0 S12> T12>1 P2 P1", "S012> T012>12 P0 S12> T12>1 P2 P1"],
+    ("r4", "psi"): ["S0123> T0123>0 P0 S123> T123>23 P1 S23>2 P3 P2", "S0123> T0123>3 P3 S012> T012>1 P1 S02>0 P2 P0",
+                    "S0123> T0123>12 S03> T03>3 P0 P3 S12>2 P1 P2", "S0123> T0123>3 P3 S012> T012>0 P0 S12>2 P1 P2"],
+    ("r4", "3psi"): ["S0123> T0123>0 P0 S123> T123>23 P1 S23> T23>2 P3 P2",
+                     "S0123> T0123>3 P3 S012> T012>1 P1 S02> T02>0 P2 P0",
+                     "S0123> T0123>12 S03> T03>3 P0 P3 S12> T12>2 P1 P2",
+                     "S0123> T0123>3 P3 S012> T012>0 P0 S12> T12>1 P2 P1"],
+    ("r4", "lambda"): ["S0123> T0123>013 P2 S013> T013>0 P0 S13> T13>1 P3 P1",
+                       "S0123> T0123>3 P3 S012> T012>0 P0 S12> T12>1 P2 P1",
+                       "S0123> T0123>012 P3 S012> T012>0 P0 S12> T12>2 P1 P2",
+                       "S0123> T0123>013 P2 S013> T013>0 P0 S13> T13>1 P3 P1"],
+    ("pp31", "psi 3psi"): ["R0001> S0001> T0001>000 P1 R000>0 P0", "R0001> S0001> T0001>000 P1 R000>0 P0",
+                           "R0001> S0001> T0001>1 P1 R000>0 P0", "R0001> S0001> T0001>1 P1 R000>0 P0"],
+    ("pp31", "lambda"): ["R0001> S0001> T0001>1 P1 R000>0 P0", "R0001> S0001> T0001>1 P1 R000>0 P0",
+                         "R0001> S0001> T0001>000 P1 R000>0 P0", "R0001> S0001> T0001>000 P1 R000>0 P0"],
+    ("pp13", "psi 3psi"): ["R0111> S0111> T0111>0 P0 R111>1 P1", "R0111> S0111> T0111>111 P0 R111>1 P1",
+                           "R0111> S0111> T0111>0 P0 R111>1 P1", "R0111> S0111> T0111>111 P0 R111>1 P1"],
+    ("pp13", "lambda"): ["R0111> S0111> T0111>0 P0 R111>1 P1", "R0111> S0111> T0111>0 P0 R111>1 P1",
+                         "R0111> S0111> T0111> C0111 T0111>0 P0 R111>1 P1",
+                         "R0111> S0111> T0111> C0111 T0111>0 P0 R111>1 P1"],
+    ("pp331", "psi 3psi"): ["R0001112> S0001112> T0001112>2 P2 R000111>01 R01> T01>0 P1 P0",
+                            "R0001112> S0001112> T0001112>000 R1112> S1112> T1112>111 P2 R111>1 P1 R000>0 P0",
+                            "R0001112> S0001112> T0001112>000 R1112> S1112> T1112>2 P2 R111>1 P1 R000>0 P0",
+                            "R0001112> S0001112> T0001112>000 R1112> S1112> T1112>111 P2 R111>1 P1 R000>0 P0"],
+    ("pp331", "lambda"): ["R0001112> S0001112> T0001112>111 R0002> S0002> T0002> C0002 T0002>2 P2 R000>0 P0 R111>1 P1",
+                          "R0001112> S0001112> T0001112>1112 R000>0 P0 R1112> S1112> T1112>2 P2 R111>1 P1",
+                          "R0001112> S0001112> T0001112>2 P2 R000111>01 R01> T01> C01 T01> T01> T01>0 P1 P0",
+                          "R0001112> S0001112> T0001112>000 R1112> S1112> T1112>2 P2 R111>1 P1 R000>0 P0"],
+    ("r2*1 r2*6 r2*648 1024r2", "psi"): ["S01>0 P1 P0"],
+    ("r2*1 r2*6 r2*648", "3psi"): ["S01> C01 !"],
+    ("7", "psi"): ["P0"],
+    ("nested", "psi"): ["C0000000000000000001 R0000000000000000001> S0000000000000000001> "
+                        "T0000000000000000001>000000000000000000 P1 C000000000000000000 R000000000000000000>000000000 "
+                        "C000000000 R000000000>000 C000 R000>0 P0"],
+    ("1024r3", "psi"): ["S012> T012>0 P0 S12>1 P2 P1"],
+}
+
+
+@pytest.mark.parametrize("modulus, multiple, seed, said", [
+    pytest.param(modulus, multiple, seed, said, id=f"{modulus}/{multiple}/{seed}")
+    for (moduli, multiples), said_by_seed in FACTORING_WORK.items() for modulus in moduli.split()
+    for multiple in multiples.split() for seed, said in enumerate(said_by_seed)
+])
+def test_full_factorization_makes_exactly_its_calls(modulus, multiple, seed, said, monkeypatch):
+    log = record_calls(monkeypatch)
+    (primes, fm, psi_n, max_trials), heard = factoring_work(modulus, multiple, seed, log)
+    trials, square_free = trials_of(log), all(e == 1 for _, e in fm.factors)
+    assert heard == said
+    assert "?" not in said  # R1: every call is a P, C, R or S word or in one of trial_calls
+    assert_primes_are_tested_once(log, [] if said.endswith("!") else primes, psi_n, max_trials)  # R2
+    assert not square_free or "_perfect_power" not in [entry[0] for entry in log]  # R3: no exact-root scan
+    if multiple == "psi":
+        # R4: r primes above 3 take r - 2 trials; R5: 3 psi draws the same x's, and one more on a square-free n
+        assert not square_free or len(trials) == max(len(primes) - 2, 0)
+        factoring_work(modulus, "3psi", seed, log)
+        assert trials == (trials_of(log)[:-1] if square_free else trials_of(log))
+
+
+def test_every_name_the_factoring_calls_is_logged():
+    # a new kernel call in either function must join LOGGED; builtins, the
+    # argument check, the tally and the budget error do no kernel work
+    nodes = [node for f in (full_factorization, find_factor) for node in ast.walk(ast.parse(inspect.getsource(f)))]
+    called = {node.func.id for node in nodes if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert sorted(called - set(dir(builtins)) - {"_ints", "Counter", "TrialBudgetExhausted"}) == sorted(LOGGED)
 
 
 @settings(max_examples=60)
@@ -409,11 +414,10 @@ def test_full_factorization_refuses_an_oversized_psi_before_any_work(case):
 @pytest.mark.parametrize("max_trials", [-1, 1.5, True, "3", None])
 def test_full_factorization_refuses_a_max_trials_that_is_no_int_at_least_0_before_any_work(max_trials, monkeypatch):
     # -1 used to run as 0, and 1.5 as a budget of 2
-    tested = []
-    monkeypatch.setattr(attacks, "is_probable_prime", lambda m: tested.append(m) or is_probable_prime(m))
+    log = record_calls(monkeypatch)
     with pytest.raises(ValueError, match="must lie in"):
         full_factorization(35, 48, NoDraws(), max_trials=max_trials)
-    assert tested == []
+    assert log == []
 
 
 def test_full_factorization_accepts_psi_up_to_twice_the_bits_of_n():
@@ -467,8 +471,7 @@ def test_full_factorization_random_moduli_remultiply():
     seed=st.integers(0, 2**64),
 )
 def test_full_factorization_property(shape, seed):
-    # every shape with r = 1..4 and exponents 1..3 factors exactly, and each
-    # splitting trial returns 0 or a proper divisor of its cofactor
+    # every shape with r = 1..4 and exponents 1..3 factors exactly under R1 and R2, each trial to 0 or a proper divisor
     rng = random.Random(seed)
     primes = []
     for _, bits in shape:
@@ -477,17 +480,12 @@ def test_full_factorization_property(shape, seed):
             p = gen_prime(bits, rng)
         primes.append(p)
     fm = FactoredModulus(zip(primes, (e for e, _ in shape)))
-    trials = []
-
-    def spy_find_factor(m, psi_n, x):
-        f = find_factor(m, psi_n, x)
-        trials.append((m, f))
-        return f
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(attacks, "find_factor", spy_find_factor)
+        log = record_calls(mp)
         assert full_factorization(fm.value, psi(fm), rng) == list(fm.factors)
-    assert all(f == 0 or (1 < f < m and m % f == 0) for m, f in trials)
+    assert "?" not in words(log, primes, psi(fm))
+    assert_primes_are_tested_once(log, primes, psi(fm), 200)
+    assert all(f == 0 or (1 < f < m and m % f == 0) for m, _, f in trials_of(log))
 
 
 def test_psi_of_recovered_factorization_matches():
