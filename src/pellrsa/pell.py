@@ -21,7 +21,9 @@ power, as it never reads D, and param_to_point(m, n, d) decompresses a
 ciphertext mod each prime power to its pair (x, y).
 param_mul, param_pow and the Redei-pair power redei_pow (redei_eval's pair
 (a, b), one division at the end) have no library caller: they serve the
-tests of the paper's definitions and the benchmark's traces.
+benchmark's traces and the one table in tests/test_pell.py that checks
+every route to a point's k-th power, and both maps, against one product
+oracle.
 """
 
 from dataclasses import dataclass

@@ -4,7 +4,7 @@ TABLE is keyed by each site's message template, an f-string's fields read
 as {}; a str row names the test that covers its site.  A row's cases build
 a bad ciphertext, spliced by CRT mod one prime power into a clean one, or
 inject a fault through monkeypatch, as hardware would flip a branch, a bit
-of d_i, a ladder's output or a lift's power.  Keys of shapes (1,1,1), (3,1)
+of d_i, a ladder's output, a lift's power or the key's d.  Keys of shapes (1,1,1), (3,1)
 and (5,1) over 64-bit primes = 3 mod 4 (conftest's keys) serve them,
 each with one message whose D is a residue mod every prime, run on the
 p - 1 rows, where sqrt(D) = D^((p + 1)/4) mod p, and one whose D is a
@@ -170,11 +170,16 @@ def garner_plus_1(t):
     t.mp.setitem(vars(t.sk), "garner", tuple(c + 1 for c in t.sk.garner))
 
 
+def d_plus_1(t):
+    # only the lift's Newton update reads sk.d whole; the plan's d_i are kept
+    t.mp.setitem(vars(t.sk), "d", t.sk.d + 1)
+
+
 # ---- the table ----
 
 GAP = pytest.mark.xfail(strict=True, raises=pytest.fail.Exception, reason=(
     "the Hensel lift's verification gap, a FOUND line in CHANGES.md: the lift checks only that its power to e "
-    "lies on the curve, which a kernel element keeps"))
+    "lies on the curve, which a kernel element keeps, and nothing checks the root its last Newton update returns"))
 FIRST, CHAINED = ("first-use",), ("chained",)
 POINT, COMPRESSED = (PointCiphertext,), (Ciphertext,)
 
@@ -256,6 +261,8 @@ TABLE = {
         Case("lift_x", lift_x(False), at=(3, 5)),
         Case("lift_x-at-p5", lift_x(True), at=(5,)),
         Case("kernel-at-p3", kernel_power, at=(3,), marks=(GAP,)),
+        # a wrong d at p^3 puts the one Newton update's root off, and nothing checks it after
+        Case("d-plus-1-at-p3", d_plus_1, at=(3,), marks=(GAP,)),
     ),
     "crt: the key's Garner coefficients do not invert its moduli": row(Case("garner-plus-1", garner_plus_1, at=None)),
     "crt: the recovered point is not on the curve": row(
@@ -264,6 +271,8 @@ TABLE = {
         # the update, exact only for y_E = 0 mod the step's u, puts the root
         # off the curve by D^2 t^4/4: the gap ends at k = 5, where CRT sees it
         Case("kernel-at-p5", kernel_power, at=(5,)),
+        # at p^5 both Newton updates read the wrong d, and the root they leave is off the curve
+        Case("d-plus-1-at-p5", d_plus_1, at=(5,)),
     ),
     "crt: the recovered point is not a message: a coordinate is not a unit": row(Case("x-is-0", x_is_0)),
 }

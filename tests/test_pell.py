@@ -1,12 +1,38 @@
+"""The pell group's tests, and the one table of every route to a point's k-th power.
+
+ROUTES holds each route to pt^k and the families of curves in CURVES it
+runs on: point_pow's ladder on every curve that raises points; point_pow
+with lucas_chain(k), chebyshev with y scaled by U, and param_pow and
+redei_pow through point_to_param and param_to_point on p^1 (p <= 13) and
+the seeded primes 13..1009, the chain and chebyshev also mod 10, and
+chebyshev on the sampled p^3; LucasChain.run on bare moduli of any
+parity.  IDENTITIES holds the group laws of both products, the bijection
+and homomorphism of point_to_param and param_to_point, and the power laws:
+the group order p - (D/p) annihilates and exponents add.
+
+One oracle judges every row.  Below 2^16 it reads pt^k off the cycle of
+repeated Brahmagupta products that pt lies on; at crypto sizes, where no
+cycle can be walked, it is agreement with chebyshev's route, chain_pow,
+which the small curves and the power laws judge; on a bare modulus it is
+arith.lucas_v.  A public pell function that no row runs fails the
+completeness test unless EXEMPT names it.  Outside the table stay the
+frozen examples and special values, the factor leaks, BAD_KERNEL_CALLS,
+the Tallied count pins, the chain-construction and Redei-definition tests
+and the exhaustive decryption root step.
+"""
+
 import copy
 import functools
+import inspect
+import itertools
 import math
 import pickle
 import random
 import types
+from typing import NamedTuple
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pellrsa import arith, pell, scheme
@@ -69,14 +95,6 @@ def enumerate_hyperbola(p, r, d):
     return points
 
 
-def naive_point_pow(p, k, pp):
-    """k-fold product by literal repeated Brahmagupta multiplication."""
-    acc = HyperbolaPoint(1, 0)
-    for _ in range(k):
-        acc = point_mul(acc, p, pp)
-    return acc
-
-
 def product_ladder_cost(k):
     """Modular multiplications of a point's k-th power, for k >= 1.
 
@@ -92,14 +110,6 @@ def chain_pow(pt, k, pp):
         return HyperbolaPoint(1, 0)
     t, u = chebyshev(pt.x, k, pp.modulus)
     return HyperbolaPoint(t, pt.y * u % pp.modulus)
-
-
-def naive_param_pow(m, k, pp):
-    """Iterated parameter product; total over prime moduli."""
-    acc = INFINITY
-    for _ in range(k):
-        acc = param_mul(acc, m, pp)
-    return acc
 
 
 def naive_matrix_power(z, d, k, n):
@@ -178,20 +188,6 @@ def test_point_mul_frozen_example():
     assert point_mul(HyperbolaPoint(2, 2), HyperbolaPoint(2, 2), PP5) == HyperbolaPoint(2, 3)
 
 
-def test_point_mul_closure_and_commutativity():
-    rng = random.Random(31)
-    for p in (13, 31, 101):
-        d = qnr_mod(p, rng)
-        pp = PellParams(p, d)
-        pts = enumerate_hyperbola(p, 1, d)
-        for _ in range(60):
-            a, b, c = rng.choice(pts), rng.choice(pts), rng.choice(pts)
-            ab = point_mul(a, b, pp)
-            assert on_curve(ab.x, ab.y, pp.d, pp.modulus)
-            assert ab == point_mul(b, a, pp)
-            assert point_mul(ab, c, pp) == point_mul(a, point_mul(b, c, pp), pp)
-
-
 def test_point_validation():
     assert on_curve(2, 2, 2, 5)  # 4 - 2 * 4 = -4 = 1 mod 5
     assert not on_curve(1, 1, 2, 5)
@@ -229,19 +225,6 @@ def test_param_mul_leaks_factor():
     assert 35 % info.value.factor == 0
 
 
-def test_param_mul_group_laws_over_prime():
-    rng = random.Random(37)
-    for p in (13, 101, 499):
-        pp = PellParams(p, qnr_mod(p, rng))
-        elems = [INFINITY] + list(range(p))
-        for _ in range(80):
-            a, b, c = rng.choice(elems), rng.choice(elems), rng.choice(elems)
-            assert param_mul(a, b, pp) == param_mul(b, a, pp)
-            assert param_mul(param_mul(a, b, pp), c, pp) == param_mul(
-                a, param_mul(b, c, pp), pp
-            )
-
-
 # ---- parametrization maps ----
 
 def test_compress_special_points():
@@ -268,32 +251,6 @@ def test_decompress_special_values():
     assert param_to_point(0, 35, 18) == (34, 0)
 
 
-def test_decompress_lands_on_curve_and_roundtrips():
-    rng = random.Random(41)
-    for p in (13, 31, 101):
-        pp = PellParams(p, qnr_mod(p, rng))
-        for pt in enumerate_hyperbola(p, 1, pp.d):
-            m = point_to_param(*pt, pp.modulus)
-            back = param_to_point(m, pp.modulus, pp.d)
-            assert on_curve(*back, pp.d, pp.modulus)
-            assert back == pt
-
-
-def test_morphism_exhaustive_over_primes():
-    rng = random.Random(43)
-    for p in (5, 7, 13, 31, 101):
-        for d in (qnr_mod(p, rng), rng.choice(sorted({x * x % p for x in range(1, p)}))):
-            if math.gcd(d, p) != 1:
-                continue
-            pp = PellParams(p, d)
-            pts = enumerate_hyperbola(p, 1, d)
-            for a in pts:
-                for b in pts:
-                    lhs = point_to_param(*point_mul(a, b, pp), p)
-                    rhs = param_mul(point_to_param(*a, p), point_to_param(*b, p), pp)
-                    assert lhs == rhs
-
-
 # ---- powers ----
 
 def test_param_pow_trivial():
@@ -310,8 +267,7 @@ def test_param_pow_frozen_example():
     # parameter product is partial over composites), so the oracle walks the
     # division-free curve side and compresses at the end
     pt = param_to_point(1, 35, 18)
-    oracle = point_to_param(*naive_point_pow(pt, 5, PP35), 35)
-    assert oracle == 34
+    assert point_to_param(*oracle(pt, 5, PP35), 35) == 34
     assert param_pow(1, 5, PP35) == 34
     assert redei_pow(1, 5, PP35) == 34
 
@@ -333,7 +289,7 @@ def test_point_pow_trivial_and_frozen():
     assert point_pow(2, 0, PP5) == 1
     # order of the mod-5 curve with a non-residue D is 6, so P^7 = P
     pt = HyperbolaPoint(2, 2)
-    assert naive_point_pow(pt, 7, PP5) == pt
+    assert oracle(pt, 7, PP5) == pt
     assert point_pow(pt.x, 7, PP5) == pt.x
     assert chebyshev(pt.x, 7, 5) == (2, 1)  # (T_7(2), U_6(2)) = (5042, 2911)
     with pytest.raises(ValueError):
@@ -373,37 +329,6 @@ def test_bare_modulus_kernels_refuse_a_modulus_below_2_and_lucas_v_a_negative_k(
         BAD_KERNEL_CALLS[case]()
 
 
-def check_point_pow(pt, k, pp, expected):
-    """point_pow(pt.x, k) is the x-coordinate of the expected power, for
-    every point, D*y a unit or not."""
-    assert point_pow(pt.x, k, pp) == expected.x, (pp, pt, k)
-
-
-def test_point_pow_matches_naive():
-    rng = random.Random(53)
-    for p in (13, 101):
-        pp = PellParams(p, qnr_mod(p, rng))
-        pts = enumerate_hyperbola(p, 1, pp.d)
-        for _ in range(40):
-            pt, k = rng.choice(pts), rng.randrange(0, 40)
-            check_point_pow(pt, k, pp, naive_point_pow(pt, k, pp))
-    # (+-1, 0) mod 101 are their own odd powers, and (-1, 0) squares to (1, 0)
-    for x in (1, pp.modulus - 1):
-        check_point_pow(HyperbolaPoint(x, 0), 3, pp, HyperbolaPoint(x, 0))
-        check_point_pow(HyperbolaPoint(x, 0), 2, pp, HyperbolaPoint(1, 0))
-        check_point_pow(HyperbolaPoint(x, 0), 0, pp, HyperbolaPoint(1, 0))
-
-
-def test_pow_morphism():
-    rng = random.Random(59)
-    pp = PellParams(101, qnr_mod(101, rng))
-    pts = [pt for pt in enumerate_hyperbola(101, 1, pp.d) if pt.y != 0]
-    for _ in range(50):
-        pt, k = rng.choice(pts), rng.randrange(0, 200)
-        rhs_x, _ = param_to_point(param_pow(point_to_param(*pt, pp.modulus), k, pp), pp.modulus, pp.d)
-        assert point_pow(pt.x, k, pp) == rhs_x
-
-
 # ---- Redei pairs ----
 
 def test_redei_first_values():
@@ -439,28 +364,6 @@ def test_redei_linear_recurrence():
                 assert a2[j] == (2 * z * a1[j] - (z * z - d) * a0[j]) % n
 
 
-def test_redei_quotient_equals_param_pow():
-    rng = random.Random(71)
-    for p in (31, 499, 1009):
-        pp = PellParams(p, qnr_mod(p, rng))
-        for _ in range(40):
-            z, k = rng.randrange(1, p), rng.randrange(1, 1001)
-            via_redei = redei_pow(z, k, pp)
-            via_product = param_pow(z, k, pp)
-            assert via_redei == via_product
-
-
-def test_three_pow_routes_agree_up_to_200():
-    rng = random.Random(73)
-    pp = PellParams(499, qnr_mod(499, rng))
-    for _ in range(25):
-        z = rng.randrange(1, 499)
-        for k in range(1, 201):
-            expected = naive_param_pow(z, k, pp)
-            assert param_pow(z, k, pp) == expected
-            assert redei_pow(z, k, pp) == expected
-
-
 def test_ladder_multiplication_counts_are_exact(monkeypatch):
     rng = random.Random(79)
     pp = PellParams(10007, qnr_mod(10007, rng))
@@ -483,7 +386,7 @@ def test_ladder_multiplication_counts_are_exact(monkeypatch):
         squarings, multiplies = k.bit_length() - 1, k.bit_count() - 1
         assert ladder_cost(k) == 2 * squarings + 1
         # the x-only Lucas ladder and nothing else: no inversion
-        expected = naive_point_pow(pt, k % (pp.modulus + 1), pp)
+        expected = oracle(pt, k, pp)
         inversions.clear()
         assert count_products(point_pow, tallied.x, k, pp) == (ladder_cost(k), expected.x)
         # the Chebyshev chain: all but the final y * U, and no inversion
@@ -498,7 +401,7 @@ def test_ladder_multiplication_counts_are_exact(monkeypatch):
         assert len(param_muls) == squarings + multiplies
 
 
-# ---- the Lucas ladder against the product ladder ----
+# ---- the decryption root step ----
 
 def point_pow_cases(p, e):
     """(params, points, order) for a non-residue D and the residue D = 4 mod p^e."""
@@ -506,30 +409,6 @@ def point_pow_cases(p, e):
     for d in (d_nr, 4):
         pts = enumerate_hyperbola(p, e, d)
         yield PellParams(p**e, d % p**e), pts, len(pts)
-
-
-@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
-def test_point_pow_exhaustive_against_product_oracle(p):
-    rng = random.Random(p)
-    non_unit = 0
-    for e in (1, 2, 3):
-        for pp, pts, order in point_pow_cases(p, e):
-            for pt in pts:
-                non_unit += math.gcd(pp.d * pt.y, pp.modulus) != 1
-                if order <= 200:
-                    # every k in [0, 2 * order] against repeated products
-                    acc = HyperbolaPoint(1, 0)
-                    for k in range(2 * order + 1):
-                        check_point_pow(pt, k, pp, acc)
-                        acc = point_mul(acc, pt, pp)
-                else:
-                    # the full k range costs minutes at 7^3..13^3: k around
-                    # 0, order and 2 * order plus seeded draws, every point
-                    ks = {0, 1, 2, 3, order - 1, order, order + 1, 2 * order - 1, 2 * order}
-                    ks.update(rng.randrange(2 * order + 1) for _ in range(6))
-                    for k in ks:
-                        check_point_pow(pt, k, pp, chain_pow(pt, k, pp))
-    assert non_unit > 0
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101])
@@ -558,42 +437,11 @@ def test_decryption_root_step_exhaustive_against_product_oracle(p):
     assert chained
 
 
-EVEN_MODULI = list(range(4, 64, 2)) + [98, 128, 250, 338, 390]
-
-
-@pytest.mark.parametrize("n", EVEN_MODULI)
-def test_point_pow_is_total_on_even_moduli(n):
-    # the ladder runs mod 2n and halves by a shift; halving mod n by
-    # (n + 1)/2, which inverts 2 only for odd n, returns wrong points here
-    # some D leave no point with D y a unit (mod 8 that needs D = 3 or 7 mod
-    # 8), so the first D in a seeded order that has one is taken
-    table = _square_table(n)
-    units = [d for d in range(1, n) if math.gcd(d, n) == 1]
-    random.Random(n).shuffle(units)
-    for d in units:
-        pts = [
-            HyperbolaPoint(x, y)
-            for y in range(n)
-            if math.gcd(d * y, n) == 1
-            for x in table.get((1 + d * y * y) % n, ())
-        ]
-        if pts:
-            break
-    assert pts
-    pp = PellParams(n, d)
-    for pt in pts:
-        for k in range(200):
-            check_point_pow(pt, k, pp, chain_pow(pt, k, pp))
-
-
 def test_point_pow_frozen_even_modulus():
-    # (2, 1) on x^2 - 3 y^2 = 1 mod 10: squared, x = 2 * 4 - 1 = 7
-    pp = PellParams(10, 3)
-    pt = HyperbolaPoint(2, 1)
-    assert on_curve(*pt, pp.d, pp.modulus)
-    assert point_pow(2, 2, pp) == 7
-    for k in range(200):
-        check_point_pow(pt, k, pp, chain_pow(pt, k, pp))
+    # (2, 1) on x^2 - 3 y^2 = 1 mod 10: squared, x = 2 * 4 - 1 = 7; the
+    # table's curve even-frozen-10-D3 raises it to every k < 200
+    assert on_curve(2, 1, 3, 10)
+    assert point_pow(2, 2, PellParams(10, 3)) == 7
 
 
 # ---- Lucas chains against the ladder ----
@@ -621,22 +469,6 @@ def test_ladder_ops_compile_the_ladder(alarm):
         chain = LucasChain(k, ladder_ops(k))
         assert chain.proved_index() == k and len(chain.ops) == ladder_cost(k)
         assert chain.run(7, 1009) == lucas_v(7, k, 1009)[0]
-
-
-@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(
-    k=st.one_of(st.integers(1, 300), st.integers(1, 2**700 - 1)),
-    m=st.one_of(st.integers(3, 300), st.integers(3, 2**700)),
-    v=st.integers(0, 2**701),
-)
-def test_lucas_chain_computes_v_k_as_the_ladder_does(alarm, k, m, v):
-    # odd and even k and m alike
-    chain = lucas_chain(k)
-    if chain is None:
-        return
-    assert chain.k == k == chain.proved_index()
-    assert len(chain.ops) < ladder_cost(k)
-    assert chain.run(v, m) == lucas_v(v, k, m)[0]
 
 
 @pytest.mark.parametrize("bits", [512, 683])
@@ -689,67 +521,236 @@ def test_point_pow_refuses_a_chain_built_for_another_exponent():
         point_pow(3, 2, PellParams(101, 2), chain=LucasChain(2.0, ((1, 1, 0),)))
 
 
+# ---- the power-route table ----
+
+class Curve(NamedTuple):
+    pp: PellParams  # a bare modulus in the any-modulus family, whose points are V_1
+    order: int = 0  # p^(e-1) (p - (D/p)) mod p^e
+    powers: tuple = ()  # ((point, ks), ...): the routes raise each point to each k
+    points: tuple = ()  # the identities' points
+    triples: tuple = ()  # and triples
+
+
+_CYCLES = {}  # (pp, point) -> (the cycle of repeated products it lies on, its index there)
+
+
+def oracle(pt, k, pp):
+    """pt^k read off pt's cycle of repeated Brahmagupta products below 2^16;
+    above, chain_pow, which the small curves and the identities judge; on a
+    bare modulus, V_k of V_1 = pt by arith.lucas_v, whose ladder the
+    point_pow row judges."""
+    if type(pp) is int:
+        return (lucas_v(pt, k, pp)[0],)
+    if pp.modulus >> 16:
+        return chain_pow(pt, k, pp)
+    if (pp, pt) not in _CYCLES:
+        assert on_curve(*pt, pp.d, pp.modulus), (pp, pt)
+        cycle = [HyperbolaPoint(1, 0), pt]
+        while cycle[-1] != cycle[0]:
+            cycle.append(point_mul(cycle[-1], pt, pp))
+        cycle.pop()
+        for j, q in enumerate(cycle):
+            _CYCLES.setdefault((pp, q), (cycle, j))
+    cycle, j = _CYCLES[pp, pt]
+    return cycle[j * k % len(cycle)]
+
+
+def decompress(m, pp):
+    """The point of parameter m, INFINITY too, by the paper's formulas and Python's pow."""
+    if m == INFINITY:
+        return HyperbolaPoint(1, 0)
+    n, inv = pp.modulus, pow(m * m - pp.d, -1, pp.modulus)
+    return HyperbolaPoint((m * m + pp.d) * inv % n, 2 * m * inv % n)
+
+
+def small_curves(p):
+    """p^1..p^3, D a non-residue and D = 4, every point to every k <= 2 * order where the order is
+    <= 200, else to k near 0, order and 2 * order and six more per point from random.Random(p)."""
+    rng = random.Random(p)
+    for e in (1, 2, 3):
+        for pp, pts, order in point_pow_cases(p, e):
+            ks = [range(2 * order + 1)] * len(pts)
+            if order > 200:  # the full range costs minutes at 7^3..13^3
+                ends = {0, 1, 2, 3, order - 1, order, order + 1, 2 * order - 1, 2 * order}
+                ks = [sorted(ends | {rng.randrange(2 * order + 1) for _ in range(6)}) for _ in pts]
+            yield f"{p}^{e}-D{pp.d}", Curve(pp, order, list(zip(pts, ks)), pts)
+
+
+def seeded(seed, primes, draw, ds=lambda rng, p: (qnr_mod(p, rng),)):
+    """Per prime in turn, each D that random.Random(seed) draws, then the fields draw(rng, pp, every point) draws."""
+    rng, curves = random.Random(seed), {}
+    for p, d in ((p, d) for p in primes for d in ds(rng, p)):
+        pp = PellParams(p, d)
+        curves[f"{p}-D{d}"] = Curve(pp, **draw(rng, pp, enumerate_hyperbola(p, 1, d)))
+    return curves
+
+
+def even_curve(n, units=None):
+    """Every k < 200 on the points with D y a unit mod n, D the first of units, by default all of
+    them in random.Random(n)'s order, that has one: mod 8 only D = 3 and 7 mod 8 have one."""
+    if units is None:
+        random.Random(n).shuffle(units := [d for d in range(1, n) if math.gcd(d, n) == 1])
+    for d in units:
+        pts = [HyperbolaPoint(x, y) for y in range(n) if math.gcd(d * y, n) == 1 for x in _square_table(n).get((1 + d * y * y) % n, ())]
+        if pts:
+            return Curve(PellParams(n, d), powers=[(pt, range(200)) for pt in pts])
+
+
 @functools.lru_cache(maxsize=None)
 def crypto_prime(bits):
     return gen_prime(bits, random.Random(bits))
 
 
-@settings(max_examples=30)
-@given(
-    bits=st.sampled_from([256, 512, 1024]),
-    power=st.sampled_from([1, 2, 3]),
-    seed=st.integers(0, 2**64),
-    in_kernel=st.booleans(),
-)
-def test_point_pow_bit_identical_to_product_ladder_at_crypto_sizes(bits, power, seed, in_kernel):
-    p = crypto_prime(bits)
+def crypto_curve(bits, power, seed, in_kernel, nr=False):
+    """Mod p^power, D a non-residue mod p if nr: a random point, in the kernel of reduction mod p or
+    not, to 1, 17, bits or 2 bits random bits; three random points; the points of parameters
+    INFINITY, 0, 1, -1 and a random one."""
+    p, rng = crypto_prime(bits), random.Random(seed)
     n = p**power
-    rng = random.Random(seed)
     pp = PellParams(n, rng.randrange(1, p) + p * rng.randrange(n // p))
-    pt = HyperbolaPoint(*param_to_point(rng.randrange(n), pp.modulus, pp.d))
-    if in_kernel:
-        # P^(p^2 - 1) reduces to (1, 0) mod p, so D*y is not a unit mod n
-        pt = chain_pow(pt, p * p - 1, pp)
+    while nr and jacobi(pp.d, p) != -1:
+        pp = PellParams(n, rng.randrange(1, p) + p * rng.randrange(n // p))
+    ms = [rng.randrange(n) for _ in "pabc"]
+    pt, a, b, c = (decompress(m, pp) for m in ms)
+    if in_kernel:  # over a point equal to it mod p: (1, 0) mod p, so D y is no unit mod n
+        q = decompress(ms[0] + p * rng.randrange(n // p), pp)
+        pt = point_mul(pt, (q.x, -q.y), pp)
         assert math.gcd(pt.y, n) != 1
     k = rng.getrandbits(rng.choice([1, 17, bits, 2 * bits]))
-    check_point_pow(pt, k, pp, chain_pow(pt, k, pp))
+    points = [decompress(m, pp) for m in (INFINITY, 0, 1, n - 1, rng.randrange(n))]
+    return Curve(pp, p ** (power - 1) * (p - jacobi(pp.d, p)), [(pt, (k,))], points, [(a, b, c)])
 
 
-@settings(max_examples=25)
-@given(bits=st.sampled_from([512, 768, 1024]), seed=st.integers(0, 2**64))
-def test_point_group_laws_at_crypto_sizes(bits, seed):
-    # identity, inverse (x, -y), commutativity and associativity of the
-    # product on random points of a random curve; powers add exponents and
-    # the group order p - (D/p) annihilates
-    p = crypto_prime(bits)
-    rng = random.Random(seed)
-    pp = PellParams(p, rng.randrange(1, p))
-    a, b, c = (HyperbolaPoint(*param_to_point(rng.randrange(p), pp.modulus, pp.d)) for _ in range(3))
-    assert all(on_curve(*pt, pp.d, pp.modulus) for pt in (a, b, c))
-    assert point_mul(a, HyperbolaPoint(1, 0), pp) == a
-    assert point_mul(a, HyperbolaPoint(a.x, -a.y % p), pp) == HyperbolaPoint(1, 0)
-    assert point_mul(a, b, pp) == point_mul(b, a, pp)
-    assert point_mul(point_mul(a, b, pp), c, pp) == point_mul(a, point_mul(b, c, pp), pp)
-    j, k = rng.randrange(p), rng.randrange(p)
-    assert point_mul(chain_pow(a, j, pp), chain_pow(a, k, pp), pp) == chain_pow(a, j + k, pp)
-    assert chain_pow(a, p - jacobi(pp.d, p), pp) == HyperbolaPoint(1, 0)
+@functools.lru_cache(maxsize=8192)
+def chain_for(k):
+    """lucas_chain(k), built once; None at k = 0, where point_pow takes none."""
+    return lucas_chain(k) if k else None
 
 
-@settings(max_examples=25)
-@given(bits=st.sampled_from([512, 768, 1024]), seed=st.integers(0, 2**64))
-def test_param_point_bijection_at_crypto_sizes(bits, seed):
-    # with D a non-residue m^2 - D is never 0 mod p: every parameter,
-    # INFINITY included, decompresses to a curve point and compresses back
-    p = crypto_prime(bits)
-    rng = random.Random(seed)
-    d = rng.randrange(1, p)
-    while jacobi(d, p) != -1:
-        d = rng.randrange(1, p)
-    pp = PellParams(p, d)
-    for m in (INFINITY, 0, 1, p - 1, rng.randrange(p)):
-        pt = param_to_point(m, pp.modulus, pp.d)
-        assert on_curve(*pt, pp.d, pp.modulus)
-        assert point_to_param(*pt, pp.modulus) == m
+def chain_run(v, k, m):
+    """(V_k mod m,) by lucas_chain(k)'s chain, which must prove k and beat the ladder."""
+    chain = chain_for(k)
+    assert chain.k == k == chain.proved_index() and len(chain.ops) < ladder_cost(k)
+    return (chain.run(v, m),)
+
+
+SMALL = dict(pair for p in (3, 5, 7, 11, 13) for pair in small_curves(p))
+EVEN_MODULI = list(range(4, 64, 2)) + [98, 128, 250, 338, 390]
+CURVES = {  # {name: Curve}, or (a strategy of Curves, the examples each row draws)
+    "p^1": {name: c for name, c in SMALL.items() if "^1-" in name},
+    "p^2,p^3-all-k": {name: c for name, c in SMALL.items() if "^1-" not in name and c.order <= 200},
+    "p^3-sampled-k": {name: c for name, c in SMALL.items() if c.order > 200},
+    "seed31": seeded(31, (13, 31, 101), lambda rng, pp, pts: {"triples": [tuple(rng.choice(pts) for _ in "abc") for _ in range(60)]}),
+    "seed37": seeded(37, (13, 101, 499), lambda rng, pp, pts: {"triples": [
+        tuple(decompress(rng.choice([INFINITY, *range(pp.modulus)]), pp) for _ in "abc") for _ in range(80)]}),
+    "seed41": seeded(41, (13, 31, 101), lambda rng, pp, pts: {"points": pts}),
+    "seed43": seeded(43, (5, 7, 13, 31, 101), lambda rng, pp, pts: {"points": pts},
+                     lambda rng, p: (qnr_mod(p, rng), rng.choice(sorted({x * x % p for x in range(1, p)})))),
+    "seed53": seeded(53, (13, 101), lambda rng, pp, pts: {"powers": [(rng.choice(pts), (rng.randrange(0, 40),)) for _ in range(40)]
+                                                           + [(HyperbolaPoint(x, 0), (0, 2, 3)) for x in (1, pp.modulus - 1)]}),
+    "seed59": seeded(59, (101,), lambda rng, pp, pts: {"powers": [
+        (rng.choice([pt for pt in pts if pt.y]), (rng.randrange(0, 200),)) for _ in range(50)]}),
+    "seed71": seeded(71, (31, 499, 1009), lambda rng, pp, pts: {"powers": [
+        (decompress(rng.randrange(1, pp.modulus), pp), (rng.randrange(1, 1001),)) for _ in range(40)]}),
+    "seed73": seeded(73, (499,), lambda rng, pp, pts: {"powers": [(decompress(rng.randrange(1, 499), pp), range(1, 201)) for _ in range(25)]}),
+    "even": {f"{c.pp.modulus}-D{c.pp.d}": c for c in map(even_curve, EVEN_MODULI)},
+    "even-frozen": {"10-D3": even_curve(10, [3])},
+    "crypto": (st.builds(crypto_curve, st.sampled_from([256, 512, 1024]), st.sampled_from([1, 2, 3]), st.integers(0, 2**64), st.booleans()), 30),
+    "crypto-p1": (st.builds(crypto_curve, st.sampled_from([512, 768, 1024]), st.just(1), st.integers(0, 2**64), st.just(False)), 25),
+    "crypto-p1-nr": (st.builds(crypto_curve, st.sampled_from([512, 768, 1024]), st.just(1), st.integers(0, 2**64), st.just(False), st.just(True)), 25),
+    "any-modulus": (st.builds(  # odd and even k, m and V_1 alike
+        lambda k, m, v: Curve(m, powers=[(v, (k,))]), st.one_of(st.integers(1, 300), st.integers(1, 2**700 - 1)).filter(chain_for),
+        st.one_of(st.integers(3, 300), st.integers(3, 2**700)), st.integers(0, 2**701)), 200),
+}
+
+
+def group_laws(curve):
+    """Both products: closure, identity, inverse, commutativity, associativity."""
+    pp, one = curve.pp, HyperbolaPoint(1, 0)
+    for a, b, c in curve.triples:
+        ab = point_mul(a, b, pp)
+        assert on_curve(*ab, pp.d, pp.modulus) and ab == point_mul(b, a, pp) and point_mul(a, one, pp) == a
+        assert point_mul(ab, c, pp) == point_mul(a, point_mul(b, c, pp), pp) and point_mul(a, (a.x, -a.y), pp) == one
+        m, n, o = (point_to_param(*pt, pp.modulus) for pt in (a, b, c))
+        assert param_mul(m, n, pp) == param_mul(n, m, pp) and param_mul(param_mul(m, n, pp), o, pp) == param_mul(m, param_mul(n, o, pp), pp)
+
+
+def maps(curve):
+    """point_to_param and param_to_point invert each other, and the first carries products to products,
+    on the curve's points and those it raises."""
+    pp, params = curve.pp, {pt: point_to_param(*pt, curve.pp.modulus) for pt in (*curve.points, *(pt for pt, _ in curve.powers))}
+    for pt, m in params.items():
+        assert on_curve(*pt, pp.d, pp.modulus) and param_to_point(m, pp.modulus, pp.d) == decompress(m, pp) == pt
+    for a, b in itertools.product(params, repeat=2):
+        assert point_to_param(*point_mul(a, b, pp), pp.modulus) == param_mul(params[a], params[b], pp)
+
+
+def power_laws(curve):
+    """The group order annihilates, and exponents add: pt^j pt^(k - j) = pt^k, j = k // 3."""
+    pp = curve.pp
+    for pt, ks in curve.powers:
+        assert oracle(pt, curve.order, pp) == (1, 0)
+        assert all(point_mul(oracle(pt, k // 3, pp), oracle(pt, k - k // 3, pp), pp) == oracle(pt, k, pp) for k in ks)
+
+
+PRIMES = ("p^1", "seed53", "seed59", "seed71", "seed73")
+ROUTES = {  # name: (the coordinates of pt^k it computes, for (pt, k, pp); the families it runs on)
+    "point_pow": (lambda pt, k, pp: (point_pow(pt[0], k, pp),), PRIMES + ("p^2,p^3-all-k", "p^3-sampled-k", "even", "even-frozen", "crypto")),
+    "point_pow-chain": (lambda pt, k, pp: (point_pow(pt[0], k, pp, chain_for(k)),), PRIMES + ("even-frozen",)),
+    "chebyshev": (chain_pow, PRIMES + ("p^3-sampled-k", "even-frozen")),
+    "param_pow": (lambda pt, k, pp: param_to_point(param_pow(point_to_param(*pt, pp.modulus), k, pp), pp.modulus, pp.d), PRIMES),
+    "redei_pow": (lambda pt, k, pp: param_to_point(redei_pow(point_to_param(*pt, pp.modulus), k, pp), pp.modulus, pp.d), PRIMES),
+    "LucasChain.run": (chain_run, ("any-modulus",)),
+}
+IDENTITIES = {  # name: (a check of a Curve; the families it runs on)
+    "group-laws": (group_laws, ("seed31", "seed37", "crypto-p1")),
+    "maps": (maps, PRIMES + ("seed41", "seed43", "crypto-p1", "crypto-p1-nr")),
+    "power-laws": (power_laws, ("p^1", "crypto-p1")),
+}
+EXEMPT = {"redei_eval": "redei_pow's pair: the Redei-definition tests", "psi": "test_psi_frozen_examples"}
+
+
+def check(row, curve):
+    if row in IDENTITIES:
+        return IDENTITIES[row][0](curve)
+    for pt, ks in curve.powers:
+        for k in ks:
+            got = ROUTES[row][0](pt, k, curve.pp)
+            assert got == oracle(pt, k, curve.pp)[: len(got)], (row, curve.pp, pt, k)
+
+
+@pytest.mark.parametrize("row, family, name", [
+    pytest.param(row, family, name, id=f"{row}-{family}{'' if name is None else f'-{name}'}")
+    for table in (ROUTES, IDENTITIES) for row, (_, families) in table.items() for family in families
+    for name in (CURVES[family] if isinstance(CURVES[family], dict) else [None])
+])
+def test_each_row_agrees_with_the_oracle_on_each_of_its_curves(alarm, row, family, name):
+    if name is not None:
+        return check(row, CURVES[family][name])
+    curves, examples = CURVES[family]
+    settings(max_examples=examples)(given(curve=curves)(lambda curve: check(row, curve)))()
+
+
+def names_read(fn):
+    """The names fn reads, with those of the code nested in it and of the functions here that it calls."""
+    codes = [fn.__code__]
+    for code in codes:
+        called = map(inspect.unwrap, filter(callable, map(globals().get, code.co_names)))
+        codes += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+        codes += [f.__code__ for f in called if inspect.isfunction(f) and f.__module__ == __name__ and f.__code__ not in codes]
+    return {name for code in codes for name in code.co_names}
+
+
+def test_every_public_pell_function_is_in_a_row_or_exempt():
+    public = {name for name, f in vars(pell).items() if inspect.isfunction(f) and f.__module__ == pell.__name__}
+    public |= {f"LucasChain.{name}" for name, f in vars(LucasChain).items() if inspect.isfunction(f) and not name.startswith("_")}
+    rows = [*ROUTES.values(), *IDENTITIES.values()]
+    read = set().union(*(names_read(run) for run, _ in rows))
+    assert {name for name in public if not name.startswith("_") and name.rpartition(".")[2] not in read} == set(EXEMPT)
+    assert {family for _, families in rows for family in families} == set(CURVES)
+    # the small curves hold points whose D y is no unit, which compress to no parameter
+    assert all(any(math.gcd(c.pp.d * pt.y, c.pp.modulus) != 1 for c in CURVES[f].values() for pt in c.points)
+               for f in ("p^2,p^3-all-k", "p^3-sampled-k"))
 
 
 # ---- orders, psi, enumeration ----
